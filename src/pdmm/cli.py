@@ -22,6 +22,8 @@ from .degrees import (
     construct_gasp_r,
     construct_gasp_rs,
     quadrants,
+    table_from_dict,
+    table_to_dict,
     validate_cat,
     validate_degree_table,
 )
@@ -32,7 +34,6 @@ from .scheme import (
     instantiate_cat,
     instantiate_degree_table,
     multiply_via_scheme,
-    scheme_to_dict,
     verify_privacy_rank,
 )
 from .search import SweepRecord, best_scheme, sweep
@@ -85,30 +86,6 @@ def render_table(dv: DegreeVectors) -> str:
     widths = [max(len(row[j]) for row in grid) for j in range(len(grid[0]))]
     return "\n".join(
         "  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in grid
-    )
-
-
-def table_to_dict(family: str, dv: DegreeVectors, params: dict) -> dict:
-    doc = {"family": family, "K": dv.k, "L": dv.l, "T": dv.t}
-    doc.update(params)
-    if dv.modulus is not None:
-        doc["q"] = dv.modulus
-    doc["alpha_p"] = list(dv.alpha_p)
-    doc["alpha_s"] = list(dv.alpha_s)
-    doc["beta_p"] = list(dv.beta_p)
-    doc["beta_s"] = list(dv.beta_s)
-    doc["N"] = quadrants(dv).n_unique
-    return doc
-
-
-def table_from_dict(doc: dict) -> DegreeVectors:
-    modulus = doc.get("q") if doc.get("family") == "catx" or "omega" in doc else None
-    return DegreeVectors(
-        tuple(doc["alpha_p"]),
-        tuple(doc["alpha_s"]),
-        tuple(doc["beta_p"]),
-        tuple(doc["beta_s"]),
-        modulus=modulus,
     )
 
 

@@ -218,24 +218,57 @@ def quadrants(dv: DegreeVectors) -> QuadrantSets:
 
 
 def count_unique(dv: DegreeVectors) -> int:
-    """Number of distinct degree-table entries (= required worker count N).
+    """Number of distinct degree-table entries (= required worker count N)."""
+    return _count_sums(dv.alpha_p, dv.alpha_s, dv.beta_p, dv.beta_s, dv.modulus)
 
-    Vectorized so that parameter sweeps over large (K, L, T) stay cheap.
-    """
-    vecs = (
-        (dv.alpha_p, dv.beta_p),
-        (dv.alpha_p, dv.beta_s),
-        (dv.alpha_s, dv.beta_p),
-        (dv.alpha_s, dv.beta_s),
-    )
+
+def _count_sums(ap, as_, bp, bs, modulus: int | None = None) -> int:
+    """Distinct entries of the degree table of four int vectors, optionally
+    reduced mod `modulus`; vectorized so that parameter sweeps stay cheap."""
     sums = np.concatenate(
-        [np.add.outer(np.asarray(a), np.asarray(b)).ravel() for a, b in vecs]
+        [
+            np.add.outer(ap, bp).ravel(),
+            np.add.outer(ap, bs).ravel(),
+            np.add.outer(as_, bp).ravel(),
+            np.add.outer(as_, bs).ravel(),
+        ]
     )
-    if dv.modulus is not None:
-        sums %= dv.modulus
+    if modulus is not None:
+        sums %= modulus
     seen = np.zeros(int(sums.max()) + 1, dtype=bool)
     seen[sums] = True
     return int(seen.sum())
+
+
+def table_to_dict(family: str | None, dv: DegreeVectors, params: dict) -> dict:
+    """JSON-ready description of a degree table; read back by table_from_dict."""
+    doc = {"family": family, "K": dv.k, "L": dv.l, "T": dv.t}
+    doc.update(params)
+    if dv.modulus is not None:
+        doc["q"] = dv.modulus
+    doc["alpha_p"] = list(dv.alpha_p)
+    doc["alpha_s"] = list(dv.alpha_s)
+    doc["beta_p"] = list(dv.beta_p)
+    doc["beta_s"] = list(dv.beta_s)
+    doc["N"] = quadrants(dv).n_unique
+    return doc
+
+
+def table_from_dict(doc: dict) -> DegreeVectors:
+    """The degree table of a table or scheme document.
+
+    The table is cyclic, mod doc["q"], when its family is catx, or when the
+    document has no family key but an omega key. A GASP scheme on roots of
+    unity also records q and omega, but its table is integer.
+    """
+    cyclic = doc.get("family") == "catx" or ("family" not in doc and "omega" in doc)
+    return DegreeVectors(
+        tuple(doc["alpha_p"]),
+        tuple(doc["alpha_s"]),
+        tuple(doc["beta_p"]),
+        tuple(doc["beta_s"]),
+        modulus=doc.get("q") if cyclic else None,
+    )
 
 
 def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:

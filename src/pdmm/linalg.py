@@ -1,6 +1,8 @@
 """Dense exact linear algebra over a prime field.
 
 Matrices are numpy int64 arrays reduced mod p; all elimination is exact.
+The field must keep products of two residues inside int64, so p is at most
+isqrt(2^63 - 1) = 3,037,000,499.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -20,12 +22,19 @@ class SingularMatrixError(Exception):
     """Square system has no unique solution."""
 
 
+_MAX_P = isqrt(2**63 - 1)
+
+
 @dataclass
 class FieldMatrix:
     data: np.ndarray
     field: PrimeField
 
     def __post_init__(self):
+        if self.field.p > _MAX_P:
+            raise ValueError(
+                f"p = {self.field.p} exceeds {_MAX_P}: products of two residues overflow int64"
+            )
         arr = np.asarray(self.data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"expected 2-D matrix, got shape {arr.shape}")
@@ -55,11 +64,12 @@ def vandermonde(points, exponents, field: PrimeField) -> FieldMatrix:
     return FieldMatrix(np.array(rows, dtype=np.int64), field)
 
 
-def _echelon(aug: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """In-place forward elimination with first-nonzero pivoting; returns rank."""
+def _echelon(aug: np.ndarray, p: int, pivot_cols: int | None = None) -> int:
+    """In-place Gauss-Jordan elimination with first-nonzero pivoting over the
+    first `pivot_cols` columns (all by default); returns rank."""
     n_rows, n_cols = aug.shape
     rank_ = 0
-    for col in range(n_cols):
+    for col in range(n_cols if pivot_cols is None else pivot_cols):
         if rank_ == n_rows:
             break
         nz = np.nonzero(aug[rank_:, col])[0]
@@ -75,13 +85,11 @@ def _echelon(aug: np.ndarray, p: int) -> tuple[np.ndarray, int]:
         if others.size:
             aug[others] = (aug[others] - np.outer(aug[others, col], aug[rank_])) % p
         rank_ += 1
-    return aug, rank_
+    return rank_
 
 
 def rank(m: FieldMatrix) -> int:
-    work = m.data.copy()
-    _, r = _echelon(work, m.field.p)
-    return r
+    return _echelon(m.data.copy(), m.field.p)
 
 
 def is_invertible(m: FieldMatrix) -> bool:
@@ -94,29 +102,12 @@ def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
         raise SingularMatrixError(f"matrix is {m.rows}x{m.cols}, not square")
     if m.rows != rhs.rows:
         raise ValueError("rhs row count does not match matrix dimension")
-    p = m.field.p
     n = m.rows
-    aug = np.concatenate([m.data.copy(), rhs.data.copy()], axis=1)
-    # Restrict pivot search to the coefficient columns.
-    reduced, _ = _echelon_square(aug, n, p)
-    return FieldMatrix(reduced[:, n:], m.field)
-
-
-def _echelon_square(aug: np.ndarray, n: int, p: int) -> tuple[np.ndarray, int]:
-    for col in range(n):
-        nz = np.nonzero(aug[col:, col])[0]
-        if nz.size == 0:
-            raise SingularMatrixError(f"singular at column {col}")
-        pivot_row = col + int(nz[0])
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = aug[col] * inv % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != col]
-        if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[col])) % p
-    return aug, n
+    aug = np.concatenate([m.data, rhs.data], axis=1)
+    r = _echelon(aug, m.field.p, pivot_cols=n)
+    if r < n:
+        raise SingularMatrixError(f"matrix has rank {r} < {n}")
+    return FieldMatrix(aug[:, n:], m.field)
 
 
 @dataclass(frozen=True)
@@ -136,40 +127,32 @@ class SubmatrixCheck:
         return self.status in ("verified_all", "verified_sample")
 
 
-def _batch_dets(subs: np.ndarray, t: int, p: int) -> np.ndarray:
-    """Determinants mod p of a stack of t x t matrices (t <= 4), vectorized.
+def _singular(a: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (t, t, M) stack of residues mod p are singular, for
+    any t. Overwrites the stack.
 
-    Products are reduced pairwise so intermediates stay below p^2 < 2^63.
+    Division-free elimination, as in Bareiss' fraction-free method but without
+    its exact division, which mod p is not needed: each step multiplies the
+    rows below the pivot by the pivot and subtracts a multiple of the pivot
+    row, so no inverses are needed and every product stays below p^2.
+    A zero pivot is replaced by adding the first row below with a nonzero
+    entry in its column, which keeps the determinant. If a column has no
+    nonzero entry left, every later row becomes zero; so a matrix is singular
+    exactly when its last diagonal entry ends at zero.
     """
-    m = subs % p
-
-    def mul(a, b):
-        return a * b % p
-
-    if t == 1:
-        return m[:, 0, 0] % p
-    if t == 2:
-        return (mul(m[:, 0, 0], m[:, 1, 1]) - mul(m[:, 0, 1], m[:, 1, 0])) % p
-    if t == 3:
-        pos = mul(mul(m[:, 0, 0], m[:, 1, 1]), m[:, 2, 2]) \
-            + mul(mul(m[:, 0, 1], m[:, 1, 2]), m[:, 2, 0]) \
-            + mul(mul(m[:, 0, 2], m[:, 1, 0]), m[:, 2, 1])
-        neg = mul(mul(m[:, 0, 2], m[:, 1, 1]), m[:, 2, 0]) \
-            + mul(mul(m[:, 0, 0], m[:, 1, 2]), m[:, 2, 1]) \
-            + mul(mul(m[:, 0, 1], m[:, 1, 0]), m[:, 2, 2])
-        return (pos - neg) % p
-    if t == 4:
-        # Laplace expansion along the top two rows against the bottom two.
-        total = np.zeros(m.shape[0], dtype=np.int64)
-        cols = range(4)
-        for (i, j) in itertools.combinations(cols, 2):
-            k_, l_ = [c for c in cols if c not in (i, j)]
-            top = (mul(m[:, 0, i], m[:, 1, j]) - mul(m[:, 0, j], m[:, 1, i])) % p
-            bot = (mul(m[:, 2, k_], m[:, 3, l_]) - mul(m[:, 2, l_], m[:, 3, k_])) % p
-            sign = (-1) ** (i + j + 1)  # complementary-minor sign for rows {0,1}
-            total = (total + sign * mul(top, bot)) % p
-        return total % p
-    raise ValueError(f"t={t} not supported by the vectorized path")
+    t = a.shape[0]
+    for k in range(t - 1):
+        zero = np.flatnonzero(a[k, k] == 0)
+        if zero.size:
+            below = a[k + 1 :, k, zero] != 0
+            has = below.any(axis=0)
+            cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
+            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % p
+        rest = a[k + 1 :, k + 1 :]
+        rest *= a[k, k]
+        rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
+        rest %= p
+    return a[t - 1, t - 1] == 0
 
 
 # Row subsets are checked in chunks so that a singular subset ends the check
@@ -200,18 +183,6 @@ def _subset_chunks(n: int, t: int, exhaustive: bool, budget: int, seed: int):
             yield np.array(rows, dtype=np.intp)
 
 
-def _first_singular(subs: np.ndarray, field: PrimeField) -> int | None:
-    """Index of the first singular matrix in a (M, t, t) stack, or None."""
-    t = subs.shape[1]
-    if t <= 4:
-        bad = np.flatnonzero(_batch_dets(subs, t, field.p) == 0)
-        return int(bad[0]) if bad.size else None
-    for i, sub in enumerate(subs):
-        if rank(FieldMatrix(sub, field)) < t:
-            return i
-    return None
-
-
 def all_txt_submatrices_invertible(
     m: FieldMatrix, t: int, budget: int = 100_000, seed: int = 0
 ) -> SubmatrixCheck:
@@ -231,8 +202,14 @@ def all_txt_submatrices_invertible(
     exhaustive = comb(n, t) <= budget
     checked = 0
     for chunk in _subset_chunks(n, t, exhaustive, budget, seed):
-        i = _first_singular(m.data[chunk], m.field)
-        if i is not None:
+        # Singularity is transpose-invariant, so the stack holds each
+        # submatrix transposed: entry [j, i, c] is row chunk[c, i], column j.
+        # np.take lays it out C-contiguous, the subsets innermost, where
+        # fancy indexing would leave the row operations strided.
+        stack = np.take(m.data.T, chunk.T, axis=1)
+        bad = np.flatnonzero(_singular(stack, m.field.p))
+        if bad.size:
+            i = int(bad[0])
             witness = tuple(int(r) for r in chunk[i])
             return SubmatrixCheck("found_singular", witness, checked + i + 1)
         checked += len(chunk)

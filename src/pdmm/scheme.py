@@ -10,15 +10,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
-from .degrees import DegreeVectors, quadrants, validate_cat, validate_degree_table
+from .degrees import (
+    DegreeVectors,
+    quadrants,
+    table_from_dict,
+    table_to_dict,
+    validate_cat,
+    validate_degree_table,
+)
 from .field import PrimeField, element_of_order, find_field, is_prime
 from .linalg import (
     FieldMatrix,
-    SingularMatrixError,
     SubmatrixCheck,
     all_txt_submatrices_invertible,
     is_invertible,
@@ -182,7 +188,11 @@ def instantiate_degree_table(
     coprimality is needed only for the small shape, where the mask degrees
     step by K) and the points are consecutive powers of an order-q element.
     'random_search' samples distinct nonzero points over growing primes and
-    accepts only fully verified schemes.
+    accepts the first set whose two mask checks pass and whose decode matrix
+    is invertible. A mask check tests every T x T submatrix only when
+    C(N, T) <= submatrix_budget; above that it tests a seeded sample of
+    submatrix_budget of them, and a passing sample ('verified_sample') is
+    accepted too, so such a scheme is not fully certified.
     """
     report = validate_degree_table(dv)
     if not report.valid:
@@ -476,48 +486,24 @@ def verify_privacy_exhaustive(
 
 
 def scheme_to_dict(scheme: PdmmScheme) -> dict:
-    dv = scheme.dv
-    doc = {"family": scheme.family, "K": dv.k, "L": dv.l, "T": dv.t}
-    for key in ("r", "s", "x"):
-        if key in scheme.params:
-            doc[key] = scheme.params[key]
-    if dv.modulus is not None:
-        doc["q"] = dv.modulus
-    elif "q" in scheme.params:
-        doc["q"] = scheme.params["q"]
+    """The table document of the scheme's degree table plus p, omega and rho."""
+    params = {k: v for k, v in scheme.params.items() if k in ("r", "s", "x", "q")}
+    doc = table_to_dict(scheme.family, scheme.dv, params)
     doc["p"] = scheme.field.p
     if scheme.omega is not None:
         doc["omega"] = scheme.omega
     doc["rho"] = list(scheme.rho)
-    doc["alpha_p"] = list(dv.alpha_p)
-    doc["alpha_s"] = list(dv.alpha_s)
-    doc["beta_p"] = list(dv.beta_p)
-    doc["beta_s"] = list(dv.beta_s)
-    doc["N"] = scheme.n_workers
     return doc
 
 
 def scheme_from_dict(doc: dict) -> PdmmScheme:
-    family = doc.get("family")
-    cyclic = family == "catx" or ("omega" in doc and "q" in doc and family != "gasp-small"
-                                  and family != "gasp-big")
-    modulus = doc["q"] if (family == "catx" and "q" in doc) else None
-    dv = DegreeVectors(
-        tuple(doc["alpha_p"]),
-        tuple(doc["alpha_s"]),
-        tuple(doc["beta_p"]),
-        tuple(doc["beta_s"]),
-        modulus=modulus,
-    )
-    fld = PrimeField.of(doc["p"])
-    qs = quadrants(dv)
-    params = {k: doc[k] for k in ("r", "s", "x", "q") if k in doc}
+    dv = table_from_dict(doc)
     return PdmmScheme(
         dv,
-        fld,
+        PrimeField.of(doc["p"]),
         tuple(doc["rho"]),
-        qs.gamma,
+        quadrants(dv).gamma,
         omega=doc.get("omega"),
-        family=family,
-        params=params,
+        family=doc.get("family"),
+        params={k: doc[k] for k in ("r", "s", "x", "q") if k in doc},
     )

@@ -12,10 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .degrees import (
-    construct_cat_x,
-    construct_dog_rs,
+    _count_sums,
     construct_gasp_r,
-    construct_gasp_rs,
     gap,
     n_catx_formula,
 )
@@ -73,21 +71,6 @@ class SweepRecord:
         return Fraction(self.gasp_r.n_workers - self.gasp_rs.n_workers, self.gasp_r.n_workers)
 
 
-def _count(ap: np.ndarray, as_: np.ndarray, bp: np.ndarray, bs: np.ndarray) -> int:
-    """Distinct entries of the integer degree table, without object overhead."""
-    sums = np.concatenate(
-        [
-            np.add.outer(ap, bp).ravel(),
-            np.add.outer(ap, bs).ravel(),
-            np.add.outer(as_, bp).ravel(),
-            np.add.outer(as_, bs).ravel(),
-        ]
-    )
-    seen = np.zeros(int(sums.max()) + 1, dtype=bool)
-    seen[sums] = True
-    return int(seen.sum())
-
-
 def _oriented(big_k: int, big_l: int, big_t: int) -> tuple[int, int, int]:
     """Transpose the problem so K >= L (A·B = (Bᵀ·Aᵀ)ᵀ keeps N unchanged)."""
     if big_l > big_k:
@@ -100,10 +83,7 @@ def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     best = None
     for r in range(1, min(big_k, big_t) + 1):
         dv = construct_gasp_r(big_k, big_l, big_t, r)
-        n = _count(
-            np.asarray(dv.alpha_p), np.asarray(dv.alpha_s),
-            np.asarray(dv.beta_p), np.asarray(dv.beta_s),
-        )
+        n = _count_sums(dv.alpha_p, dv.alpha_s, dv.beta_p, dv.beta_s)
         if best is None or n < best.n_workers:
             best = SchemeChoice("GASP_R", n, r=r)
     return best
@@ -129,7 +109,7 @@ def best_gasp_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     for r in sorted(gaps):
         as_ = kl + gaps[r]
         for s in sorted(gaps):
-            n = _count(ap, as_, bp, kl + gaps[s])
+            n = _count_sums(ap, as_, bp, kl + gaps[s])
             if best is None or n < best.n_workers:
                 best = SchemeChoice("GASP_RS", n, r=r, s=s)
     return best
@@ -146,7 +126,7 @@ def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
         bp = stride * np.arange(big_l)
         base = stride * (big_l - 1) + big_k
         for s in range(1, min(big_t, stride) + 1):
-            n = _count(ap, as_, bp, base + gaps[s])
+            n = _count_sums(ap, as_, bp, base + gaps[s])
             if best is None or n < best.n_workers:
                 best = SchemeChoice("DOG_RS", n, r=r, s=s)
     return best

@@ -83,15 +83,18 @@ class TestValidate:
         assert "IV: pass" in out
 
     def test_construct_json_round_trips(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "construct", "--family", "gasp-r",
-            "-K", "3", "-L", "2", "-T", "2", "-r", "1", "--format", "json",
-        )
-        assert code == 0
         table = tmp_path / "table.json"
-        table.write_text(out)
-        code, out, _ = run(capsys, "validate", "--table", str(table))
-        assert code == 0
+        for table_args in (
+            ("--family", "gasp-r", "-K", "3", "-L", "2", "-T", "2", "-r", "1"),
+            ("--family", "catx", "-K", "2", "-L", "2", "-T", "2"),
+        ):
+            code, out, _ = run(capsys, "construct", *table_args, "--format", "json")
+            assert code == 0
+            table.write_text(out)
+            code, out, _ = run(capsys, "validate", "--table", str(table), "--format", "json")
+            assert code == 0
+            _, direct, _ = run(capsys, "validate", *table_args, "--format", "json")
+            assert json.loads(out) == json.loads(direct)
 
     def test_duplicate_alpha_fails(self, capsys, tmp_path):
         table = tmp_path / "bad.json"

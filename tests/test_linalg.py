@@ -6,12 +6,12 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from pdmm.field import PrimeField
+from pdmm.field import PrimeField, find_field
 from pdmm.linalg import (
     _CHUNK,
     FieldMatrix,
     SingularMatrixError,
-    _batch_dets,
+    _singular,
     all_txt_submatrices_invertible,
     is_invertible,
     rank,
@@ -21,6 +21,8 @@ from pdmm.linalg import (
 
 F11 = PrimeField.of(11)
 F53 = PrimeField.of(53)
+# The largest prime whose residue products fit int64: isqrt(2^63 - 1) - 6.
+P_NEAR_LIMIT = 3_037_000_493
 
 
 def permanent_style_det(m, p):
@@ -73,6 +75,18 @@ class TestFieldMatrix:
         with pytest.raises(ValueError):
             FieldMatrix(np.arange(4), F11)
 
+    def test_refuses_fields_past_int64_products(self):
+        # A singular [[a, b], [c*a, c*b]] over p = 4,000,000,007: its 2x2
+        # determinant overflows int64, and the submatrix check read it as
+        # invertible.
+        fld = find_field(1, 4 * 10**9)
+        assert fld.p > P_NEAR_LIMIT
+        a, b, c = 3_253_080_962, 2_597_663_003, 3_651_022_314
+        with pytest.raises(ValueError):
+            FieldMatrix(np.array([[a, b], [c * a % fld.p, c * b % fld.p]]), fld)
+        with pytest.raises(ValueError):
+            vandermonde((1, 2, 3), (0, 1), fld)
+
 
 class TestVandermonde:
     def test_entries(self):
@@ -121,24 +135,37 @@ class TestRankSolve:
             solve(m, FieldMatrix(np.array([[1], [2]]), F11))
 
 
+def singular_stack(t, p, seed):
+    """(t, t, M) stack of random matrices mod p in which every third has its
+    last row a multiple of its first, and every seventh a zero first column."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, p, (60, t, t), dtype=np.int64)
+    if t > 1:
+        scale = rng.integers(1, p, (20, 1), dtype=np.int64)
+        stack[::3, -1] = stack[::3, 0] * scale % p
+    stack[1::7, :, 0] = 0
+    return stack.transpose(1, 2, 0).copy()
+
+
 class TestBatchDets:
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    """The batched singularity test against reference determinants."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
     def test_matches_permutation_expansion(self, t):
-        rng = np.random.default_rng(t)
-        p = 101
-        stack = rng.integers(0, p, (50, t, t)).astype(np.int64)
-        dets = _batch_dets(stack, t, p)
-        for m, d in zip(stack, dets):
-            assert d == permanent_style_det(m, p)
+        for p in (101, P_NEAR_LIMIT):
+            stack = singular_stack(t, p, seed=t)
+            singular = _singular(stack.copy(), p)
+            for m, s in zip(stack.transpose(2, 0, 1), singular):
+                assert s == (permanent_style_det(m, p) == 0)
+            assert 0 < singular.sum() < len(singular)
 
     def test_zero_iff_rank_deficient(self):
         fld = PrimeField.of(101)
         rng = np.random.default_rng(9)
-        stack = rng.integers(0, 101, (100, 4, 4)).astype(np.int64)
-        stack[::3, 3] = stack[::3, 0]  # force repeated rows in every third one
-        dets = _batch_dets(stack, 4, 101)
-        for m, d in zip(stack, dets):
-            assert (d == 0) == (rank(FieldMatrix(m, fld)) < 4)
+        stack = rng.integers(0, 101, (4, 4, 100)).astype(np.int64)
+        stack[3, :, ::3] = stack[0, :, ::3]  # force repeated rows in every third one
+        for m, s in zip(stack.transpose(2, 0, 1), _singular(stack.copy(), 101)):
+            assert s == (rank(FieldMatrix(m, fld)) < 4)
 
 
 class TestSubmatrixCheck:
@@ -178,8 +205,9 @@ class TestSubmatrixCheck:
     @pytest.mark.parametrize(
         "n, t, dependent_rows",
         [
-            (16, 4, [(3, 5, 7, 9), (4, 8, 12, 15)]),  # determinant path
-            (14, 5, [(2, 4, 6, 8, 10), (3, 5, 7, 9, 13)]),  # rank path
+            (16, 4, [(3, 5, 7, 9), (4, 8, 12, 15)]),
+            (14, 5, [(2, 4, 6, 8, 10), (3, 5, 7, 9, 13)]),
+            (15, 6, [(2, 4, 6, 8, 10, 12), (1, 3, 5, 7, 11, 14)]),
         ],
     )
     def test_exhaustive_witness_is_first_singular_subset(self, n, t, dependent_rows):

@@ -10,6 +10,8 @@ from pdmm.degrees import (
     construct_gasp_r,
     construct_gasp_rs,
     quadrants,
+    table_from_dict,
+    validate_degree_table,
 )
 from pdmm.scheme import (
     BudgetExceededError,
@@ -271,6 +273,21 @@ class TestSerialization:
         a = np.arange(8).reshape(4, 2) % back.field.p
         b = np.arange(8).reshape(2, 4) % back.field.p
         assert np.array_equal(multiply_via_scheme(back, a, b), a @ b % back.field.p)
+
+    def test_roots_of_unity_gasp_table_reads_back_integer(self):
+        # The document records the root order q and omega, yet the table of
+        # a GASP scheme is integer.
+        scheme = instantiate_degree_table(
+            construct_gasp_r(3, 2, 2, 1), "roots_of_unity", family="gasp-small"
+        )
+        doc = scheme_to_dict(scheme)
+        assert doc["q"] == 17 and "omega" in doc
+        dv = table_from_dict(doc)
+        assert dv.modulus is None
+        assert dv == scheme.dv
+        assert validate_degree_table(dv).valid
+        back = scheme_from_dict(doc)
+        assert (back.dv, back.rho, back.omega) == (scheme.dv, scheme.rho, scheme.omega)
 
 
 class TestSchemeInvariants:
