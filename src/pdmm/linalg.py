@@ -1,8 +1,8 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices are numpy int64 arrays reduced mod p; all elimination is exact.
-The field must keep products of two residues inside int64, so p is at most
-isqrt(2^63 - 1) = 3,037,000,499.
+Matrices are numpy int64 arrays reduced mod p; all elimination and every
+product is exact. The field must keep products of two residues inside int64,
+so p is at most isqrt(2^63 - 1) = 3,037,000,499.
 """
 
 from __future__ import annotations
@@ -23,6 +23,53 @@ class SingularMatrixError(Exception):
 
 
 _MAX_P = isqrt(2**63 - 1)
+# Output elements per row slab of matmul_mod: bounds its float64 temporary.
+_SLAB = 1 << 20
+
+
+def _check_p(p: int):
+    if p > _MAX_P:
+        raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p as an int64 array, for integer matrices and p <= _MAX_P.
+
+    Entries are reduced mod p first, so they may be negative or >= p. With
+    delayed reduction, as in FFLAS-FFPACK: a float64 BLAS product is exact
+    while every partial sum is an integer below 2^53, so the inner dimension
+    runs in chunks of k with (p-1)^2 * k + p < 2^53, one chunk whenever the
+    whole product fits; where a single product of residues does not fit, in
+    int64 chunks with (p-1)^2 * k + p < 2^63. Each chunk is reduced mod p
+    before the next is added. Output rows are made in slabs, so that no
+    float64 copy of the whole result exists next to the int64 one.
+
+    Raises ValueError for p > _MAX_P, like FieldMatrix.
+    """
+    _check_p(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    sq = (p - 1) ** 2
+    if sq + p < 2**53:
+        dtype, step = np.float64, (2**53 - 1 - p) // sq
+    else:
+        dtype, step = np.int64, (2**63 - 1 - p) // sq
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    inner = a.shape[1]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    rows = max(1, _SLAB // max(1, b.shape[1]))
+    for r in range(0, a.shape[0], rows):
+        dst = out[r : r + rows]
+        for k in range(0, inner, step):
+            prod = a[r : r + rows, k : k + step] @ b[k : k + step]
+            if k:
+                np.add(dst, prod, out=dst, casting="unsafe")
+            else:
+                dst[...] = prod
+            dst %= p
+    return out
 
 
 @dataclass
@@ -31,10 +78,7 @@ class FieldMatrix:
     field: PrimeField
 
     def __post_init__(self):
-        if self.field.p > _MAX_P:
-            raise ValueError(
-                f"p = {self.field.p} exceeds {_MAX_P}: products of two residues overflow int64"
-            )
+        _check_p(self.field.p)
         arr = np.asarray(self.data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"expected 2-D matrix, got shape {arr.shape}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -28,6 +29,7 @@ from .linalg import (
     SubmatrixCheck,
     all_txt_submatrices_invertible,
     is_invertible,
+    matmul_mod,
     solve,
     vandermonde,
 )
@@ -39,6 +41,10 @@ class SchemeError(Exception):
 
 class BudgetExceededError(SchemeError):
     """An exhaustive verification would exceed its enumeration budget."""
+
+
+# splitmix64's state increment and its two mixing multipliers.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -54,10 +60,10 @@ class SplitMix64:
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (self.state + _GAMMA) & self.MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & self.MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & self.MASK
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
@@ -69,9 +75,26 @@ class SplitMix64:
                 return v % n
 
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
-        return np.array(
-            [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
-        )
+        """rows x cols draws of below(p), row by row, as int64.
+
+        The next rows * cols states are state + i * _GAMMA, so the stream is
+        mixed in numpy uint64 at once. When a draw would be rejected, the
+        batch is drawn again by the scalar loop, which keeps the stream exact;
+        so is a p above 2^63, whose draws may not fit int64.
+        """
+        count = rows * cols
+        u64 = np.uint64
+        z = u64(self.state) + np.arange(1, count + 1, dtype=u64) * u64(_GAMMA)
+        z = (z ^ (z >> u64(30))) * u64(_MIX1)
+        z = (z ^ (z >> u64(27))) * u64(_MIX2)
+        z ^= z >> u64(31)
+        rejected = (1 << 64) % p
+        if p > 1 << 63 or (rejected and bool((z >= u64((1 << 64) - rejected)).any())):
+            return np.array(
+                [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+            )
+        self.state = (self.state + count * _GAMMA) & self.MASK
+        return (z % u64(p)).astype(np.int64).reshape(rows, cols)
 
     def sample_distinct(self, low: int, high: int, count: int) -> list[int]:
         """count distinct integers from [low, high), order of discovery."""
@@ -112,6 +135,35 @@ class PdmmScheme:
     @property
     def t_privacy(self) -> int:
         return self.dv.t
+
+    # The two linear maps of the pipeline, built on first use. cached_property
+    # stores them in the instance's __dict__, which a frozen dataclass allows.
+
+    @cached_property
+    def _encoders(self) -> tuple[np.ndarray, np.ndarray]:
+        """E_A (N x (K+T)) and E_B (N x (L+T)): the share polynomials'
+        generalized Vandermonde matrices at rho, data exponents first."""
+        dv = self.dv
+        return (
+            vandermonde(self.rho, dv.alpha_p + dv.alpha_s, self.field).data,
+            vandermonde(self.rho, dv.beta_p + dv.beta_s, self.field).data,
+        )
+
+    @cached_property
+    def _decoder(self) -> np.ndarray:
+        """The KL x N rows of V_gamma^-1 that give the coefficients of the
+        block products A_i B_j, in row-major (i, j) order."""
+        n = self.n_workers
+        v = vandermonde(self.rho, self.gamma, self.field)
+        inverse = solve(v, FieldMatrix(np.eye(n, dtype=np.int64), self.field)).data
+        index = {e: i for i, e in enumerate(self.gamma)}
+        dv = self.dv
+        rows = [
+            index[(a_e + b_e) % dv.modulus if dv.modulus is not None else a_e + b_e]
+            for a_e in dv.alpha_p
+            for b_e in dv.beta_p
+        ]
+        return inverse[rows]
 
 
 @dataclass(frozen=True)
@@ -292,7 +344,9 @@ def encode(
     b_parts: PartitionedMatrix,
     rnd: Randomness,
 ) -> list[TaskPair]:
-    """Evaluate the two encoding polynomials at every worker's point."""
+    """Evaluate the two encoding polynomials at every worker's point: one
+    product E_A @ (A_1..A_K, R_1..R_T) and one for B; the shares are views
+    of the two results."""
     dv = scheme.dv
     p = scheme.field.p
     a_shape = a_parts.blocks[0].shape
@@ -303,23 +357,25 @@ def encode(
         s.shape != b_shape for s in rnd.s_mats
     ):
         raise SchemeError("randomness shapes do not match block shapes")
-    tasks = []
-    for w, pt in enumerate(scheme.rho):
-        a_share = np.zeros(a_shape, dtype=np.int64)
-        for block, e in zip(a_parts.blocks, dv.alpha_p):
-            a_share = (a_share + block * pow(pt, e, p)) % p
-        for block, e in zip(rnd.r_mats, dv.alpha_s):
-            a_share = (a_share + block * pow(pt, e, p)) % p
-        b_share = np.zeros(b_shape, dtype=np.int64)
-        for block, e in zip(b_parts.blocks, dv.beta_p):
-            b_share = (b_share + block * pow(pt, e, p)) % p
-        for block, e in zip(rnd.s_mats, dv.beta_s):
-            b_share = (b_share + block * pow(pt, e, p)) % p
-        tasks.append(TaskPair(a_share, b_share, w))
-    return tasks
+    e_a, e_b = scheme._encoders
+    n = scheme.n_workers
+
+    def shares(e, blocks, shape):
+        stacked = np.stack([b.reshape(-1) for b in blocks])
+        return matmul_mod(e, stacked, p).reshape(n, *shape)
+
+    a_shares = shares(e_a, a_parts.blocks + rnd.r_mats, a_shape)
+    b_shares = shares(e_b, b_parts.blocks + rnd.s_mats, b_shape)
+    return [TaskPair(a_shares[w], b_shares[w], w) for w in range(n)]
 
 
 def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
+    """One worker's response: a_share @ b_share mod p, in int64.
+
+    Raises/limits: SchemeError on mismatched inner dimensions. The int64
+    product wraps silently once (p-1)^2 * inner >= 2^63 (p ~ 10^9 at inner
+    dimension 10), so responses, and the decoded product, are wrong there.
+    """
     if task.a_share.shape[1] != task.b_share.shape[0]:
         raise SchemeError(
             f"inner dimensions mismatch: {task.a_share.shape} x {task.b_share.shape}"
@@ -328,29 +384,18 @@ def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
 
 
 def decode(scheme: PdmmScheme, responses: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Recover the K x L grid of block products from all worker responses."""
+    """Recover the K x L grid of block products from all worker responses by
+    applying the scheme's KL x N decode matrix."""
     n = scheme.n_workers
     if len(responses) != n:
         raise SchemeError(f"expected {n} responses, got {len(responses)}")
     shape = responses[0].shape
     if any(r.shape != shape for r in responses):
         raise SchemeError("responses have inconsistent shapes")
-    v = vandermonde(scheme.rho, scheme.gamma, scheme.field)
-    rhs = FieldMatrix(
-        np.stack([np.asarray(r, dtype=np.int64).ravel() for r in responses]),
-        scheme.field,
-    )
-    coeffs = solve(v, rhs).data  # one shared factorization for all entries
-    index = {e: i for i, e in enumerate(scheme.gamma)}
-    dv = scheme.dv
-    grid = []
-    for a_e in dv.alpha_p:
-        row = []
-        for b_e in dv.beta_p:
-            e = (a_e + b_e) % dv.modulus if dv.modulus is not None else a_e + b_e
-            row.append(coeffs[index[e]].reshape(shape))
-        grid.append(row)
-    return grid
+    stacked = np.stack([np.asarray(r, dtype=np.int64).ravel() for r in responses])
+    coeffs = matmul_mod(scheme._decoder, stacked, scheme.field.p).reshape(-1, *shape)
+    big_l = scheme.dv.l
+    return [list(coeffs[i : i + big_l]) for i in range(0, len(coeffs), big_l)]
 
 
 def assemble(grid, a_parts: PartitionedMatrix, b_parts: PartitionedMatrix) -> np.ndarray:

@@ -5,15 +5,19 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmm.field import PrimeField, find_field
 from pdmm.linalg import (
     _CHUNK,
+    _MAX_P,
     FieldMatrix,
     SingularMatrixError,
     _singular,
     all_txt_submatrices_invertible,
     is_invertible,
+    matmul_mod,
     rank,
     solve,
     vandermonde,
@@ -86,6 +90,61 @@ class TestFieldMatrix:
             FieldMatrix(np.array([[a, b], [c * a % fld.p, c * b % fld.p]]), fld)
         with pytest.raises(ValueError):
             vandermonde((1, 2, 3), (0, 1), fld)
+
+
+# Primes on both sides of each path of matmul_mod, with the number k of inner
+# terms per chunk: (p-1)^2 * k + p < 2^53 for float64, < 2^63 for int64.
+KERNEL_PRIMES = [
+    2,
+    1091,  # float64, one product for any inner dimension here
+    33_554_393,  # float64 chunks, k = 8
+    67_108_859,  # float64 chunks, k = 2
+    94_906_249,  # the largest prime with a float64 chunk, k = 1
+    94_906_297,  # the smallest prime on int64 chunks, k = 1023
+    1_000_000_021,  # int64, k = 9
+    2_147_483_647,  # int64, k = 2
+    P_NEAR_LIMIT,  # int64, k = 1
+]
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b, p): random shapes and primes, entries random, all p - 1 (the
+    largest partial sums), or unreduced in [-10p, 10p]."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    m, inner, n = draw(st.integers(1, 5)), draw(st.integers(1, 24)), draw(st.integers(1, 5))
+    fill = draw(st.sampled_from(["random", "max", "unreduced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if fill == "max":
+        return np.full((m, inner), p - 1), np.full((inner, n), p - 1), p
+    lo, hi = (0, p) if fill == "random" else (-10 * p, 10 * p + 1)
+    return rng.integers(lo, hi, (m, inner)), rng.integers(lo, hi, (inner, n)), p
+
+
+class TestMatmulMod:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_operands())
+    def test_matches_python_int_reference(self, operands):
+        a, b, p = operands
+        expected = (a.astype(object) @ b.astype(object)) % p
+        out = matmul_mod(a, b, p)
+        assert out.dtype == np.int64
+        assert out.tolist() == expected.tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(_MAX_P + 1, 2**64))
+    def test_refuses_fields_past_int64_products(self, p):
+        with pytest.raises(ValueError, match="exceeds"):
+            matmul_mod(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64), p)
+
+    def test_slabs_and_chunks_cover_every_entry(self):
+        # More output elements than one slab, on a chunked int64 path.
+        p = 1_000_000_021
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, p, (40, 20))
+        b = rng.integers(0, p, (20, 60_000))
+        expected = (a.astype(object) @ b[:, ::97].astype(object)) % p
+        assert matmul_mod(a, b, p)[:, ::97].tolist() == expected.tolist()
 
 
 class TestVandermonde:

@@ -1,7 +1,11 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmm.degrees import (
     DegreeVectors,
@@ -14,10 +18,12 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.scheme import (
+    _GAMMA,
     BudgetExceededError,
     PdmmScheme,
     SchemeError,
     SplitMix64,
+    decode,
     draw_randomness,
     encode,
     instantiate_cat,
@@ -54,6 +60,28 @@ class TestSplitMix64:
         assert a == b
         g = SplitMix64(5)
         assert all(0 <= g.below(97) < 97 for _ in range(200))
+
+    @pytest.mark.parametrize(
+        "rows, cols, n",
+        [(1, 1, 2), (3, 5, 97), (17, 9, 1091), (8, 8, 2**32), (6, 7, 1_000_000_021),
+         (4, 6, 2**62 + 1), (4, 6, 2**63 + 1)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_matrix_is_the_scalar_stream(self, rows, cols, n, seed):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        out = fast.matrix(rows, cols, n)
+        assert out.dtype == np.int64 and out.shape == (rows, cols)
+        assert out.tolist() == [[slow.below(n) for _ in range(cols)] for _ in range(rows)]
+        assert fast.state == slow.state
+        assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize("n", [2**62 + 1, 2**63 + 1])
+    def test_matrix_rejection_runs_the_scalar_loop(self, n):
+        # n = 2^62 + 1 rejects about a quarter of the draws and 2^63 + 1
+        # about half, so 24 values take more than 24 steps of the stream.
+        g = SplitMix64(3)
+        g.matrix(4, 6, n)
+        assert g.state != (3 + 24 * _GAMMA) & SplitMix64.MASK
 
     def test_sample_distinct(self):
         vals = SplitMix64(1).sample_distinct(1, 12, 11)
@@ -200,9 +228,90 @@ class TestPipeline:
         response = worker_multiply(cat222.field, tasks[0])
         assert response.shape == (2, 2)
 
+    @pytest.mark.parametrize("min_p", [0, 5 * 10**7])
+    def test_unreduced_inputs_stay_exact(self, min_p):
+        # Entries in [-10p, 10p]; 5 rows and 9 columns pad both sides. At
+        # p = 50,000,021 an unreduced entry times a residue exceeds 2^53.
+        scheme = instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=min_p)
+        p = scheme.field.p
+        rng = np.random.default_rng(5)
+        a = rng.integers(-10 * p, 10 * p + 1, (5, 7))
+        b = rng.integers(-10 * p, 10 * p + 1, (7, 9))
+        expected = (a.astype(object) @ b.astype(object)) % p
+        assert multiply_via_scheme(scheme, a, b, seed=3).tolist() == expected.tolist()
+
     def test_shape_mismatch_raises(self, cat222):
         with pytest.raises(SchemeError):
             multiply_via_scheme(cat222, np.ones((4, 3)), np.ones((4, 4)))
+
+
+@lru_cache(maxsize=None)
+def linear_map_schemes():
+    return (
+        instantiate_cat(construct_cat_x(2, 2, 2, 1)),  # p = 11
+        instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "roots_of_unity"),
+        instantiate_degree_table(construct_dog_rs(3, 3, 2, 1, 1), "random_search", seed=0),
+        # N = 10 at p ~ 10^9: (p-1)^2 * N passes 2^63.
+        instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=10**9),  # p = 1,000,000,021
+        # Just below isqrt(2^63 - 1) = 3,037,000,499.
+        instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=3_037_000_000),
+        instantiate_degree_table(
+            construct_gasp_r(2, 2, 2, 1), "random_search", min_p=3_037_000_000
+        ),
+    )
+
+
+def exact(m):
+    return m.astype(object)
+
+
+def evaluate(blocks, exponents, point, p):
+    """sum of block * point^e mod p, in Python ints."""
+    return sum(exact(b) * pow(point, e, p) for b, e in zip(blocks, exponents)) % p
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A scheme, A and B with random shapes (padding included), a seed."""
+    scheme = draw(st.sampled_from(linear_map_schemes()))
+    rows, inner, cols = (draw(st.integers(1, 7)) for _ in range(3))
+    seed = draw(st.integers(0, 2**64 - 1))
+    rng = np.random.default_rng(seed)
+    p = scheme.field.p
+    a, b = rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))
+    a_parts, b_parts = partition_a(a, scheme.dv.k), partition_b(b, scheme.dv.l)
+    rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, seed)
+    return scheme, a_parts, b_parts, rnd
+
+
+class TestLinearMaps:
+    @settings(max_examples=40, deadline=None)
+    @given(pipeline_inputs())
+    def test_encode_is_per_worker_evaluation(self, inputs):
+        scheme, a_parts, b_parts, rnd = inputs
+        dv, p = scheme.dv, scheme.field.p
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        assert [t.worker for t in tasks] == list(range(scheme.n_workers))
+        for task, point in zip(tasks, scheme.rho):
+            want_a = evaluate(a_parts.blocks + rnd.r_mats, dv.alpha_p + dv.alpha_s, point, p)
+            want_b = evaluate(b_parts.blocks + rnd.s_mats, dv.beta_p + dv.beta_s, point, p)
+            assert task.a_share.tolist() == want_a.tolist()
+            assert task.b_share.tolist() == want_b.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(pipeline_inputs())
+    def test_decode_of_exact_responses_is_exact(self, inputs):
+        scheme, a_parts, b_parts, rnd = inputs
+        p = scheme.field.p
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        responses = [
+            (exact(t.a_share) @ exact(t.b_share) % p).astype(np.int64) for t in tasks
+        ]
+        grid = decode(scheme, responses)
+        assert len(grid) == scheme.dv.k and all(len(row) == scheme.dv.l for row in grid)
+        for a_block, row in zip(a_parts.blocks, grid):
+            for b_block, block in zip(b_parts.blocks, row):
+                assert block.tolist() == (exact(a_block) @ exact(b_block) % p).tolist()
 
 
 class TestPrivacyRank:
