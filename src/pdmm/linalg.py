@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
@@ -213,49 +214,72 @@ def _combination_indices(n: int, t: int) -> np.ndarray:
     return idx
 
 
-def _subset_chunks(n: int, t: int, exhaustive: bool, budget: int, seed: int):
-    """Yield (chunk, t) index arrays of row subsets in check order."""
-    if exhaustive:
-        idx = _combination_indices(n, t)
-        for start in range(0, len(idx), _CHUNK):
-            yield idx[start : start + _CHUNK]
-    else:
-        rng = random.Random(seed)
-        for start in range(0, budget, _CHUNK):
-            size = min(_CHUNK, budget - start)
-            rows = [sorted(rng.sample(range(n), t)) for _ in range(size)]
-            yield np.array(rows, dtype=np.intp)
+@lru_cache(maxsize=8)
+def _sampled_subsets(n: int, t: int, count: int, seed: int) -> np.ndarray:
+    """`count` sorted t-row subsets drawn from random.Random(seed), in draw
+    order, shared and read-only. Filled chunk by chunk in the smallest
+    integer dtype that holds n, so no list of all the draws is ever built."""
+    rng = random.Random(seed)
+    population = range(n)
+    out = np.empty((count, t), dtype=np.min_scalar_type(n))
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        out[start : start + size] = [sorted(rng.sample(population, t)) for _ in range(size)]
+    out.flags.writeable = False
+    return out
 
 
 def all_txt_submatrices_invertible(
-    m: FieldMatrix, t: int, budget: int = 100_000, seed: int = 0
+    m: FieldMatrix | Iterable[FieldMatrix], t: int, budget: int = 100_000, seed: int = 0
 ) -> SubmatrixCheck:
     """Check invertibility of every (or a seeded sample of) t-row submatrix.
 
-    m must have exactly t columns. Exhaustive when C(rows, t) <= budget,
-    walking the subsets in lexicographic order; otherwise a deterministic
-    pseudorandom sample of `budget` sorted subsets drawn from
-    random.Random(seed). The check stops at the first singular subset in that
-    order and returns it as the witness ('found_singular', checked = its
-    1-based position). Otherwise every subset has been tested, and checked
-    is C(rows, t) ('verified_all') or `budget` ('verified_sample').
+    m is one n x t matrix, or several n x t matrices pulled lazily from an
+    iterable. Exhaustive when C(n, t) <= budget, walking the subsets in
+    lexicographic order; otherwise a deterministic pseudorandom sample of
+    `budget` sorted subsets drawn from random.Random(seed), the same for
+    every matrix. Subsets are tested in chunks, alternating between the
+    matrices: chunk 1 of each matrix in turn, then chunk 2 of each, and so
+    on. A matrix is pulled just before its first chunk, so none is built
+    once an earlier chunk holds a singular subset.
+
+    The check stops at the first singular subset in that order and returns it
+    as the witness ('found_singular'; the witness does not say which matrix
+    it belongs to); checked counts the submatrices tested up to and including
+    it, over all matrices, which for one matrix is its 1-based position.
+    Otherwise every subset of every matrix has been tested, and checked is
+    C(n, t) ('verified_all') or `budget` ('verified_sample') per matrix.
     """
-    if m.cols != t:
-        raise ValueError(f"matrix has {m.cols} columns, expected t={t}")
-    n = m.rows
-    exhaustive = comb(n, t) <= budget
+    source = iter((m,) if isinstance(m, FieldMatrix) else m)
+    first = next(source, None)
+    if first is None:
+        raise ValueError("no matrix to check")
+    if first.cols != t:
+        raise ValueError(f"matrix has {first.cols} columns, expected t={t}")
+    n = first.rows
+    if comb(n, t) <= budget:
+        status, subsets = "verified_all", _combination_indices(n, t)
+    else:
+        status, subsets = "verified_sample", _sampled_subsets(n, t, budget, seed)
+    matrices: list[FieldMatrix] = []
     checked = 0
-    for chunk in _subset_chunks(n, t, exhaustive, budget, seed):
-        # Singularity is transpose-invariant, so the stack holds each
-        # submatrix transposed: entry [j, i, c] is row chunk[c, i], column j.
-        # np.take lays it out C-contiguous, the subsets innermost, where
-        # fancy indexing would leave the row operations strided.
-        stack = np.take(m.data.T, chunk.T, axis=1)
-        bad = np.flatnonzero(_singular(stack, m.field.p))
-        if bad.size:
-            i = int(bad[0])
-            witness = tuple(int(r) for r in chunk[i])
-            return SubmatrixCheck("found_singular", witness, checked + i + 1)
-        checked += len(chunk)
-    status = "verified_all" if exhaustive else "verified_sample"
+    for start in range(0, len(subsets), _CHUNK):
+        chunk = subsets[start : start + _CHUNK]
+        # The first round pulls each matrix just before its first chunk.
+        for mat in itertools.chain((first,), source) if not start else matrices:
+            if not start:
+                if mat.data.shape != (n, t):
+                    raise ValueError(f"matrix is {mat.rows}x{mat.cols}, expected {n}x{t}")
+                matrices.append(mat)
+            # Singularity is transpose-invariant, so the stack holds each
+            # submatrix transposed: entry [j, i, c] is row chunk[c, i], column
+            # j. np.take lays it out C-contiguous, the subsets innermost, where
+            # fancy indexing would leave the row operations strided.
+            stack = np.take(mat.data.T, chunk.T, axis=1)
+            bad = np.flatnonzero(_singular(stack, mat.field.p))
+            if bad.size:
+                i = int(bad[0])
+                witness = tuple(int(r) for r in chunk[i])
+                return SubmatrixCheck("found_singular", witness, checked + i + 1)
+            checked += len(chunk)
     return SubmatrixCheck(status, None, checked)

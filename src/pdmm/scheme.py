@@ -8,7 +8,6 @@ and verify privacy both by rank checks and by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import gcd
@@ -27,6 +26,7 @@ from .field import PrimeField, element_of_order, find_field, is_prime
 from .linalg import (
     FieldMatrix,
     SubmatrixCheck,
+    _sampled_subsets,
     all_txt_submatrices_invertible,
     is_invertible,
     matmul_mod,
@@ -241,10 +241,16 @@ def instantiate_degree_table(
     step by K) and the points are consecutive powers of an order-q element.
     'random_search' samples distinct nonzero points over growing primes and
     accepts the first set whose two mask checks pass and whose decode matrix
-    is invertible. A mask check tests every T x T submatrix only when
-    C(N, T) <= submatrix_budget; above that it tests a seeded sample of
-    submatrix_budget of them, and a passing sample ('verified_sample') is
-    accepted too, so such a scheme is not fully certified.
+    is invertible. The mask checks test the T x T submatrices of the alpha_s
+    and beta_s Vandermonde matrices in one call, chunk by chunk, alternating
+    between the two sides, and the attempt ends at the first chunk that holds
+    a singular subset on either side; the beta_s matrix is built only once
+    alpha_s's first chunk passes. The decode matrix is tested last, only for
+    points that pass both mask checks. A mask check tests every T x T
+    submatrix only when C(N, T) <= submatrix_budget; above that it tests a
+    seeded sample of submatrix_budget of them, and a passing sample
+    ('verified_sample') is accepted too, so such a scheme is not fully
+    certified.
     """
     report = validate_degree_table(dv)
     if not report.valid:
@@ -283,17 +289,13 @@ def instantiate_degree_table(
         attempted.append(p)
         for _ in range(32):
             rho = tuple(rng.sample_distinct(1, p, n))
-            ok_a = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.alpha_s, fld), dv.t, submatrix_budget, seed
+            masks = all_txt_submatrices_invertible(
+                (vandermonde(rho, exps, fld) for exps in (dv.alpha_s, dv.beta_s)),
+                dv.t,
+                submatrix_budget,
+                seed,
             )
-            if not ok_a.ok:
-                continue
-            ok_b = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.beta_s, fld), dv.t, submatrix_budget, seed
-            )
-            if not ok_b.ok:
-                continue
-            if is_invertible(vandermonde(rho, qs.gamma, fld)):
+            if masks.ok and is_invertible(vandermonde(rho, qs.gamma, fld)):
                 meta["strategy"] = "random_search"
                 meta["seed"] = seed
                 meta["rng"] = "splitmix64"
@@ -515,8 +517,7 @@ def verify_privacy_exhaustive(
     if trials == "full":
         subsets = list(itertools.combinations(range(n), t))
     else:
-        rng = random.Random(seed)
-        subsets = [tuple(sorted(rng.sample(range(n), t))) for _ in range(int(trials))]
+        subsets = _sampled_subsets(n, t, int(trials), seed).tolist()
 
     ok_a, checked_a, wit_a = _enumerate_side(scheme.rho, dv.alpha_p, dv.alpha_s, p, subsets)
     if not ok_a:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmm.cli import FAMILIES, build_degree_vectors
+from pdmm.cli import _instantiate as cli_instantiate
 from pdmm.degrees import (
     DegreeVectors,
     construct_cat_x,
@@ -17,6 +19,8 @@ from pdmm.degrees import (
     table_from_dict,
     validate_degree_table,
 )
+from pdmm.field import PrimeField, is_prime
+from pdmm.linalg import all_txt_submatrices_invertible, is_invertible, vandermonde
 from pdmm.scheme import (
     _GAMMA,
     BudgetExceededError,
@@ -160,9 +164,62 @@ class TestInstantiateDegreeTable:
             737, 613, 426, 212, 893, 272, 546, 689, 483, 189, 131,
         )
 
+    @pytest.mark.parametrize("budget", [100_000, 300])  # 300: the sampled path
+    @pytest.mark.parametrize(
+        "dv",
+        [
+            construct_gasp_rs(3, 3, 3, 2, 3),
+            construct_dog_rs(3, 3, 3, 1, 2),
+            construct_dog_rs(4, 3, 3, 1, 3),
+            construct_dog_rs(3, 3, 2, 1, 2),
+            construct_gasp_rs(2, 2, 5, 2, 2),  # T >= 5
+        ],
+        ids=["gasp-rs-3-3-3", "dog-rs-3-3-3", "dog-rs-4-3-3", "dog-rs-3-3-2", "gasp-rs-2-2-5"],
+    )
+    def test_random_search_matches_sequential_checks(self, dv, budget):
+        for seed in range(4):
+            scheme = instantiate_degree_table(
+                dv, "random_search", seed=seed, submatrix_budget=budget
+            )
+            assert (scheme.field.p, scheme.rho) == sequential_random_search(dv, seed, budget)
+
     def test_unknown_strategy(self):
         with pytest.raises(SchemeError):
             instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "magic")
+
+
+def sequential_random_search(dv, seed, budget):
+    """random_search's attempt loop with each check run to its end before the
+    next: alpha_s's submatrices, then beta_s's, then the decode matrix.
+    Returns the accepted (p, rho)."""
+    qs = quadrants(dv)
+    n = qs.n_unique
+    rng = SplitMix64(seed)
+
+    def next_prime(m):
+        while not is_prime(m):
+            m += 1
+        return m
+
+    p = next_prime(n + 1)
+    for _ in range(24):
+        fld = PrimeField.of(p)
+        for _ in range(32):
+            rho = tuple(rng.sample_distinct(1, p, n))
+            check_a = all_txt_submatrices_invertible(
+                vandermonde(rho, dv.alpha_s, fld), dv.t, budget, seed
+            )
+            if not check_a.ok:
+                continue
+            check_b = all_txt_submatrices_invertible(
+                vandermonde(rho, dv.beta_s, fld), dv.t, budget, seed
+            )
+            if not check_b.ok:
+                continue
+            if is_invertible(vandermonde(rho, qs.gamma, fld)):
+                return p, rho
+        p = next_prime(2 * p)
+    raise AssertionError("no evaluation points found")
 
 
 class TestPartitioning:
@@ -408,3 +465,34 @@ class TestSchemeInvariants:
         rho = (0,) + cat222.rho[1:]
         with pytest.raises(SchemeError):
             PdmmScheme(cat222.dv, cat222.field, rho, cat222.gamma)
+
+
+@st.composite
+def family_points(draw):
+    """A family token with (K, L, T) and (r, s) it accepts, K, L <= 4 and
+    T <= 3, product dimensions up to 6 and a seed."""
+    family = draw(st.sampled_from(FAMILIES))
+    k, l, t = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    if family not in ("gasp-rs", "dog-rs"):  # the others need K >= L
+        k, l = max(k, l), min(k, l)
+    if family == "catx":  # and CAT needs L >= T
+        t = min(t, l)
+    r = draw(st.integers(1, min(k, t) if family == "gasp-r" else t))
+    s = draw(st.integers(1, t))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    return family, (k, l, t), r, s, dims, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEveryFamily:
+    @settings(max_examples=25, deadline=None)
+    @given(family_points())
+    def test_instantiated_scheme_is_private_and_exact(self, point):
+        family, (k, l, t), r, s, (rows, inner, cols), seed = point
+        dv, params = build_degree_vectors(family, k, l, t, r, s)
+        scheme = cli_instantiate(family, dv, params, seed, 0)
+        assert verify_privacy_rank(scheme).ok
+        p = scheme.field.p
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert multiply_via_scheme(scheme, a, b, seed=seed).tolist() == want.tolist()
