@@ -2,13 +2,13 @@
 
 Constructs the four families of degree tables (GASP_r, GASP_rs, DOG_rs over
 the integers; CAT_x with addition modulo q), counts their unique entries,
-validates the decodability/privacy conditions, and provides the lattice
-tools used to test the structural lemmas behind CAT_x.
+validates the decodability/privacy conditions, and decides by one rule
+(root_order) which tables take consecutive powers of a root of unity as
+evaluation points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -329,24 +329,45 @@ def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
 
 
-def _is_coprime_progression(vec: tuple[int, ...], q: int) -> bool:
-    """True iff vec is an arithmetic progression mod q with difference coprime to q."""
+def _step(vec: tuple[int, ...], modulus: int | None) -> int | None:
+    """The common difference of vec as an arithmetic progression, mod modulus
+    when given; 1 for a single entry, None when vec is no progression."""
     if len(vec) == 1:
-        return True
-    diffs = {(b - a) % q for a, b in zip(vec, vec[1:])}
-    if len(diffs) != 1:
-        return False
-    return gcd(diffs.pop(), q) == 1
+        return 1
+    diffs = {b - a if modulus is None else (b - a) % modulus for a, b in zip(vec, vec[1:])}
+    return diffs.pop() if len(diffs) == 1 else None
+
+
+def root_order(dv: DegreeVectors, n: int) -> int | None:
+    """The order q of an element omega whose consecutive powers omega^0 ..
+    omega^(n-1), as the n evaluation points, make every T x T mask submatrix
+    invertible; None when this rule does not certify the table.
+
+    Both mask vectors must be arithmetic progressions c + d*i (mod q for a
+    cyclic table, over the integers otherwise) with each step d coprime to q,
+    and q >= n. Then every T x T submatrix is diag(omega^(w*c)) times a
+    Vandermonde matrix in the distinct nodes omega^(w*d). A cyclic table has
+    q = its modulus. An integer table has the smallest q above its largest
+    entry that is coprime to both steps, so its sums stay distinct mod q.
+    """
+    steps = (_step(dv.alpha_s, dv.modulus), _step(dv.beta_s, dv.modulus))
+    if None in steps or 0 in steps:
+        return None
+    step = steps[0] * steps[1]  # q is coprime to both steps iff to their product
+    q = dv.modulus
+    if q is None:
+        q = max(dv.alpha_p + dv.alpha_s) + max(dv.beta_p + dv.beta_s) + 1
+        while gcd(q, step) != 1:
+            q += 1
+    return q if q >= n and gcd(q, step) == 1 else None
 
 
 def validate_cat(dv: DegreeVectors) -> ValidationReport:
     """Check the cyclic-addition conditions; IV via the sufficient condition
-    that both suffix vectors are arithmetic progressions mod q with common
-    differences coprime to q (so consecutive root-of-unity powers work) and
-    q >= N."""
+    that root_order certifies the table for consecutive powers of a q-th
+    root of unity."""
     if dv.modulus is None:
         raise ParameterError("validate_cat expects a cyclic table (modulus present)")
-    q = dv.modulus
     qs = quadrants(dv)
     flags = {"I": True}
     witnesses: list[tuple[str, int]] = []
@@ -359,40 +380,6 @@ def validate_cat(dv: DegreeVectors) -> ValidationReport:
     flags.update(d_flags)
     witnesses.extend(d_wit)
 
-    flags["IV"] = (
-        _is_coprime_progression(dv.alpha_s, q)
-        and _is_coprime_progression(dv.beta_s, q)
-        and q >= qs.n_unique
-    )
+    flags["IV"] = root_order(dv, qs.n_unique) is not None
 
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
-
-
-def lattice_solutions(
-    params: CatParameters,
-    i_range: tuple[int, int],
-    j_range: tuple[int, int],
-) -> set[tuple[int, int]]:
-    """All (i, j) in the inclusive rectangle with i*x = j*y (mod q), by enumeration."""
-    q, x, y = params.q, params.x, params.y
-    return {
-        (i, j)
-        for i in range(i_range[0], i_range[1] + 1)
-        for j in range(j_range[0], j_range[1] + 1)
-        if (i * x - j * y) % q == 0
-    }
-
-
-def lattice_span_mod_q(params: CatParameters) -> set[tuple[int, int]]:
-    """The lattice generated by (-t_bar, k_star) and (l_star, t_bar), reduced mod q."""
-    q = params.q
-    return {
-        ((-a * params.t_bar + b * params.l_star) % q, (a * params.k_star + b * params.t_bar) % q)
-        for a, b in itertools.product(range(q), repeat=2)
-    }
-
-
-def quadrant_intersections(dv: DegreeVectors) -> tuple[int, int]:
-    """(|TR ∩ BR|, |BL ∩ BR|) by direct set intersection."""
-    qs = quadrants(dv)
-    return (len(qs.tr & qs.br), len(qs.bl & qs.br))

@@ -7,6 +7,7 @@ by the :class:`PrimeField` performing the operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 
 class FieldError(Exception):
@@ -17,7 +18,9 @@ class FieldError(Exception):
 # comfortably covering the 64-bit range used here.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SEARCH_BOUND = 2**63
+# The largest p whose products of two residues fit int64: linalg refuses any
+# larger field, so find_field never returns one.
+_MAX_P = isqrt(2**63 - 1)
 
 
 def is_prime(n: int) -> bool:
@@ -129,25 +132,24 @@ class PrimeField:
 
 
 def find_field(q: int, min_p: int = 0) -> PrimeField:
-    """Smallest prime field F_p with p >= max(min_p, q+1) and q | p-1."""
+    """Smallest prime field F_p with p >= max(min_p, q+1, 2) and q | p-1;
+    with q = 1, the smallest prime >= max(min_p, 2).
+
+    Raises FieldError when no such p is at most _MAX_P = 3,037,000,499.
+    """
     if q < 1:
         raise FieldError(f"q must be positive, got {q}")
     start = max(min_p, q + 1, 2)
-    if q == 1:
-        p = start
-        while p < _SEARCH_BOUND:
-            if is_prime(p):
-                return PrimeField.of(p)
-            p += 1
-    else:
-        # Candidates are exactly p = k*q + 1.
-        k = (start - 2) // q + 1
-        p = k * q + 1
-        while p < _SEARCH_BOUND:
-            if is_prime(p):
-                return PrimeField.of(p)
-            p += q
-    raise FieldError(f"no admissible prime below 2^63 for q={q}, min_p={min_p}")
+    # Candidates are exactly p = k*q + 1.
+    p = ((start - 2) // q + 1) * q + 1
+    while p <= _MAX_P:
+        if is_prime(p):
+            return PrimeField.of(p)
+        p += q
+    raise FieldError(
+        f"no admissible prime p <= {_MAX_P} for q={q}, min_p={min_p}: "
+        "larger fields overflow int64 products"
+    )
 
 
 def element_of_order(field: PrimeField, q: int) -> int:

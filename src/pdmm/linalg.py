@@ -12,18 +12,17 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-from .field import PrimeField
+from .field import _MAX_P, PrimeField
 
 
 class SingularMatrixError(Exception):
     """Square system has no unique solution."""
 
 
-_MAX_P = isqrt(2**63 - 1)
 # Output elements per row slab of matmul_mod: bounds its float64 temporary.
 _SLAB = 1 << 20
 

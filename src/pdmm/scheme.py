@@ -10,19 +10,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
 from .degrees import (
     DegreeVectors,
     quadrants,
+    root_order,
     table_from_dict,
     table_to_dict,
     validate_cat,
     validate_degree_table,
 )
-from .field import PrimeField, element_of_order, find_field, is_prime
+from .field import PrimeField, element_of_order, find_field
 from .linalg import (
     FieldMatrix,
     SubmatrixCheck,
@@ -190,38 +190,23 @@ class Randomness:
     algorithm: str = "splitmix64"
 
 
+def _on_roots_of_unity(dv, qs, q, min_p, family, params) -> PdmmScheme:
+    """Scheme over the smallest field with q | p - 1 and p >= min_p, whose
+    evaluation points are the consecutive powers omega^0 .. omega^(N-1) of an
+    element omega of order q."""
+    fld = find_field(q, min_p)
+    omega = element_of_order(fld, q)
+    rho = tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
+    return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=params)
+
+
 def instantiate_cat(dv: DegreeVectors, min_p: int = 0, params: dict | None = None) -> PdmmScheme:
     """Scheme over the smallest admissible field, with consecutive powers of
     an order-q element as evaluation points."""
     report = validate_cat(dv)
     if not report.valid:
         raise SchemeError(f"degree table fails cyclic validation: {report.flags}")
-    q = dv.modulus
-    fld = find_field(q, min_p)
-    omega = element_of_order(fld, q)
-    qs = quadrants(dv)
-    rho = tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
-    return PdmmScheme(
-        dv, fld, rho, qs.gamma, omega=omega, family="catx", params=dict(params or {})
-    )
-
-
-def _is_gasp_small_or_big(dv: DegreeVectors) -> bool:
-    from .degrees import construct_gasp_r
-
-    big_k, big_l, big_t = dv.k, dv.l, dv.t
-    if big_k < big_l:
-        return False
-    for r in {1, min(big_k, big_t)}:
-        if dv == construct_gasp_r(big_k, big_l, big_t, r):
-            return True
-    return False
-
-
-def _next_prime(n: int) -> int:
-    while not is_prime(n):
-        n += 1
-    return n
+    return _on_roots_of_unity(dv, quadrants(dv), dv.modulus, min_p, "catx", dict(params or {}))
 
 
 def instantiate_degree_table(
@@ -235,10 +220,13 @@ def instantiate_degree_table(
 ) -> PdmmScheme:
     """Choose a field and evaluation points for an integer degree table.
 
-    'roots_of_unity' applies only to the GASP small/big shapes: q is the
-    smallest value above the largest table entry with gcd(q, K) = 1 (the
-    coprimality is needed only for the small shape, where the mask degrees
-    step by K) and the points are consecutive powers of an order-q element.
+    'roots_of_unity' applies to every table that degrees.root_order
+    certifies: both mask degree vectors are arithmetic progressions whose
+    steps are coprime to q, the smallest value above the largest table entry
+    with that property. The points are the consecutive powers of an order-q
+    element, so every T x T mask submatrix is invertible by construction and
+    none is enumerated; this covers GASP small/big, and those GASP_rs and
+    DOG_rs tables whose mask vectors are single progressions.
     'random_search' samples distinct nonzero points over growing primes and
     accepts the first set whose two mask checks pass and whose decode matrix
     is invertible. The mask checks test the T x T submatrices of the alpha_s
@@ -260,32 +248,26 @@ def instantiate_degree_table(
     meta = dict(params or {})
 
     if strategy == "roots_of_unity":
-        if not _is_gasp_small_or_big(dv):
+        q = root_order(dv, n)
+        if q is None:
             raise SchemeError(
-                "roots_of_unity strategy only covers the GASP small/big shapes"
+                "roots_of_unity strategy needs both mask degree vectors to be "
+                "arithmetic progressions"
             )
-        q = max(qs.gamma) + 1
-        step_a = dv.alpha_s[1] - dv.alpha_s[0] if dv.t > 1 else 1
-        step_b = dv.beta_s[1] - dv.beta_s[0] if dv.t > 1 else 1
-        while gcd(q, step_a) != 1 or gcd(q, step_b) != 1:
-            q += 1
-        fld = find_field(q, min_p)
-        omega = element_of_order(fld, q)
-        rho = tuple(pow(omega, w, fld.p) for w in range(n))
         meta["strategy"] = "roots_of_unity"
         meta["q"] = q
-        return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=meta)
+        return _on_roots_of_unity(dv, qs, q, min_p, family, meta)
 
     if strategy != "random_search":
         raise SchemeError(f"unknown instantiation strategy: {strategy}")
 
     rng = SplitMix64(seed)
-    p = _next_prime(max(n + 1, min_p, 2))
+    fld = find_field(1, max(n + 1, min_p))
     attempted: list[int] = []
     # A random point set passes whp once p is large relative to the number of
     # T x T submatrices, so keep doubling until well past that threshold.
     for _ in range(24):
-        fld = PrimeField.of(p)
+        p = fld.p
         attempted.append(p)
         for _ in range(32):
             rho = tuple(rng.sample_distinct(1, p, n))
@@ -300,35 +282,32 @@ def instantiate_degree_table(
                 meta["seed"] = seed
                 meta["rng"] = "splitmix64"
                 return PdmmScheme(dv, fld, rho, qs.gamma, family=family, params=meta)
-        p = _next_prime(2 * p)
+        fld = find_field(1, 2 * p)
     raise SchemeError(f"instantiation failed; attempted primes {attempted}")
 
 
 # -- partitioning ----------------------------------------------------------
 
 
-def partition_a(a: np.ndarray, big_k: int) -> PartitionedMatrix:
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2 or a.size == 0:
-        raise SchemeError("A must be a non-empty 2-D matrix")
-    rows = a.shape[0]
-    padding = (-rows) % big_k
+def _partition(m: np.ndarray, parts: int, axis: int, name: str) -> PartitionedMatrix:
+    """Zero-pad m along axis to a multiple of parts and split it there."""
+    m = np.asarray(m, dtype=np.int64)
+    if m.ndim != 2 or m.size == 0:
+        raise SchemeError(f"{name} must be a non-empty 2-D matrix")
+    rows, cols = m.shape
+    padding = (-m.shape[axis]) % parts
     if padding:
-        a = np.concatenate([a, np.zeros((padding, a.shape[1]), dtype=np.int64)])
-    blocks = tuple(np.ascontiguousarray(b) for b in np.split(a, big_k, axis=0))
-    return PartitionedMatrix(blocks, rows, a.shape[1], padding, axis=0)
+        m = np.pad(m, [(0, padding if ax == axis else 0) for ax in (0, 1)])
+    blocks = tuple(np.ascontiguousarray(b) for b in np.split(m, parts, axis=axis))
+    return PartitionedMatrix(blocks, rows, cols, padding, axis)
+
+
+def partition_a(a: np.ndarray, big_k: int) -> PartitionedMatrix:
+    return _partition(a, big_k, 0, "A")
 
 
 def partition_b(b: np.ndarray, big_l: int) -> PartitionedMatrix:
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 2 or b.size == 0:
-        raise SchemeError("B must be a non-empty 2-D matrix")
-    cols = b.shape[1]
-    padding = (-cols) % big_l
-    if padding:
-        b = np.concatenate([b, np.zeros((b.shape[0], padding), dtype=np.int64)], axis=1)
-    blocks = tuple(np.ascontiguousarray(blk) for blk in np.split(b, big_l, axis=1))
-    return PartitionedMatrix(blocks, b.shape[0], cols, padding, axis=1)
+    return _partition(b, big_l, 1, "B")
 
 
 def draw_randomness(scheme: PdmmScheme, a_shape, b_shape, seed: int) -> Randomness:
@@ -464,6 +443,10 @@ class PrivacyExhaustiveReport:
     witness: tuple | None  # (side, worker subset, data values) on failure
 
 
+# Counters per block of data values in _enumerate_side: bounds its temporaries.
+_COUNT_BLOCK = 1 << 20
+
+
 def _enumerate_side(
     rho, prefix_exps, suffix_exps, p, subsets
 ) -> tuple[bool, int, tuple | None]:
@@ -479,15 +462,24 @@ def _enumerate_side(
     mask_vals = np.array(list(itertools.product(range(p), repeat=t)), dtype=np.int64)
     codebase = p ** np.arange(t - 1, -1, -1, dtype=np.int64)
     full = p**t
+    per_block = max(1, _COUNT_BLOCK // full)
     checked = 0
     for subset in subsets:
         rows = list(subset)
         masks = mask_vals @ pow_suf[rows].T % p  # (p^T, T) task contributions
         bases = data_vals @ pow_pref[rows].T % p  # (p^K, T)
-        for i in range(bases.shape[0]):
-            codes = ((bases[i] + masks) % p) @ codebase
+        for start in range(0, len(bases), per_block):
+            block = bases[start : start + per_block]
+            # codes[i, m]: the task tuple of data value start + i under mask m,
+            # offset into a range of p^T counters of its own.
+            codes = np.arange(len(block), dtype=np.int64)[:, None] * full
+            for j in range(t):
+                codes = codes + (block[:, j, None] + masks[:, j]) % p * codebase[j]
+            counts = np.bincount(codes.ravel(), minlength=codes.size).reshape(codes.shape)
             # Uniform over (F_p)^T iff every task tuple occurs exactly once.
-            if np.unique(codes).size != full:
+            bad = np.flatnonzero((counts != 1).any(axis=1))
+            if bad.size:
+                i = start + int(bad[0])
                 return False, checked, (tuple(subset), tuple(data_vals[i]))
         checked += 1
     return True, checked, None

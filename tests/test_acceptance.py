@@ -11,16 +11,14 @@ from math import gcd
 import numpy as np
 import pytest
 
+from lattice_tools import lattice_solutions, lattice_span_mod_q, quadrant_intersections
 from pdmm.degrees import (
     DegreeVectors,
     cat_parameters,
     construct_cat_x,
     construct_gasp_r,
     count_unique,
-    lattice_solutions,
-    lattice_span_mod_q,
     n_catx_formula,
-    quadrant_intersections,
     quadrants,
 )
 from pdmm.linalg import FieldMatrix, rank, vandermonde

@@ -160,6 +160,14 @@ class TestSimulate:
         assert "padding: 1 rows, 0 cols" in out
         assert "decode: exact match" in out
 
+    def test_field_above_int64_bound_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--family", "catx",
+            "-K", "2", "-L", "2", "-T", "2", "--dims", "4x4x4", "--min-p", "4000000000",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "3037000499" in err
+
     def test_bad_dims_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--family", "catx",

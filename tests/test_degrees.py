@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from lattice_tools import lattice_solutions, lattice_span_mod_q, quadrant_intersections
 from pdmm.degrees import (
     DegreeVectors,
     ParameterError,
@@ -15,11 +16,9 @@ from pdmm.degrees import (
     count_unique,
     gap,
     kappa_lambda,
-    lattice_solutions,
-    lattice_span_mod_q,
     n_catx_formula,
-    quadrant_intersections,
     quadrants,
+    root_order,
     validate_cat,
     validate_degree_table,
 )
@@ -236,6 +235,34 @@ class TestValidation:
             validate_degree_table(construct_cat_x(2, 2, 2, 1))
         with pytest.raises(ParameterError):
             validate_cat(construct_gasp_r(2, 2, 2, 1))
+
+
+class TestRootOrder:
+    def test_cyclic_table_takes_its_modulus(self):
+        assert root_order(construct_cat_x(2, 2, 2, 1), 10) == 10
+
+    def test_integer_table_skips_values_sharing_a_step_factor(self):
+        # Largest entry 11; the alpha_s step 2 rules out 12.
+        assert root_order(construct_gasp_r(2, 2, 2, 1), 11) == 13
+
+    def test_non_progression(self):
+        # alpha_s = 16 + (0, 1, 4, 5): two chains of length 2.
+        assert root_order(construct_gasp_r(4, 4, 4, 2), 36) is None
+
+    @pytest.mark.parametrize("modulus", [None, 10])
+    def test_zero_step(self, modulus):
+        dv = DegreeVectors((0, 3), (1, 1), (0, 1), (7, 8), modulus=modulus)
+        assert root_order(dv, 4) is None
+
+    def test_step_sharing_a_factor_with_the_modulus(self):
+        dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
+        assert root_order(dv, 10) is None
+
+    def test_too_few_powers(self):
+        assert root_order(construct_cat_x(2, 2, 2, 1), 11) is None
+
+    def test_single_mask_entry_is_a_progression(self):
+        assert root_order(DegreeVectors((0, 1), (4,), (0, 2), (5,)), 8) == 10
 
 
 class TestDegreeVectorsInvariants:

@@ -3,6 +3,7 @@
 import pytest
 
 from pdmm.field import (
+    _MAX_P,
     FieldError,
     PrimeField,
     element_of_order,
@@ -81,6 +82,31 @@ class TestFindField:
     def test_rejects_nonpositive(self):
         with pytest.raises(FieldError):
             find_field(0)
+
+    def test_q_1_is_the_next_prime(self):
+        def next_prime(m):
+            m = max(m, 2)
+            while any(m % d == 0 for d in range(2, int(m**0.5) + 1)):
+                m += 1
+            return m
+
+        for m in range(-3, 2000):
+            assert find_field(1, m).p == next_prime(m), m
+
+    @pytest.mark.parametrize(
+        "min_p,p", [(10**9, 1_000_000_007), (2**31, 2_147_483_659), (3 * 10**9, 3_000_000_019)]
+    )
+    def test_q_1_large(self, min_p, p):
+        assert find_field(1, min_p).p == p
+
+    def test_largest_field_is_the_int64_bound(self):
+        # 3,037,000,493 is the largest prime <= _MAX_P = isqrt(2^63 - 1).
+        assert _MAX_P == 3_037_000_499
+        assert find_field(1, 3_037_000_493).p == 3_037_000_493
+        with pytest.raises(FieldError, match="3037000499"):
+            find_field(1, 3_037_000_494)
+        with pytest.raises(FieldError, match="3037000499"):
+            find_field(10, 4 * 10**9)
 
 
 class TestElementOfOrder:

@@ -1,6 +1,8 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
+import itertools
 from functools import lru_cache
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from pdmm.degrees import (
     construct_gasp_r,
     construct_gasp_rs,
     quadrants,
+    root_order,
     table_from_dict,
     validate_degree_table,
 )
-from pdmm.field import PrimeField, is_prime
+from pdmm.field import FieldError, PrimeField, element_of_order, find_field, is_prime
 from pdmm.linalg import all_txt_submatrices_invertible, is_invertible, vandermonde
 from pdmm.scheme import (
     _GAMMA,
+    _enumerate_side,
     BudgetExceededError,
     PdmmScheme,
     SchemeError,
@@ -118,6 +122,46 @@ class TestInstantiateCat:
             instantiate_cat(bad)
 
 
+def gasp_shape_roots_of_unity(dv):
+    """The roots_of_unity strategy as it was before degrees.root_order: only
+    GASP small/big tables, q the first value above the largest table entry
+    coprime to both mask steps. Returns (q, p, omega, rho), or None."""
+    big_k, big_l, big_t = dv.k, dv.l, dv.t
+    shapes = {1, min(big_k, big_t)}
+    if big_k < big_l or all(dv != construct_gasp_r(big_k, big_l, big_t, r) for r in shapes):
+        return None
+    qs = quadrants(dv)
+    q = max(qs.gamma) + 1
+    step_a = dv.alpha_s[1] - dv.alpha_s[0] if dv.t > 1 else 1
+    step_b = dv.beta_s[1] - dv.beta_s[0] if dv.t > 1 else 1
+    while gcd(q, step_a) != 1 or gcd(q, step_b) != 1:
+        q += 1
+    fld = find_field(q)
+    omega = element_of_order(fld, q)
+    return q, fld.p, omega, tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
+
+
+def progression_tables():
+    """Every distinct valid gasp-rs and dog-rs table on K, L, T <= 5 that
+    root_order admits, with C(N, T) <= 10^5 so that its checks are exhaustive."""
+    tables = {}
+    for big_k, big_l, big_t in itertools.product(range(2, 6), repeat=3):
+        for r, s in itertools.product(range(1, big_t + 1), repeat=2):
+            builds = [("gasp-rs", construct_gasp_rs)]
+            if s <= big_k + r:
+                builds.append(("dog-rs", construct_dog_rs))
+            for family, build in builds:
+                dv = build(big_k, big_l, big_t, r, s)
+                n = quadrants(dv).n_unique
+                if (
+                    validate_degree_table(dv).valid
+                    and root_order(dv, n) is not None
+                    and comb(n, big_t) <= 100_000
+                ):
+                    tables.setdefault(dv, f"{family}-{big_k}-{big_l}-{big_t}-{r}-{s}")
+    return [pytest.param(dv, id=label) for dv, label in tables.items()]
+
+
 class TestInstantiateDegreeTable:
     def test_roots_of_unity_gasp_small(self):
         scheme = instantiate_degree_table(
@@ -137,6 +181,23 @@ class TestInstantiateDegreeTable:
     def test_roots_of_unity_rejects_other_shapes(self):
         with pytest.raises(SchemeError):
             instantiate_degree_table(construct_gasp_r(4, 4, 4, 2), "roots_of_unity")
+
+    def test_roots_of_unity_matches_the_gasp_shape_rule(self):
+        for big_k in range(2, 9):
+            for big_l in range(2, big_k + 1):
+                for big_t in range(2, 9):
+                    for r in {1, min(big_k, big_t)}:
+                        dv = construct_gasp_r(big_k, big_l, big_t, r)
+                        scheme = instantiate_degree_table(dv, "roots_of_unity")
+                        got = (scheme.params["q"], scheme.field.p, scheme.omega, scheme.rho)
+                        assert got == gasp_shape_roots_of_unity(dv), (big_k, big_l, big_t, r)
+
+    @pytest.mark.parametrize("dv", progression_tables())
+    def test_roots_of_unity_certifies_progression_tables(self, dv):
+        scheme = instantiate_degree_table(dv, "roots_of_unity")
+        report = verify_privacy_rank(scheme)
+        assert (report.a_check.status, report.b_check.status) == ("verified_all",) * 2
+        assert is_invertible(vandermonde(scheme.rho, scheme.gamma, scheme.field))
 
     def test_random_search_small_gasp(self):
         scheme = instantiate_degree_table(
@@ -222,6 +283,18 @@ def sequential_random_search(dv, seed, budget):
     raise AssertionError("no evaluation points found")
 
 
+class TestFieldBound:
+    # No prime field above 3,037,000,499 keeps products of two residues in int64.
+    def test_cat_above_the_bound(self):
+        with pytest.raises(FieldError, match="3037000499"):
+            instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=4 * 10**9)
+
+    @pytest.mark.parametrize("strategy", ["roots_of_unity", "random_search"])
+    def test_degree_table_above_the_bound(self, strategy):
+        with pytest.raises(FieldError, match="3037000499"):
+            instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), strategy, min_p=4 * 10**9)
+
+
 class TestPartitioning:
     def test_partition_a_even(self):
         parts = partition_a(np.arange(12).reshape(4, 3), 2)
@@ -241,8 +314,10 @@ class TestPartitioning:
         assert all(b.shape == (3, 2) for b in parts.blocks)
 
     def test_rejects_empty(self):
-        with pytest.raises(SchemeError):
+        with pytest.raises(SchemeError, match="A must be"):
             partition_a(np.zeros((0, 3)), 2)
+        with pytest.raises(SchemeError, match="B must be"):
+            partition_b(np.zeros(3), 2)
 
 
 class TestPipeline:
@@ -408,10 +483,47 @@ class TestPrivacyExhaustive:
         assert report.ok
         assert report.subsets_checked == 14
 
+    @pytest.mark.parametrize("block", [None, 5 * 121])  # 5 * 121: five data values per block
+    @pytest.mark.parametrize("mutated", [False, True])
+    def test_counts_match_the_per_value_loop(self, cat222, mutated, block, monkeypatch):
+        scheme = cat222
+        if mutated:
+            bad_dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
+            scheme = PdmmScheme(bad_dv, cat222.field, cat222.rho, quadrants(bad_dv).gamma)
+        if block is not None:
+            monkeypatch.setattr("pdmm.scheme._COUNT_BLOCK", block)
+        dv, p = scheme.dv, scheme.field.p
+        subsets = list(itertools.combinations(range(scheme.n_workers), 2))
+        for prefix, suffix in ((dv.alpha_p, dv.alpha_s), (dv.beta_p, dv.beta_s)):
+            args = (scheme.rho, prefix, suffix, p, subsets)
+            assert _enumerate_side(*args) == per_value_enumerate_side(*args)
+
     def test_budget_guard(self):
         scheme = instantiate_cat(construct_cat_x(4, 4, 4, 3))
         with pytest.raises(BudgetExceededError):
             verify_privacy_exhaustive(scheme)
+
+
+def per_value_enumerate_side(rho, prefix_exps, suffix_exps, p, subsets):
+    """scheme._enumerate_side as a loop over the data values, with one
+    np.unique of the p^T task codes per value."""
+    big_k, t = len(prefix_exps), len(suffix_exps)
+    pow_pref = np.array([[pow(pt, e, p) for e in prefix_exps] for pt in rho], dtype=np.int64)
+    pow_suf = np.array([[pow(pt, e, p) for e in suffix_exps] for pt in rho], dtype=np.int64)
+    data_vals = np.array(list(itertools.product(range(p), repeat=big_k)), dtype=np.int64)
+    mask_vals = np.array(list(itertools.product(range(p), repeat=t)), dtype=np.int64)
+    codebase = p ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    checked = 0
+    for subset in subsets:
+        rows = list(subset)
+        masks = mask_vals @ pow_suf[rows].T % p
+        bases = data_vals @ pow_pref[rows].T % p
+        for i in range(bases.shape[0]):
+            codes = ((bases[i] + masks) % p) @ codebase
+            if np.unique(codes).size != p**t:
+                return False, checked, (tuple(subset), tuple(data_vals[i]))
+        checked += 1
+    return True, checked, None
 
 
 class TestSerialization:
