@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/simulation failure, 2 usage error.
 The default output format can be set via the PDMM_FORMAT environment
-variable (json, csv, or pretty).
+variable (json, csv, or pretty); any other value is a usage error.  `sweep`
+has no pretty format and writes CSV for PDMM_FORMAT=pretty.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .scheme import (
 from .search import SweepRecord, best_scheme, sweep
 
 FAMILIES = ("catx", "gasp-r", "gasp-rs", "dog-rs", "gasp-small", "gasp-big")
+
+FORMATS = ("json", "csv", "pretty")
 
 CSV_HEADER = (
     "K,L,T,N_catx,N_gaspr,r_gaspr,N_gasprs,r_gasprs,s_gasprs,"
@@ -167,6 +170,12 @@ def _instantiate(family, dv, params, seed, min_p):
     )
 
 
+def _exact_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a·b mod p in Python ints (object dtype): it cannot wrap at any p and
+    shares no arithmetic with the scheme it checks."""
+    return (a.astype(object) @ b.astype(object)) % p
+
+
 def cmd_simulate(args) -> int:
     try:
         r_a, c_a, c_b = (int(v) for v in args.dims.lower().split("x"))
@@ -186,7 +195,7 @@ def cmd_simulate(args) -> int:
     a = rng.matrix(r_a, c_a, p)
     b = rng.matrix(c_a, c_b, p)
     product = multiply_via_scheme(scheme, a, b, seed=args.seed)
-    exact = bool(np.array_equal(product, a @ b % p))
+    exact = bool(np.array_equal(product, _exact_product(a, b, p)))
     privacy = verify_privacy_rank(scheme)
 
     pad_rows = (-r_a) % dv.k
@@ -291,7 +300,17 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _add_common(sub, with_family=True):
+def _env_format() -> str | None:
+    """PDMM_FORMAT, or None when it is unset or empty."""
+    value = os.environ.get("PDMM_FORMAT") or None
+    if value is not None and value not in FORMATS:
+        raise ParameterError(
+            f"PDMM_FORMAT must be one of {', '.join(FORMATS)}, got {value!r}"
+        )
+    return value
+
+
+def _add_common(sub, env_format, with_family=True):
     if with_family:
         sub.add_argument("--family", choices=FAMILIES)
     sub.add_argument("-K", type=int)
@@ -302,11 +321,7 @@ def _add_common(sub, with_family=True):
     sub.add_argument("-x", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--min-p", dest="min_p", type=int, default=0)
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv", "pretty"),
-        default=os.environ.get("PDMM_FORMAT", "pretty"),
-    )
+    sub.add_argument("--format", choices=FORMATS, default=env_format or "pretty")
     sub.add_argument("-o", "--output", default=None)
 
 
@@ -316,16 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial-code schemes for private distributed matrix multiplication",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    env_format = _env_format()
 
     p_construct = subs.add_parser("construct", help="print a degree table and its N")
-    _add_common(p_construct)
+    _add_common(p_construct, env_format)
 
     p_validate = subs.add_parser("validate", help="check the scheme conditions")
-    _add_common(p_validate)
+    _add_common(p_validate, env_format)
     p_validate.add_argument("--table", help="JSON file holding a degree table")
 
     p_simulate = subs.add_parser("simulate", help="run the full pipeline on random inputs")
-    _add_common(p_simulate)
+    _add_common(p_simulate, env_format)
     p_simulate.add_argument("--dims", required=True, help="rAxcAxcB, e.g. 4x4x4")
 
     p_sweep = subs.add_parser("sweep", help="compare families over a grid")
@@ -336,19 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--format",
         choices=("json", "csv"),
-        default="csv" if os.environ.get("PDMM_FORMAT", "csv") == "pretty"
-        else os.environ.get("PDMM_FORMAT", "csv"),
+        default="csv" if env_format in (None, "pretty") else env_format,
     )
     p_sweep.add_argument("-o", "--output", default=None)
 
     p_search = subs.add_parser("search", help="best parameters at one grid point")
-    _add_common(p_search, with_family=False)
+    _add_common(p_search, env_format, with_family=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -369,3 +388,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

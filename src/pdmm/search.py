@@ -1,7 +1,13 @@
 """Parameter optimization and grid sweeps over the scheme families.
 
-For each (K, L, T) the admissible chain parameters (r, s) are searched
-exhaustively and the four families are compared by worker count.
+For each (K, L, T) the admissible chain parameters (r, s) of GASP_r, GASP_rs
+and DOG_rs are scanned in order by one routine, `_scan`, and the four
+families are compared by worker count.  Per chain length r it builds one
+bitmap of the TL ∪ BL sums (α_p ∪ α_s) + β_p, which do not depend on s;
+each s adds (α_p ∪ α_s) + β_s to a copy and counts the set bits.  Since
+every s gives at least the entries of r's bitmap, an r whose bitmap is
+already as large as the best N found so far is skipped without changing the
+result.
 """
 
 from __future__ import annotations
@@ -11,12 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degrees import (
-    _count_sums,
-    construct_gasp_r,
-    gap,
-    n_catx_formula,
-)
+from .degrees import n_catx_formula
 
 # Fixed tie-break order when families report equal worker counts.
 FAMILY_ORDER = ("CATX", "DOG_RS", "GASP_RS", "GASP_R")
@@ -78,25 +79,53 @@ def _oriented(big_k: int, big_l: int, big_t: int) -> tuple[int, int, int]:
     return big_k, big_l, big_t
 
 
-def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
+def _gaps(big_t: int, stride: int) -> np.ndarray:
+    """Row r-1 is the chain vector gap(T, stride, r): element i is
+    (i // r)·stride + i % r, for every chain length r in 1..T."""
+    i = np.arange(big_t)
+    r = np.arange(1, big_t + 1)[:, None]
+    return (i // r) * stride + i % r
+
+
+def _scan(family: str, chains) -> SchemeChoice:
+    """First (r, s) of least worker count, in the order `chains` yields them.
+
+    `chains` yields (r, alphas, beta_p, ss, beta_s) with alphas = α_p ∪ α_s
+    and row j of beta_s the β_s vector of chain length ss[j].  The TL ∪ BL
+    sums alphas + β_p do not depend on s, so they go into one bitmap per r;
+    each s adds alphas + β_s to a copy and counts the set bits.  Every s gives
+    N(r, s) >= |TL ∪ BL| and only a strictly smaller N replaces the best, so
+    an r whose bitmap already holds best.N entries is skipped whole: the
+    result equals the exhaustive scan's, tie-break included.
+    """
     best = None
-    for r in range(1, min(big_k, big_t) + 1):
-        dv = construct_gasp_r(big_k, big_l, big_t, r)
-        n = _count_sums(dv.alpha_p, dv.alpha_s, dv.beta_p, dv.beta_s)
-        if best is None or n < best.n_workers:
-            best = SchemeChoice("GASP_R", n, r=r)
+    for r, alphas, beta_p, ss, beta_s in chains:
+        left = np.zeros(int(alphas.max()) + max(int(beta_p.max()), int(beta_s.max())) + 1, bool)
+        left[np.add.outer(alphas, beta_p)] = True
+        if best is not None and np.count_nonzero(left) >= best.n_workers:
+            continue
+        for s, row in zip(ss, beta_s):
+            seen = left.copy()
+            seen[np.add.outer(alphas, row)] = True
+            n = int(np.count_nonzero(seen))
+            if best is None or n < best.n_workers:
+                best = SchemeChoice(family, n, r=r, s=s)
     return best
 
 
-def _gap_arrays(big_t: int, stride: int) -> dict[int, np.ndarray]:
-    """gap(T, stride, r) for each chain length r, keeping only injective ones."""
-    out = {}
-    for r in range(1, big_t + 1):
-        g = gap(big_t, stride, r)
-        if len(set(g)) == big_t:
-            out[r] = np.asarray(g)
-    return out
+def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
+    """GASP_r is GASP_rs with β_s = KL + [0, T): one s per r."""
+    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
+    kl = big_k * big_l
+    ap = np.arange(big_k)
+    bp = big_k * np.arange(big_l)
+    gaps = kl + _gaps(big_t, big_k)
+    beta_s = kl + np.arange(big_t)[None, :]
+    return _scan(
+        "GASP_R",
+        ((r, np.concatenate([ap, gaps[r - 1]]), bp, [None], beta_s)
+         for r in range(1, min(big_k, big_t) + 1)),
+    )
 
 
 def best_gasp_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
@@ -104,32 +133,36 @@ def best_gasp_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     kl = big_k * big_l
     ap = np.arange(big_k)
     bp = big_k * np.arange(big_l)
-    gaps = _gap_arrays(big_t, big_k)
-    best = None
-    for r in sorted(gaps):
-        as_ = kl + gaps[r]
-        for s in sorted(gaps):
-            n = _count_sums(ap, as_, bp, kl + gaps[s])
-            if best is None or n < best.n_workers:
-                best = SchemeChoice("GASP_RS", n, r=r, s=s)
-    return best
+    gaps = kl + _gaps(big_t, big_k)
+    # Admissible chain lengths: those whose gap vector has T distinct entries.
+    # gap(T, K, r) repeats exactly when K < r < T: entries i = K and i = r are K.
+    rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
+    beta_s = gaps[np.array(rs) - 1]
+    return _scan(
+        "GASP_RS",
+        ((r, np.concatenate([ap, gaps[r - 1]]), bp, rs, beta_s) for r in rs),
+    )
 
 
 def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
+    """DOG_rs on stride K + r; s <= stride keeps every gap vector injective."""
     big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
     ap = np.arange(big_k)
-    best = None
-    for r in range(1, big_t + 1):
-        stride = big_k + r
-        gaps = _gap_arrays(big_t, stride)
-        as_ = big_k + gaps[r]
-        bp = stride * np.arange(big_l)
-        base = stride * (big_l - 1) + big_k
-        for s in range(1, min(big_t, stride) + 1):
-            n = _count_sums(ap, as_, bp, base + gaps[s])
-            if best is None or n < best.n_workers:
-                best = SchemeChoice("DOG_RS", n, r=r, s=s)
-    return best
+
+    def chains():
+        for r in range(1, big_t + 1):
+            stride = big_k + r
+            gaps = _gaps(big_t, stride)
+            n_s = min(big_t, stride)
+            yield (
+                r,
+                np.concatenate([ap, big_k + gaps[r - 1]]),
+                stride * np.arange(big_l),
+                range(1, n_s + 1),
+                stride * (big_l - 1) + big_k + gaps[:n_s],
+            )
+
+    return _scan("DOG_RS", chains())
 
 
 def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:

@@ -1,10 +1,18 @@
 """Command-line interface: output formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pdmm.cli import main
+import pdmm
+from pdmm.cli import CSV_HEADER, _exact_product, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -72,6 +80,27 @@ class TestConstruct:
         )
         assert code == 0
         assert json.loads(out)["N"] == 10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "-K", "3", "-L", "3", "-T", "3"),
+            ("sweep", "--K-range", "2", "--T-range", "2"),
+            ("construct", "--family", "catx", "-K", "2", "-L", "2", "-T", "2"),
+        ],
+    )
+    def test_unknown_env_format_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("PDMM_FORMAT", "xml")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "PDMM_FORMAT" in err and "'xml'" in err
+
+    def test_env_pretty_gives_csv_sweep(self, capsys, monkeypatch):
+        monkeypatch.setenv("PDMM_FORMAT", "pretty")
+        code, out, _ = run(capsys, "sweep", "--K-range", "2", "--T-range", "2")
+        assert code == 0
+        assert out.splitlines()[0] == CSV_HEADER
 
 
 class TestValidate:
@@ -168,6 +197,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and "3037000499" in err
 
+    def test_exact_reference_does_not_wrap_past_2_31(self):
+        p = 3_000_000_019
+        rng = np.random.default_rng(5)
+        a = rng.integers(p - 1000, p, size=(3, 7), dtype=np.int64)
+        b = rng.integers(p - 1000, p, size=(7, 2), dtype=np.int64)
+        rows, cols = a.tolist(), b.T.tolist()
+        expected = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in rows]
+        assert _exact_product(a, b, p).tolist() == expected
+        # The int64 product wraps here, so it could not serve as the reference.
+        assert (a @ b % p).tolist() != expected
+
     def test_bad_dims_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--family", "catx",
@@ -221,6 +261,47 @@ class TestSweepAndSearch:
         assert doc["winner"] == "CATX"
         assert doc["catx"]["N"] == 10
         assert doc["polegap"] == "n/a"
+
+
+class TestGoldenOutputs:
+    """Byte-for-byte CLI output of the exhaustive (r, s) scan, one
+    `_count_sums` call per pair, that the per-r bitmap scan replaced."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("sweep_KequalsL_2-20.csv",
+             ("sweep", "--K-range", "2..20", "--T-range", "2..20", "--mode", "KequalsL",
+              "--format", "csv")),
+            ("sweep_full_2-10.csv",
+             ("sweep", "--K-range", "2..10", "--L-range", "2..10", "--T-range", "2..10",
+              "--mode", "full", "--format", "csv")),
+            ("search_100-100-100.json",
+             ("search", "-K", "100", "-L", "100", "-T", "100", "--format", "json")),
+            ("search_120-80-60.json",
+             ("search", "-K", "120", "-L", "80", "-T", "60", "--format", "json")),
+            ("search_60-60-40.json",
+             ("search", "-K", "60", "-L", "60", "-T", "40", "--format", "json")),
+        ],
+    )
+    def test_matches_golden_file(self, capsys, tmp_path, name, argv):
+        dest = tmp_path / name
+        code, _, _ = run(capsys, *argv, "-o", str(dest))
+        assert code == 0
+        assert dest.read_bytes() == (DATA / name).read_bytes()
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["pdmm", "pdmm.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(pdmm.__file__).parents[1]))
+        env.pop("PDMM_FORMAT", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "sweep", "--K-range", "2", "--T-range", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == CSV_HEADER
 
 
 class TestOutputFile:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmm.degrees import (
     construct_cat_x,
@@ -12,6 +14,7 @@ from pdmm.degrees import (
     count_unique,
 )
 from pdmm.search import (
+    SchemeChoice,
     best_dog_rs,
     best_gasp_r,
     best_gasp_rs,
@@ -63,6 +66,53 @@ class TestBestGaspRsAndDog:
             assert count_unique(construct_dog_rs(*klt, c.r, c.s)) == c.n_workers
             c = best_gasp_r(*klt)
             assert count_unique(construct_gasp_r(*klt, c.r)) == c.n_workers
+
+
+def _reference(family, construct, pairs):
+    """First minimum of count_unique over admissible (r, s) in order."""
+    best = None
+    for r, s in pairs:
+        dv = construct(r, s)
+        if len(set(dv.alpha_s)) < len(dv.alpha_s) or len(set(dv.beta_s)) < len(dv.beta_s):
+            continue
+        n = count_unique(dv)
+        if best is None or n < best.n_workers:
+            best = SchemeChoice(family, n, r=r, s=s)
+    return best
+
+
+def _reference_choices(big_k, big_l, big_t):
+    big_k, big_l = max(big_k, big_l), min(big_k, big_l)
+    klt = (big_k, big_l, big_t)
+    ts = range(1, big_t + 1)
+    return (
+        _reference(
+            "GASP_R", lambda r, s: construct_gasp_r(*klt, r),
+            [(r, None) for r in range(1, min(big_k, big_t) + 1)],
+        ),
+        _reference(
+            "GASP_RS", lambda r, s: construct_gasp_rs(*klt, r, s),
+            [(r, s) for r in ts for s in ts],
+        ),
+        _reference(
+            "DOG_RS", lambda r, s: construct_dog_rs(*klt, r, s),
+            [(r, s) for r in ts for s in range(1, min(big_t, big_k + r) + 1)],
+        ),
+    )
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big_k=st.integers(2, 12),
+        big_l=st.integers(2, 12),
+        big_t=st.integers(2, 12),
+    )
+    def test_choices_equal_exhaustive_first_minimum(self, big_k, big_l, big_t):
+        expected = _reference_choices(big_k, big_l, big_t)
+        for klt in ((big_k, big_l, big_t), (big_l, big_k, big_t)):
+            got = (best_gasp_r(*klt), best_gasp_rs(*klt), best_dog_rs(*klt))
+            assert got == expected
 
 
 class TestCatxChoice:
