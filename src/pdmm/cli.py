@@ -212,6 +212,7 @@ def cmd_simulate(args) -> int:
         lines.append(f"padding: {pad_rows} rows, {pad_cols} cols")
     lines.append("decode: exact match" if exact else "decode: MISMATCH")
     lines.append(f"privacy rank: {'pass' if privacy.ok else 'FAIL'}")
+    lines.append(f"privacy certificate: {privacy.level}")
     _emit("\n".join(lines), args.output)
     return 0 if exact and privacy.ok else 1
 

@@ -154,17 +154,27 @@ def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(aug[:, n:], m.field)
 
 
+# Certification levels of a T x T check, strongest first: decided from the
+# points by structure, every subset eliminated, or a seeded sample eliminated.
+LEVELS = ("structural", "exhaustive", "sampled")
+
+
 @dataclass(frozen=True)
 class SubmatrixCheck:
     """Outcome of the all-TxT-submatrices invertibility check.
 
     status is 'verified_all', 'verified_sample', or 'found_singular';
-    witness holds the singular row subset when found.
+    witness holds the singular row subset when found. level says how the
+    status was reached: 'exhaustive' (the subsets in lexicographic order),
+    'sampled' (a seeded sample of them), or 'structural' (a proof from the
+    points, with no subset eliminated; checked is then C(n, t)). A sampled
+    pass is no proof, yet ok counts it as passing.
     """
 
     status: str
     witness: tuple[int, ...] | None
     checked: int
+    level: str
 
     @property
     def ok(self) -> bool:
@@ -257,9 +267,10 @@ def all_txt_submatrices_invertible(
         raise ValueError(f"matrix has {first.cols} columns, expected t={t}")
     n = first.rows
     if comb(n, t) <= budget:
-        status, subsets = "verified_all", _combination_indices(n, t)
+        status, level, subsets = "verified_all", "exhaustive", _combination_indices(n, t)
     else:
-        status, subsets = "verified_sample", _sampled_subsets(n, t, budget, seed)
+        status, level = "verified_sample", "sampled"
+        subsets = _sampled_subsets(n, t, budget, seed)
     matrices: list[FieldMatrix] = []
     checked = 0
     for start in range(0, len(subsets), _CHUNK):
@@ -279,6 +290,6 @@ def all_txt_submatrices_invertible(
             if bad.size:
                 i = int(bad[0])
                 witness = tuple(int(r) for r in chunk[i])
-                return SubmatrixCheck("found_singular", witness, checked + i + 1)
+                return SubmatrixCheck("found_singular", witness, checked + i + 1, level)
             checked += len(chunk)
-    return SubmatrixCheck(status, None, checked)
+    return SubmatrixCheck(status, None, checked, level)

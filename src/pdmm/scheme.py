@@ -10,11 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .degrees import (
     DegreeVectors,
+    _step,
     quadrants,
     root_order,
     table_from_dict,
@@ -24,6 +26,7 @@ from .degrees import (
 )
 from .field import PrimeField, element_of_order, find_field
 from .linalg import (
+    LEVELS,
     FieldMatrix,
     SubmatrixCheck,
     _sampled_subsets,
@@ -190,13 +193,40 @@ class Randomness:
     algorithm: str = "splitmix64"
 
 
+def _progression_side(rho, exps, modulus: int | None, p: int) -> bool | None:
+    """Decide from the points alone whether every T x T submatrix of the mask
+    Vandermonde matrix [x^e for e in exps] over rho is invertible mod p: True
+    when all are, False when one is singular, None when this rule does not
+    apply and the submatrices must be eliminated.
+
+    It applies when exps is an arithmetic progression c + d*i (mod modulus
+    for a cyclic table, whose points must then satisfy x^modulus = 1), with
+    2 <= T <= N and every point nonzero. Row x is then x^c times the
+    Vandermonde row of the node x^d, so the submatrix on rows W is
+    diag(x_w^c) times a Vandermonde matrix in the nodes x_w^d: every one is
+    invertible iff the N nodes are pairwise distinct.
+    """
+    d = _step(exps, modulus)
+    if d is None or not 2 <= len(exps) <= len(rho) or any(x % p == 0 for x in rho):
+        return None
+    if modulus is not None and any(pow(x, modulus, p) != 1 for x in rho):
+        return None
+    return len({pow(x, d, p) for x in rho}) == len(rho)
+
+
 def _on_roots_of_unity(dv, qs, q, min_p, family, params) -> PdmmScheme:
     """Scheme over the smallest field with q | p - 1 and p >= min_p, whose
     evaluation points are the consecutive powers omega^0 .. omega^(N-1) of an
-    element omega of order q."""
+    element omega of order q. Both mask sides are proven by
+    _progression_side on these points; params records the 'structural'
+    certificate."""
     fld = find_field(q, min_p)
     omega = element_of_order(fld, q)
     rho = tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
+    for exps in (dv.alpha_s, dv.beta_s):
+        if not _progression_side(rho, exps, dv.modulus, fld.p):
+            raise SchemeError(f"mask degrees {exps} are not proven on the powers of omega")
+    params["certificate"] = "structural"
     return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=params)
 
 
@@ -229,16 +259,21 @@ def instantiate_degree_table(
     DOG_rs tables whose mask vectors are single progressions.
     'random_search' samples distinct nonzero points over growing primes and
     accepts the first set whose two mask checks pass and whose decode matrix
-    is invertible. The mask checks test the T x T submatrices of the alpha_s
-    and beta_s Vandermonde matrices in one call, chunk by chunk, alternating
-    between the two sides, and the attempt ends at the first chunk that holds
-    a singular subset on either side; the beta_s matrix is built only once
+    is invertible. A mask side whose degrees form an arithmetic progression
+    is decided first from its N nodes x^d (see _progression_side): a
+    collision rejects the attempt, distinct nodes prove the side. The sides
+    this does not decide have the T x T submatrices of their Vandermonde
+    matrices eliminated in one call, chunk by chunk, alternating between
+    the two sides, and the attempt ends at the first chunk that holds a
+    singular subset on either side; the beta_s matrix is built only once
     alpha_s's first chunk passes. The decode matrix is tested last, only for
-    points that pass both mask checks. A mask check tests every T x T
+    points that pass both mask checks. An eliminated side tests every T x T
     submatrix only when C(N, T) <= submatrix_budget; above that it tests a
-    seeded sample of submatrix_budget of them, and a passing sample
-    ('verified_sample') is accepted too, so such a scheme is not fully
-    certified.
+    seeded sample of submatrix_budget of them, and a passing sample is
+    accepted too, so such a scheme is not fully certified.
+    params["certificate"] records the weaker side's level: 'structural'
+    (both sides proven, always so for 'roots_of_unity'), 'exhaustive' or
+    'sampled'.
     """
     report = validate_degree_table(dv)
     if not report.valid:
@@ -262,6 +297,7 @@ def instantiate_degree_table(
         raise SchemeError(f"unknown instantiation strategy: {strategy}")
 
     rng = SplitMix64(seed)
+    sides = (dv.alpha_s, dv.beta_s)
     fld = find_field(1, max(n + 1, min_p))
     attempted: list[int] = []
     # A random point set passes whp once p is large relative to the number of
@@ -271,16 +307,26 @@ def instantiate_degree_table(
         attempted.append(p)
         for _ in range(32):
             rho = tuple(rng.sample_distinct(1, p, n))
-            masks = all_txt_submatrices_invertible(
-                (vandermonde(rho, exps, fld) for exps in (dv.alpha_s, dv.beta_s)),
-                dv.t,
-                submatrix_budget,
-                seed,
-            )
-            if masks.ok and is_invertible(vandermonde(rho, qs.gamma, fld)):
+            decided = [_progression_side(rho, exps, dv.modulus, p) for exps in sides]
+            if False in decided:
+                continue
+            level = "structural"
+            undecided = [exps for exps, proven in zip(sides, decided) if proven is None]
+            if undecided:
+                masks = all_txt_submatrices_invertible(
+                    (vandermonde(rho, exps, fld) for exps in undecided),
+                    dv.t,
+                    submatrix_budget,
+                    seed,
+                )
+                if not masks.ok:
+                    continue
+                level = masks.level
+            if is_invertible(vandermonde(rho, qs.gamma, fld)):
                 meta["strategy"] = "random_search"
                 meta["seed"] = seed
                 meta["rng"] = "splitmix64"
+                meta["certificate"] = level
                 return PdmmScheme(dv, fld, rho, qs.gamma, family=family, params=meta)
         fld = find_field(1, 2 * p)
     raise SchemeError(f"instantiation failed; attempted primes {attempted}")
@@ -416,24 +462,33 @@ class PrivacyRankReport:
     def ok(self) -> bool:
         return self.a_check.ok and self.b_check.ok
 
+    @property
+    def level(self) -> str:
+        """The weaker of the two sides' certification levels."""
+        return max(self.a_check.level, self.b_check.level, key=LEVELS.index)
+
 
 def verify_privacy_rank(
     scheme: PdmmScheme, budget: int = 100_000, seed: int = 0
 ) -> PrivacyRankReport:
-    """T x T submatrix invertibility of the two mask Vandermonde matrices."""
-    a_check = all_txt_submatrices_invertible(
-        vandermonde(scheme.rho, scheme.dv.alpha_s, scheme.field),
-        scheme.t_privacy,
-        budget,
-        seed,
-    )
-    b_check = all_txt_submatrices_invertible(
-        vandermonde(scheme.rho, scheme.dv.beta_s, scheme.field),
-        scheme.t_privacy,
-        budget,
-        seed,
-    )
-    return PrivacyRankReport(a_check, b_check)
+    """T x T submatrix invertibility of the two mask Vandermonde matrices.
+
+    A side that _progression_side proves from the points is reported as
+    SubmatrixCheck('verified_all', None, C(N, T), 'structural') with no
+    subset eliminated; catx and every roots-of-unity scheme are proven so.
+    Any other side is checked by all_txt_submatrices_invertible with budget
+    and seed, so a failing side keeps its witness.
+    """
+    n, t, p = scheme.n_workers, scheme.t_privacy, scheme.field.p
+
+    def side(exps) -> SubmatrixCheck:
+        if _progression_side(scheme.rho, exps, scheme.dv.modulus, p):
+            return SubmatrixCheck("verified_all", None, comb(n, t), "structural")
+        return all_txt_submatrices_invertible(
+            vandermonde(scheme.rho, exps, scheme.field), t, budget, seed
+        )
+
+    return PrivacyRankReport(side(scheme.dv.alpha_s), side(scheme.dv.beta_s))
 
 
 @dataclass(frozen=True)

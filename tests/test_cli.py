@@ -172,6 +172,19 @@ class TestSimulate:
         assert "privacy rank: pass" in out
         assert "p = 11" in out
 
+    @pytest.mark.parametrize(
+        "family, level",
+        [("catx", "structural"), ("gasp-small", "structural"), ("gasp-rs", "exhaustive")],
+    )
+    def test_certificate_line_follows_privacy_rank(self, capsys, family, level):
+        code, out, _ = run(
+            capsys, "simulate", "--family", family, "-K", "3", "-L", "3", "-T", "3",
+            "--dims", "6x6x6", "-r", "2", "-s", "3",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == ["privacy rank: pass", f"privacy certificate: {level}"]
+
     def test_gasp_small_exact_match(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--family", "gasp-small",

@@ -251,6 +251,13 @@ class TestSubmatrixCheck:
         assert check.status == "verified_sample"
         assert check.checked == 100
 
+    def test_level_names_the_walk(self):
+        m = vandermonde((1, 2, 51, 3), (2, 4), F53)
+        assert all_txt_submatrices_invertible(m, 2).level == "exhaustive"
+        assert all_txt_submatrices_invertible(m, 2, budget=5).level == "sampled"
+        m = vandermonde(tuple(range(1, 41)), (0, 1), F53)
+        assert all_txt_submatrices_invertible(m, 2, budget=100).level == "sampled"
+
     def test_large_t_fallback(self):
         fld = PrimeField.of(101)
         m = vandermonde(tuple(range(1, 9)), (0, 1, 2, 3, 4), fld)

@@ -6,13 +6,14 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmm.cli import FAMILIES, build_degree_vectors
 from pdmm.cli import _instantiate as cli_instantiate
 from pdmm.degrees import (
     DegreeVectors,
+    _step,
     construct_cat_x,
     construct_dog_rs,
     construct_gasp_r,
@@ -27,6 +28,7 @@ from pdmm.linalg import all_txt_submatrices_invertible, is_invertible, vandermon
 from pdmm.scheme import (
     _GAMMA,
     _enumerate_side,
+    _progression_side,
     BudgetExceededError,
     PdmmScheme,
     SchemeError,
@@ -234,8 +236,12 @@ class TestInstantiateDegreeTable:
             construct_dog_rs(4, 3, 3, 1, 3),
             construct_dog_rs(3, 3, 2, 1, 2),
             construct_gasp_rs(2, 2, 5, 2, 2),  # T >= 5
+            construct_dog_rs(4, 3, 3, 1, 2),  # alpha_s (4, 9, 14), beta_s (14, 15, 19)
         ],
-        ids=["gasp-rs-3-3-3", "dog-rs-3-3-3", "dog-rs-4-3-3", "dog-rs-3-3-2", "gasp-rs-2-2-5"],
+        ids=[
+            "gasp-rs-3-3-3", "dog-rs-3-3-3", "dog-rs-4-3-3", "dog-rs-3-3-2", "gasp-rs-2-2-5",
+            "dog-rs-4-3-3-1-2",
+        ],
     )
     def test_random_search_matches_sequential_checks(self, dv, budget):
         for seed in range(4):
@@ -244,18 +250,62 @@ class TestInstantiateDegreeTable:
             )
             assert (scheme.field.p, scheme.rho) == sequential_random_search(dv, seed, budget)
 
+    @pytest.mark.parametrize("budget, moved", [(100_000, ()), (300, (0, 3))])
+    def test_random_search_decides_progression_sides_exactly(self, budget, moved):
+        # alpha_s = (16, 20, 24) steps by 4, so its nodes x^4 collide for
+        # about half of the attempts; beta_s = (16, 17, 20) is no progression.
+        # Deciding alpha_s from its nodes is the same as eliminating all of
+        # its submatrices. On the sampled path that rejects point sets whose
+        # sample of alpha_s passed, and seeds 0 and 3 land on other points.
+        dv = construct_gasp_rs(4, 4, 3, 1, 2)
+        for seed in range(4):
+            scheme = instantiate_degree_table(
+                dv, "random_search", seed=seed, submatrix_budget=budget
+            )
+            got = (scheme.field.p, scheme.rho)
+            assert got == sequential_random_search(dv, seed, budget, exhaustive=("alpha_s",))
+            assert (got != sequential_random_search(dv, seed, budget)) == (seed in moved)
+
+    @pytest.mark.parametrize(
+        "dv, budget, level",
+        [
+            (construct_gasp_rs(2, 2, 5, 2, 2), 100_000, "structural"),  # both steps 1
+            (construct_gasp_rs(3, 3, 3, 2, 3), 100_000, "exhaustive"),  # beta_s steps by 1
+            (construct_gasp_rs(3, 3, 3, 2, 3), 300, "sampled"),
+        ],
+    )
+    def test_random_search_records_its_certificate(self, dv, budget, level):
+        scheme = instantiate_degree_table(dv, "random_search", submatrix_budget=budget)
+        assert scheme.params["certificate"] == level
+        assert verify_privacy_rank(scheme, budget).level == level
+
+    def test_roots_of_unity_records_a_structural_certificate(self, cat222):
+        gasp = instantiate_degree_table(construct_gasp_r(3, 3, 3, 1), "roots_of_unity")
+        assert gasp.params["certificate"] == cat222.params["certificate"] == "structural"
+
+    def test_roots_of_unity_refuses_points_it_cannot_prove(self, monkeypatch):
+        monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
+        with pytest.raises(SchemeError, match="not proven"):
+            instantiate_cat(construct_cat_x(2, 2, 2, 1))
+        with pytest.raises(SchemeError, match="not proven"):
+            instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "roots_of_unity")
+
     def test_unknown_strategy(self):
         with pytest.raises(SchemeError):
             instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "magic")
 
 
-def sequential_random_search(dv, seed, budget):
+def sequential_random_search(dv, seed, budget, exhaustive=()):
     """random_search's attempt loop with each check run to its end before the
-    next: alpha_s's submatrices, then beta_s's, then the decode matrix.
-    Returns the accepted (p, rho)."""
+    next: alpha_s's submatrices, then beta_s's, then the decode matrix. The
+    sides named in `exhaustive` have every submatrix checked, whatever the
+    budget. Returns the accepted (p, rho)."""
     qs = quadrants(dv)
     n = qs.n_unique
     rng = SplitMix64(seed)
+    budget_a, budget_b = (
+        comb(n, dv.t) if side in exhaustive else budget for side in ("alpha_s", "beta_s")
+    )
 
     def next_prime(m):
         while not is_prime(m):
@@ -268,12 +318,12 @@ def sequential_random_search(dv, seed, budget):
         for _ in range(32):
             rho = tuple(rng.sample_distinct(1, p, n))
             check_a = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.alpha_s, fld), dv.t, budget, seed
+                vandermonde(rho, dv.alpha_s, fld), dv.t, budget_a, seed
             )
             if not check_a.ok:
                 continue
             check_b = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.beta_s, fld), dv.t, budget, seed
+                vandermonde(rho, dv.beta_s, fld), dv.t, budget_b, seed
             )
             if not check_b.ok:
                 continue
@@ -461,6 +511,111 @@ class TestPrivacyRank:
         report = verify_privacy_rank(bad)
         assert not report.ok
         assert report.a_check.status == "found_singular"
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            lambda: instantiate_cat(construct_cat_x(8, 8, 4, 1)),
+            lambda: instantiate_degree_table(construct_gasp_r(4, 4, 4, 1), "roots_of_unity"),
+        ],
+        ids=["catx-8-8-4", "gasp-small-4-4-4"],
+    )
+    def test_roots_of_unity_schemes_are_proven_by_structure(self, scheme):
+        # C(92, 4) and C(41, 4) exceed the default budget of 100,000 subsets,
+        # which an elimination could only sample.
+        scheme = scheme()
+        full = comb(scheme.n_workers, scheme.t_privacy)
+        assert full > 100_000
+        report = verify_privacy_rank(scheme)
+        for check in (report.a_check, report.b_check):
+            assert (check.status, check.witness, check.checked) == ("verified_all", None, full)
+            assert check.level == "structural"
+        assert report.ok and report.level == "structural"
+
+    def test_singular_progression_side_keeps_its_witness(self, cat222):
+        # alpha_s = (1, 6) steps by 5 mod 10: the nodes x^5 take two values.
+        bad_dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
+        bad = PdmmScheme(bad_dv, cat222.field, cat222.rho, quadrants(bad_dv).gamma)
+        assert _progression_side(bad.rho, bad_dv.alpha_s, 10, bad.field.p) is False
+        report = verify_privacy_rank(bad)
+        assert report.a_check == all_txt_submatrices_invertible(
+            vandermonde(bad.rho, bad_dv.alpha_s, bad.field), 2
+        )
+        assert report.a_check.level == "exhaustive"
+        assert report.b_check.level == "structural"
+
+    def test_level_is_the_weaker_side(self):
+        # beta_s (9, 10, 11) is proven; alpha_s (9, 10, 12) is eliminated.
+        dv = construct_gasp_rs(3, 3, 3, 2, 3)
+        scheme = instantiate_degree_table(dv, "random_search")
+        n = scheme.n_workers
+        exhaustive = verify_privacy_rank(scheme)
+        sampled = verify_privacy_rank(scheme, budget=100, seed=1)
+        assert exhaustive.b_check == sampled.b_check
+        assert exhaustive.b_check.level == "structural"
+        assert exhaustive.a_check == all_txt_submatrices_invertible(
+            vandermonde(scheme.rho, dv.alpha_s, scheme.field), 3
+        )
+        assert (exhaustive.a_check.checked, exhaustive.level) == (comb(n, 3), "exhaustive")
+        assert (sampled.a_check.checked, sampled.level) == (100, "sampled")
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def mask_sides(draw):
+    """(points, exponents, modulus, p): integer or cyclic progressions and
+    arbitrary exponents, at points that are q-th roots of unity (all of them,
+    for a cyclic table's modulus q), nonzero residues, or residues including
+    zero; small fields make node collisions common."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    t = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["integer", "cyclic", "any"]))
+    modulus = draw(st.integers(2, 12)) if kind != "integer" else None
+    c = draw(st.integers(0, 12))
+    d = draw(st.integers(-4, 6))
+    if kind == "integer":
+        c = max(c, -d * (t - 1))  # exponents stay non-negative
+        exps = tuple(c + d * i for i in range(t))
+    elif kind == "cyclic":
+        exps = tuple((c + d * i) % modulus for i in range(t))
+    else:
+        exps = tuple(draw(st.lists(st.integers(0, 15), min_size=t, max_size=t)))
+        if draw(st.booleans()):
+            exps = tuple(e % modulus for e in exps)
+        else:
+            modulus = None
+    pool = draw(st.sampled_from(["roots", "nonzero", "with zero"]))
+    if pool == "roots":
+        point = st.sampled_from([x for x in range(1, p) if pow(x, modulus or 1, p) == 1])
+    else:
+        point = st.integers(pool == "nonzero", p - 1)
+    n = draw(st.integers(1, 12))
+    rho = tuple(draw(st.lists(point, min_size=n, max_size=n)))
+    if pool == "with zero":
+        rho = (0,) + rho[1:]
+    return rho, exps, modulus, p
+
+
+class TestProgressionSide:
+    @settings(max_examples=500, deadline=None)
+    @given(mask_sides())
+    # (8, 0) is 8 + i mod 9, but only the point 1 has x^9 = 1, so column x^0
+    # is not x^9: rows 13 and 16 are dependent, though the nodes x^1 differ.
+    @example(((13, 12, 16, 1), (8, 0), 9, 17))
+    def test_matches_exhaustive_elimination(self, side):
+        rho, exps, modulus, p = side
+        fld = PrimeField.of(p)
+        t = len(exps)
+        got = _progression_side(rho, exps, modulus, p)
+        progression = _step(exps, modulus) is not None
+        roots = modulus is None or all(pow(x, modulus, p) == 1 for x in rho)
+        decidable = progression and roots and 2 <= t <= len(rho) and 0 not in rho
+        assert (got is not None) == decidable
+        if got is not None:
+            m = vandermonde(rho, exps, fld)
+            assert got == all_txt_submatrices_invertible(m, t, comb(len(rho), t)).ok
 
 
 class TestPrivacyExhaustive:
