@@ -11,7 +11,6 @@ from .degrees import (
     count_unique,
     n_catx_formula,
     quadrants,
-    validate_cat,
     validate_degree_table,
 )
 from .field import FieldError, PrimeField, find_field
@@ -53,7 +52,6 @@ __all__ = [
     "quadrants",
     "solve",
     "sweep",
-    "validate_cat",
     "validate_degree_table",
     "vandermonde",
     "verify_privacy_exhaustive",

@@ -18,6 +18,7 @@ import numpy as np
 from .degrees import (
     DegreeVectors,
     ParameterError,
+    addition_table,
     construct_cat_x,
     construct_dog_rs,
     construct_gasp_r,
@@ -25,7 +26,6 @@ from .degrees import (
     quadrants,
     table_from_dict,
     table_to_dict,
-    validate_cat,
     validate_degree_table,
 )
 from .field import FieldError
@@ -76,16 +76,9 @@ def build_degree_vectors(family: str, k: int, l: int, t: int, r=None, s=None, x=
 def render_table(dv: DegreeVectors) -> str:
     """The (K+T) x (L+T) addition table with the beta vector as the header
     row and the alpha vector as the header column, integer-aligned."""
-    alphas = dv.alpha_p + dv.alpha_s
-    betas = dv.beta_p + dv.beta_s
-    q = dv.modulus
-
-    def cell(a, b):
-        return (a + b) % q if q is not None else a + b
-
-    grid = [[""] + [str(b) for b in betas]]
-    for a in alphas:
-        grid.append([str(a)] + [str(cell(a, b)) for b in betas])
+    grid = [[""] + [str(b) for b in dv.beta_p + dv.beta_s]]
+    for a, row in zip(dv.alpha_p + dv.alpha_s, addition_table(dv).tolist()):
+        grid.append([str(a)] + [str(v) for v in row])
     widths = [max(len(row[j]) for row in grid) for j in range(len(grid[0]))]
     return "\n".join(
         "  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in grid
@@ -144,7 +137,7 @@ def cmd_validate(args) -> int:
         dv, _ = build_degree_vectors(
             args.family, args.K, args.L, args.T, args.r, args.s, args.x
         )
-    report = validate_cat(dv) if dv.modulus is not None else validate_degree_table(dv)
+    report = validate_degree_table(dv)
     if args.format == "json":
         _emit(json.dumps(_report_to_dict(report), indent=2), args.output)
     else:
@@ -311,17 +304,21 @@ def _env_format() -> str | None:
     return value
 
 
-def _add_common(sub, env_format, with_family=True):
+def _add_common(sub, env_format, with_family=True, with_seed=False):
+    """-K -L -T, --format and -o; with_family adds the table flags --family,
+    -r, -s and -x, with_seed the simulation flags --seed and --min-p."""
     if with_family:
         sub.add_argument("--family", choices=FAMILIES)
     sub.add_argument("-K", type=int)
     sub.add_argument("-L", type=int)
     sub.add_argument("-T", type=int)
-    sub.add_argument("-r", type=int)
-    sub.add_argument("-s", type=int)
-    sub.add_argument("-x", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--min-p", dest="min_p", type=int, default=0)
+    if with_family:
+        sub.add_argument("-r", type=int)
+        sub.add_argument("-s", type=int)
+        sub.add_argument("-x", type=int, default=1)
+    if with_seed:
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--min-p", dest="min_p", type=int, default=0)
     sub.add_argument("--format", choices=FORMATS, default=env_format or "pretty")
     sub.add_argument("-o", "--output", default=None)
 
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--table", help="JSON file holding a degree table")
 
     p_simulate = subs.add_parser("simulate", help="run the full pipeline on random inputs")
-    _add_common(p_simulate, env_format)
+    _add_common(p_simulate, env_format, with_seed=True)
     p_simulate.add_argument("--dims", required=True, help="rAxcAxcB, e.g. 4x4x4")
 
     p_sweep = subs.add_parser("sweep", help="compare families over a grid")

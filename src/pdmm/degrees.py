@@ -1,10 +1,12 @@
 """Degree vectors for polynomial-code matrix multiplication schemes.
 
 Constructs the four families of degree tables (GASP_r, GASP_rs, DOG_rs over
-the integers; CAT_x with addition modulo q), counts their unique entries,
-validates the decodability/privacy conditions, and decides by one rule
-(root_order) which tables take consecutive powers of a root of unity as
-evaluation points.
+the integers; CAT_x with addition modulo q). Both kinds share one addition
+table (addition_table), from which their unique entries are counted and one
+validator checks the decodability/privacy conditions. One rule (root_order)
+decides which tables take consecutive powers of a root of unity as
+evaluation points. Exponents and moduli stay below 2^62, so that every sum
+of two fits int64.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ class ParameterError(ValueError):
     """Construction parameters out of range or in the wrong order."""
 
 
+# Entries and moduli lie below this, so that a sum of two never wraps int64.
+EXPONENT_LIMIT = 1 << 62
+
+
 @dataclass(frozen=True)
 class DegreeVectors:
     """The tuple (alpha_p, alpha_s, beta_p, beta_s), optionally cyclic.
 
     When ``modulus`` is set, all additions in the degree table are taken
-    modulo it and entries must already lie in [0, modulus).
+    modulo it and entries must already lie in [0, modulus). Every entry and
+    the modulus lie below EXPONENT_LIMIT = 2^62.
     """
 
     alpha_p: tuple[int, ...]
@@ -34,19 +41,16 @@ class DegreeVectors:
     modulus: int | None = None
 
     def __post_init__(self):
+        if self.modulus is not None and not 1 <= self.modulus < EXPONENT_LIMIT:
+            raise ParameterError(f"modulus must lie in [1, 2^62), got {self.modulus}")
+        bound = EXPONENT_LIMIT if self.modulus is None else self.modulus
         for name in ("alpha_p", "alpha_s", "beta_p", "beta_s"):
             vec = tuple(int(v) for v in getattr(self, name))
             object.__setattr__(self, name, vec)
             if not vec:
                 raise ParameterError(f"{name} must be non-empty")
-            if any(v < 0 for v in vec):
-                raise ParameterError(f"{name} contains a negative entry: {vec}")
-            if self.modulus is not None and any(v >= self.modulus for v in vec):
-                raise ParameterError(
-                    f"{name} has entries >= modulus {self.modulus}: {vec}"
-                )
-        if self.modulus is not None and self.modulus < 1:
-            raise ParameterError(f"modulus must be positive, got {self.modulus}")
+            if not all(0 <= v < bound for v in vec):
+                raise ParameterError(f"{name} has an entry outside [0, {bound}): {vec}")
         if len(self.alpha_s) != len(self.beta_s):
             raise ParameterError("alpha_s and beta_s must have equal length T")
 
@@ -91,8 +95,8 @@ class CatParameters:
 class ValidationReport:
     """Per-condition pass/fail flags with deterministic collision witnesses.
 
-    ``witnesses`` holds (condition-or-quadrant label, colliding value) pairs
-    in ascending value order.
+    ``witnesses`` holds (condition-or-quadrant label, colliding value) pairs:
+    TL, TR, BL and BR, then alpha and beta, each label's values ascending.
     """
 
     flags: dict[str, bool]
@@ -132,17 +136,12 @@ def kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
 
 
 def construct_gasp_r(big_k: int, big_l: int, big_t: int, r: int) -> DegreeVectors:
+    """GASP_r is GASP_rs with s = T: gap(T, K, T) is [0, T)."""
     if not (big_k >= big_l >= 2 and big_t >= 2):
         raise ParameterError(f"need K >= L >= 2 and T >= 2, got ({big_k}, {big_l}, {big_t})")
     if not 1 <= r <= min(big_k, big_t):
         raise ParameterError(f"need 1 <= r <= min(K, T), got r={r}")
-    kl = big_k * big_l
-    return DegreeVectors(
-        alpha_p=tuple(range(big_k)),
-        alpha_s=tuple(kl + g for g in gap(big_t, big_k, r)),
-        beta_p=tuple(big_k * i for i in range(big_l)),
-        beta_s=tuple(kl + i for i in range(big_t)),
-    )
+    return construct_gasp_rs(big_k, big_l, big_t, r, big_t)
 
 
 def construct_gasp_rs(big_k: int, big_l: int, big_t: int, r: int, s: int) -> DegreeVectors:
@@ -201,43 +200,34 @@ def construct_cat_x(big_k: int, big_l: int, big_t: int, x: int = 1) -> DegreeVec
     )
 
 
-def _sumset(a: tuple[int, ...], b: tuple[int, ...], modulus: int | None) -> frozenset[int]:
-    if modulus is None:
-        return frozenset(u + v for u in a for v in b)
-    return frozenset((u + v) % modulus for u in a for v in b)
+def addition_table(dv: DegreeVectors) -> np.ndarray:
+    """The (K+T) x (L+T) int64 degree table alpha_i + beta_j, rows alpha_p
+    then alpha_s, columns beta_p then beta_s, reduced mod dv.modulus for a
+    cyclic table. Every sum of the table is taken here."""
+    table = np.add.outer(
+        np.array(dv.alpha_p + dv.alpha_s, dtype=np.int64),
+        np.array(dv.beta_p + dv.beta_s, dtype=np.int64),
+    )
+    if dv.modulus is not None:
+        table %= dv.modulus
+    return table
 
 
 def quadrants(dv: DegreeVectors) -> QuadrantSets:
     """The four sumsets TL/TR/BL/BR and the sorted union gamma."""
-    tl = _sumset(dv.alpha_p, dv.beta_p, dv.modulus)
-    tr = _sumset(dv.alpha_p, dv.beta_s, dv.modulus)
-    bl = _sumset(dv.alpha_s, dv.beta_p, dv.modulus)
-    br = _sumset(dv.alpha_s, dv.beta_s, dv.modulus)
+    table = addition_table(dv)
+    top, bottom = table[: dv.k], table[dv.k :]
+    tl, tr, bl, br = (
+        frozenset(block.ravel().tolist())
+        for block in (top[:, : dv.l], top[:, dv.l :], bottom[:, : dv.l], bottom[:, dv.l :])
+    )
     gamma = tuple(sorted(tl | tr | bl | br))
     return QuadrantSets(tl, tr, bl, br, gamma, len(gamma))
 
 
 def count_unique(dv: DegreeVectors) -> int:
     """Number of distinct degree-table entries (= required worker count N)."""
-    return _count_sums(dv.alpha_p, dv.alpha_s, dv.beta_p, dv.beta_s, dv.modulus)
-
-
-def _count_sums(ap, as_, bp, bs, modulus: int | None = None) -> int:
-    """Distinct entries of the degree table of four int vectors, optionally
-    reduced mod `modulus`; vectorized so that parameter sweeps stay cheap."""
-    sums = np.concatenate(
-        [
-            np.add.outer(ap, bp).ravel(),
-            np.add.outer(ap, bs).ravel(),
-            np.add.outer(as_, bp).ravel(),
-            np.add.outer(as_, bs).ravel(),
-        ]
-    )
-    if modulus is not None:
-        sums %= modulus
-    seen = np.zeros(int(sums.max()) + 1, dtype=bool)
-    seen[sums] = True
-    return int(seen.sum())
+    return quadrants(dv).n_unique
 
 
 def table_to_dict(family: str | None, dv: DegreeVectors, params: dict) -> dict:
@@ -277,55 +267,41 @@ def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:
     return (big_k + 1) * (big_l + 1) + (big_t - 1) ** 2 + kappa + lam
 
 
-def _disjointness(qs: QuadrantSets) -> tuple[dict[str, bool], list[tuple[str, int]]]:
-    flags = {}
-    witnesses = []
-    for label, other, name in (("IIIa", qs.tr, "TR"), ("IIIb", qs.bl, "BL"), ("IIIc", qs.br, "BR")):
-        overlap = sorted(qs.tl & other)
-        flags[label] = not overlap
-        witnesses.extend((name, v) for v in overlap)
-    return flags, witnesses
-
-
-def _tl_multiset_ok(dv: DegreeVectors) -> tuple[bool, list[tuple[str, int]]]:
-    counts: dict[int, int] = {}
-    for a in dv.alpha_p:
-        for b in dv.beta_p:
-            v = (a + b) % dv.modulus if dv.modulus is not None else a + b
-            counts[v] = counts.get(v, 0) + 1
-    dups = sorted(v for v, c in counts.items() if c > 1)
-    return not dups, [("TL", v) for v in dups]
-
-
-def _no_duplicates(vec: tuple[int, ...], label: str) -> tuple[bool, list[tuple[str, int]]]:
-    seen: set[int] = set()
-    dups: set[int] = set()
-    for v in vec:
-        (dups if v in seen else seen).add(v)
-    return not dups, [(label, v) for v in sorted(dups)]
+def _repeated(values) -> list[int]:
+    """The values that occur more than once, ascending."""
+    unique, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+    return unique[counts > 1].tolist()
 
 
 def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
-    """Check the private-and-decodable conditions for an integer degree table."""
-    if dv.modulus is not None:
-        raise ParameterError("validate_degree_table expects an integer (non-cyclic) table")
+    """Check the private-and-decodable conditions of an integer or cyclic
+    degree table.
+
+    II: the KL data sums are distinct. III: the sums TR (IIIa), BL (IIIb)
+    and BR (IIIc) miss the data sums. IV, for an integer table: no exponent
+    repeats in alpha or in beta; for a cyclic table, the sufficient
+    condition that root_order certifies it for consecutive powers of a
+    q-th root of unity.
+    """
     qs = quadrants(dv)
-    flags = {"I": True}
-    witnesses: list[tuple[str, int]] = []
-
-    ok, wit = _tl_multiset_ok(dv)
-    flags["II"] = ok
-    witnesses.extend(wit)
-
-    d_flags, d_wit = _disjointness(qs)
-    flags.update(d_flags)
-    witnesses.extend(d_wit)
-
-    ok_a, wit_a = _no_duplicates(dv.alpha_p + dv.alpha_s, "alpha")
-    ok_b, wit_b = _no_duplicates(dv.beta_p + dv.beta_s, "beta")
-    flags["IV"] = ok_a and ok_b
-    witnesses.extend(wit_a + wit_b)
-
+    dups = _repeated(addition_table(dv)[: dv.k, : dv.l].ravel())
+    flags = {"I": True, "II": not dups}
+    witnesses = [("TL", v) for v in dups]
+    for label, name, other in (("IIIa", "TR", qs.tr), ("IIIb", "BL", qs.bl),
+                               ("IIIc", "BR", qs.br)):
+        overlap = sorted(qs.tl & other)
+        flags[label] = not overlap
+        witnesses.extend((name, v) for v in overlap)
+    if dv.modulus is None:
+        repeats = [
+            (name, v)
+            for name, vec in (("alpha", dv.alpha_p + dv.alpha_s), ("beta", dv.beta_p + dv.beta_s))
+            for v in _repeated(vec)
+        ]
+        flags["IV"] = not repeats
+        witnesses.extend(repeats)
+    else:
+        flags["IV"] = root_order(dv, qs.n_unique) is not None
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
 
 
@@ -360,26 +336,3 @@ def root_order(dv: DegreeVectors, n: int) -> int | None:
         while gcd(q, step) != 1:
             q += 1
     return q if q >= n and gcd(q, step) == 1 else None
-
-
-def validate_cat(dv: DegreeVectors) -> ValidationReport:
-    """Check the cyclic-addition conditions; IV via the sufficient condition
-    that root_order certifies the table for consecutive powers of a q-th
-    root of unity."""
-    if dv.modulus is None:
-        raise ParameterError("validate_cat expects a cyclic table (modulus present)")
-    qs = quadrants(dv)
-    flags = {"I": True}
-    witnesses: list[tuple[str, int]] = []
-
-    ok, wit = _tl_multiset_ok(dv)
-    flags["II"] = ok
-    witnesses.extend(wit)
-
-    d_flags, d_wit = _disjointness(qs)
-    flags.update(d_flags)
-    witnesses.extend(d_wit)
-
-    flags["IV"] = root_order(dv, qs.n_unique) is not None
-
-    return ValidationReport(flags, qs.n_unique, tuple(witnesses))

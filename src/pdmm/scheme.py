@@ -16,12 +16,13 @@ import numpy as np
 
 from .degrees import (
     DegreeVectors,
+    ParameterError,
     _step,
+    addition_table,
     quadrants,
     root_order,
     table_from_dict,
     table_to_dict,
-    validate_cat,
     validate_degree_table,
 )
 from .field import PrimeField, element_of_order, find_field
@@ -115,7 +116,12 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class PdmmScheme:
-    """A fully instantiated scheme: degree vectors, field, evaluation points."""
+    """A fully instantiated scheme: degree vectors, field, evaluation points.
+
+    gamma is the strictly ascending tuple of distinct degree-table entries,
+    one per point of rho, as quadrants(dv).gamma gives it; the decoder
+    finds the data sums in it by binary search.
+    """
 
     dv: DegreeVectors
     field: PrimeField
@@ -130,6 +136,8 @@ class PdmmScheme:
             raise SchemeError("evaluation points must be distinct and nonzero")
         if len(self.rho) != len(self.gamma):
             raise SchemeError("need exactly one evaluation point per distinct degree")
+        if any(a >= b for a, b in zip(self.gamma, self.gamma[1:])):
+            raise SchemeError("gamma must be strictly ascending")
 
     @property
     def n_workers(self) -> int:
@@ -159,14 +167,8 @@ class PdmmScheme:
         n = self.n_workers
         v = vandermonde(self.rho, self.gamma, self.field)
         inverse = solve(v, FieldMatrix(np.eye(n, dtype=np.int64), self.field)).data
-        index = {e: i for i, e in enumerate(self.gamma)}
-        dv = self.dv
-        rows = [
-            index[(a_e + b_e) % dv.modulus if dv.modulus is not None else a_e + b_e]
-            for a_e in dv.alpha_p
-            for b_e in dv.beta_p
-        ]
-        return inverse[rows]
+        data_sums = addition_table(self.dv)[: self.dv.k, : self.dv.l]
+        return inverse[np.searchsorted(self.gamma, data_sums.ravel())]
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,9 @@ def _on_roots_of_unity(dv, qs, q, min_p, family, params) -> PdmmScheme:
 def instantiate_cat(dv: DegreeVectors, min_p: int = 0, params: dict | None = None) -> PdmmScheme:
     """Scheme over the smallest admissible field, with consecutive powers of
     an order-q element as evaluation points."""
-    report = validate_cat(dv)
+    if dv.modulus is None:
+        raise ParameterError("instantiate_cat expects a cyclic table (modulus present)")
+    report = validate_degree_table(dv)
     if not report.valid:
         raise SchemeError(f"degree table fails cyclic validation: {report.flags}")
     return _on_roots_of_unity(dv, quadrants(dv), dv.modulus, min_p, "catx", dict(params or {}))
@@ -275,6 +279,8 @@ def instantiate_degree_table(
     (both sides proven, always so for 'roots_of_unity'), 'exhaustive' or
     'sampled'.
     """
+    if dv.modulus is not None:
+        raise ParameterError("instantiate_degree_table expects an integer (non-cyclic) table")
     report = validate_degree_table(dv)
     if not report.valid:
         raise SchemeError(f"degree table fails validation: {report.flags}")

@@ -160,6 +160,43 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "-K", "2", "-L", "2", "-T", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("modulus", [None, 2**62])
+    def test_entries_at_2_62_are_usage_errors(self, capsys, tmp_path, modulus):
+        # Sums of two such entries would wrap int64; the table is refused.
+        doc = {"alpha_p": [0, 1], "alpha_s": [2**62 - 1, 2], "beta_p": [0, 2], "beta_s": [4, 5]}
+        if modulus is None:
+            doc["alpha_s"][0] = 2**62
+        else:
+            doc.update(family="catx", q=modulus)
+        table = tmp_path / "huge.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "-K", "3", "-L", "3", "-T", "3", *flag)
+            for flag in (("-r", "9"), ("-s", "2"), ("-x", "1"), ("--seed", "5"), ("--min-p", "7"))
+        ]
+        + [
+            (command, "--family", "catx", "-K", "2", "-L", "2", "-T", "2", *flag)
+            for command in ("construct", "validate")
+            for flag in (("--seed", "5"), ("--min-p", "7"))
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
 
 class TestSimulate:
     def test_cat_exact_match(self, capsys):
@@ -276,31 +313,57 @@ class TestSweepAndSearch:
         assert doc["polegap"] == "n/a"
 
 
+TABLES = {
+    "catx-2-2-2": ("--family", "catx", "-K", "2", "-L", "2", "-T", "2"),
+    "catx-7-7-6-x8": ("--family", "catx", "-K", "7", "-L", "7", "-T", "6", "-x", "8"),
+    "gasp-rs-7-7-6-r2-s3": (
+        "--family", "gasp-rs", "-K", "7", "-L", "7", "-T", "6", "-r", "2", "-s", "3"),
+    "dog-rs-7-7-6-r1-s3": (
+        "--family", "dog-rs", "-K", "7", "-L", "7", "-T", "6", "-r", "1", "-s", "3"),
+    "table_cyclic_q10": ("--table", str(DATA / "table_cyclic_q10.json")),
+    "table_repeated_alpha": ("--table", str(DATA / "table_repeated_alpha.json")),
+}
+EXTENSIONS = {"pretty": "txt", "json": "json"}
+
+
 class TestGoldenOutputs:
-    """Byte-for-byte CLI output of the exhaustive (r, s) scan, one
-    `_count_sums` call per pair, that the per-r bitmap scan replaced."""
+    """Byte-for-byte CLI output. The sweeps and searches are those of the
+    exhaustive (r, s) scan that the per-r bitmap scan replaced; construct and
+    validate are those of the set-based quadrants and the two validators
+    that the one addition table replaced."""
 
     @pytest.mark.parametrize(
-        "name,argv",
+        "name,argv,code",
         [
             ("sweep_KequalsL_2-20.csv",
              ("sweep", "--K-range", "2..20", "--T-range", "2..20", "--mode", "KequalsL",
-              "--format", "csv")),
+              "--format", "csv"), 0),
             ("sweep_full_2-10.csv",
              ("sweep", "--K-range", "2..10", "--L-range", "2..10", "--T-range", "2..10",
-              "--mode", "full", "--format", "csv")),
+              "--mode", "full", "--format", "csv"), 0),
             ("search_100-100-100.json",
-             ("search", "-K", "100", "-L", "100", "-T", "100", "--format", "json")),
+             ("search", "-K", "100", "-L", "100", "-T", "100", "--format", "json"), 0),
             ("search_120-80-60.json",
-             ("search", "-K", "120", "-L", "80", "-T", "60", "--format", "json")),
+             ("search", "-K", "120", "-L", "80", "-T", "60", "--format", "json"), 0),
             ("search_60-60-40.json",
-             ("search", "-K", "60", "-L", "60", "-T", "40", "--format", "json")),
+             ("search", "-K", "60", "-L", "60", "-T", "40", "--format", "json"), 0),
+        ]
+        + [
+            (f"{command}_{table}.{EXTENSIONS[fmt]}", (command, *TABLES[table], "--format", fmt), 0)
+            for command in ("construct", "validate")
+            for table in list(TABLES)[:4]
+            for fmt in EXTENSIONS
+        ]
+        + [
+            (f"validate_{table}.{EXTENSIONS[fmt]}",
+             ("validate", *TABLES[table], "--format", fmt), 1)
+            for table in list(TABLES)[4:]
+            for fmt in EXTENSIONS
         ],
     )
-    def test_matches_golden_file(self, capsys, tmp_path, name, argv):
+    def test_matches_golden_file(self, capsys, tmp_path, name, argv, code):
         dest = tmp_path / name
-        code, _, _ = run(capsys, *argv, "-o", str(dest))
-        assert code == 0
+        assert run(capsys, *argv, "-o", str(dest))[0] == code
         assert dest.read_bytes() == (DATA / name).read_bytes()
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from lattice_tools import lattice_solutions, lattice_span_mod_q, quadrant_intersections
 from pdmm.degrees import (
+    EXPONENT_LIMIT,
     DegreeVectors,
     ParameterError,
+    addition_table,
     cat_parameters,
     construct_cat_x,
     construct_dog_rs,
@@ -19,9 +21,9 @@ from pdmm.degrees import (
     n_catx_formula,
     quadrants,
     root_order,
-    validate_cat,
     validate_degree_table,
 )
+from pdmm.scheme import instantiate_cat, instantiate_degree_table
 
 
 class TestGap:
@@ -82,8 +84,24 @@ class TestGaspConstructions:
         assert count_unique(construct_gasp_r(4, 4, 4, 2)) == 36
 
     def test_gasp_rs_with_s_equal_t_matches_gasp_r(self):
-        for r in (1, 2, 3):
-            assert construct_gasp_rs(5, 4, 3, r, 3) == construct_gasp_r(5, 4, 3, r)
+        # GASP_r's own definition, beta_s = KL + [0, T), on every table with
+        # 2 <= L <= K <= 8, 2 <= T <= 8 and 1 <= r <= min(K, T).
+        tables = 0
+        for big_k in range(2, 9):
+            for big_l in range(2, big_k + 1):
+                for big_t in range(2, 9):
+                    kl = big_k * big_l
+                    for r in range(1, min(big_k, big_t) + 1):
+                        expected = DegreeVectors(
+                            tuple(range(big_k)),
+                            tuple(kl + g for g in gap(big_t, big_k, r)),
+                            tuple(big_k * i for i in range(big_l)),
+                            tuple(kl + i for i in range(big_t)),
+                        )
+                        assert construct_gasp_r(big_k, big_l, big_t, r) == expected
+                        assert construct_gasp_rs(big_k, big_l, big_t, r, big_t) == expected
+                        tables += 1
+        assert tables == 854
 
     def test_rejects_out_of_range_r(self):
         with pytest.raises(ParameterError):
@@ -221,20 +239,21 @@ class TestValidation:
     def test_cyclic_families_valid(self):
         for big_k in range(2, 7):
             for big_t in range(2, big_k + 1):
-                report = validate_cat(construct_cat_x(big_k, big_k, big_t, 1))
+                report = validate_degree_table(construct_cat_x(big_k, big_k, big_t, 1))
                 assert report.valid, (big_k, big_t)
 
     def test_cyclic_mask_progression_failure(self):
         # Degree step 5 shares a factor with q = 10: consecutive powers of a
         # tenth root of unity repeat, so the mask rows cannot stay invertible.
         dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
-        assert not validate_cat(dv).flags["IV"]
+        assert not validate_degree_table(dv).flags["IV"]
 
     def test_dispatch_guards(self):
+        # One validator takes both kinds; each instantiation takes only its own.
         with pytest.raises(ParameterError):
-            validate_degree_table(construct_cat_x(2, 2, 2, 1))
+            instantiate_degree_table(construct_cat_x(2, 2, 2, 1))
         with pytest.raises(ParameterError):
-            validate_cat(construct_gasp_r(2, 2, 2, 1))
+            instantiate_cat(construct_gasp_r(2, 2, 2, 1))
 
 
 class TestRootOrder:
@@ -277,6 +296,29 @@ class TestDegreeVectorsInvariants:
     def test_dimensions(self):
         dv = construct_gasp_rs(5, 4, 3, 1, 2)
         assert (dv.k, dv.l, dv.t) == (5, 4, 3)
+
+    @pytest.mark.parametrize(
+        "vectors,modulus",
+        [
+            (((0,), (EXPONENT_LIMIT,), (0,), (1,)), None),
+            (((0,), (1,), (0,), (EXPONENT_LIMIT,)), None),
+            (((0,), (1,), (0,), (2,)), EXPONENT_LIMIT),
+            (((0,), (-1,), (0,), (2,)), None),
+        ],
+    )
+    def test_rejects_entries_and_moduli_out_of_range(self, vectors, modulus):
+        with pytest.raises(ParameterError):
+            DegreeVectors(*vectors, modulus=modulus)
+
+    @pytest.mark.parametrize("modulus", [None, EXPONENT_LIMIT - 1])
+    def test_largest_entries_sum_without_wrapping(self, modulus):
+        top = EXPONENT_LIMIT - 2
+        dv = DegreeVectors((0, top), (1,), (0, top), (1,), modulus=modulus)
+        sums = {a + b if modulus is None else (a + b) % modulus
+                for a in (0, top, 1) for b in (0, top, 1)}
+        assert addition_table(dv).min() >= 0
+        assert set(addition_table(dv).ravel().tolist()) == sums
+        assert count_unique(dv) == len(sums)
 
 
 class TestLattice:

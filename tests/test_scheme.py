@@ -733,6 +733,11 @@ class TestSchemeInvariants:
         with pytest.raises(SchemeError):
             PdmmScheme(cat222.dv, cat222.field, rho, cat222.gamma)
 
+    def test_rejects_unordered_gamma(self, cat222):
+        # The decoder looks the data sums up in gamma by binary search.
+        with pytest.raises(SchemeError, match="ascending"):
+            PdmmScheme(cat222.dv, cat222.field, cat222.rho, cat222.gamma[::-1])
+
 
 @st.composite
 def family_points(draw):
