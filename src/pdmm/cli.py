@@ -258,6 +258,8 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    if args.mode == "KequalsL" and args.L_range is not None:
+        raise ParameterError("--L-range is not read in KequalsL mode, where L = K")
     records = sweep(
         _parse_range(args.K_range),
         _parse_range(args.L_range) if args.L_range else _parse_range(args.K_range),

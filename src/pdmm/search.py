@@ -2,20 +2,23 @@
 
 For each (K, L, T) the admissible chain parameters (r, s) of GASP_r, GASP_rs
 and DOG_rs are scanned in order by one routine, `_scan`, and the four
-families are compared by worker count.  Per chain length r it builds one
-bitmap of the TL ∪ BL sums (α_p ∪ α_s) + β_p, which do not depend on s;
-each s adds (α_p ∪ α_s) + β_s to a copy and counts the set bits.  Since
-every s gives at least the entries of r's bitmap, an r whose bitmap is
-already as large as the best N found so far is skipped without changing the
-result.
+families are compared by worker count.  Sets of exponents are Python-int
+bitsets (bit i set iff i is in the set), so a sumset X + Y is an OR of
+shifted copies of X and its size is `int.bit_count` (Python >= 3.10).
+Every vector is a union of width-w runs one stride d apart (d = K for
+GASP_r and GASP_rs, K + r for DOG_rs, and β_p = d·[0, L)), so
+X + gap(T, d, w) is the run X + [0, w) copied over d·[0, T // w) by
+doubling, in O(log T) shift-ORs, plus one shorter run.  Per chain length r
+the set (α_p ∪ α_s) + β_p, which does not depend on s, is built once
+together with the runs of α_p ∪ α_s; each s then costs one such copy, one
+OR and one bit count.  An r whose s-free set is already as large as the
+best N found so far is skipped without changing the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .degrees import n_catx_formula
 
@@ -79,90 +82,111 @@ def _oriented(big_k: int, big_l: int, big_t: int) -> tuple[int, int, int]:
     return big_k, big_l, big_t
 
 
-def _gaps(big_t: int, stride: int) -> np.ndarray:
-    """Row r-1 is the chain vector gap(T, stride, r): element i is
-    (i // r)·stride + i % r, for every chain length r in 1..T."""
-    i = np.arange(big_t)
-    r = np.arange(1, big_t + 1)[:, None]
-    return (i // r) * stride + i % r
+def _spread(bits: int, stride: int, count: int) -> int:
+    """bits + stride·[0, count): `count` copies of the set `bits`, each
+    shifted one stride past the previous, built by doubling."""
+    out, done, width = 0, 0, 1
+    while True:
+        if count & 1:
+            out |= bits << done * stride
+            done += width
+        count >>= 1
+        if not count:
+            return out
+        bits |= bits << width * stride
+        width *= 2
 
 
-def _scan(family: str, chains) -> SchemeChoice:
+def _runs(bits: int, widest: int) -> list[int]:
+    """Element w is bits + [0, w), for every w in 0..widest."""
+    runs = [0, bits]
+    for w in range(1, widest):
+        runs.append(runs[-1] | bits << w)
+    return runs
+
+
+def _gap(runs: list[int], stride: int, length: int, w: int) -> int:
+    """X + gap(length, stride, w), where runs[v] = X + [0, v): full chains
+    of width w, one stride apart, then one chain of width length % w."""
+    full, rest = divmod(length, w)
+    return _spread(runs[w], stride, full) | runs[rest] << full * stride
+
+
+def _counts(big_l: int, big_t: int, alphas: int, stride: int, b0: int, ss, bound=None):
+    """Yield (s, N) for each chain width s in ss, in order.
+
+    alphas is the bitset of α_p ∪ α_s (bit i set iff exponent i is in the
+    set), β_p = stride·[0, L) and β_s = b0 + gap(T, stride, s).  N is the
+    size of left ∪ (b0 + alphas + gap(T, stride, s)), with left =
+    alphas + β_p.  Nothing is yielded when left alone holds `bound` entries.
+    """
+    left = _spread(alphas, stride, big_l)
+    if bound is not None and left.bit_count() >= bound:
+        return
+    runs = _runs(alphas, max(ss))
+    for s in ss:
+        yield s, (left | _gap(runs, stride, big_t, s) << b0).bit_count()
+
+
+def _scan(family: str, big_l: int, big_t: int, chains) -> SchemeChoice:
     """First (r, s) of least worker count, in the order `chains` yields them.
 
-    `chains` yields (r, alphas, beta_p, ss, beta_s) with alphas = α_p ∪ α_s
-    and row j of beta_s the β_s vector of chain length ss[j].  The TL ∪ BL
-    sums alphas + β_p do not depend on s, so they go into one bitmap per r;
-    each s adds alphas + β_s to a copy and counts the set bits.  Every s gives
-    N(r, s) >= |TL ∪ BL| and only a strictly smaller N replaces the best, so
-    an r whose bitmap already holds best.N entries is skipped whole: the
-    result equals the exhaustive scan's, tie-break included.
+    `chains` yields (r, alphas, stride, b0, ss), the arguments of `_counts`
+    for chain length r.  Every s gives N(r, s) >= |alphas + β_p| and only a
+    strictly smaller N replaces the best, so an r whose s-free set
+    alphas + β_p already holds best.N entries is skipped whole (`_counts`
+    with bound = best.N): the result equals the exhaustive scan's, tie-break
+    included.
     """
     best = None
-    for r, alphas, beta_p, ss, beta_s in chains:
-        left = np.zeros(int(alphas.max()) + max(int(beta_p.max()), int(beta_s.max())) + 1, bool)
-        left[np.add.outer(alphas, beta_p)] = True
-        if best is not None and np.count_nonzero(left) >= best.n_workers:
-            continue
-        for s, row in zip(ss, beta_s):
-            seen = left.copy()
-            seen[np.add.outer(alphas, row)] = True
-            n = int(np.count_nonzero(seen))
+    for r, *chain in chains:
+        bound = None if best is None else best.n_workers
+        for s, n in _counts(big_l, big_t, *chain, bound=bound):
             if best is None or n < best.n_workers:
                 best = SchemeChoice(family, n, r=r, s=s)
     return best
 
 
-def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    """GASP_r is GASP_rs with β_s = KL + [0, T): one s per r."""
-    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
+def _gasp_rs_chains(big_k: int, big_l: int, big_t: int, rs, ss):
+    """GASP_rs on stride K: α_s = KL + gap(T, K, r), β_s = KL + gap(T, K, s)."""
     kl = big_k * big_l
-    ap = np.arange(big_k)
-    bp = big_k * np.arange(big_l)
-    gaps = kl + _gaps(big_t, big_k)
-    beta_s = kl + np.arange(big_t)[None, :]
-    return _scan(
-        "GASP_R",
-        ((r, np.concatenate([ap, gaps[r - 1]]), bp, [None], beta_s)
-         for r in range(1, min(big_k, big_t) + 1)),
-    )
+    ones = _runs(1, big_t)
+    for r in rs:
+        yield r, (1 << big_k) - 1 | _gap(ones, big_k, big_t, r) << kl, big_k, kl, ss
+
+
+def _dog_rs_chains(big_k: int, big_l: int, big_t: int):
+    """DOG_rs on stride K + r; s <= stride keeps every gap vector injective."""
+    ones = _runs(1, big_t)
+    for r in range(1, big_t + 1):
+        stride = big_k + r
+        yield (
+            r,
+            (1 << big_k) - 1 | _gap(ones, stride, big_t, r) << big_k,
+            stride,
+            stride * (big_l - 1) + big_k,
+            range(1, min(big_t, stride) + 1),
+        )
+
+
+def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
+    """GASP_r is GASP_rs with s = T (β_s = KL + [0, T)), r <= min(K, T)."""
+    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
+    chains = _gasp_rs_chains(big_k, big_l, big_t, range(1, min(big_k, big_t) + 1), (big_t,))
+    return replace(_scan("GASP_R", big_l, big_t, chains), s=None)
 
 
 def best_gasp_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
-    kl = big_k * big_l
-    ap = np.arange(big_k)
-    bp = big_k * np.arange(big_l)
-    gaps = kl + _gaps(big_t, big_k)
     # Admissible chain lengths: those whose gap vector has T distinct entries.
     # gap(T, K, r) repeats exactly when K < r < T: entries i = K and i = r are K.
     rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
-    beta_s = gaps[np.array(rs) - 1]
-    return _scan(
-        "GASP_RS",
-        ((r, np.concatenate([ap, gaps[r - 1]]), bp, rs, beta_s) for r in rs),
-    )
+    return _scan("GASP_RS", big_l, big_t, _gasp_rs_chains(big_k, big_l, big_t, rs, rs))
 
 
 def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    """DOG_rs on stride K + r; s <= stride keeps every gap vector injective."""
     big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
-    ap = np.arange(big_k)
-
-    def chains():
-        for r in range(1, big_t + 1):
-            stride = big_k + r
-            gaps = _gaps(big_t, stride)
-            n_s = min(big_t, stride)
-            yield (
-                r,
-                np.concatenate([ap, big_k + gaps[r - 1]]),
-                stride * np.arange(big_l),
-                range(1, n_s + 1),
-                stride * (big_l - 1) + big_k + gaps[:n_s],
-            )
-
-    return _scan("DOG_RS", chains())
+    return _scan("DOG_RS", big_l, big_t, _dog_rs_chains(big_k, big_l, big_t))
 
 
 def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:

@@ -197,6 +197,15 @@ class TestFlags:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    def test_l_range_in_k_equals_l_mode_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--mode", "KequalsL", "--K-range", "2..4", "--L-range", "9",
+            "--T-range", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--L-range" in err
+
 
 class TestSimulate:
     def test_cat_exact_match(self, capsys):

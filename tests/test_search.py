@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdmm import search
 from pdmm.degrees import (
     construct_cat_x,
     construct_dog_rs,
@@ -113,6 +114,62 @@ class TestAgainstBruteForce:
         for klt in ((big_k, big_l, big_t), (big_l, big_k, big_t)):
             got = (best_gasp_r(*klt), best_gasp_rs(*klt), best_dog_rs(*klt))
             assert got == expected
+
+
+def _counted(chains, big_l, big_t):
+    """{(r, s): N} from the bitset counter, with no skip bound."""
+    return {
+        (r, s): n
+        for r, *chain in chains
+        for s, n in search._counts(big_l, big_t, *chain)
+    }
+
+
+class TestCounter:
+    """Every per-(r, s) count, not only the argmin, against count_unique of
+    the built table. K and L are taken in both orders."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big_k=st.integers(2, 12),
+        big_l=st.integers(2, 12),
+        big_t=st.integers(2, 12),
+    )
+    @example(big_k=2, big_l=3, big_t=5)  # r = T > K: one chain wider than the stride
+    @example(big_k=12, big_l=2, big_t=12)  # every r admissible
+    def test_gasp_rs_counts_equal_count_unique(self, big_k, big_l, big_t):
+        def build(r, s):
+            return construct_gasp_rs(big_k, big_l, big_t, r, s)
+
+        # Admissible: the gap vector of width r has T distinct entries.
+        rs = [r for r in range(1, big_t + 1) if len(set(build(r, r).alpha_s)) == big_t]
+        got = _counted(search._gasp_rs_chains(big_k, big_l, big_t, rs, rs), big_l, big_t)
+        assert got == {(r, s): count_unique(build(r, s)) for r in rs for s in rs}
+        if big_t > big_k:
+            assert (big_t, big_t) in got
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big_k=st.integers(2, 12),
+        big_l=st.integers(2, 12),
+        big_t=st.integers(2, 12),
+    )
+    @example(big_k=2, big_l=3, big_t=6)  # s = K + r < T
+    @example(big_k=12, big_l=2, big_t=12)  # s = T < K + r
+    def test_dog_rs_counts_equal_count_unique(self, big_k, big_l, big_t):
+        got = _counted(search._dog_rs_chains(big_k, big_l, big_t), big_l, big_t)
+        assert got == {
+            (r, s): count_unique(construct_dog_rs(big_k, big_l, big_t, r, s))
+            for r in range(1, big_t + 1)
+            for s in range(1, min(big_t, big_k + r) + 1)
+        }
+
+    def test_bound_skips_a_chain_whose_left_set_is_large_enough(self):
+        _, *chain = next(search._dog_rs_chains(7, 7, 6))
+        dv = construct_dog_rs(7, 7, 6, 1, 1)
+        n_left = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p})
+        assert list(search._counts(7, 6, *chain, bound=n_left)) == []
+        assert [s for s, _ in search._counts(7, 6, *chain, bound=n_left + 1)] == [1, 2, 3, 4, 5, 6]
 
 
 class TestCatxChoice:
