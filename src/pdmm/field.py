@@ -1,7 +1,8 @@
-"""Exact arithmetic in prime fields F_p and discovery of roots of unity.
+"""Prime fields F_p: primality, primitive elements and roots of unity.
 
-Elements are plain Python ints in [0, p); the field association is carried
-by the :class:`PrimeField` performing the operation.
+A :class:`PrimeField` names p and a generator of its multiplicative group.
+Elements are plain Python ints or int64 arrays in [0, p); the code that uses
+them reduces mod p itself.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from math import isqrt
 
 
 class FieldError(Exception):
-    """Invalid field construction or undefined field operation."""
+    """Invalid field construction, or no field or element as requested."""
 
 
 # Witness set proving Miller-Rabin deterministic for all n < 3.3 * 10^24,
@@ -101,34 +102,6 @@ class PrimeField:
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         return cls(p, _primitive_root(p))
-
-    # -- arithmetic bundle -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise FieldError("division by zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def element(self, a: int) -> int:
-        """Canonical representative of a in [0, p)."""
-        return a % self.p
 
 
 def find_field(q: int, min_p: int = 0) -> PrimeField:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -163,22 +162,28 @@ LEVELS = ("structural", "exhaustive", "sampled")
 class SubmatrixCheck:
     """Outcome of the all-TxT-submatrices invertibility check.
 
-    status is 'verified_all', 'verified_sample', or 'found_singular';
-    witness holds the singular row subset when found. level says how the
-    status was reached: 'exhaustive' (the subsets in lexicographic order),
-    'sampled' (a seeded sample of them), or 'structural' (a proof from the
-    points, with no subset eliminated; checked is then C(n, t)). A sampled
-    pass is no proof, yet ok counts it as passing.
+    witness holds the first singular row subset, if one was found. level says
+    how the matrix was checked: 'exhaustive' (the subsets in lexicographic
+    order), 'sampled' (a seeded sample of them), or 'structural' (a proof from
+    the points, with no subset eliminated; checked is then C(n, t)). status is
+    read from the two: 'found_singular' when there is a witness, else
+    'verified_sample' for a sampled check, else 'verified_all'. A sampled pass
+    is no proof, yet ok counts it as passing.
     """
 
-    status: str
     witness: tuple[int, ...] | None
     checked: int
     level: str
 
     @property
+    def status(self) -> str:
+        if self.witness is not None:
+            return "found_singular"
+        return "verified_sample" if self.level == "sampled" else "verified_all"
+
+    @property
     def ok(self) -> bool:
-        return self.status in ("verified_all", "verified_sample")
+        return self.witness is None
 
 
 def _singular(a: np.ndarray, p: int) -> np.ndarray:
@@ -239,57 +244,35 @@ def _sampled_subsets(n: int, t: int, count: int, seed: int) -> np.ndarray:
 
 
 def all_txt_submatrices_invertible(
-    m: FieldMatrix | Iterable[FieldMatrix], t: int, budget: int = 100_000, seed: int = 0
+    m: FieldMatrix, t: int, budget: int = 100_000, seed: int = 0
 ) -> SubmatrixCheck:
-    """Check invertibility of every (or a seeded sample of) t-row submatrix.
+    """Check invertibility of every (or a seeded sample of) t-row submatrix
+    of the n x t matrix m.
 
-    m is one n x t matrix, or several n x t matrices pulled lazily from an
-    iterable. Exhaustive when C(n, t) <= budget, walking the subsets in
-    lexicographic order; otherwise a deterministic pseudorandom sample of
-    `budget` sorted subsets drawn from random.Random(seed), the same for
-    every matrix. Subsets are tested in chunks, alternating between the
-    matrices: chunk 1 of each matrix in turn, then chunk 2 of each, and so
-    on. A matrix is pulled just before its first chunk, so none is built
-    once an earlier chunk holds a singular subset.
-
-    The check stops at the first singular subset in that order and returns it
-    as the witness ('found_singular'; the witness does not say which matrix
-    it belongs to); checked counts the submatrices tested up to and including
-    it, over all matrices, which for one matrix is its 1-based position.
-    Otherwise every subset of every matrix has been tested, and checked is
-    C(n, t) ('verified_all') or `budget` ('verified_sample') per matrix.
+    Exhaustive when C(n, t) <= budget, walking the subsets in lexicographic
+    order; otherwise a deterministic pseudorandom sample of `budget` sorted
+    subsets drawn from random.Random(seed). Subsets are tested in chunks,
+    and the check stops at the first singular subset in that order and
+    returns it as the witness; checked is then its 1-based position.
+    Otherwise every subset has been tested, and checked is C(n, t)
+    (level 'exhaustive') or `budget` (level 'sampled').
     """
-    source = iter((m,) if isinstance(m, FieldMatrix) else m)
-    first = next(source, None)
-    if first is None:
-        raise ValueError("no matrix to check")
-    if first.cols != t:
-        raise ValueError(f"matrix has {first.cols} columns, expected t={t}")
-    n = first.rows
+    if m.cols != t:
+        raise ValueError(f"matrix has {m.cols} columns, expected t={t}")
+    n = m.rows
     if comb(n, t) <= budget:
-        status, level, subsets = "verified_all", "exhaustive", _combination_indices(n, t)
+        level, subsets = "exhaustive", _combination_indices(n, t)
     else:
-        status, level = "verified_sample", "sampled"
-        subsets = _sampled_subsets(n, t, budget, seed)
-    matrices: list[FieldMatrix] = []
-    checked = 0
+        level, subsets = "sampled", _sampled_subsets(n, t, budget, seed)
+    # Singularity is transpose-invariant, so each stack holds its submatrices
+    # transposed: entry [j, i, c] is row chunk[c, i], column j. np.take lays
+    # it out C-contiguous, the subsets innermost, where fancy indexing would
+    # leave the row operations strided.
+    transposed = m.data.T
     for start in range(0, len(subsets), _CHUNK):
         chunk = subsets[start : start + _CHUNK]
-        # The first round pulls each matrix just before its first chunk.
-        for mat in itertools.chain((first,), source) if not start else matrices:
-            if not start:
-                if mat.data.shape != (n, t):
-                    raise ValueError(f"matrix is {mat.rows}x{mat.cols}, expected {n}x{t}")
-                matrices.append(mat)
-            # Singularity is transpose-invariant, so the stack holds each
-            # submatrix transposed: entry [j, i, c] is row chunk[c, i], column
-            # j. np.take lays it out C-contiguous, the subsets innermost, where
-            # fancy indexing would leave the row operations strided.
-            stack = np.take(mat.data.T, chunk.T, axis=1)
-            bad = np.flatnonzero(_singular(stack, mat.field.p))
-            if bad.size:
-                i = int(bad[0])
-                witness = tuple(int(r) for r in chunk[i])
-                return SubmatrixCheck("found_singular", witness, checked + i + 1, level)
-            checked += len(chunk)
-    return SubmatrixCheck(status, None, checked, level)
+        bad = np.flatnonzero(_singular(np.take(transposed, chunk.T, axis=1), m.field.p))
+        if bad.size:
+            i = int(bad[0])
+            return SubmatrixCheck(tuple(int(r) for r in chunk[i]), start + i + 1, level)
+    return SubmatrixCheck(None, len(subsets), level)

@@ -177,7 +177,6 @@ class PartitionedMatrix:
     original_rows: int
     original_cols: int
     padding: int
-    axis: int  # 0: row-partitioned (A), 1: column-partitioned (B)
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,6 @@ class TaskPair:
 class Randomness:
     r_mats: tuple[np.ndarray, ...]
     s_mats: tuple[np.ndarray, ...]
-    seed: int
-    algorithm: str = "splitmix64"
 
 
 def _progression_side(rho, exps, modulus: int | None, p: int) -> bool | None:
@@ -267,10 +264,9 @@ def instantiate_degree_table(
     is decided first from its N nodes x^d (see _progression_side): a
     collision rejects the attempt, distinct nodes prove the side. The sides
     this does not decide have the T x T submatrices of their Vandermonde
-    matrices eliminated in one call, chunk by chunk, alternating between
-    the two sides, and the attempt ends at the first chunk that holds a
-    singular subset on either side; the beta_s matrix is built only once
-    alpha_s's first chunk passes. The decode matrix is tested last, only for
+    matrices eliminated one side at a time, alpha_s before beta_s, and the
+    attempt ends at the first singular subset; the beta_s matrix is built
+    only once alpha_s passes. The decode matrix is tested last, only for
     points that pass both mask checks. An eliminated side tests every T x T
     submatrix only when C(N, T) <= submatrix_budget; above that it tests a
     seeded sample of submatrix_budget of them, and a passing sample is
@@ -317,23 +313,21 @@ def instantiate_degree_table(
             if False in decided:
                 continue
             level = "structural"
-            undecided = [exps for exps, proven in zip(sides, decided) if proven is None]
-            if undecided:
-                masks = all_txt_submatrices_invertible(
-                    (vandermonde(rho, exps, fld) for exps in undecided),
-                    dv.t,
-                    submatrix_budget,
-                    seed,
-                )
-                if not masks.ok:
-                    continue
-                level = masks.level
-            if is_invertible(vandermonde(rho, qs.gamma, fld)):
-                meta["strategy"] = "random_search"
-                meta["seed"] = seed
-                meta["rng"] = "splitmix64"
-                meta["certificate"] = level
-                return PdmmScheme(dv, fld, rho, qs.gamma, family=family, params=meta)
+            for exps, proven in zip(sides, decided):
+                if proven is None:
+                    masks = all_txt_submatrices_invertible(
+                        vandermonde(rho, exps, fld), dv.t, submatrix_budget, seed
+                    )
+                    if not masks.ok:
+                        break
+                    level = masks.level
+            else:
+                if is_invertible(vandermonde(rho, qs.gamma, fld)):
+                    meta["strategy"] = "random_search"
+                    meta["seed"] = seed
+                    meta["rng"] = "splitmix64"
+                    meta["certificate"] = level
+                    return PdmmScheme(dv, fld, rho, qs.gamma, family=family, params=meta)
         fld = find_field(1, 2 * p)
     raise SchemeError(f"instantiation failed; attempted primes {attempted}")
 
@@ -351,7 +345,7 @@ def _partition(m: np.ndarray, parts: int, axis: int, name: str) -> PartitionedMa
     if padding:
         m = np.pad(m, [(0, padding if ax == axis else 0) for ax in (0, 1)])
     blocks = tuple(np.ascontiguousarray(b) for b in np.split(m, parts, axis=axis))
-    return PartitionedMatrix(blocks, rows, cols, padding, axis)
+    return PartitionedMatrix(blocks, rows, cols, padding)
 
 
 def partition_a(a: np.ndarray, big_k: int) -> PartitionedMatrix:
@@ -368,7 +362,7 @@ def draw_randomness(scheme: PdmmScheme, a_shape, b_shape, seed: int) -> Randomne
     t = scheme.t_privacy
     r_mats = tuple(rng.matrix(a_shape[0], a_shape[1], p) for _ in range(t))
     s_mats = tuple(rng.matrix(b_shape[0], b_shape[1], p) for _ in range(t))
-    return Randomness(r_mats, s_mats, seed)
+    return Randomness(r_mats, s_mats)
 
 
 def encode(
@@ -480,8 +474,8 @@ def verify_privacy_rank(
     """T x T submatrix invertibility of the two mask Vandermonde matrices.
 
     A side that _progression_side proves from the points is reported as
-    SubmatrixCheck('verified_all', None, C(N, T), 'structural') with no
-    subset eliminated; catx and every roots-of-unity scheme are proven so.
+    SubmatrixCheck(None, C(N, T), 'structural') with no subset eliminated;
+    catx and every roots-of-unity scheme are proven so.
     Any other side is checked by all_txt_submatrices_invertible with budget
     and seed, so a failing side keeps its witness.
     """
@@ -489,7 +483,7 @@ def verify_privacy_rank(
 
     def side(exps) -> SubmatrixCheck:
         if _progression_side(scheme.rho, exps, scheme.dv.modulus, p):
-            return SubmatrixCheck("verified_all", None, comb(n, t), "structural")
+            return SubmatrixCheck(None, comb(n, t), "structural")
         return all_txt_submatrices_invertible(
             vandermonde(scheme.rho, exps, scheme.field), t, budget, seed
         )

@@ -314,77 +314,3 @@ class TestSubmatrixCheck:
         assert got.dtype == np.uint8
         assert not got.flags.writeable
         assert _sampled_subsets(41, 4, 2500, 5) is got
-
-
-def pulled_from(matrices, log):
-    """Yield the named matrices in order, logging each name as it is pulled."""
-    for name, m in matrices:
-        log.append(name)
-        yield m
-
-
-class TestSeveralMatrixCheck:
-    """One check over several matrices with the same rows: chunk k of each
-    matrix in turn, then chunk k + 1 of each."""
-
-    N, T, P = 18, 4, 10007  # C(18, 4) = 3,060 subsets: three chunks
-
-    def side(self, dependent_rows, seed):
-        m = planted_dependencies(self.N, self.T, self.P, dependent_rows, seed)
-        subsets = list(combinations(range(self.N), self.T))
-        return m, subsets, singular_positions(m, subsets)
-
-    def clean(self):
-        """Distinct points: every T x T submatrix is invertible."""
-        return vandermonde(range(1, self.N + 1), range(self.T), PrimeField.of(self.P))
-
-    def test_witness_is_first_singular_subset_in_alternation_order(self):
-        # Both sides are singular first in chunk 2, B at the earlier position;
-        # A's chunk 2 is tested first, so A's subset is the witness.
-        a, subsets, sing_a = self.side([(3, 5, 7, 9)], seed=1)
-        b, _, sing_b = self.side([(1, 10, 12, 15)], seed=2)
-        assert _CHUNK < sing_b[0] < sing_a[0] <= 2 * _CHUNK
-        check = all_txt_submatrices_invertible([a, b], self.T)
-        assert check.status == "found_singular"
-        assert check.witness == subsets[sing_a[0] - 1]
-        # Chunk 1 of A and of B, then A's subsets up to the witness.
-        assert check.checked == _CHUNK + sing_a[0]
-
-    def test_earlier_chunk_on_the_second_side_wins(self):
-        a, subsets, sing_a = self.side([(4, 8, 12, 15)], seed=1)
-        b, _, sing_b = self.side([(1, 10, 12, 15)], seed=2)
-        assert 2 * _CHUNK < sing_a[0] and _CHUNK < sing_b[0] <= 2 * _CHUNK
-        check = all_txt_submatrices_invertible(iter([a, b]), self.T)
-        assert check.witness == subsets[sing_b[0] - 1]
-        # Chunk 1 of both sides, chunk 2 of A, then B's chunk 2 up to the witness.
-        assert check.checked == 2 * _CHUNK + sing_b[0]
-
-    def test_later_matrices_are_not_pulled_after_a_singular_chunk(self):
-        clean = self.clean()
-        a, subsets, sing_a = self.side([(0, 2, 9, 11)], seed=1)
-        assert sing_a[0] <= _CHUNK
-        log = []
-        check = all_txt_submatrices_invertible(pulled_from([("A", a), ("B", clean)], log), self.T)
-        assert log == ["A"]
-        assert check.witness == subsets[sing_a[0] - 1]
-        assert check.checked == sing_a[0]
-        log = []
-        check = all_txt_submatrices_invertible(
-            pulled_from([("A", clean), ("B", a), ("C", clean)], log), self.T
-        )
-        assert log == ["A", "B"]
-        assert check.checked == _CHUNK + sing_a[0]
-
-    def test_passing_check_counts_every_matrix(self):
-        clean = self.clean()
-        check = all_txt_submatrices_invertible([clean, clean], self.T)
-        assert (check.status, check.witness, check.checked) == ("verified_all", None, 2 * 3060)
-        check = all_txt_submatrices_invertible([clean, clean, clean], self.T, budget=1500, seed=2)
-        assert (check.status, check.checked) == ("verified_sample", 3 * 1500)
-
-    def test_rejects_mismatched_or_missing_matrices(self):
-        clean = self.clean()
-        with pytest.raises(ValueError):
-            all_txt_submatrices_invertible([clean, FieldMatrix(clean.data[:-1], clean.field)], self.T)
-        with pytest.raises(ValueError):
-            all_txt_submatrices_invertible([], self.T)

@@ -237,10 +237,11 @@ class TestInstantiateDegreeTable:
             construct_dog_rs(3, 3, 2, 1, 2),
             construct_gasp_rs(2, 2, 5, 2, 2),  # T >= 5
             construct_dog_rs(4, 3, 3, 1, 2),  # alpha_s (4, 9, 14), beta_s (14, 15, 19)
+            construct_dog_rs(2, 2, 3, 2, 2),  # alpha_s (2, 3, 6), beta_s (6, 7, 10): both eliminated
         ],
         ids=[
             "gasp-rs-3-3-3", "dog-rs-3-3-3", "dog-rs-4-3-3", "dog-rs-3-3-2", "gasp-rs-2-2-5",
-            "dog-rs-4-3-3-1-2",
+            "dog-rs-4-3-3-1-2", "dog-rs-2-2-3-2-2",
         ],
     )
     def test_random_search_matches_sequential_checks(self, dv, budget):
