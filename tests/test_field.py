@@ -32,6 +32,11 @@ class TestPrimeField:
         assert fld.generator == 2
         assert sorted(pow(2, e, 11) for e in range(10)) == list(range(1, 11))
 
+    @pytest.mark.parametrize("p", [2, 3, 13, 53, 101])
+    def test_generator_has_full_order(self, p):
+        fld = PrimeField.of(p)
+        assert {pow(fld.generator, e, p) for e in range(p - 1)} == set(range(1, p))
+
     def test_rejects_composite(self):
         with pytest.raises(FieldError):
             PrimeField.of(10)

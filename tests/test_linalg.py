@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -288,6 +289,20 @@ class TestSubmatrixCheck:
         assert check.status == "found_singular"
         assert check.witness == subsets[first - 1]
         assert check.checked == first
+
+    @pytest.mark.parametrize("position", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, comb(18, 4)])
+    def test_witness_position_at_chunk_edges(self, position):
+        # One planted singular subset at each edge of the 1024-subset chunks,
+        # the last of the C(18, 4) = 3,060 subsets included: checked is its
+        # 1-based position, so at the last subset it equals C(n, t).
+        n, t = 18, 4
+        subsets = list(combinations(range(n), t))
+        m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=7)
+        assert singular_positions(m, subsets) == [position]
+        check = all_txt_submatrices_invertible(m, t)
+        assert (check.status, check.level) == ("found_singular", "exhaustive")
+        assert check.witness == subsets[position - 1]
+        assert check.checked == position
 
     def test_sampled_witness_is_first_singular_draw(self):
         # Points 21 and 47 coincide, so every subset holding both is singular.

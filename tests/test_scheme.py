@@ -251,6 +251,50 @@ class TestInstantiateDegreeTable:
             )
             assert (scheme.field.p, scheme.rho) == sequential_random_search(dv, seed, budget)
 
+    @pytest.mark.parametrize(
+        "dv, eliminated",
+        [
+            (construct_dog_rs(2, 2, 3, 2, 2), ("alpha_s", "beta_s")),
+            (construct_gasp_rs(4, 4, 3, 1, 2), ("beta_s",)),  # alpha_s steps by 4
+        ],
+        ids=["dog-rs-2-2-3-2-2", "gasp-rs-4-4-3-1-2"],
+    )
+    def test_random_search_eliminates_one_side_per_call(self, dv, eliminated, monkeypatch):
+        # Every attempt builds and checks the first eliminated side's matrix;
+        # each later side's matrix is built and checked only once the one
+        # before it passed, and the decode matrix only once all of them did.
+        log = []
+        build, check = vandermonde, all_txt_submatrices_invertible
+
+        def logged_build(rho, exps, fld):
+            log.append(tuple(exps))
+            return build(rho, exps, fld)
+
+        def logged_check(m, *args):
+            result = check(m, *args)
+            log.append(result.ok)
+            return result
+
+        monkeypatch.setattr("pdmm.scheme.vandermonde", logged_build)
+        monkeypatch.setattr("pdmm.scheme.all_txt_submatrices_invertible", logged_check)
+        sides = [getattr(dv, side) for side in eliminated]
+        gamma = quadrants(dv).gamma
+        for seed in range(4):
+            log.clear()
+            instantiate_degree_table(dv, "random_search", seed=seed)
+            assert False in log  # some attempts were rejected by a check
+            i = 0
+            while i < len(log):
+                for exps in sides:
+                    assert log[i] == exps and isinstance(log[i + 1], bool)
+                    passed, i = log[i + 1], i + 2
+                    if not passed:
+                        break
+                else:
+                    assert log[i] == gamma
+                    i += 1
+            assert log[-1] == gamma
+
     @pytest.mark.parametrize("budget, moved", [(100_000, ()), (300, (0, 3))])
     def test_random_search_decides_progression_sides_exactly(self, budget, moved):
         # alpha_s = (16, 20, 24) steps by 4, so its nodes x^4 collide for
