@@ -2,7 +2,10 @@
 
 Matrices are numpy int64 arrays reduced mod p; all elimination and every
 product is exact. The field must keep products of two residues inside int64,
-so p is at most isqrt(2^63 - 1) = 3,037,000,499.
+so p is at most isqrt(2^63 - 1) = 3,037,000,499. One elimination, the
+division-free forward pass _singular on (t, t+m, M) stacks, serves the
+batched T x T submatrix checks, is_invertible, and solve, which
+back-substitutes on the upper triangular system it leaves.
 """
 
 from __future__ import annotations
@@ -107,50 +110,65 @@ def vandermonde(points, exponents, field: PrimeField) -> FieldMatrix:
     return FieldMatrix(np.array(rows, dtype=np.int64), field)
 
 
-def _echelon(aug: np.ndarray, p: int, pivot_cols: int | None = None) -> int:
-    """In-place Gauss-Jordan elimination with first-nonzero pivoting over the
-    first `pivot_cols` columns (all by default); returns rank."""
-    n_rows, n_cols = aug.shape
-    rank_ = 0
-    for col in range(n_cols if pivot_cols is None else pivot_cols):
-        if rank_ == n_rows:
-            break
-        nz = np.nonzero(aug[rank_:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot_row = rank_ + int(nz[0])
-        if pivot_row != rank_:
-            aug[[rank_, pivot_row]] = aug[[pivot_row, rank_]]
-        inv = pow(int(aug[rank_, col]), p - 2, p)
-        aug[rank_] = aug[rank_] * inv % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != rank_]
-        if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[rank_])) % p
-        rank_ += 1
-    return rank_
+def _singular(a: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (t, t+m, M) stack of residues mod p are singular
+    in their first t columns, for any t and m >= 0. Overwrites the stack.
 
-
-def rank(m: FieldMatrix) -> int:
-    return _echelon(m.data.copy(), m.field.p)
+    Division-free elimination, as in Bareiss' fraction-free method but without
+    its exact division, which mod p is not needed: each step multiplies the
+    rows below the pivot by the pivot and subtracts a multiple of the pivot
+    row, so no inverses are needed and every product stays below p^2.
+    A zero pivot is replaced by adding the first row below with a nonzero
+    entry in its column, which keeps the determinant. If a column has no
+    nonzero entry left, every later row becomes zero; so a matrix is singular
+    exactly when its last diagonal entry ends at zero. Row operations span
+    all t+m columns, so a regular matrix leaves an equivalent upper
+    triangular system [U | c]: row k is exact from column k on, and the
+    entries below the diagonal are stale, never zeroed. A 0 x 0 matrix is
+    regular.
+    """
+    t = a.shape[0]
+    if t == 0:
+        return np.zeros(a.shape[2], dtype=bool)
+    for k in range(t - 1):
+        zero = np.flatnonzero(a[k, k] == 0)
+        if zero.size:
+            below = a[k + 1 :, k, zero] != 0
+            has = below.any(axis=0)
+            cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
+            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % p
+        rest = a[k + 1 :, k + 1 :]
+        rest *= a[k, k]
+        rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
+        rest %= p
+    return a[t - 1, t - 1] == 0
 
 
 def is_invertible(m: FieldMatrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
+    return m.rows == m.cols and not _singular(m.data[:, :, None].copy(), m.field.p)[0]
 
 
 def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
-    """Solve M X = rhs by Gauss-Jordan elimination; M must be square and regular."""
+    """Solve M X = rhs; M must be square and regular.
+
+    _singular's forward pass on [M | rhs] leaves an equivalent upper
+    triangular system, solved from the last row up with one inverse per
+    pivot. Only the entries on and above the diagonal are read: those below
+    are stale.
+    """
     if m.rows != m.cols:
         raise SingularMatrixError(f"matrix is {m.rows}x{m.cols}, not square")
     if m.rows != rhs.rows:
         raise ValueError("rhs row count does not match matrix dimension")
-    n = m.rows
-    aug = np.concatenate([m.data, rhs.data], axis=1)
-    r = _echelon(aug, m.field.p, pivot_cols=n)
-    if r < n:
-        raise SingularMatrixError(f"matrix has rank {r} < {n}")
-    return FieldMatrix(aug[:, n:], m.field)
+    n, p = m.rows, m.field.p
+    aug = np.concatenate([m.data, rhs.data], axis=1)[:, :, None]
+    if _singular(aug, p)[0]:
+        raise SingularMatrixError(f"{n}x{n} matrix is singular")
+    u, x = aug[:, :n, 0], aug[:, n:, 0]
+    for k in range(n - 1, -1, -1):
+        x[k] = x[k] * pow(int(u[k, k]), p - 2, p) % p
+        x[:k] = (x[:k] - u[:k, k, None] * x[k]) % p
+    return FieldMatrix(x, m.field)
 
 
 # Certification levels of a T x T check, strongest first: decided from the
@@ -184,34 +202,6 @@ class SubmatrixCheck:
     @property
     def ok(self) -> bool:
         return self.witness is None
-
-
-def _singular(a: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of a (t, t, M) stack of residues mod p are singular, for
-    any t. Overwrites the stack.
-
-    Division-free elimination, as in Bareiss' fraction-free method but without
-    its exact division, which mod p is not needed: each step multiplies the
-    rows below the pivot by the pivot and subtracts a multiple of the pivot
-    row, so no inverses are needed and every product stays below p^2.
-    A zero pivot is replaced by adding the first row below with a nonzero
-    entry in its column, which keeps the determinant. If a column has no
-    nonzero entry left, every later row becomes zero; so a matrix is singular
-    exactly when its last diagonal entry ends at zero.
-    """
-    t = a.shape[0]
-    for k in range(t - 1):
-        zero = np.flatnonzero(a[k, k] == 0)
-        if zero.size:
-            below = a[k + 1 :, k, zero] != 0
-            has = below.any(axis=0)
-            cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
-            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % p
-        rest = a[k + 1 :, k + 1 :]
-        rest *= a[k, k]
-        rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
-        rest %= p
-    return a[t - 1, t - 1] == 0
 
 
 # Row subsets are checked in chunks so that a singular subset ends the check

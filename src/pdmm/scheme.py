@@ -52,11 +52,7 @@ _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111E
 
 
 class SplitMix64:
-    """Portable seeded generator (splitmix64); used for all scheme randomness.
-
-    The algorithm identifier is recorded in scheme reports so fixtures can be
-    reproduced independently of the host library.
-    """
+    """Portable seeded generator (splitmix64); used for all scheme randomness."""
 
     MASK = (1 << 64) - 1
 
@@ -291,7 +287,6 @@ def instantiate_degree_table(
                 "roots_of_unity strategy needs both mask degree vectors to be "
                 "arithmetic progressions"
             )
-        meta["strategy"] = "roots_of_unity"
         meta["q"] = q
         return _on_roots_of_unity(dv, qs, q, min_p, family, meta)
 
@@ -323,9 +318,6 @@ def instantiate_degree_table(
                     level = masks.level
             else:
                 if is_invertible(vandermonde(rho, qs.gamma, fld)):
-                    meta["strategy"] = "random_search"
-                    meta["seed"] = seed
-                    meta["rng"] = "splitmix64"
                     meta["certificate"] = level
                     return PdmmScheme(dv, fld, rho, qs.gamma, family=family, params=meta)
         fld = find_field(1, 2 * p)

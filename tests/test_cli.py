@@ -339,7 +339,9 @@ class TestGoldenOutputs:
     """Byte-for-byte CLI output. The sweeps and searches are those of the
     exhaustive (r, s) scan that the per-r bitmap scan replaced; construct and
     validate are those of the set-based quadrants and the two validators
-    that the one addition table replaced."""
+    that the one addition table replaced. The simulate runs pin the field,
+    the decode and the certificate line; they are those of the Gauss-Jordan
+    solve that the one forward elimination replaced."""
 
     @pytest.mark.parametrize(
         "name,argv,code",
@@ -356,6 +358,15 @@ class TestGoldenOutputs:
              ("search", "-K", "120", "-L", "80", "-T", "60", "--format", "json"), 0),
             ("search_60-60-40.json",
              ("search", "-K", "60", "-L", "60", "-T", "40", "--format", "json"), 0),
+            ("simulate_catx-2-2-2-seed7.txt",
+             ("simulate", "--family", "catx", "-K", "2", "-L", "2", "-T", "2",
+              "--dims", "4x4x4", "--seed", "7"), 0),
+            ("simulate_gasp-small-3-3-3.txt",
+             ("simulate", "--family", "gasp-small", "-K", "3", "-L", "3", "-T", "3",
+              "--dims", "6x6x6"), 0),
+            ("simulate_dog-rs-2-2-3-r2-s2.txt",
+             ("simulate", "--family", "dog-rs", "-K", "2", "-L", "2", "-T", "3",
+              "-r", "2", "-s", "2", "--dims", "6x6x6"), 0),
         ]
         + [
             (f"{command}_{table}.{EXTENSIONS[fmt]}", (command, *TABLES[table], "--format", fmt), 0)

@@ -20,7 +20,6 @@ from pdmm.linalg import (
     all_txt_submatrices_invertible,
     is_invertible,
     matmul_mod,
-    rank,
     solve,
     vandermonde,
 )
@@ -57,12 +56,32 @@ def planted_dependencies(n, t, p, dependent_rows, seed):
     return FieldMatrix(data, PrimeField.of(p))
 
 
+def det_mod(m, p):
+    """Reference determinant mod p by Gaussian elimination on Python ints."""
+    a = [[int(v) % p for v in row] for row in m]
+    t, det = len(a), 1
+    for k in range(t):
+        pivot = next((i for i in range(k, t) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], p - 2, p)
+        for i in range(k + 1, t):
+            f = a[i][k] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return det % p
+
+
 def singular_positions(m, subsets):
-    """1-based positions of the singular t x t submatrices, by rank."""
+    """1-based positions of the singular t x t submatrices, by determinant."""
     return [
         i + 1
         for i, rows in enumerate(subsets)
-        if rank(FieldMatrix(m.data[list(rows)], m.field)) < m.cols
+        if det_mod(m.data[list(rows)], m.field.p) == 0
     ]
 
 
@@ -161,9 +180,10 @@ class TestVandermonde:
 
 class TestRankSolve:
     def test_rank_fixtures(self):
-        assert rank(FieldMatrix(np.array([[1, 2], [2, 4]]), F11)) == 1
-        assert rank(FieldMatrix(np.array([[1, 2], [2, 5]]), F11)) == 2
-        assert rank(FieldMatrix(np.zeros((3, 3), dtype=int), F11)) == 0
+        # Ranks 1, 2 and 0: only the full-rank matrix is invertible.
+        assert not is_invertible(FieldMatrix(np.array([[1, 2], [2, 4]]), F11))
+        assert is_invertible(FieldMatrix(np.array([[1, 2], [2, 5]]), F11))
+        assert not is_invertible(FieldMatrix(np.zeros((3, 3), dtype=int), F11))
 
     def test_standard_vandermonde_invertible(self):
         assert is_invertible(vandermonde((1, 2, 3, 4), (0, 1, 2, 3), F53))
@@ -196,6 +216,107 @@ class TestRankSolve:
             solve(m, FieldMatrix(np.array([[1], [2]]), F11))
 
 
+SOLVE_PRIMES = [2, 11, P_NEAR_LIMIT]
+
+
+def regular_matrix(n, p, rng):
+    """Random regular n x n matrix mod p: a row permutation of L U with L
+    unit lower and U upper triangular with nonzero diagonal."""
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+    m = (lower.astype(object) @ upper.astype(object)) % p
+    return m[rng.permutation(n)].astype(np.int64)
+
+
+def anti_triangular(n, p, rng):
+    """Regular n x n matrix mod p that is zero above its anti-diagonal, so
+    that the forward pass meets a zero pivot, and repairs it by a row
+    addition, at each of its first n // 2 steps."""
+    m = np.fliplr(np.tril(rng.integers(0, p, (n, n)), -1))
+    return m + np.fliplr(np.diag(rng.integers(1, p, n)))
+
+
+def assert_solves(m, rhs, x, p):
+    """m x == rhs mod p, in Python ints, with x reduced."""
+    assert x.shape == rhs.shape
+    assert ((0 <= x) & (x < p)).all()
+    got = (m.astype(object) @ x.astype(object)) % p
+    assert got.tolist() == (rhs.astype(object) % p).tolist()
+
+
+class TestSharedElimination:
+    """is_invertible and solve on _singular's forward pass, against Python
+    int references, at the smallest prime, a small one and the largest
+    admissible one."""
+
+    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_solve_multi_column_rhs(self, p, n):
+        rng = np.random.default_rng(n)
+        fld = PrimeField.of(p)
+        m = regular_matrix(n, p, rng)
+        rhs = rng.integers(0, p, (n, 3))
+        assert is_invertible(FieldMatrix(m, fld))
+        x = solve(FieldMatrix(m, fld), FieldMatrix(rhs, fld))
+        assert_solves(m, rhs, x.data, p)
+
+    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_zero_leading_pivots(self, p, n):
+        rng = np.random.default_rng(100 + n)
+        fld = PrimeField.of(p)
+        m = anti_triangular(n, p, rng)
+        assert m[0, 0] == 0 and det_mod(m, p) != 0
+        assert is_invertible(FieldMatrix(m, fld))
+        x = solve(FieldMatrix(m, fld), FieldMatrix(np.eye(n, dtype=np.int64), fld))
+        assert_solves(m, np.eye(n, dtype=np.int64), x.data, p)
+
+    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    def test_is_invertible_matches_determinant(self, p):
+        rng = np.random.default_rng(p % 1000)
+        fld = PrimeField.of(p)
+        outcomes = set()
+        for trial in range(120):
+            n = 1 + trial % 9
+            m = rng.integers(0, p, (n, n)) * (rng.random((n, n)) < 0.6)
+            if trial % 4 == 0 and n > 1:
+                m[-1] = m[0] * rng.integers(0, p) % p
+            want = det_mod(m, p) != 0
+            assert is_invertible(FieldMatrix(m, fld)) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_singular_raises(self, p, n):
+        rng = np.random.default_rng(200 + n)
+        fld = PrimeField.of(p)
+        dependent = regular_matrix(n, p, rng)
+        coeffs = rng.integers(0, p, n - 1).astype(object)
+        dependent[-1] = (coeffs @ dependent[:-1].astype(object)) % p
+        zero_column = regular_matrix(n, p, rng)
+        zero_column[:, n // 2] = 0
+        for m in (dependent, zero_column, anti_triangular(n, p, rng) * (np.arange(n) != 0)):
+            assert det_mod(m, p) == 0
+            assert not is_invertible(FieldMatrix(m, fld))
+            with pytest.raises(SingularMatrixError):
+                solve(FieldMatrix(m, fld), FieldMatrix(rng.integers(0, p, (n, 2)), fld))
+
+    def test_empty_matrix_is_regular(self):
+        empty = FieldMatrix(np.zeros((0, 0), dtype=np.int64), F11)
+        assert is_invertible(empty)
+        assert solve(empty, FieldMatrix(np.zeros((0, 2), dtype=np.int64), F11)).data.shape == (0, 2)
+
+    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (40, 39)])
+    def test_non_square_is_singular(self, p, shape):
+        fld = PrimeField.of(p)
+        m = FieldMatrix(np.ones(shape, dtype=np.int64), fld)
+        assert not is_invertible(m)
+        with pytest.raises(SingularMatrixError):
+            solve(m, FieldMatrix(np.ones((shape[0], 1), dtype=np.int64), fld))
+
+
 def singular_stack(t, p, seed):
     """(t, t, M) stack of random matrices mod p in which every third has its
     last row a multiple of its first, and every seventh a zero first column."""
@@ -221,12 +342,11 @@ class TestBatchDets:
             assert 0 < singular.sum() < len(singular)
 
     def test_zero_iff_rank_deficient(self):
-        fld = PrimeField.of(101)
         rng = np.random.default_rng(9)
         stack = rng.integers(0, 101, (4, 4, 100)).astype(np.int64)
         stack[3, :, ::3] = stack[0, :, ::3]  # force repeated rows in every third one
         for m, s in zip(stack.transpose(2, 0, 1), _singular(stack.copy(), 101)):
-            assert s == (rank(FieldMatrix(m, fld)) < 4)
+            assert s == (det_mod(m, 101) == 0)
 
 
 class TestSubmatrixCheck:
