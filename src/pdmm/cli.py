@@ -154,13 +154,7 @@ def cmd_validate(args) -> int:
 def _instantiate(family, dv, params, seed, min_p):
     if family == "catx":
         return instantiate_cat(dv, min_p=min_p, params=params)
-    if family in ("gasp-small", "gasp-big"):
-        return instantiate_degree_table(
-            dv, "roots_of_unity", seed=seed, min_p=min_p, family=family, params=params
-        )
-    return instantiate_degree_table(
-        dv, "random_search", seed=seed, min_p=min_p, family=family, params=params
-    )
+    return instantiate_degree_table(dv, seed=seed, min_p=min_p, family=family, params=params)
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -3,10 +3,10 @@
 Constructs the four families of degree tables (GASP_r, GASP_rs, DOG_rs over
 the integers; CAT_x with addition modulo q). Both kinds share one addition
 table (addition_table), from which their unique entries are counted and one
-validator checks the decodability/privacy conditions. One rule (root_order)
-decides which tables take consecutive powers of a root of unity as
-evaluation points. Exponents and moduli stay below 2^62, so that every sum
-of two fits int64.
+validator checks the decodability/privacy conditions; for a cyclic table,
+condition IV is the rule (root_order) under which consecutive powers of a
+root of unity serve as evaluation points. Exponents and moduli stay below
+2^62, so that every sum of two fits int64.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def table_from_dict(doc: dict) -> DegreeVectors:
     """The degree table of a table or scheme document.
 
     The table is cyclic, mod doc["q"], when its family is catx, or when the
-    document has no family key but an omega key. A GASP scheme on roots of
-    unity also records q and omega, but its table is integer.
+    document has no family key but an omega key. A scheme on an integer
+    table records q and omega too, yet its table is integer.
     """
     cyclic = doc.get("family") == "catx" or ("family" not in doc and "omega" in doc)
     return DegreeVectors(
@@ -315,24 +315,20 @@ def _step(vec: tuple[int, ...], modulus: int | None) -> int | None:
 
 
 def root_order(dv: DegreeVectors, n: int) -> int | None:
-    """The order q of an element omega whose consecutive powers omega^0 ..
-    omega^(n-1), as the n evaluation points, make every T x T mask submatrix
-    invertible; None when this rule does not certify the table.
+    """The modulus q of a cyclic table when the consecutive powers omega^0 ..
+    omega^(n-1) of an element omega of order q, as the n evaluation points,
+    make every T x T mask submatrix invertible; None when this rule does not
+    certify the table. Integer tables are refused: their points come from
+    the scan of scheme.instantiate_degree_table.
 
-    Both mask vectors must be arithmetic progressions c + d*i (mod q for a
-    cyclic table, over the integers otherwise) with each step d coprime to q,
-    and q >= n. Then every T x T submatrix is diag(omega^(w*c)) times a
-    Vandermonde matrix in the distinct nodes omega^(w*d). A cyclic table has
-    q = its modulus. An integer table has the smallest q above its largest
-    entry that is coprime to both steps, so its sums stay distinct mod q.
+    Both mask vectors must be arithmetic progressions c + d*i mod q with
+    each step d coprime to q, and q >= n. Then every T x T submatrix is
+    diag(omega^(w*c)) times a Vandermonde matrix in the nodes omega^(w*d).
     """
+    if dv.modulus is None:
+        raise ParameterError("root_order expects a cyclic table (modulus present)")
     steps = (_step(dv.alpha_s, dv.modulus), _step(dv.beta_s, dv.modulus))
     if None in steps or 0 in steps:
         return None
-    step = steps[0] * steps[1]  # q is coprime to both steps iff to their product
     q = dv.modulus
-    if q is None:
-        q = max(dv.alpha_p + dv.alpha_s) + max(dv.beta_p + dv.beta_s) + 1
-        while gcd(q, step) != 1:
-            q += 1
-    return q if q >= n and gcd(q, step) == 1 else None
+    return q if q >= n and gcd(q, steps[0] * steps[1]) == 1 else None

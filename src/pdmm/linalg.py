@@ -205,15 +205,16 @@ class SubmatrixCheck:
 
 
 # Row subsets are checked in chunks so that a singular subset ends the check
-# without enumerating or testing the rest.
-_CHUNK = 1024
+# without enumerating or testing the rest. The first chunk is smaller, since
+# a matrix with a singular subset most often shows one early.
+_FIRST_CHUNK, _CHUNK = 256, 1024
 
 
 @lru_cache(maxsize=8)
 def _combination_indices(n: int, t: int) -> np.ndarray:
     """All C(n, t) row subsets in lexicographic order, shared and read-only."""
-    idx = np.array(list(itertools.combinations(range(n), t)), dtype=np.intp)
-    idx = idx.reshape(-1, t)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
+    idx = np.fromiter(flat, dtype=np.intp, count=comb(n, t) * t).reshape(-1, t)
     idx.flags.writeable = False
     return idx
 
@@ -259,10 +260,12 @@ def all_txt_submatrices_invertible(
     # it out C-contiguous, the subsets innermost, where fancy indexing would
     # leave the row operations strided.
     transposed = m.data.T
-    for start in range(0, len(subsets), _CHUNK):
-        chunk = subsets[start : start + _CHUNK]
+    start, size = 0, _FIRST_CHUNK
+    while start < len(subsets):
+        chunk = subsets[start : start + size]
         bad = np.flatnonzero(_singular(np.take(transposed, chunk.T, axis=1), m.field.p))
         if bad.size:
             i = int(bad[0])
             return SubmatrixCheck(tuple(int(r) for r in chunk[i]), start + i + 1, level)
+        start, size = start + size, _CHUNK
     return SubmatrixCheck(None, len(subsets), level)

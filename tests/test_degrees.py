@@ -260,15 +260,17 @@ class TestRootOrder:
     def test_cyclic_table_takes_its_modulus(self):
         assert root_order(construct_cat_x(2, 2, 2, 1), 10) == 10
 
-    def test_integer_table_skips_values_sharing_a_step_factor(self):
-        # Largest entry 11; the alpha_s step 2 rules out 12.
-        assert root_order(construct_gasp_r(2, 2, 2, 1), 11) == 13
+    def test_refuses_integer_tables(self):
+        # Integer tables take their points from instantiate_degree_table's scan.
+        with pytest.raises(ParameterError, match="cyclic"):
+            root_order(construct_gasp_r(2, 2, 2, 1), 11)
 
     def test_non_progression(self):
-        # alpha_s = 16 + (0, 1, 4, 5): two chains of length 2.
-        assert root_order(construct_gasp_r(4, 4, 4, 2), 36) is None
+        # alpha_s = (1, 2, 4): steps 1 and 2.
+        dv = DegreeVectors((0, 3), (1, 2, 4), (0, 1), (6, 7, 8), modulus=10)
+        assert root_order(dv, 8) is None
 
-    @pytest.mark.parametrize("modulus", [None, 10])
+    @pytest.mark.parametrize("modulus", [10, 12])
     def test_zero_step(self, modulus):
         dv = DegreeVectors((0, 3), (1, 1), (0, 1), (7, 8), modulus=modulus)
         assert root_order(dv, 4) is None
@@ -281,7 +283,7 @@ class TestRootOrder:
         assert root_order(construct_cat_x(2, 2, 2, 1), 11) is None
 
     def test_single_mask_entry_is_a_progression(self):
-        assert root_order(DegreeVectors((0, 1), (4,), (0, 2), (5,)), 8) == 10
+        assert root_order(DegreeVectors((0, 1), (4,), (0, 2), (5,), modulus=10), 8) == 10
 
 
 class TestDegreeVectorsInvariants:

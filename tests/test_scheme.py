@@ -2,7 +2,7 @@
 
 import itertools
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,12 +19,12 @@ from pdmm.degrees import (
     construct_gasp_r,
     construct_gasp_rs,
     quadrants,
-    root_order,
     table_from_dict,
     validate_degree_table,
 )
-from pdmm.field import FieldError, PrimeField, element_of_order, find_field, is_prime
+from pdmm.field import FieldError, PrimeField
 from pdmm.linalg import all_txt_submatrices_invertible, is_invertible, vandermonde
+import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
     _enumerate_side,
@@ -93,12 +93,6 @@ class TestSplitMix64:
         g.matrix(4, 6, n)
         assert g.state != (3 + 24 * _GAMMA) & SplitMix64.MASK
 
-    def test_sample_distinct(self):
-        vals = SplitMix64(1).sample_distinct(1, 12, 11)
-        assert sorted(vals) == list(range(1, 12))
-        with pytest.raises(ValueError):
-            SplitMix64(1).sample_distinct(0, 3, 4)
-
 
 class TestInstantiateCat:
     def test_2_2_2_fixture(self, cat222):
@@ -124,28 +118,9 @@ class TestInstantiateCat:
             instantiate_cat(bad)
 
 
-def gasp_shape_roots_of_unity(dv):
-    """The roots_of_unity strategy as it was before degrees.root_order: only
-    GASP small/big tables, q the first value above the largest table entry
-    coprime to both mask steps. Returns (q, p, omega, rho), or None."""
-    big_k, big_l, big_t = dv.k, dv.l, dv.t
-    shapes = {1, min(big_k, big_t)}
-    if big_k < big_l or all(dv != construct_gasp_r(big_k, big_l, big_t, r) for r in shapes):
-        return None
-    qs = quadrants(dv)
-    q = max(qs.gamma) + 1
-    step_a = dv.alpha_s[1] - dv.alpha_s[0] if dv.t > 1 else 1
-    step_b = dv.beta_s[1] - dv.beta_s[0] if dv.t > 1 else 1
-    while gcd(q, step_a) != 1 or gcd(q, step_b) != 1:
-        q += 1
-    fld = find_field(q)
-    omega = element_of_order(fld, q)
-    return q, fld.p, omega, tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
-
-
 def progression_tables():
-    """Every distinct valid gasp-rs and dog-rs table on K, L, T <= 5 that
-    root_order admits, with C(N, T) <= 10^5 so that its checks are exhaustive."""
+    """Every distinct valid gasp-rs and dog-rs table on K, L, T <= 5 whose
+    two mask vectors are arithmetic progressions, with C(N, T) <= 10^5."""
     tables = {}
     for big_k, big_l, big_t in itertools.product(range(2, 6), repeat=3):
         for r, s in itertools.product(range(1, big_t + 1), repeat=2):
@@ -157,7 +132,8 @@ def progression_tables():
                 n = quadrants(dv).n_unique
                 if (
                     validate_degree_table(dv).valid
-                    and root_order(dv, n) is not None
+                    and _step(dv.alpha_s, None) is not None
+                    and _step(dv.beta_s, None) is not None
                     and comb(n, big_t) <= 100_000
                 ):
                     tables.setdefault(dv, f"{family}-{big_k}-{big_l}-{big_t}-{r}-{s}")
@@ -165,40 +141,36 @@ def progression_tables():
 
 
 class TestInstantiateDegreeTable:
-    def test_roots_of_unity_gasp_small(self):
-        scheme = instantiate_degree_table(
-            construct_gasp_r(2, 2, 2, 1), "roots_of_unity"
-        )
-        # Largest table entry is 11; 12 shares a factor with the mask step.
-        assert scheme.params["q"] == 13
-        assert scheme.field.p == 53
-        assert scheme.n_workers == 11
-
     def test_roots_of_unity_gasp_big(self):
         scheme = instantiate_degree_table(
             construct_gasp_r(3, 3, 3, 3), "roots_of_unity"
         )
         assert scheme.n_workers == len(set(scheme.rho))
 
-    def test_roots_of_unity_rejects_other_shapes(self):
-        with pytest.raises(SchemeError):
-            instantiate_degree_table(construct_gasp_r(4, 4, 4, 2), "roots_of_unity")
+    @pytest.mark.parametrize(
+        "dv",
+        [
+            construct_gasp_r(4, 4, 4, 2),  # alpha_s 16 + (0, 1, 4, 5): no progression
+            construct_gasp_r(5, 3, 4, 4),
+            construct_dog_rs(3, 3, 3, 1, 2),
+            construct_gasp_rs(2, 2, 5, 2, 2),
+        ],
+        ids=["gasp-r-4-4-4-2", "gasp-big-5-3-4", "dog-rs-3-3-3-1-2", "gasp-rs-2-2-5-2-2"],
+    )
+    def test_strategy_names_alias_the_scan(self, dv):
+        def result(scheme):
+            return scheme.field.p, scheme.omega, scheme.rho, scheme.params
 
-    def test_roots_of_unity_matches_the_gasp_shape_rule(self):
-        for big_k in range(2, 9):
-            for big_l in range(2, big_k + 1):
-                for big_t in range(2, 9):
-                    for r in {1, min(big_k, big_t)}:
-                        dv = construct_gasp_r(big_k, big_l, big_t, r)
-                        scheme = instantiate_degree_table(dv, "roots_of_unity")
-                        got = (scheme.params["q"], scheme.field.p, scheme.omega, scheme.rho)
-                        assert got == gasp_shape_roots_of_unity(dv), (big_k, big_l, big_t, r)
+        default = result(instantiate_degree_table(dv))
+        assert result(instantiate_degree_table(dv, "roots_of_unity")) == default
+        assert result(instantiate_degree_table(dv, "random_search", seed=5)) == default
 
     @pytest.mark.parametrize("dv", progression_tables())
     def test_roots_of_unity_certifies_progression_tables(self, dv):
         scheme = instantiate_degree_table(dv, "roots_of_unity")
         report = verify_privacy_rank(scheme)
         assert (report.a_check.status, report.b_check.status) == ("verified_all",) * 2
+        assert report.level == scheme.params["certificate"] == "structural"
         assert is_invertible(vandermonde(scheme.rho, scheme.gamma, scheme.field))
 
     def test_random_search_small_gasp(self):
@@ -215,42 +187,6 @@ class TestInstantiateDegreeTable:
         b = instantiate_degree_table(dv, "random_search", seed=4)
         assert a.rho == b.rho and a.field.p == b.field.p
 
-    def test_random_search_seeded_output_is_pinned(self):
-        # About 200 submatrix checks, most rejected, precede the accepted
-        # attempt; any change in which attempt is accepted changes p or rho.
-        scheme = instantiate_degree_table(
-            construct_dog_rs(3, 3, 3, 1, 2), "random_search", seed=0
-        )
-        assert scheme.field.p == 1049
-        assert scheme.rho == (
-            824, 888, 1039, 490, 863, 1045, 333, 441, 781, 904, 25, 1001,
-            737, 613, 426, 212, 893, 272, 546, 689, 483, 189, 131,
-        )
-
-    @pytest.mark.parametrize("budget", [100_000, 300])  # 300: the sampled path
-    @pytest.mark.parametrize(
-        "dv",
-        [
-            construct_gasp_rs(3, 3, 3, 2, 3),
-            construct_dog_rs(3, 3, 3, 1, 2),
-            construct_dog_rs(4, 3, 3, 1, 3),
-            construct_dog_rs(3, 3, 2, 1, 2),
-            construct_gasp_rs(2, 2, 5, 2, 2),  # T >= 5
-            construct_dog_rs(4, 3, 3, 1, 2),  # alpha_s (4, 9, 14), beta_s (14, 15, 19)
-            construct_dog_rs(2, 2, 3, 2, 2),  # alpha_s (2, 3, 6), beta_s (6, 7, 10): both eliminated
-        ],
-        ids=[
-            "gasp-rs-3-3-3", "dog-rs-3-3-3", "dog-rs-4-3-3", "dog-rs-3-3-2", "gasp-rs-2-2-5",
-            "dog-rs-4-3-3-1-2", "dog-rs-2-2-3-2-2",
-        ],
-    )
-    def test_random_search_matches_sequential_checks(self, dv, budget):
-        for seed in range(4):
-            scheme = instantiate_degree_table(
-                dv, "random_search", seed=seed, submatrix_budget=budget
-            )
-            assert (scheme.field.p, scheme.rho) == sequential_random_search(dv, seed, budget)
-
     @pytest.mark.parametrize(
         "dv, eliminated",
         [
@@ -259,57 +195,72 @@ class TestInstantiateDegreeTable:
         ],
         ids=["dog-rs-2-2-3-2-2", "gasp-rs-4-4-3-1-2"],
     )
-    def test_random_search_eliminates_one_side_per_call(self, dv, eliminated, monkeypatch):
-        # Every attempt builds and checks the first eliminated side's matrix;
-        # each later side's matrix is built and checked only once the one
-        # before it passed, and the decode matrix only once all of them did.
+    def test_scan_eliminates_one_side_per_call(self, dv, eliminated, monkeypatch):
+        # Every candidate checks the first eliminated side; each later side is
+        # checked only once the one before it passed. The decode matrix is
+        # never built: its nodes omega^gamma are distinct by the residue rule,
+        # and the exhaustive checks on the powers of omega build their own.
         log = []
-        build, check = vandermonde, all_txt_submatrices_invertible
+        check = scheme_module._mask_check
 
-        def logged_build(rho, exps, fld):
-            log.append(tuple(exps))
-            return build(rho, exps, fld)
-
-        def logged_check(m, *args):
-            result = check(m, *args)
-            log.append(result.ok)
+        def logged_check(rho, exps, *args):
+            result = check(rho, exps, *args)
+            log.extend([tuple(exps), result.ok])
             return result
 
-        monkeypatch.setattr("pdmm.scheme.vandermonde", logged_build)
-        monkeypatch.setattr("pdmm.scheme.all_txt_submatrices_invertible", logged_check)
-        sides = [getattr(dv, side) for side in eliminated]
-        gamma = quadrants(dv).gamma
-        for seed in range(4):
-            log.clear()
-            instantiate_degree_table(dv, "random_search", seed=seed)
-            assert False in log  # some attempts were rejected by a check
-            i = 0
-            while i < len(log):
-                for exps in sides:
-                    assert log[i] == exps and isinstance(log[i + 1], bool)
-                    passed, i = log[i + 1], i + 2
-                    if not passed:
-                        break
-                else:
-                    assert log[i] == gamma
-                    i += 1
-            assert log[-1] == gamma
+        def no_vandermonde(*args):
+            raise AssertionError("the scan built a Vandermonde matrix")
 
-    @pytest.mark.parametrize("budget, moved", [(100_000, ()), (300, (0, 3))])
-    def test_random_search_decides_progression_sides_exactly(self, budget, moved):
-        # alpha_s = (16, 20, 24) steps by 4, so its nodes x^4 collide for
-        # about half of the attempts; beta_s = (16, 17, 20) is no progression.
-        # Deciding alpha_s from its nodes is the same as eliminating all of
-        # its submatrices. On the sampled path that rejects point sets whose
-        # sample of alpha_s passed, and seeds 0 and 3 land on other points.
-        dv = construct_gasp_rs(4, 4, 3, 1, 2)
+        monkeypatch.setattr("pdmm.scheme._mask_check", logged_check)
+        monkeypatch.setattr("pdmm.scheme.vandermonde", no_vandermonde)
+        sides = [getattr(dv, side) for side in eliminated]
+        instantiate_degree_table(dv)
+        assert False in log  # some candidates were rejected by a check
+        i = 0
+        while i < len(log):
+            for exps in sides:
+                assert log[i] == exps and isinstance(log[i + 1], bool)
+                passed, i = log[i + 1], i + 2
+                if not passed:
+                    break
+        assert log[-1] is True
+
+    @pytest.mark.parametrize(
+        "dv, level",
+        [
+            # alpha_s (16, 20, 24) steps by 4; beta_s (16, 17, 20) is eliminated.
+            (construct_gasp_rs(4, 4, 3, 1, 2), "exhaustive"),
+            (construct_gasp_r(3, 3, 3, 1), "structural"),  # both sides progressions
+        ],
+        ids=["gasp-rs-4-4-3-1-2", "gasp-small-3-3-3"],
+    )
+    def test_scan_decides_progression_sides_exactly(self, dv, level, monkeypatch):
+        # Deciding a progression side from its nodes accepts the same
+        # candidate as eliminating every T x T submatrix of it.
+        decided = instantiate_degree_table(dv)
+        monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
+        eliminated = instantiate_degree_table(dv)
+        got = [(s.field.p, s.omega, s.rho, s.params["q"]) for s in (decided, eliminated)]
+        assert got[0] == got[1]
+        assert (decided.params["certificate"], eliminated.params["certificate"]) == (
+            level, "exhaustive"
+        )
+
+    @pytest.mark.parametrize(
+        "dv",
+        [construct_gasp_rs(3, 3, 3, 2, 3), construct_dog_rs(3, 3, 3, 1, 2)],
+        ids=["gasp-rs-3-3-3-2-3", "dog-rs-3-3-3-1-2"],
+    )
+    def test_seed_drives_only_sampled_checks(self, dv):
+        # Whole walks do not read the seed; a sampled walk's subsets, and so
+        # its accepted candidate, may depend on it, and each accepted sample
+        # is recorded as such.
+        exact = {instantiate_degree_table(dv, seed=seed).rho for seed in range(4)}
+        assert len(exact) == 1
         for seed in range(4):
-            scheme = instantiate_degree_table(
-                dv, "random_search", seed=seed, submatrix_budget=budget
-            )
-            got = (scheme.field.p, scheme.rho)
-            assert got == sequential_random_search(dv, seed, budget, exhaustive=("alpha_s",))
-            assert (got != sequential_random_search(dv, seed, budget)) == (seed in moved)
+            scheme = instantiate_degree_table(dv, seed=seed, submatrix_budget=300)
+            assert scheme.params["certificate"] == "sampled"
+            assert verify_privacy_rank(scheme, 300, seed).ok
 
     @pytest.mark.parametrize(
         "dv, budget, level",
@@ -332,50 +283,14 @@ class TestInstantiateDegreeTable:
         monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
         with pytest.raises(SchemeError, match="not proven"):
             instantiate_cat(construct_cat_x(2, 2, 2, 1))
-        with pytest.raises(SchemeError, match="not proven"):
-            instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "roots_of_unity")
+        # With every candidate rejected, the scan runs out of fields.
+        monkeypatch.setattr("pdmm.scheme._mask_level", lambda *args: None)
+        with pytest.raises(FieldError, match="3037000499"):
+            instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), min_p=3_000_000_000)
 
     def test_unknown_strategy(self):
         with pytest.raises(SchemeError):
             instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), "magic")
-
-
-def sequential_random_search(dv, seed, budget, exhaustive=()):
-    """random_search's attempt loop with each check run to its end before the
-    next: alpha_s's submatrices, then beta_s's, then the decode matrix. The
-    sides named in `exhaustive` have every submatrix checked, whatever the
-    budget. Returns the accepted (p, rho)."""
-    qs = quadrants(dv)
-    n = qs.n_unique
-    rng = SplitMix64(seed)
-    budget_a, budget_b = (
-        comb(n, dv.t) if side in exhaustive else budget for side in ("alpha_s", "beta_s")
-    )
-
-    def next_prime(m):
-        while not is_prime(m):
-            m += 1
-        return m
-
-    p = next_prime(n + 1)
-    for _ in range(24):
-        fld = PrimeField.of(p)
-        for _ in range(32):
-            rho = tuple(rng.sample_distinct(1, p, n))
-            check_a = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.alpha_s, fld), dv.t, budget_a, seed
-            )
-            if not check_a.ok:
-                continue
-            check_b = all_txt_submatrices_invertible(
-                vandermonde(rho, dv.beta_s, fld), dv.t, budget_b, seed
-            )
-            if not check_b.ok:
-                continue
-            if is_invertible(vandermonde(rho, qs.gamma, fld)):
-                return p, rho
-        p = next_prime(2 * p)
-    raise AssertionError("no evaluation points found")
 
 
 class TestFieldBound:
@@ -663,6 +578,36 @@ class TestProgressionSide:
             assert got == all_txt_submatrices_invertible(m, t, comb(len(rho), t)).ok
 
 
+@st.composite
+def geometric_sides(draw):
+    """(points, exponents, t, p, budget): mostly the powers 1, r, r^2, .. of
+    some r, often of small order so that singular subsets are common, and
+    sometimes other points; budgets on both sides of C(n, t)."""
+    p = draw(st.sampled_from(SMALL_PRIMES[2:] + (97, 101)))
+    r = draw(st.integers(1, p - 1))
+    n = draw(st.integers(1, 12))
+    rho = [pow(r, w, p) for w in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        rho[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
+    t = draw(st.integers(1, min(n, 5)))
+    exps = tuple(draw(st.lists(st.integers(0, 40), min_size=t, max_size=t)))
+    return tuple(rho), exps, t, p, draw(st.sampled_from([1, comb(n, t), 10**6, 10**6]))
+
+
+class TestMaskCheck:
+    @settings(max_examples=250, deadline=None)
+    @given(geometric_sides())
+    # The powers of 2 mod 11 but for x_2 = 1: rows 0, 1 and 2 are dependent,
+    # which no subset of the powers themselves is.
+    @example(((1, 2, 1, 8, 5, 10), (0, 1, 2), 3, 11, 10**6))
+    def test_equals_the_full_check(self, side):
+        rho, exps, t, p, budget = side
+        fld = PrimeField.of(p)
+        assert scheme_module._mask_check(rho, exps, t, fld, budget, 3) == (
+            all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, 3)
+        )
+
+
 class TestPrivacyExhaustive:
     def test_cat_2_2_2_uniform_for_all_pairs(self, cat222):
         report = verify_privacy_exhaustive(cat222)
@@ -752,14 +697,13 @@ class TestSerialization:
         b = np.arange(8).reshape(2, 4) % back.field.p
         assert np.array_equal(multiply_via_scheme(back, a, b), a @ b % back.field.p)
 
-    def test_roots_of_unity_gasp_table_reads_back_integer(self):
+    @pytest.mark.parametrize("family", ["dog-rs", None])
+    def test_integer_table_scheme_reads_back_integer(self, family):
         # The document records the root order q and omega, yet the table of
-        # a GASP scheme is integer.
-        scheme = instantiate_degree_table(
-            construct_gasp_r(3, 2, 2, 1), "roots_of_unity", family="gasp-small"
-        )
+        # the scheme is integer.
+        scheme = instantiate_degree_table(construct_dog_rs(2, 2, 3, 2, 2), family=family)
         doc = scheme_to_dict(scheme)
-        assert doc["q"] == 17 and "omega" in doc
+        assert (doc["q"], doc["omega"]) == (33, scheme.omega)
         dv = table_from_dict(doc)
         assert dv.modulus is None
         assert dv == scheme.dv
