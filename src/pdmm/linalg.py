@@ -3,9 +3,12 @@
 Matrices are numpy int64 arrays reduced mod p; all elimination and every
 product is exact. The field must keep products of two residues inside int64,
 so p is at most isqrt(2^63 - 1) = 3,037,000,499. One elimination, the
-division-free forward pass _singular on (t, t+m, M) stacks, serves the
-batched T x T submatrix checks, is_invertible, and solve, which
-back-substitutes on the upper triangular system it leaves.
+division-free forward pass _singular on (t, t+m, M) stacks, with one
+modulus or one per matrix, serves is_invertible, solve, which
+back-substitutes on the upper triangular system it leaves, and the T x T
+submatrix checks: submatrix_checks walks a stack of matrices, each mod its
+own p, through the same row subsets at once, and
+all_txt_submatrices_invertible is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -110,9 +113,11 @@ def vandermonde(points, exponents, field: PrimeField) -> FieldMatrix:
     return FieldMatrix(np.array(rows, dtype=np.int64), field)
 
 
-def _singular(a: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of a (t, t+m, M) stack of residues mod p are singular
-    in their first t columns, for any t and m >= 0. Overwrites the stack.
+def _singular(a: np.ndarray, p) -> np.ndarray:
+    """Which matrices of a (t, t+m, M) stack of residues are singular in
+    their first t columns, for any t and m >= 0. p is one modulus for the
+    whole stack or an array of M, one per matrix, broadcast along the last
+    axis. Overwrites the stack.
 
     Division-free elimination, as in Bareiss' fraction-free method but without
     its exact division, which mod p is not needed: each step multiplies the
@@ -136,11 +141,20 @@ def _singular(a: np.ndarray, p: int) -> np.ndarray:
             below = a[k + 1 :, k, zero] != 0
             has = below.any(axis=0)
             cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
-            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % p
+            # a[k, :, cols] is (len(cols), t+m): one modulus per row of it.
+            pc = p[cols, None] if isinstance(p, np.ndarray) else p
+            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % pc
         rest = a[k + 1 :, k + 1 :]
         rest *= a[k, k]
         rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
-        rest %= p
+        if isinstance(p, np.ndarray):
+            # rest %= p, whose slow branch for negative entries costs more
+            # than fmod with an array of moduli: lift fmod's negative
+            # remainders by p instead.
+            np.fmod(rest, p, out=rest)
+            rest += (rest >> 63) & p
+        else:
+            rest %= p
     return a[t - 1, t - 1] == 0
 
 
@@ -206,8 +220,10 @@ class SubmatrixCheck:
 
 # Row subsets are checked in chunks so that a singular subset ends the check
 # without enumerating or testing the rest. The first chunk is smaller, since
-# a matrix with a singular subset most often shows one early.
-_FIRST_CHUNK, _CHUNK = 256, 1024
+# a matrix with a singular subset most often shows one early; after the
+# second, chunks double up to _LAST_CHUNK, since a matrix still in the walk
+# most often has none.
+_FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
 
 
 @lru_cache(maxsize=8)
@@ -234,11 +250,85 @@ def _sampled_subsets(n: int, t: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+def _subsets(n: int, t: int, budget: int, seed: int) -> tuple[str, np.ndarray]:
+    """The level and the row subsets of a check: all C(n, t) in
+    lexicographic order when that is at most budget, else the seeded
+    sample of budget subsets."""
+    if comb(n, t) <= budget:
+        return "exhaustive", _combination_indices(n, t)
+    return "sampled", _sampled_subsets(n, t, budget, seed)
+
+
+def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) -> list[int]:
+    """The position in subsets of each matrix's first singular row subset,
+    or len(subsets) when it has none. Singularity is transpose-invariant, so
+    cols holds g matrices of residues, each n x t, transposed and side by
+    side: row r of matrix m is column m*n + r of the t x g*n array. p is
+    one int modulus or an array of g.
+
+    Subsets are tested in chunks, every matrix still in the walk at once,
+    and a matrix leaves the walk at its first singular subset.
+    """
+    t = cols.shape[0]
+    first = [len(subsets)] * g
+    live = list(range(g))  # the matrices still in the walk
+    start, size = 0, _FIRST_CHUNK
+    while start < len(subsets) and live:
+        chunk = subsets[start : start + size]
+        c = len(chunk)
+        rows = chunk.T
+        if len(live) > 1 or live[0]:
+            # Entry [i, k * L + l] is row chunk[k, i] of the l-th of L live matrices.
+            rows = (rows[:, :, None] + n * np.array(live)).reshape(t, c * len(live))
+        # np.take lays the submatrices out C-contiguous, [column, row, matrix],
+        # where fancy indexing would leave the row operations strided.
+        bad = _singular(
+            np.take(cols, rows, axis=1), np.tile(p, c) if isinstance(p, np.ndarray) else p
+        )
+        if np.flatnonzero(bad).size:
+            bad = bad.reshape(c, len(live))
+            hit = bad.any(axis=0)
+            for j, k in zip(np.flatnonzero(hit).tolist(), bad[:, hit].argmax(axis=0).tolist()):
+                first[live[j]] = start + k
+            live = [m for m, h in zip(live, hit.tolist()) if not h]
+            if isinstance(p, np.ndarray):
+                p = p[~hit]
+        start, size = start + c, _CHUNK if size == _FIRST_CHUNK else min(2 * size, _LAST_CHUNK)
+    return first
+
+
+def _check(position: int, subsets: np.ndarray, level: str) -> SubmatrixCheck:
+    if position == len(subsets):
+        return SubmatrixCheck(None, position, level)
+    return SubmatrixCheck(tuple(subsets[position].tolist()), position + 1, level)
+
+
+def submatrix_checks(
+    mats, t: int, p, budget: int = 100_000, seed: int = 0
+) -> list[SubmatrixCheck]:
+    """all_txt_submatrices_invertible on each n x t matrix of a (G, n, t)
+    stack of residues, matrix g mod p[g] (or all mod one int p), in one
+    walk: the G matrices walk the same subsets, and check g is the one the
+    one-matrix check returns on matrix g alone.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    if mats.ndim != 3 or mats.shape[2] != t:
+        raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
+    g, n, _ = mats.shape
+    level, subsets = _subsets(n, t, budget, seed)
+    if not isinstance(p, int):
+        p = np.asarray(p, dtype=np.int64).ravel()
+        if p.size and (p == p[0]).all():  # one modulus: _singular's faster reduction
+            p = int(p[0])
+    cols = mats.transpose(2, 0, 1).reshape(t, g * n)
+    return [_check(i, subsets, level) for i in _first_singular(cols, n, g, p, subsets)]
+
+
 def all_txt_submatrices_invertible(
     m: FieldMatrix, t: int, budget: int = 100_000, seed: int = 0
 ) -> SubmatrixCheck:
     """Check invertibility of every (or a seeded sample of) t-row submatrix
-    of the n x t matrix m.
+    of the n x t matrix m: the one-matrix case of submatrix_checks.
 
     Exhaustive when C(n, t) <= budget, walking the subsets in lexicographic
     order; otherwise a deterministic pseudorandom sample of `budget` sorted
@@ -250,22 +340,6 @@ def all_txt_submatrices_invertible(
     """
     if m.cols != t:
         raise ValueError(f"matrix has {m.cols} columns, expected t={t}")
-    n = m.rows
-    if comb(n, t) <= budget:
-        level, subsets = "exhaustive", _combination_indices(n, t)
-    else:
-        level, subsets = "sampled", _sampled_subsets(n, t, budget, seed)
-    # Singularity is transpose-invariant, so each stack holds its submatrices
-    # transposed: entry [j, i, c] is row chunk[c, i], column j. np.take lays
-    # it out C-contiguous, the subsets innermost, where fancy indexing would
-    # leave the row operations strided.
-    transposed = m.data.T
-    start, size = 0, _FIRST_CHUNK
-    while start < len(subsets):
-        chunk = subsets[start : start + size]
-        bad = np.flatnonzero(_singular(np.take(transposed, chunk.T, axis=1), m.field.p))
-        if bad.size:
-            i = int(bad[0])
-            return SubmatrixCheck(tuple(int(r) for r in chunk[i]), start + i + 1, level)
-        start, size = start + size, _CHUNK
-    return SubmatrixCheck(None, len(subsets), level)
+    level, subsets = _subsets(m.rows, t, budget, seed)
+    first = _first_singular(m.data.T, m.rows, 1, m.field.p, subsets)
+    return _check(first[0], subsets, level)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -24,7 +24,15 @@ from .degrees import (
     table_to_dict,
     validate_degree_table,
 )
-from .field import _MAX_P, FieldError, PrimeField, element_of_order, find_field, is_prime
+from .field import (
+    _MAX_P,
+    FieldError,
+    PrimeField,
+    _primitive_root,
+    element_of_order,
+    find_field,
+    is_prime,
+)
 from .linalg import (
     LEVELS,
     FieldMatrix,
@@ -33,6 +41,7 @@ from .linalg import (
     all_txt_submatrices_invertible,
     matmul_mod,
     solve,
+    submatrix_checks,
     vandermonde,
 )
 
@@ -224,47 +233,82 @@ def _divisors(k: int) -> list[int]:
     return sorted(set(small + [k // d for d in small]))
 
 
+def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
+    """The G mask Vandermonde matrices on the points omega^0 .. omega^(n-1),
+    side by side in an n x G*len(exps) array: entry [w, g*len(exps) + j] is
+    omegas[g]^(w * exps[j]) mod moduli[g]. Built by doubling: rows k .. 2k - 1
+    are rows 0 .. k - 1 times row k."""
+    e = len(exps)
+    if len(set(moduli)) == 1:
+        p = moduli[0]
+    else:
+        p = np.repeat(np.array(moduli, dtype=np.int64), e)
+    m = np.ones((n, len(omegas) * e), dtype=np.int64)
+    if n > 1:
+        m[1] = [pow(w, x, q) for w, q in zip(omegas, moduli) for x in exps]
+    for k in (2**i for i in range(1, (n - 1).bit_length())):
+        m[k : 2 * k] = m[: min(k, n - k)] * (m[k - 1] * m[1] % p) % p
+    return m
+
+
+def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
+    """The T x T check of a mask matrix m on the points 1, r, r^2, .. that a
+    check of d = m[1:, 1:] - m[1:, :1] stands for.
+
+    Row w + c of m is row w times diag(r^(c*exps)), so rows W and W - min(W)
+    are singular together, and the subsets holding row 0 = (1, .., 1), which
+    come first, decide an exhaustive check. Less column 0 they are the
+    (T-1) x (T-1) submatrices of d on rows 1 .. N-1, in the same order: d's
+    witness W is the subset {0} + (W + 1), at the same position. The mask
+    checks walk d whenever 2 <= T <= N and C(N, T) <= budget.
+    """
+    if check.ok:
+        return SubmatrixCheck(None, comb(n, t), check.level)
+    return SubmatrixCheck((0,) + tuple(w + 1 for w in check.witness), check.checked, check.level)
+
+
+def _mask_checks(
+    omegas, moduli, exps, n: int, t: int, budget: int, seed: int
+) -> list[SubmatrixCheck]:
+    """_mask_check on the points omega^0 .. omega^(n-1) of each omega in
+    omegas, mod its own modulus, in one walk of submatrix_checks."""
+    m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
+    if not (2 <= t <= n and comb(n, t) <= budget):
+        return submatrix_checks(m, t, moduli, budget, seed)
+    d = (m[:, 1:, 1:] - m[:, 1:, :1]) % np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
+    return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli, budget, seed)]
+
+
 def _mask_check(rho, exps, t: int, fld: PrimeField, budget: int, seed: int) -> SubmatrixCheck:
     """all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget,
     seed), with fewer subsets eliminated when the check is exhaustive and
-    rho = 1, r, r^2, ..: row w + c is then row w times diag(r^(c*exps)), so
-    rows W and W - min(W) are singular together, and the subsets holding row
-    0 = (1, .., 1), which come first, decide the check. Less column 0 they
-    are the (T-1) x (T-1) submatrices of d on rows 1 .. N-1, in the same
-    order, so d's witness and position are the full check's. The powers are
-    built by doubling: rows k .. 2k - 1 are rows 0 .. k - 1 times row k."""
+    rho = 1, r, r^2, ..: then only the subsets holding row 0 are walked
+    (see _lift). It is _mask_checks for one point set, through the
+    one-matrix check, whose calls bench/tracing.py counts."""
     n, p = len(rho), fld.p
-    if not (2 <= t <= n and comb(n, t) <= budget and rho[0] == 1) or any(
-        b != a * rho[1] % p for a, b in zip(rho, rho[1:])
-    ):
+    if n < 2 or rho[0] != 1 or any(b != a * rho[1] % p for a, b in zip(rho, rho[1:])):
         return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, seed)
-    m = np.ones((n, len(exps)), dtype=np.int64)
-    m[1] = [pow(rho[1], e, p) for e in exps]
-    for k in (2**i for i in range(1, (n - 1).bit_length())):
-        m[k : 2 * k] = m[: min(k, n - k)] * (m[k - 1] * m[1] % p) % p
-    d = all_txt_submatrices_invertible(FieldMatrix(m[1:, 1:] - m[1:, :1], fld), t - 1, budget, seed)
-    if d.ok:
-        return SubmatrixCheck(None, comb(n, t), d.level)
-    return SubmatrixCheck((0,) + tuple(w + 1 for w in d.witness), d.checked, d.level)
+    m = _powers((rho[1],), (p,), exps, n)
+    if not (2 <= t <= n and comb(n, t) <= budget):
+        return all_txt_submatrices_invertible(FieldMatrix(m, fld), t, budget, seed)
+    d = FieldMatrix(m[1:, 1:] - m[1:, :1], fld)
+    return _lift(all_txt_submatrices_invertible(d, t - 1, budget, seed), n, t)
 
 
-def _mask_level(dv: DegreeVectors, rho, fld: PrimeField, budget: int, seed: int) -> str | None:
-    """The weaker certification level of the two mask sides at the points
-    rho, or None when one has a singular T x T submatrix: each side that
-    _progression_side leaves open is eliminated by _mask_check, alpha_s
-    before beta_s, and the walk ends at the first singular subset."""
-    sides = (dv.alpha_s, dv.beta_s)
-    decided = [_progression_side(rho, exps, None, fld.p) for exps in sides]
-    if False in decided:
-        return None
-    level = "structural"
-    for exps, proven in zip(sides, decided):
-        if proven is None:
-            check = _mask_check(rho, exps, dv.t, fld, budget, seed)
-            if not check.ok:
-                return None
-            level = check.level
-    return level
+def _progression_order(d: int, n: int, q: int) -> bool:
+    """_progression_side for a mask side c + d*i, 2 <= T <= n, on the points
+    omega^0 .. omega^(n-1), omega of order q, decided from q alone: the
+    nodes omega^(w*d) are powers of an element of order q / gcd(d, q), so
+    they are pairwise distinct iff that order is at least n."""
+    return q // gcd(d, q) >= n
+
+
+def _doubling(items):
+    """Consecutive groups of 1, 2, 4, .. items, the last one short."""
+    items, size = iter(items), 1
+    while group := list(itertools.islice(items, size)):
+        yield group
+        size *= 2
 
 
 def instantiate_degree_table(
@@ -285,18 +329,26 @@ def instantiate_degree_table(
     of omega = element_of_order(F_p, q), with the points rho = omega^0 ..
     omega^(N-1). q may be composite, and below the largest table entry: it
     is skipped unless gamma, alpha_s and beta_s each keep distinct residues
-    mod q. The decode matrix is then a Vandermonde matrix in the distinct
-    nodes omega^gamma and needs no elimination. The first candidate (p, q)
-    whose mask sides pass (see _mask_level) is accepted. A band spends at
-    most 32 candidates; past 3,037,000,499 (_MAX_P) FieldError is raised.
+    mod q, a test made once per q. The decode matrix is then a Vandermonde
+    matrix in the distinct nodes omega^gamma and needs no elimination. A
+    band spends at most 32 candidates (p, q); past 3,037,000,499 (_MAX_P)
+    FieldError is raised. The first candidate in this order whose two mask
+    sides pass is accepted.
 
     A mask side whose degrees form an arithmetic progression is decided
-    from its N nodes x^d (see _progression_side); any other is eliminated,
-    exhaustively when C(N, T) <= submatrix_budget. Above that a sample of
-    submatrix_budget subsets drawn from seed, all that seed drives, is
-    eliminated, and a passing sample is accepted, so such a scheme is not
-    fully certified. params records q and, in params["certificate"], the
-    weaker side's level: 'structural', 'exhaustive' or 'sampled'.
+    from q alone (see _progression_order), with no points built, once the
+    candidate is counted against the band's 32. The other sides of the
+    band's remaining candidates are eliminated in groups of 1, 2, 4, ..
+    candidates, so that a table accepted at its first candidate costs one
+    check: the generator of F_p and omega are computed for the candidates
+    of a group, and one walk of submatrix_checks per side checks them all,
+    alpha_s first and beta_s only for the candidates whose alpha_s passed.
+    A walk is exhaustive when C(N, T) <= submatrix_budget. Above that a
+    sample of submatrix_budget subsets drawn from seed, all that seed
+    drives, is eliminated, and a passing sample is accepted, so such a
+    scheme is not fully certified. params records q and, in
+    params["certificate"], the weaker side's level: 'structural',
+    'exhaustive' or 'sampled'.
     """
     if dv.modulus is not None:
         raise ParameterError("instantiate_degree_table expects an integer (non-cyclic) table")
@@ -306,25 +358,63 @@ def instantiate_degree_table(
     if strategy not in ("roots_of_unity", "random_search"):
         raise SchemeError(f"unknown instantiation strategy: {strategy}")
     qs = quadrants(dv)
-    n = qs.n_unique
-    vectors = (qs.gamma, dv.alpha_s, dv.beta_s)
+    n, t = qs.n_unique, dv.t
+    sides = (dv.alpha_s, dv.beta_s)
+    vectors = (qs.gamma,) + sides
+    # The common difference of each side that _progression_order decides.
+    steps = [_step(exps, None) if 2 <= len(exps) <= n else None for exps in sides]
+    distinct = {}  # q -> whether every vector keeps distinct residues mod q
+
+    def counted(q: int) -> bool:
+        if q not in distinct:
+            distinct[q] = all(len({v % q for v in vec}) == len(vec) for vec in vectors)
+        return distinct[q]
+
+    def verdicts(q: int) -> tuple:
+        """Each side's verdict from q: True proven, False rejected, None open."""
+        return tuple(None if d is None else _progression_order(d, n, q) for d in steps)
+
+    generators = {}  # p -> the smallest generator of F_p^*
     band = max(n + 1, min_p)
     while band <= _MAX_P:
-        candidates = (
-            (p, q)
-            for p in filter(is_prime, range(band, min(2 * band, _MAX_P + 1)))
-            for q in _divisors(p - 1)
-            if q >= n and all(len({v % q for v in vec}) == len(vec) for vec in vectors)
+        candidates = itertools.islice(
+            (
+                (p, q)
+                # band > N >= 2, so only odd numbers can be prime.
+                for p in filter(is_prime, range(band | 1, min(2 * band, _MAX_P + 1), 2))
+                for q in _divisors(p - 1)
+                if q >= n and counted(q)
+            ),
+            _BAND_CANDIDATES,
         )
-        fld = None
-        for p, q in itertools.islice(candidates, _BAND_CANDIDATES):
-            if fld is None or fld.p != p:
-                fld = PrimeField.of(p)
-            omega = element_of_order(fld, q)
-            rho = tuple(pow(omega, w, p) for w in range(n))
-            level = _mask_level(dv, rho, fld, submatrix_budget, seed)
-            if level is not None:
-                meta = dict(params or {}, q=q, certificate=level)
+        open_candidates = ((p, q, v) for p, q in candidates if False not in (v := verdicts(q)))
+        for group in _doubling(open_candidates):
+            # omega = element_of_order(PrimeField.of(p), q), without the
+            # field's checks: p is prime and q divides p - 1 by construction.
+            for p, _, _ in group:
+                if p not in generators:
+                    generators[p] = _primitive_root(p)
+            omegas = [pow(generators[p], (p - 1) // q, p) for p, q, _ in group]
+            levels = ["structural"] * len(group)
+            live = range(len(group))
+            for i, exps in enumerate(sides):
+                walk = [c for c in live if group[c][2][i] is None]
+                if not walk:
+                    continue
+                checks = _mask_checks(
+                    [omegas[c] for c in walk], [group[c][0] for c in walk],
+                    exps, n, t, submatrix_budget, seed,
+                )
+                for c, check in zip(walk, checks):
+                    levels[c] = check.level
+                failed = {c for c, check in zip(walk, checks) if not check.ok}
+                live = [c for c in live if c not in failed]
+            if live:
+                c = live[0]
+                p, q, _ = group[c]
+                rho = tuple(pow(omegas[c], w, p) for w in range(n))
+                meta = dict(params or {}, q=q, certificate=levels[c])
+                fld, omega = PrimeField(p, generators[p]), omegas[c]
                 return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=meta)
         band *= 2
     raise FieldError(

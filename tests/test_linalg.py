@@ -6,12 +6,13 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmm.field import PrimeField
 from pdmm.linalg import (
     _CHUNK,
+    _FIRST_CHUNK,
     _MAX_P,
     FieldMatrix,
     SingularMatrixError,
@@ -21,6 +22,7 @@ from pdmm.linalg import (
     is_invertible,
     matmul_mod,
     solve,
+    submatrix_checks,
     vandermonde,
 )
 
@@ -329,8 +331,56 @@ def singular_stack(t, p, seed):
     return stack.transpose(1, 2, 0).copy()
 
 
+@st.composite
+def mixed_modulus_stacks(draw):
+    """(stack, moduli): a (t, t+m, M) stack of residues, each matrix mod its
+    own prime among 2, 11 and P_NEAR_LIMIT, with a drawn share of zero
+    entries, so that zero pivots, with and without a row below to repair
+    them, are common."""
+    t, extra, count = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(1, 9))
+    moduli = draw(st.lists(st.sampled_from((2, 11, P_NEAR_LIMIT)), min_size=count, max_size=count))
+    moduli = np.array(moduli, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, moduli[:, None, None], (count, t, t + extra))
+    stack[rng.random(stack.shape) < draw(st.sampled_from((0.2, 0.5, 0.8)))] = 0
+    return stack.transpose(1, 2, 0).copy(), moduli
+
+
+# Three 3 x 3 matrices whose first pivot is 0: mod 11 with nothing below it,
+# mod 2 repaired by row 1 and mod P_NEAR_LIMIT by row 2. The repair then
+# works on columns 1 and 2 only, and its row is 3 entries long, as long as
+# the stack, so a modulus taken for the wrong matrix or broadcast along the
+# row would not raise.
+REPAIR_EXAMPLE = (
+    np.array(
+        [
+            [[0, 0, 0], [5, 1, 7], [3, 0, P_NEAR_LIMIT - 2]],
+            [[0, 1, 0], [2, 1, 9], [8, 0, 12345]],
+            [[0, 0, P_NEAR_LIMIT - 1], [4, 1, 3], [6, 1, P_NEAR_LIMIT - 7]],
+        ],
+        dtype=np.int64,
+    ).transpose(1, 2, 0).copy(),
+    np.array([11, 2, P_NEAR_LIMIT], dtype=np.int64),
+)
+
+
 class TestBatchDets:
     """The batched singularity test against reference determinants."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_modulus_stacks())
+    @example(REPAIR_EXAMPLE)
+    def test_per_matrix_modulus_equals_one_call_per_matrix(self, case):
+        # A stack with one modulus per matrix is eliminated as if each
+        # matrix were passed alone with its own p: the same verdicts and the
+        # same overwritten entries.
+        stack, moduli = case
+        got = stack.copy()
+        singular = _singular(got, moduli)
+        for i, p in enumerate(moduli.tolist()):
+            alone = stack[:, :, i : i + 1].copy()
+            assert singular[i] == _singular(alone, p)[0]
+            assert np.array_equal(got[:, :, i], alone[:, :, 0])
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
     def test_matches_permutation_expansion(self, t):
@@ -412,9 +462,9 @@ class TestSubmatrixCheck:
 
     @pytest.mark.parametrize("position", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, comb(18, 4)])
     def test_witness_position_at_chunk_edges(self, position):
-        # One planted singular subset at each edge of the 1024-subset chunks,
-        # the last of the C(18, 4) = 3,060 subsets included: checked is its
-        # 1-based position, so at the last subset it equals C(n, t).
+        # One planted singular subset at 1, 1,024, 1,025, 2,049 or the last
+        # of the C(18, 4) = 3,060 subsets: checked is its 1-based position,
+        # so at the last subset it equals C(n, t).
         n, t = 18, 4
         subsets = list(combinations(range(n), t))
         m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=7)
@@ -440,6 +490,61 @@ class TestSubmatrixCheck:
         assert check.status == "found_singular"
         assert check.witness == sample[first - 1]
         assert check.checked == first
+
+    def test_stacked_walk_equals_one_matrix_checks(self):
+        # Each matrix has its own modulus and at most one planted singular
+        # subset, on either side of the chunk edges at 256 and 1,280 of the
+        # C(21, 3) = 1,330 subsets, so the matrices leave the walk at
+        # different chunks; two more mod 11 have many singular subsets. Each
+        # check must be the one the one-matrix check returns, exhaustive and
+        # sampled.
+        n, t = 21, 3
+        subsets = list(combinations(range(n), t))
+        edges = (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK)
+        positions = [1] + [e + d for e in edges for d in (0, 1)] + [len(subsets), None]
+        primes = (1_000_003, P_NEAR_LIMIT)
+        mats, moduli = [], []
+        for i, pos in enumerate(positions):
+            p = primes[i % 2]
+            planted = [] if pos is None else [subsets[pos - 1]]
+            m = planted_dependencies(n, t, p, planted, seed=11 + i)
+            assert singular_positions(m, subsets) == ([] if pos is None else [pos])
+            mats.append(m)
+        mats += [planted_dependencies(n, t, 11, [], seed) for seed in (1, 2)]
+        stack = np.stack([m.data for m in mats])
+        moduli = [m.field.p for m in mats]
+        for budget in (comb(n, t), 1000):
+            checks = submatrix_checks(stack, t, moduli, budget, seed=4)
+            assert checks == [all_txt_submatrices_invertible(m, t, budget, 4) for m in mats]
+            assert {c.level for c in checks} == {"exhaustive" if budget > 1000 else "sampled"}
+        exhaustive = submatrix_checks(stack, t, moduli)
+        assert [c.checked for c in exhaustive[: len(positions)]] == [
+            len(subsets) if pos is None else pos for pos in positions
+        ]
+
+    def test_stacked_walk_of_one_modulus(self):
+        # An int modulus, or an array of one repeated prime, walks like the
+        # per-matrix array.
+        mats = [planted_dependencies(12, 3, 10007, [(1, 4, 9)], seed) for seed in range(3)]
+        stack = np.stack([m.data for m in mats])
+        want = [all_txt_submatrices_invertible(m, 3) for m in mats]
+        assert submatrix_checks(stack, 3, 10007) == want
+        assert submatrix_checks(stack, 3, [10007] * 3) == want
+        with pytest.raises(ValueError):
+            submatrix_checks(stack, 4, 10007)
+
+    def test_last_matrix_in_the_walk_reads_its_own_rows(self):
+        # Matrix 0 leaves at the first subset; matrix 1, singular only at
+        # subset 300 of C(14, 3) = 364, then walks the second chunk alone.
+        subsets = list(combinations(range(14), 3))
+        mats = [
+            planted_dependencies(14, 3, 1_000_003, [subsets[0]], seed=1),
+            planted_dependencies(14, 3, 1_000_003, [subsets[299]], seed=2),
+        ]
+        assert singular_positions(mats[1], subsets) == [300]
+        checks = submatrix_checks(np.stack([m.data for m in mats]), 3, 1_000_003)
+        assert [c.checked for c in checks] == [1, 300]
+        assert checks == [all_txt_submatrices_invertible(m, 3) for m in mats]
 
     def test_sampled_subsets_are_the_seeded_draws(self):
         rng = random.Random(5)

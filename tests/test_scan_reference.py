@@ -238,10 +238,23 @@ def test_reference_on_every_subset_agrees(k, l):
         (construct_gasp_rs(4, 4, 4, 1, 2), 1193, 149, "exhaustive"),
         (construct_dog_rs(4, 4, 4, 1, 2), 1201, 240, "exhaustive"),
         (construct_dog_rs(2, 2, 3, 2, 2), 67, 33, "exhaustive"),
+        # C(30, 5) = 142,506 subsets per side, past the budget: each
+        # candidate walks the seeded sample.
+        (construct_dog_rs(3, 3, 5, 2, 3), 15877, 63, "sampled"),
     ],
-    ids=["gasp-small-2-2-2", "dog-rs-3-3-3", "gasp-rs-4-4-4", "dog-rs-4-4-4", "dog-rs-2-2-3-2-2"],
+    ids=[
+        "gasp-small-2-2-2", "dog-rs-3-3-3", "gasp-rs-4-4-4", "dog-rs-4-4-4", "dog-rs-2-2-3-2-2",
+        "dog-rs-3-3-5-2-3",
+    ],
 )
 def test_pinned_scans(dv, p, q, certificate):
     got = scan(dv)
     assert (got[0], got[1], got[4]) == (p, q, certificate)
-    assert got == ref_scan(dv)
+    if certificate == "sampled":
+        # A passing sample is no proof: the reference, which tests every
+        # subset, rejects q = 63 at a singular subset that the sample
+        # misses. The points still follow the rule.
+        omega = pow(ref_generator(p), (p - 1) // q, p)
+        assert got[2:4] == (omega, tuple(pow(omega, w, p) for w in range(len(got[3]))))
+    else:
+        assert got == ref_scan(dv)

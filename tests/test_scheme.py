@@ -23,7 +23,7 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.field import FieldError, PrimeField
-from pdmm.linalg import all_txt_submatrices_invertible, is_invertible, vandermonde
+from pdmm.linalg import SubmatrixCheck, all_txt_submatrices_invertible, is_invertible, vandermonde
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
@@ -192,59 +192,73 @@ class TestInstantiateDegreeTable:
         [
             (construct_dog_rs(2, 2, 3, 2, 2), ("alpha_s", "beta_s")),
             (construct_gasp_rs(4, 4, 3, 1, 2), ("beta_s",)),  # alpha_s steps by 4
+            # alpha_s (4, 9, 14, 19) steps by 5: decided by q, never walked.
+            (construct_dog_rs(4, 4, 4, 1, 2), ("beta_s",)),
         ],
-        ids=["dog-rs-2-2-3-2-2", "gasp-rs-4-4-3-1-2"],
+        ids=["dog-rs-2-2-3-2-2", "gasp-rs-4-4-3-1-2", "dog-rs-4-4-4-1-2"],
     )
     def test_scan_eliminates_one_side_per_call(self, dv, eliminated, monkeypatch):
-        # Every candidate checks the first eliminated side; each later side is
-        # checked only once the one before it passed. The decode matrix is
-        # never built: its nodes omega^gamma are distinct by the residue rule,
-        # and the exhaustive checks on the powers of omega build their own.
+        # Each call walks one side for a group of candidates. A group's first
+        # eliminated side is walked for all of its candidates, and beta_s, in
+        # the next call, for exactly those whose alpha_s passed. Groups grow
+        # 1, 2, 4, .. and the first is one candidate. The decode matrix is
+        # never built: its nodes omega^gamma are distinct by the residue
+        # rule, and the walks on the powers of omega build their own.
         log = []
-        check = scheme_module._mask_check
+        checks = scheme_module._mask_checks
 
-        def logged_check(rho, exps, *args):
-            result = check(rho, exps, *args)
-            log.extend([tuple(exps), result.ok])
+        def logged_checks(omegas, moduli, exps, *args):
+            result = checks(omegas, moduli, exps, *args)
+            log.append((tuple(exps), list(zip(omegas, moduli)), [c.ok for c in result]))
             return result
 
         def no_vandermonde(*args):
             raise AssertionError("the scan built a Vandermonde matrix")
 
-        monkeypatch.setattr("pdmm.scheme._mask_check", logged_check)
+        monkeypatch.setattr("pdmm.scheme._mask_checks", logged_checks)
         monkeypatch.setattr("pdmm.scheme.vandermonde", no_vandermonde)
         sides = [getattr(dv, side) for side in eliminated]
-        instantiate_degree_table(dv)
-        assert False in log  # some candidates were rejected by a check
-        i = 0
+        scheme = instantiate_degree_table(dv)
+        assert any(False in oks for _, _, oks in log)  # some candidates were rejected
+        assert len(log[0][1]) == 1
+        i, sizes = 0, []
         while i < len(log):
-            for exps in sides:
-                assert log[i] == exps and isinstance(log[i + 1], bool)
-                passed, i = log[i + 1], i + 2
-                if not passed:
-                    break
-        assert log[-1] is True
+            exps, group, oks = log[i]
+            assert exps == sides[0]
+            sizes.append(len(group))
+            i += 1
+            passed = [c for c, ok in zip(group, oks) if ok]
+            if len(sides) == 2 and passed:
+                assert log[i][0] == sides[1] and log[i][1] == passed
+                i += 1
+        # Each group doubles the one before it, or starts a band again at
+        # one candidate; only a band's last group may be short.
+        for a, b, c in zip(sizes, sizes[1:], sizes[2:] + [1]):
+            assert b in (1, 2 * a) or (b < 2 * a and c == 1)
+        exps, group, oks = log[-1]
+        assert next(c for c, ok in zip(group, oks) if ok) == (scheme.omega, scheme.field.p)
 
     @pytest.mark.parametrize(
-        "dv, level",
+        "dv, levels",
         [
             # alpha_s (16, 20, 24) steps by 4; beta_s (16, 17, 20) is eliminated.
-            (construct_gasp_rs(4, 4, 3, 1, 2), "exhaustive"),
-            (construct_gasp_r(3, 3, 3, 1), "structural"),  # both sides progressions
+            (construct_gasp_rs(4, 4, 3, 1, 2), ("exhaustive", "exhaustive")),
+            # Both sides progressions.
+            (construct_gasp_r(3, 3, 3, 1), ("structural", "exhaustive")),
+            # Both sides progressions, and q rejects candidates before p = 59.
+            (construct_gasp_r(4, 3, 3, 1), ("structural", "exhaustive")),
         ],
-        ids=["gasp-rs-4-4-3-1-2", "gasp-small-3-3-3"],
+        ids=["gasp-rs-4-4-3-1-2", "gasp-small-3-3-3", "gasp-small-4-3-3"],
     )
-    def test_scan_decides_progression_sides_exactly(self, dv, level, monkeypatch):
-        # Deciding a progression side from its nodes accepts the same
-        # candidate as eliminating every T x T submatrix of it.
+    def test_scan_decides_progression_sides_exactly(self, dv, levels, monkeypatch):
+        # Deciding a progression side from q accepts the same candidate as
+        # eliminating the T x T submatrices of it on the points.
         decided = instantiate_degree_table(dv)
-        monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
+        monkeypatch.setattr("pdmm.scheme._progression_order", lambda *args: None)
         eliminated = instantiate_degree_table(dv)
         got = [(s.field.p, s.omega, s.rho, s.params["q"]) for s in (decided, eliminated)]
         assert got[0] == got[1]
-        assert (decided.params["certificate"], eliminated.params["certificate"]) == (
-            level, "exhaustive"
-        )
+        assert (decided.params["certificate"], eliminated.params["certificate"]) == levels
 
     @pytest.mark.parametrize(
         "dv",
@@ -283,10 +297,20 @@ class TestInstantiateDegreeTable:
         monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
         with pytest.raises(SchemeError, match="not proven"):
             instantiate_cat(construct_cat_x(2, 2, 2, 1))
-        # With every candidate rejected, the scan runs out of fields.
-        monkeypatch.setattr("pdmm.scheme._mask_level", lambda *args: None)
+        # With every candidate rejected, the scan runs out of fields. Its
+        # last band, [3e9, 3037000499], walks its 32 candidates, all open
+        # here, in groups of 1, 2, 4, 8, 16 and 1.
+        groups = []
+
+        def reject_all(omegas, *args):
+            groups.append(len(omegas))
+            return [SubmatrixCheck((0, 1), 1, "exhaustive")] * len(omegas)
+
+        monkeypatch.setattr("pdmm.scheme._progression_order", lambda *args: None)
+        monkeypatch.setattr("pdmm.scheme._mask_checks", reject_all)
         with pytest.raises(FieldError, match="3037000499"):
             instantiate_degree_table(construct_gasp_r(2, 2, 2, 1), min_p=3_000_000_000)
+        assert groups == [1, 2, 4, 8, 16, 1]
 
     def test_unknown_strategy(self):
         with pytest.raises(SchemeError):
@@ -606,6 +630,27 @@ class TestMaskCheck:
         assert scheme_module._mask_check(rho, exps, t, fld, budget, 3) == (
             all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, 3)
         )
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stacked_equals_one_point_set_at_a_time(self, data):
+        # The scan's walk over several omega, each with its own prime,
+        # gives each the check of its own powers alone.
+        n = data.draw(st.integers(2, 12))
+        t = data.draw(st.integers(1, min(n, 5)))
+        exps = tuple(data.draw(st.lists(st.integers(0, 40), min_size=t, max_size=t)))
+        primes = st.sampled_from(SMALL_PRIMES[2:] + (97, 101))
+        pairs = data.draw(st.lists(st.tuples(primes, st.integers(1, 100)), min_size=1, max_size=6))
+        omegas, moduli = [r % p or 1 for p, r in pairs], [p for p, _ in pairs]
+        budget = data.draw(st.sampled_from([1, comb(n, t), 10**6]))
+        want = [
+            scheme_module._mask_check(
+                tuple(pow(w, i, p) for i in range(n)), exps, t, PrimeField.of(p), budget, 3
+            )
+            for w, p in zip(omegas, moduli)
+        ]
+        assert scheme_module._mask_checks(omegas, moduli, exps, n, t, budget, 3) == want
 
 
 class TestPrivacyExhaustive:
