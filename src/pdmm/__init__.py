@@ -13,7 +13,7 @@ from .degrees import (
     quadrants,
     validate_degree_table,
 )
-from .field import FieldError, PrimeField, find_field
+from .field import FieldError, PrimeField
 from .linalg import FieldMatrix, SingularMatrixError, solve, vandermonde
 from .scheme import (
     PdmmScheme,
@@ -44,7 +44,6 @@ __all__ = [
     "construct_gasp_r",
     "construct_gasp_rs",
     "count_unique",
-    "find_field",
     "instantiate_cat",
     "instantiate_degree_table",
     "multiply_via_scheme",

@@ -32,7 +32,6 @@ from .field import FieldError
 from .scheme import (
     SchemeError,
     SplitMix64,
-    instantiate_cat,
     instantiate_degree_table,
     multiply_via_scheme,
     verify_privacy_rank,
@@ -152,8 +151,6 @@ def cmd_validate(args) -> int:
 
 
 def _instantiate(family, dv, params, seed, min_p):
-    if family == "catx":
-        return instantiate_cat(dv, min_p=min_p, params=params)
     return instantiate_degree_table(dv, seed=seed, min_p=min_p, family=family, params=params)
 
 

@@ -318,12 +318,14 @@ def root_order(dv: DegreeVectors, n: int) -> int | None:
     """The modulus q of a cyclic table when the consecutive powers omega^0 ..
     omega^(n-1) of an element omega of order q, as the n evaluation points,
     make every T x T mask submatrix invertible; None when this rule does not
-    certify the table. Integer tables are refused: their points come from
-    the scan of scheme.instantiate_degree_table.
+    certify the table. Integer tables are refused.
 
     Both mask vectors must be arithmetic progressions c + d*i mod q with
     each step d coprime to q, and q >= n. Then every T x T submatrix is
     diag(omega^(w*c)) times a Vandermonde matrix in the nodes omega^(w*d).
+    The scan of scheme.instantiate_degree_table, which takes q as a cyclic
+    table's only order, proves both sides of a table that passes here by
+    the same rule (scheme._progression_order), with no elimination.
     """
     if dv.modulus is None:
         raise ParameterError("root_order expects a cyclic table (modulus present)")

@@ -1,4 +1,4 @@
-"""Prime fields F_p: primality, primitive elements and roots of unity.
+"""Prime fields F_p: primality and primitive elements.
 
 A :class:`PrimeField` names p and a generator of its multiplicative group.
 Elements are plain Python ints or int64 arrays in [0, p); the code that uses
@@ -12,7 +12,7 @@ from math import isqrt
 
 
 class FieldError(Exception):
-    """Invalid field construction, or no field or element as requested."""
+    """Invalid field construction, or no field as requested."""
 
 
 # Witness set proving Miller-Rabin deterministic for all n < 3.3 * 10^24,
@@ -20,7 +20,7 @@ class FieldError(Exception):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # The largest p whose products of two residues fit int64: linalg refuses any
-# larger field, so find_field never returns one.
+# larger field, so the field scan of scheme.instantiate_degree_table stops here.
 _MAX_P = isqrt(2**63 - 1)
 
 
@@ -102,34 +102,3 @@ class PrimeField:
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         return cls(p, _primitive_root(p))
-
-
-def find_field(q: int, min_p: int = 0) -> PrimeField:
-    """Smallest prime field F_p with p >= max(min_p, q+1, 2) and q | p-1;
-    with q = 1, the smallest prime >= max(min_p, 2).
-
-    Raises FieldError when no such p is at most _MAX_P = 3,037,000,499.
-    """
-    if q < 1:
-        raise FieldError(f"q must be positive, got {q}")
-    start = max(min_p, q + 1, 2)
-    # Candidates are exactly p = k*q + 1.
-    p = ((start - 2) // q + 1) * q + 1
-    while p <= _MAX_P:
-        if is_prime(p):
-            return PrimeField.of(p)
-        p += q
-    raise FieldError(
-        f"no admissible prime p <= {_MAX_P} for q={q}, min_p={min_p}: "
-        "larger fields overflow int64 products"
-    )
-
-
-def element_of_order(field: PrimeField, q: int) -> int:
-    """An element of multiplicative order exactly q; requires q | p-1.
-
-    Deterministic given the field's generator g: returns g^((p-1)/q).
-    """
-    if q < 1 or (field.p - 1) % q != 0:
-        raise FieldError(f"order {q} does not divide p-1 = {field.p - 1}")
-    return pow(field.generator, (field.p - 1) // q, field.p)

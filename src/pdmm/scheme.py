@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -24,15 +24,7 @@ from .degrees import (
     table_to_dict,
     validate_degree_table,
 )
-from .field import (
-    _MAX_P,
-    FieldError,
-    PrimeField,
-    _primitive_root,
-    element_of_order,
-    find_field,
-    is_prime,
-)
+from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 from .linalg import (
     LEVELS,
     FieldMatrix,
@@ -204,23 +196,13 @@ def _progression_side(rho, exps, modulus: int | None, p: int) -> bool | None:
 
 
 def instantiate_cat(dv: DegreeVectors, min_p: int = 0, params: dict | None = None) -> PdmmScheme:
-    """Scheme over the smallest field with q | p - 1, q the table's modulus,
-    and p >= min_p, on the points omega^0 .. omega^(N-1), omega of order q,
-    where _progression_side proves both mask sides ('structural')."""
+    """instantiate_degree_table for a cyclic table, with family 'catx': the
+    smallest prime p >= max(N + 1, min_p) with q | p - 1, q the table's
+    modulus, on the points omega^0 .. omega^(N-1), omega of order q, where
+    _progression_order proves both mask sides ('structural')."""
     if dv.modulus is None:
         raise ParameterError("instantiate_cat expects a cyclic table (modulus present)")
-    report = validate_degree_table(dv)
-    if not report.valid:
-        raise SchemeError(f"degree table fails cyclic validation: {report.flags}")
-    qs = quadrants(dv)
-    fld = find_field(dv.modulus, min_p)
-    omega = element_of_order(fld, dv.modulus)
-    rho = tuple(pow(omega, w, fld.p) for w in range(qs.n_unique))
-    for exps in (dv.alpha_s, dv.beta_s):
-        if not _progression_side(rho, exps, dv.modulus, fld.p):
-            raise SchemeError(f"mask degrees {exps} are not proven on the powers of omega")
-    meta = dict(params or {}, certificate="structural")
-    return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family="catx", params=meta)
+    return instantiate_degree_table(dv, min_p=min_p, family="catx", params=params)
 
 
 # Candidates (p, q) that one band [P, 2P) of primes may spend before the
@@ -260,11 +242,19 @@ def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
     come first, decide an exhaustive check. Less column 0 they are the
     (T-1) x (T-1) submatrices of d on rows 1 .. N-1, in the same order: d's
     witness W is the subset {0} + (W + 1), at the same position. The mask
-    checks walk d whenever 2 <= T <= N and C(N, T) <= budget.
+    checks walk d whenever _walks_d holds.
     """
     if check.ok:
         return SubmatrixCheck(None, comb(n, t), check.level)
     return SubmatrixCheck((0,) + tuple(w + 1 for w in check.witness), check.checked, check.level)
+
+
+def _walks_d(n: int, t: int, budget: int) -> bool:
+    """Whether a mask check on n points 1, r, r^2, .. walks d (see _lift)
+    exhaustively: 2 <= T <= N, and d's C(N-1, T-1) subsets, the ones that
+    check eliminates, fit the budget. Otherwise the C(N, T) subsets of the
+    mask matrix itself are walked, or a sample of budget of them."""
+    return 2 <= t <= n and comb(n - 1, t - 1) <= budget
 
 
 def _mask_checks(
@@ -273,7 +263,7 @@ def _mask_checks(
     """_mask_check on the points omega^0 .. omega^(n-1) of each omega in
     omegas, mod its own modulus, in one walk of submatrix_checks."""
     m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
-    if not (2 <= t <= n and comb(n, t) <= budget):
+    if not _walks_d(n, t, budget):
         return submatrix_checks(m, t, moduli, budget, seed)
     d = (m[:, 1:, 1:] - m[:, 1:, :1]) % np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
     return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli, budget, seed)]
@@ -289,17 +279,18 @@ def _mask_check(rho, exps, t: int, fld: PrimeField, budget: int, seed: int) -> S
     if n < 2 or rho[0] != 1 or any(b != a * rho[1] % p for a, b in zip(rho, rho[1:])):
         return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, seed)
     m = _powers((rho[1],), (p,), exps, n)
-    if not (2 <= t <= n and comb(n, t) <= budget):
+    if not _walks_d(n, t, budget):
         return all_txt_submatrices_invertible(FieldMatrix(m, fld), t, budget, seed)
     d = FieldMatrix(m[1:, 1:] - m[1:, :1], fld)
     return _lift(all_txt_submatrices_invertible(d, t - 1, budget, seed), n, t)
 
 
 def _progression_order(d: int, n: int, q: int) -> bool:
-    """_progression_side for a mask side c + d*i, 2 <= T <= n, on the points
-    omega^0 .. omega^(n-1), omega of order q, decided from q alone: the
-    nodes omega^(w*d) are powers of an element of order q / gcd(d, q), so
-    they are pairwise distinct iff that order is at least n."""
+    """_progression_side for a mask side c + d*i, 2 <= T <= n (mod q for a
+    cyclic table of modulus q), on the points omega^0 .. omega^(n-1), omega
+    of order q, decided from q alone: the nodes omega^(w*d) are powers of an
+    element of order q / gcd(d, q), so they are pairwise distinct iff that
+    order is at least n."""
     return q // gcd(d, q) >= n
 
 
@@ -320,20 +311,23 @@ def instantiate_degree_table(
     params: dict | None = None,
     submatrix_budget: int = 100_000,
 ) -> PdmmScheme:
-    """Choose a field and evaluation points for an integer degree table.
+    """Choose a field and evaluation points for an integer or cyclic degree
+    table.
 
-    One deterministic scan takes roots of unity as evaluation points, as
-    the cyclic family does; 'roots_of_unity' and 'random_search' both name
-    it. Primes p are scanned in bands [P, 2P) from P = max(N + 1, min_p),
-    and for each p every divisor q >= N of p - 1, ascending, as the order
-    of omega = element_of_order(F_p, q), with the points rho = omega^0 ..
-    omega^(N-1). q may be composite, and below the largest table entry: it
-    is skipped unless gamma, alpha_s and beta_s each keep distinct residues
-    mod q, a test made once per q. The decode matrix is then a Vandermonde
-    matrix in the distinct nodes omega^gamma and needs no elimination. A
-    band spends at most 32 candidates (p, q); past 3,037,000,499 (_MAX_P)
-    FieldError is raised. The first candidate in this order whose two mask
-    sides pass is accepted.
+    One deterministic scan takes roots of unity as evaluation points;
+    'roots_of_unity' and 'random_search' both name it. Primes p are scanned
+    in bands [P, 2P) from P = max(N + 1, min_p), and for each p every order
+    q >= N that the table admits, ascending, with omega = g^((p-1)/q), g
+    the smallest generator of F_p^*, and the points rho = omega^0 ..
+    omega^(N-1). An integer table admits every divisor q of p - 1; q may be
+    composite, and below the largest table entry. A cyclic table admits
+    only its modulus q, so only primes p = 1 (mod lcm(2, q)) are scanned.
+    A q is skipped unless gamma, alpha_s and beta_s each keep distinct
+    residues mod q, a test made once per q. The decode matrix is then a
+    Vandermonde matrix in the distinct nodes omega^gamma and needs no
+    elimination. A band spends at most 32 candidates (p, q); past
+    3,037,000,499 (_MAX_P) FieldError is raised. The first candidate in
+    this order whose two mask sides pass is accepted.
 
     A mask side whose degrees form an arithmetic progression is decided
     from q alone (see _progression_order), with no points built, once the
@@ -343,15 +337,13 @@ def instantiate_degree_table(
     check: the generator of F_p and omega are computed for the candidates
     of a group, and one walk of submatrix_checks per side checks them all,
     alpha_s first and beta_s only for the candidates whose alpha_s passed.
-    A walk is exhaustive when C(N, T) <= submatrix_budget. Above that a
-    sample of submatrix_budget subsets drawn from seed, all that seed
-    drives, is eliminated, and a passing sample is accepted, so such a
-    scheme is not fully certified. params records q and, in
-    params["certificate"], the weaker side's level: 'structural',
+    A walk is exhaustive when C(N-1, T-1) <= submatrix_budget (see
+    _walks_d). Above that a sample of submatrix_budget subsets drawn from
+    seed, all that seed drives, is eliminated, and a passing sample is
+    accepted, so such a scheme is not fully certified. params records q
+    and, in params["certificate"], the weaker side's level: 'structural',
     'exhaustive' or 'sampled'.
     """
-    if dv.modulus is not None:
-        raise ParameterError("instantiate_degree_table expects an integer (non-cyclic) table")
     report = validate_degree_table(dv)
     if not report.valid:
         raise SchemeError(f"degree table fails validation: {report.flags}")
@@ -362,7 +354,9 @@ def instantiate_degree_table(
     sides = (dv.alpha_s, dv.beta_s)
     vectors = (qs.gamma,) + sides
     # The common difference of each side that _progression_order decides.
-    steps = [_step(exps, None) if 2 <= len(exps) <= n else None for exps in sides]
+    steps = [_step(exps, dv.modulus) if 2 <= len(exps) <= n else None for exps in sides]
+    # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
+    stride = 2 if dv.modulus is None else lcm(2, dv.modulus)
     distinct = {}  # q -> whether every vector keeps distinct residues mod q
 
     def counted(q: int) -> bool:
@@ -380,17 +374,19 @@ def instantiate_degree_table(
         candidates = itertools.islice(
             (
                 (p, q)
-                # band > N >= 2, so only odd numbers can be prime.
-                for p in filter(is_prime, range(band | 1, min(2 * band, _MAX_P + 1), 2))
-                for q in _divisors(p - 1)
+                for p in filter(
+                    is_prime,
+                    range(band + (1 - band) % stride, min(2 * band, _MAX_P + 1), stride),
+                )
+                for q in (_divisors(p - 1) if dv.modulus is None else (dv.modulus,))
                 if q >= n and counted(q)
             ),
             _BAND_CANDIDATES,
         )
         open_candidates = ((p, q, v) for p, q in candidates if False not in (v := verdicts(q)))
         for group in _doubling(open_candidates):
-            # omega = element_of_order(PrimeField.of(p), q), without the
-            # field's checks: p is prime and q divides p - 1 by construction.
+            # The generator of PrimeField.of(p), without the field's checks:
+            # p is prime by construction.
             for p, _, _ in group:
                 if p not in generators:
                     generators[p] = _primitive_root(p)

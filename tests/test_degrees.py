@@ -23,7 +23,7 @@ from pdmm.degrees import (
     root_order,
     validate_degree_table,
 )
-from pdmm.scheme import instantiate_cat, instantiate_degree_table
+from pdmm.scheme import instantiate_cat
 
 
 class TestGap:
@@ -249,9 +249,7 @@ class TestValidation:
         assert not validate_degree_table(dv).flags["IV"]
 
     def test_dispatch_guards(self):
-        # One validator takes both kinds; each instantiation takes only its own.
-        with pytest.raises(ParameterError):
-            instantiate_degree_table(construct_cat_x(2, 2, 2, 1))
+        # One validator and one scan take both kinds; instantiate_cat only cyclic tables.
         with pytest.raises(ParameterError):
             instantiate_cat(construct_gasp_r(2, 2, 2, 1))
 

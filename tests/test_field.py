@@ -1,15 +1,8 @@
-"""Prime-field arithmetic, field discovery, and roots of unity."""
+"""Primality and prime fields; the field scan is tested in test_scan_reference."""
 
 import pytest
 
-from pdmm.field import (
-    _MAX_P,
-    FieldError,
-    PrimeField,
-    element_of_order,
-    find_field,
-    is_prime,
-)
+from pdmm.field import _MAX_P, FieldError, PrimeField, is_prime
 
 
 class TestIsPrime:
@@ -47,64 +40,7 @@ class TestPrimeField:
             PrimeField(11, 3)
 
 
-class TestFindField:
-    def test_smallest_for_q_10(self):
-        assert find_field(10).p == 11
-
-    def test_smallest_for_q_34(self):
-        assert find_field(34).p == 103
-
-    def test_min_p_skips_small_candidates(self):
-        assert find_field(10, min_p=50).p == 61
-
-    @pytest.mark.parametrize("q", [2, 6, 10, 13, 34, 89, 97])
-    def test_divisibility_contract(self, q):
-        fld = find_field(q)
-        assert fld.p > q
-        assert (fld.p - 1) % q == 0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(FieldError):
-            find_field(0)
-
-    def test_q_1_is_the_next_prime(self):
-        def next_prime(m):
-            m = max(m, 2)
-            while any(m % d == 0 for d in range(2, int(m**0.5) + 1)):
-                m += 1
-            return m
-
-        for m in range(-3, 2000):
-            assert find_field(1, m).p == next_prime(m), m
-
-    @pytest.mark.parametrize(
-        "min_p,p", [(10**9, 1_000_000_007), (2**31, 2_147_483_659), (3 * 10**9, 3_000_000_019)]
-    )
-    def test_q_1_large(self, min_p, p):
-        assert find_field(1, min_p).p == p
-
-    def test_largest_field_is_the_int64_bound(self):
-        # 3,037,000,493 is the largest prime <= _MAX_P = isqrt(2^63 - 1).
-        assert _MAX_P == 3_037_000_499
-        assert find_field(1, 3_037_000_493).p == 3_037_000_493
-        with pytest.raises(FieldError, match="3037000499"):
-            find_field(1, 3_037_000_494)
-        with pytest.raises(FieldError, match="3037000499"):
-            find_field(10, 4 * 10**9)
-
-
-class TestElementOfOrder:
-    @pytest.mark.parametrize("q,p", [(10, 11), (13, 53), (34, 103)])
-    def test_exact_order(self, q, p):
-        fld = find_field(q)
-        assert fld.p == p
-        w = element_of_order(fld, q)
-        assert pow(w, q, p) == 1
-        assert all(pow(w, e, p) != 1 for e in range(1, q))
-
-    def test_order_ten_in_f11_is_generator(self):
-        assert element_of_order(PrimeField.of(11), 10) == 2
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(FieldError):
-            element_of_order(PrimeField.of(11), 7)
+def test_int64_bound():
+    # The largest p whose products of two residues fit int64.
+    assert _MAX_P == 3_037_000_499
+    assert (_MAX_P + 1) ** 2 > 2**63 - 1 >= _MAX_P**2

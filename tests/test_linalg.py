@@ -105,7 +105,7 @@ class TestFieldMatrix:
     def test_refuses_fields_past_int64_products(self):
         # A singular [[a, b], [c*a, c*b]] over p = 4,000,000,007: its 2x2
         # determinant overflows int64, and the submatrix check read it as
-        # invertible. find_field refuses such a field, so build it directly.
+        # invertible. The field scan never picks such a field, so build it directly.
         fld = PrimeField.of(4_000_000_007)
         assert fld.p > P_NEAR_LIMIT
         a, b, c = 3_253_080_962, 2_597_663_003, 3_651_022_314

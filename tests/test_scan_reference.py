@@ -1,4 +1,8 @@
-"""The integer-table scan against a reference written from its rule.
+"""The field scan against references written from its rules.
+
+Cyclic (catx) tables admit one order, their modulus q: the scheme lies on
+the smallest prime p >= max(min_p, N + 1) with q | p - 1, at the points
+omega^0 .. omega^(N-1) for omega = g^((p-1)/q), and ref_cat says so directly.
 
 instantiate_degree_table scans primes p in bands [P, 2P), from P = N + 1
 (no min_p here), and for each p the divisors q >= N of p - 1, ascending. A q
@@ -31,13 +35,16 @@ import numpy as np
 import pytest
 
 from pdmm.degrees import (
+    ParameterError,
+    construct_cat_x,
     construct_dog_rs,
     construct_gasp_r,
     construct_gasp_rs,
     count_unique,
     validate_degree_table,
 )
-from pdmm.scheme import instantiate_degree_table
+from pdmm.field import FieldError
+from pdmm.scheme import instantiate_cat, instantiate_degree_table
 
 
 @lru_cache(maxsize=None)
@@ -238,9 +245,9 @@ def test_reference_on_every_subset_agrees(k, l):
         (construct_gasp_rs(4, 4, 4, 1, 2), 1193, 149, "exhaustive"),
         (construct_dog_rs(4, 4, 4, 1, 2), 1201, 240, "exhaustive"),
         (construct_dog_rs(2, 2, 3, 2, 2), 67, 33, "exhaustive"),
-        # C(30, 5) = 142,506 subsets per side, past the budget: each
-        # candidate walks the seeded sample.
-        (construct_dog_rs(3, 3, 5, 2, 3), 15877, 63, "sampled"),
+        # C(30, 5) = 142,506 subsets per side, but only the C(29, 4) =
+        # 23,751 that hold row 0 are eliminated: within the budget.
+        (construct_dog_rs(3, 3, 5, 2, 3), 15877, 108, "exhaustive"),
     ],
     ids=[
         "gasp-small-2-2-2", "dog-rs-3-3-3", "gasp-rs-4-4-4", "dog-rs-4-4-4", "dog-rs-2-2-3-2-2",
@@ -250,11 +257,94 @@ def test_reference_on_every_subset_agrees(k, l):
 def test_pinned_scans(dv, p, q, certificate):
     got = scan(dv)
     assert (got[0], got[1], got[4]) == (p, q, certificate)
-    if certificate == "sampled":
-        # A passing sample is no proof: the reference, which tests every
-        # subset, rejects q = 63 at a singular subset that the sample
-        # misses. The points still follow the rule.
-        omega = pow(ref_generator(p), (p - 1) // q, p)
-        assert got[2:4] == (omega, tuple(pow(omega, w, p) for w in range(len(got[3]))))
-    else:
-        assert got == ref_scan(dv)
+    assert got == ref_scan(dv)
+
+
+def ref_cat_prime(dv, min_p):
+    """(p, N) for a cyclic table: p the smallest prime >= max(min_p, N + 1)
+    with q | p - 1."""
+    q = dv.modulus
+    n = len({(a + b) % q for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p + dv.beta_s})
+    p = max(min_p, n + 1)
+    while not (ref_is_prime(p) and (p - 1) % q == 0):
+        p += 1
+    return p, n
+
+
+def ref_cat(dv, min_p):
+    """(p, omega, rho) for a cyclic table by the cyclic rule."""
+    p, n = ref_cat_prime(dv, min_p)
+    omega = pow(ref_generator(p), (p - 1) // dv.modulus, p)
+    return p, omega, tuple(pow(omega, w, p) for w in range(n))
+
+
+def ref_has_order(x, q, p):
+    """Whether x has multiplicative order exactly q mod p."""
+    powers = [pow(x, e, p) for e in range(1, q + 1)]
+    return 1 in powers and powers.index(1) == q - 1
+
+
+def catx_tables(k):
+    """Every valid catx table with K = k, L, T <= 8 and x in {1, 2, 3, 5, 7}."""
+    tables = {}
+    for l, t, x in itertools.product(range(2, 9), range(2, 9), (1, 2, 3, 5, 7)):
+        try:
+            dv = construct_cat_x(k, l, t, x)
+        except ParameterError:  # x shares a factor with q
+            continue
+        if validate_degree_table(dv).valid:
+            tables.setdefault(dv, f"catx-{k}-{l}-{t} x={x}")
+    return tables
+
+
+@pytest.mark.parametrize("min_p", [0, 50, 1000])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_every_catx_table_matches_the_reference(k, min_p):
+    tables = catx_tables(k)
+    assert tables
+    for dv, label in tables.items():
+        scheme = instantiate_cat(dv, min_p=min_p)
+        assert (scheme.field.p, scheme.omega, scheme.rho) == ref_cat(dv, min_p), label
+        assert scheme.params == {"q": dv.modulus, "certificate": "structural"}
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_every_catx_field_matches_the_reference_at_min_p_1e6(k):
+    # ref_generator is too slow for p ~ 10^6, so omega is checked by its
+    # order. Offering every divisor of p - 1 as an order, as integer tables
+    # do, would move catx (5,5,3) x=3 to another q here.
+    for dv, label in catx_tables(k).items():
+        scheme = instantiate_cat(dv, min_p=10**6)
+        p, n = ref_cat_prime(dv, 10**6)
+        assert (scheme.field.p, scheme.params["q"]) == (p, dv.modulus), label
+        assert ref_has_order(scheme.omega, dv.modulus, p), label
+        assert scheme.rho == tuple(pow(scheme.omega, w, p) for w in range(n)), label
+
+
+@pytest.mark.parametrize(
+    "k, l, t, x, min_p, p",
+    [
+        (2, 2, 2, 1, 0, 11),  # q = 10: omega = 2 generates F_11^*
+        (2, 2, 2, 1, 50, 61),
+        (4, 4, 4, 3, 0, 103),  # q = 34
+        (8, 8, 4, 1, 0, 1091),  # q = 109
+        (2, 2, 2, 1, 10**9, 1_000_000_021),
+        # The largest prime p = 1 (mod 10) at most 3,037,000,499.
+        (2, 2, 2, 1, 3_037_000_391, 3_037_000_391),
+    ],
+)
+def test_pinned_catx_fields(k, l, t, x, min_p, p):
+    dv = construct_cat_x(k, l, t, x)
+    scheme = instantiate_cat(dv, min_p=min_p)
+    q = dv.modulus
+    assert (scheme.field.p, scheme.params["q"]) == (p, q)
+    # omega has order exactly q, and rho is its first N powers.
+    omega = scheme.omega
+    assert ref_has_order(omega, q, p)
+    assert scheme.rho == tuple(pow(omega, w, p) for w in range(scheme.n_workers))
+
+
+@pytest.mark.parametrize("min_p", [3_037_000_392, 4 * 10**9])
+def test_catx_refuses_fields_past_the_int64_bound(min_p):
+    with pytest.raises(FieldError, match="3037000499"):
+        instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=min_p)

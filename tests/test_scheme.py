@@ -271,17 +271,19 @@ class TestInstantiateDegreeTable:
         # is recorded as such.
         exact = {instantiate_degree_table(dv, seed=seed).rho for seed in range(4)}
         assert len(exact) == 1
+        # Budget 200 < C(N-1, T-1), the 210 and 231 subsets a whole walk
+        # eliminates here, so every walk is sampled.
         for seed in range(4):
-            scheme = instantiate_degree_table(dv, seed=seed, submatrix_budget=300)
+            scheme = instantiate_degree_table(dv, seed=seed, submatrix_budget=200)
             assert scheme.params["certificate"] == "sampled"
-            assert verify_privacy_rank(scheme, 300, seed).ok
+            assert verify_privacy_rank(scheme, 200, seed).ok
 
     @pytest.mark.parametrize(
         "dv, budget, level",
         [
             (construct_gasp_rs(2, 2, 5, 2, 2), 100_000, "structural"),  # both steps 1
             (construct_gasp_rs(3, 3, 3, 2, 3), 100_000, "exhaustive"),  # beta_s steps by 1
-            (construct_gasp_rs(3, 3, 3, 2, 3), 300, "sampled"),
+            (construct_gasp_rs(3, 3, 3, 2, 3), 200, "sampled"),  # C(21, 2) = 210 > 200
         ],
     )
     def test_random_search_records_its_certificate(self, dv, budget, level):
@@ -293,10 +295,15 @@ class TestInstantiateDegreeTable:
         gasp = instantiate_degree_table(construct_gasp_r(3, 3, 3, 1), "roots_of_unity")
         assert gasp.params["certificate"] == cat222.params["certificate"] == "structural"
 
+    def test_cat_sides_eliminated_agree_with_q(self, monkeypatch):
+        # Undecided from q, both catx mask sides are eliminated on the
+        # points mod p, and pass where the structural proof does.
+        monkeypatch.setattr("pdmm.scheme._progression_order", lambda *args: None)
+        scheme = instantiate_cat(construct_cat_x(2, 2, 2, 1))
+        assert (scheme.field.p, scheme.omega) == (11, 2)
+        assert scheme.params["certificate"] == "exhaustive"
+
     def test_roots_of_unity_refuses_points_it_cannot_prove(self, monkeypatch):
-        monkeypatch.setattr("pdmm.scheme._progression_side", lambda *args: None)
-        with pytest.raises(SchemeError, match="not proven"):
-            instantiate_cat(construct_cat_x(2, 2, 2, 1))
         # With every candidate rejected, the scan runs out of fields. Its
         # last band, [3e9, 3037000499], walks its 32 candidates, all open
         # here, in groups of 1, 2, 4, 8, 16 and 1.
