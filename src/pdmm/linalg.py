@@ -2,7 +2,9 @@
 
 Matrices are numpy int64 arrays reduced mod p; all elimination and every
 product is exact. The field must keep products of two residues inside int64,
-so p is at most isqrt(2^63 - 1) = 3,037,000,499. One elimination, the
+so p is at most isqrt(2^63 - 1) = 3,037,000,499. One product kernel,
+matmul_mod, serves encode, the simulated workers and decode; it divides an
+operand by p only when some entry lies outside [0, p). One elimination, the
 division-free forward pass _singular on (t, t+m, M) stacks, with one
 modulus or one per matrix, serves is_invertible, solve, which
 back-substitutes on the upper triangular system it leaves, and the T x T
@@ -37,11 +39,26 @@ def _check_p(p: int):
         raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
 
 
+def _residues(x, p: int) -> np.ndarray:
+    """x as int64, reduced mod p only if some entry lies outside [0, p).
+
+    Callers pass residues almost always, and % p costs more than the float64
+    product it feeds; min and max cost a fraction of it. The result is x
+    itself when x is already a reduced int64 array: read it, never write it.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.size and (x.min() < 0 or x.max() >= p):
+        return x % p
+    return x
+
+
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """Exact (a @ b) mod p as an int64 array, for integer matrices and p <= _MAX_P.
 
-    Entries are reduced mod p first, so they may be negative or >= p. With
-    delayed reduction, as in FFLAS-FFPACK: a float64 BLAS product is exact
+    Entries may be negative or >= p: an operand with an entry outside [0, p)
+    is reduced mod p first, one already in [0, p) is used as it is. Neither
+    input is modified, and the output is a new array. With delayed
+    reduction, as in FFLAS-FFPACK: a float64 BLAS product is exact
     while every partial sum is an integer below 2^53, so the inner dimension
     runs in chunks of k with (p-1)^2 * k + p < 2^53, one chunk whenever the
     whole product fits; where a single product of residues does not fit, in
@@ -52,8 +69,7 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     Raises ValueError for p > _MAX_P, like FieldMatrix.
     """
     _check_p(p)
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    a, b = _residues(a, p), _residues(b, p)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     sq = (p - 1) ** 2

@@ -16,6 +16,7 @@ from pdmm.linalg import (
     _MAX_P,
     FieldMatrix,
     SingularMatrixError,
+    _residues,
     _sampled_subsets,
     _singular,
     all_txt_submatrices_invertible,
@@ -133,26 +134,59 @@ KERNEL_PRIMES = [
 @st.composite
 def kernel_operands(draw):
     """(a, b, p): random shapes and primes, entries random, all p - 1 (the
-    largest partial sums), or unreduced in [-10p, 10p]."""
+    largest partial sums), unreduced in [-10p, 10p], or mixed: one operand
+    random and the other either unreduced or random but for one entry p or
+    -1."""
     p = draw(st.sampled_from(KERNEL_PRIMES))
     m, inner, n = draw(st.integers(1, 5)), draw(st.integers(1, 24)), draw(st.integers(1, 5))
-    fill = draw(st.sampled_from(["random", "max", "unreduced"]))
+    fill = draw(st.sampled_from(["random", "max", "unreduced", "mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if fill == "max":
         return np.full((m, inner), p - 1), np.full((inner, n), p - 1), p
-    lo, hi = (0, p) if fill == "random" else (-10 * p, 10 * p + 1)
-    return rng.integers(lo, hi, (m, inner)), rng.integers(lo, hi, (inner, n)), p
+    lo, hi = (-10 * p, 10 * p + 1) if fill == "unreduced" else (0, p)
+    a, b = rng.integers(lo, hi, (m, inner)), rng.integers(lo, hi, (inner, n))
+    if fill == "mixed":
+        side = (a, b)[draw(st.integers(0, 1))]
+        stray = draw(st.sampled_from(["unreduced", p, -1]))
+        if stray == "unreduced":
+            side[...] = rng.integers(-10 * p, 10 * p + 1, side.shape)
+        else:
+            side[tuple(rng.integers(0, side.shape))] = stray
+    return a, b, p
 
 
 class TestMatmulMod:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(kernel_operands())
     def test_matches_python_int_reference(self, operands):
         a, b, p = operands
+        a_before, b_before = a.copy(), b.copy()
         expected = (a.astype(object) @ b.astype(object)) % p
         out = matmul_mod(a, b, p)
         assert out.dtype == np.int64
         assert out.tolist() == expected.tolist()
+        # The inputs are read, never written, and the output is a new array.
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+
+    @pytest.mark.parametrize("stray", [-1, 1091, 2 * 1091, -5 * 1091 - 3])
+    def test_one_out_of_range_entry_reduces_a_copy(self, stray):
+        # The product would often stay exact with the stray entry left as it
+        # is, so check the operand that the kernel multiplies.
+        p = 1091
+        x = np.random.default_rng(2).integers(0, p, (6, 9))
+        x[3, 4] = stray
+        before = x.copy()
+        reduced = _residues(x, p)
+        assert reduced.tolist() == (before % p).tolist()
+        assert reduced is not x and np.array_equal(x, before)
+
+    @pytest.mark.parametrize("p", [2, 1091, P_NEAR_LIMIT])
+    def test_residues_are_used_as_they_are(self, p):
+        x = np.random.default_rng(6).integers(0, p, (4, 7))
+        x[0, 0], x[-1, -1] = 0, p - 1
+        assert _residues(x, p) is x
+        assert _residues(np.zeros((0, 3), dtype=np.int64), p).shape == (0, 3)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(_MAX_P + 1, 2**64))

@@ -33,6 +33,7 @@ from pdmm.scheme import (
     PdmmScheme,
     SchemeError,
     SplitMix64,
+    TaskPair,
     decode,
     draw_randomness,
     encode,
@@ -401,6 +402,25 @@ class TestPipeline:
         response = worker_multiply(cat222.field, tasks[0])
         assert response.shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        "p,inner,one_float_product",
+        [
+            (1091, 512, True),  # matmul_mod's float64 path, one product
+            (100_000_007, 32, False),  # its int64 chunks: (p-1)^2 + p >= 2^53
+        ],
+    )
+    def test_worker_matches_python_int_reference(self, p, inner, one_float_product):
+        assert ((p - 1) ** 2 * inner + p < 2**53) == one_float_product
+        assert (p - 1) ** 2 * inner < 2**63
+        rng = np.random.default_rng(inner)
+        task = TaskPair(rng.integers(0, p, (6, inner)), rng.integers(0, p, (inner, 7)), 0)
+        response = worker_multiply(PrimeField.of(p), task)
+        expected = (task.a_share.astype(object) @ task.b_share.astype(object)) % p
+        assert response.dtype == np.int64
+        assert response.tolist() == expected.tolist()
+        # Bit-identical to the int64 product, which does not wrap here.
+        assert np.array_equal(response, task.a_share @ task.b_share % p)
+
     @pytest.mark.parametrize("min_p", [0, 5 * 10**7])
     def test_unreduced_inputs_stay_exact(self, min_p):
         # Entries in [-10p, 10p]; 5 rows and 9 columns pad both sides. At
@@ -485,6 +505,23 @@ class TestLinearMaps:
         for a_block, row in zip(a_parts.blocks, grid):
             for b_block, block in zip(b_parts.blocks, row):
                 assert block.tolist() == (exact(a_block) @ exact(b_block) % p).tolist()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(pipeline_inputs(), st.sampled_from([1, -1, 3, -3]))
+    def test_decode_reduces_responses_shifted_by_multiples_of_p(self, inputs, k):
+        # Responses off their residues by k * p must decode to the same grid.
+        scheme, a_parts, b_parts, rnd = inputs
+        p = scheme.field.p
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        responses = [
+            (exact(t.a_share) @ exact(t.b_share) % p).astype(np.int64) for t in tasks
+        ]
+        grid = decode(scheme, responses)
+        shifted = decode(scheme, [r + k * p for r in responses])
+        assert [[b.tolist() for b in row] for row in shifted] == [
+            [b.tolist() for b in row] for row in grid
+        ]
 
 
 class TestPrivacyRank:
