@@ -150,10 +150,6 @@ def cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
-def _instantiate(family, dv, params, seed, min_p):
-    return instantiate_degree_table(dv, seed=seed, min_p=min_p, family=family, params=params)
-
-
 def _exact_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a·b mod p in Python ints (object dtype): it cannot wrap at any p and
     shares no arithmetic with the scheme it checks."""
@@ -173,7 +169,7 @@ def cmd_simulate(args) -> int:
     dv, params = build_degree_vectors(
         args.family, args.K, args.L, args.T, args.r, args.s, args.x
     )
-    scheme = _instantiate(args.family, dv, params, args.seed, args.min_p)
+    scheme = instantiate_degree_table(dv, min_p=args.min_p, family=args.family, params=params)
     p = scheme.field.p
     rng = SplitMix64(args.seed)
     a = rng.matrix(r_a, c_a, p)

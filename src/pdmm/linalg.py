@@ -244,9 +244,10 @@ _FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
 
 @lru_cache(maxsize=8)
 def _combination_indices(n: int, t: int) -> np.ndarray:
-    """All C(n, t) row subsets in lexicographic order, shared and read-only."""
+    """All C(n, t) row subsets in lexicographic order (for t = 0 the empty
+    one), shared and read-only."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
-    idx = np.fromiter(flat, dtype=np.intp, count=comb(n, t) * t).reshape(-1, t)
+    idx = np.fromiter(flat, dtype=np.intp, count=comb(n, t) * t).reshape(comb(n, t), t)
     idx.flags.writeable = False
     return idx
 

@@ -233,6 +233,11 @@ def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
     return m
 
 
+# The most subsets, C(N-1, T-1), that a walk of a mask side eliminates (see
+# _lift); the scan refuses a table with a side it must walk above it.
+_WALK_CAP = 2**22
+
+
 def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
     """The T x T check of a mask matrix m on the points 1, r, r^2, .. that a
     check of d = m[1:, 1:] - m[1:, :1] stands for.
@@ -241,48 +246,41 @@ def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
     are singular together, and the subsets holding row 0 = (1, .., 1), which
     come first, decide an exhaustive check. Less column 0 they are the
     (T-1) x (T-1) submatrices of d on rows 1 .. N-1, in the same order: d's
-    witness W is the subset {0} + (W + 1), at the same position. The mask
-    checks walk d whenever _walks_d holds.
+    witness W is the subset {0} + (W + 1), at the same position.
     """
     if check.ok:
         return SubmatrixCheck(None, comb(n, t), check.level)
     return SubmatrixCheck((0,) + tuple(w + 1 for w in check.witness), check.checked, check.level)
 
 
-def _walks_d(n: int, t: int, budget: int) -> bool:
-    """Whether a mask check on n points 1, r, r^2, .. walks d (see _lift)
-    exhaustively: 2 <= T <= N, and d's C(N-1, T-1) subsets, the ones that
-    check eliminates, fit the budget. Otherwise the C(N, T) subsets of the
-    mask matrix itself are walked, or a sample of budget of them."""
-    return 2 <= t <= n and comb(n - 1, t - 1) <= budget
+def _walks_d(n: int, t: int) -> bool:
+    """Whether a mask check on n points 1, r, r^2, .. walks d (see _lift):
+    1 <= T <= N, and d's C(N-1, T-1) subsets, the ones that check
+    eliminates, are at most _WALK_CAP. The walk is then exhaustive."""
+    return 1 <= t <= n and comb(n - 1, t - 1) <= _WALK_CAP
 
 
-def _mask_checks(
-    omegas, moduli, exps, n: int, t: int, budget: int, seed: int
-) -> list[SubmatrixCheck]:
-    """_mask_check on the points omega^0 .. omega^(n-1) of each omega in
-    omegas, mod its own modulus, in one walk of submatrix_checks."""
+def _mask_checks(omegas, moduli, exps, n: int, t: int) -> list[SubmatrixCheck]:
+    """_mask_check on the points omega^0 .. omega^(n-1) of each omega in omegas,
+    mod its own modulus, in one walk of d by submatrix_checks; _walks_d must hold."""
     m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
-    if not _walks_d(n, t, budget):
-        return submatrix_checks(m, t, moduli, budget, seed)
     d = (m[:, 1:, 1:] - m[:, 1:, :1]) % np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
-    return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli, budget, seed)]
+    return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli, _WALK_CAP)]
 
 
 def _mask_check(rho, exps, t: int, fld: PrimeField, budget: int, seed: int) -> SubmatrixCheck:
     """all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget,
-    seed), with fewer subsets eliminated when the check is exhaustive and
-    rho = 1, r, r^2, ..: then only the subsets holding row 0 are walked
-    (see _lift). It is _mask_checks for one point set, through the
+    seed), but exhaustive whatever budget is when rho = 1, r, r^2, .. and
+    _walks_d(N, T) holds: then only the C(N-1, T-1) subsets holding row 0 are
+    walked (see _lift). It is _mask_checks for one point set, through the
     one-matrix check, whose calls bench/tracing.py counts."""
     n, p = len(rho), fld.p
-    if n < 2 or rho[0] != 1 or any(b != a * rho[1] % p for a, b in zip(rho, rho[1:])):
+    powers = n > 1 and rho[0] == 1 and all(b == a * rho[1] % p for a, b in zip(rho, rho[1:]))
+    if not (powers and _walks_d(n, t)):
         return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, seed)
     m = _powers((rho[1],), (p,), exps, n)
-    if not _walks_d(n, t, budget):
-        return all_txt_submatrices_invertible(FieldMatrix(m, fld), t, budget, seed)
     d = FieldMatrix(m[1:, 1:] - m[1:, :1], fld)
-    return _lift(all_txt_submatrices_invertible(d, t - 1, budget, seed), n, t)
+    return _lift(all_txt_submatrices_invertible(d, t - 1, _WALK_CAP), n, t)
 
 
 def _progression_order(d: int, n: int, q: int) -> bool:
@@ -309,40 +307,40 @@ def instantiate_degree_table(
     min_p: int = 0,
     family: str | None = None,
     params: dict | None = None,
-    submatrix_budget: int = 100_000,
 ) -> PdmmScheme:
     """Choose a field and evaluation points for an integer or cyclic degree
-    table.
+    table at which every T x T mask submatrix is certified invertible.
 
-    One deterministic scan takes roots of unity as evaluation points;
-    'roots_of_unity' and 'random_search' both name it. Primes p are scanned
-    in bands [P, 2P) from P = max(N + 1, min_p), and for each p every order
-    q >= N that the table admits, ascending, with omega = g^((p-1)/q), g
-    the smallest generator of F_p^*, and the points rho = omega^0 ..
-    omega^(N-1). An integer table admits every divisor q of p - 1; q may be
-    composite, and below the largest table entry. A cyclic table admits
-    only its modulus q, so only primes p = 1 (mod lcm(2, q)) are scanned.
-    A q is skipped unless gamma, alpha_s and beta_s each keep distinct
-    residues mod q, a test made once per q. The decode matrix is then a
-    Vandermonde matrix in the distinct nodes omega^gamma and needs no
-    elimination. A band spends at most 32 candidates (p, q); past
-    3,037,000,499 (_MAX_P) FieldError is raised. The first candidate in
-    this order whose two mask sides pass is accepted.
+    One deterministic scan takes roots of unity as evaluation points.
+    Primes p are scanned in bands [P, 2P) from P = max(N + 1, min_p), and
+    for each p every order q >= N that the table admits, ascending, with
+    omega = g^((p-1)/q), g the smallest generator of F_p^*, and the points
+    rho = omega^0 .. omega^(N-1). An integer table admits every divisor q
+    of p - 1; q may be composite, and below the largest table entry. A
+    cyclic table admits only its modulus q, so only primes p = 1 (mod
+    lcm(2, q)) are scanned. A q is skipped unless gamma, alpha_s and beta_s
+    each keep distinct residues mod q, a test made once per q. The decode
+    matrix is then a Vandermonde matrix in the distinct nodes omega^gamma
+    and needs no elimination. A band spends at most 32 candidates (p, q);
+    past 3,037,000,499 (_MAX_P) FieldError is raised. The first candidate
+    in this order whose two mask sides pass is accepted.
 
     A mask side whose degrees form an arithmetic progression is decided
     from q alone (see _progression_order), with no points built, once the
-    candidate is counted against the band's 32. The other sides of the
-    band's remaining candidates are eliminated in groups of 1, 2, 4, ..
-    candidates, so that a table accepted at its first candidate costs one
-    check: the generator of F_p and omega are computed for the candidates
-    of a group, and one walk of submatrix_checks per side checks them all,
-    alpha_s first and beta_s only for the candidates whose alpha_s passed.
-    A walk is exhaustive when C(N-1, T-1) <= submatrix_budget (see
-    _walks_d). Above that a sample of submatrix_budget subsets drawn from
-    seed, all that seed drives, is eliminated, and a passing sample is
-    accepted, so such a scheme is not fully certified. params records q
-    and, in params["certificate"], the weaker side's level: 'structural',
-    'exhaustive' or 'sampled'.
+    candidate is counted against the band's 32: 'structural'. Any other
+    side is walked whole, over the C(N-1, T-1) subsets of d (see _lift):
+    'exhaustive'. SchemeError is raised before any walk when that count
+    exceeds _WALK_CAP = 2^22. The walked sides of the band's remaining
+    candidates are eliminated in groups of 1, 2, 4, .. candidates, so that
+    a table accepted at its first candidate costs one check: the generator
+    of F_p and omega are computed for the candidates of a group, and one
+    walk of submatrix_checks per side checks them all, alpha_s first and
+    beta_s only for the candidates whose alpha_s passed. params records q
+    and, in params["certificate"], the weaker side's level, which
+    verify_privacy_rank reports too.
+
+    strategy (two names for the scan) and seed are read by nothing but the
+    check of the strategy name; the benchmark's callers still pass both.
     """
     report = validate_degree_table(dv)
     if not report.valid:
@@ -355,6 +353,11 @@ def instantiate_degree_table(
     vectors = (qs.gamma,) + sides
     # The common difference of each side that _progression_order decides.
     steps = [_step(exps, dv.modulus) if 2 <= len(exps) <= n else None for exps in sides]
+    if None in steps and not _walks_d(n, t):
+        raise SchemeError(
+            f"walking a mask side takes C(N-1, T-1) = {comb(n - 1, t - 1)} subsets, "
+            f"above the cap of {_WALK_CAP}"
+        )
     # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
     stride = 2 if dv.modulus is None else lcm(2, dv.modulus)
     distinct = {}  # q -> whether every vector keeps distinct residues mod q
@@ -391,25 +394,22 @@ def instantiate_degree_table(
                 if p not in generators:
                     generators[p] = _primitive_root(p)
             omegas = [pow(generators[p], (p - 1) // q, p) for p, q, _ in group]
-            levels = ["structural"] * len(group)
             live = range(len(group))
             for i, exps in enumerate(sides):
                 walk = [c for c in live if group[c][2][i] is None]
                 if not walk:
                     continue
                 checks = _mask_checks(
-                    [omegas[c] for c in walk], [group[c][0] for c in walk],
-                    exps, n, t, submatrix_budget, seed,
+                    [omegas[c] for c in walk], [group[c][0] for c in walk], exps, n, t
                 )
-                for c, check in zip(walk, checks):
-                    levels[c] = check.level
                 failed = {c for c, check in zip(walk, checks) if not check.ok}
                 live = [c for c in live if c not in failed]
             if live:
                 c = live[0]
-                p, q, _ = group[c]
+                p, q, v = group[c]
                 rho = tuple(pow(omegas[c], w, p) for w in range(n))
-                meta = dict(params or {}, q=q, certificate=levels[c])
+                level = "exhaustive" if None in v else "structural"
+                meta = dict(params or {}, q=q, certificate=level)
                 fld, omega = PrimeField(p, generators[p]), omegas[c]
                 return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=meta)
         band *= 2
@@ -571,9 +571,11 @@ def verify_privacy_rank(
 
     A side that _progression_side proves from the points is reported as
     SubmatrixCheck(None, C(N, T), 'structural') with no subset eliminated;
-    catx and GASP small/big schemes are proven so. Any other side gets the
-    report of all_txt_submatrices_invertible with budget and seed, through
-    _mask_check, so a failing side keeps its witness.
+    catx and GASP small/big schemes are proven so. Any other side gets
+    _mask_check's report, so a failing side keeps its witness: on the points
+    1, r, r^2, .. of a scanned scheme, the exhaustive walk of d the scan
+    made, whatever budget is; on other points budget decides, and past it a
+    sample drawn from seed is checked ('sampled').
     """
     n, t, p = scheme.n_workers, scheme.t_privacy, scheme.field.p
 

@@ -16,6 +16,7 @@ from pdmm.linalg import (
     _MAX_P,
     FieldMatrix,
     SingularMatrixError,
+    SubmatrixCheck,
     _residues,
     _sampled_subsets,
     _singular,
@@ -468,6 +469,13 @@ class TestSubmatrixCheck:
         m = vandermonde(tuple(range(1, 9)), (0, 1, 2, 3, 4), fld)
         check = all_txt_submatrices_invertible(m, 5)
         assert check.status == "verified_all"
+
+    def test_no_columns_is_one_empty_regular_subset(self):
+        # The mask walks of T = 1 check d with no column: its one 0 x 0
+        # submatrix is regular.
+        check = SubmatrixCheck(None, 1, "exhaustive")
+        assert submatrix_checks(np.zeros((3, 5, 0), dtype=np.int64), 0, [7, 11, 13]) == [check] * 3
+        assert all_txt_submatrices_invertible(FieldMatrix(np.zeros((5, 0)), F53), 0) == check
 
     def test_rejects_column_mismatch(self):
         m = vandermonde((1, 2, 3), (0, 1), F53)

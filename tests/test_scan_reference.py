@@ -44,7 +44,7 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.field import FieldError
-from pdmm.scheme import instantiate_cat, instantiate_degree_table
+from pdmm.scheme import instantiate_cat, instantiate_degree_table, verify_privacy_rank
 
 
 @lru_cache(maxsize=None)
@@ -248,16 +248,35 @@ def test_reference_on_every_subset_agrees(k, l):
         # C(30, 5) = 142,506 subsets per side, but only the C(29, 4) =
         # 23,751 that hold row 0 are eliminated: within the budget.
         (construct_dog_rs(3, 3, 5, 2, 3), 15877, 108, "exhaustive"),
+        # C(N-1, T-1) = C(91, 3) = 138,415 subsets per walk of beta_s.
+        (construct_gasp_rs(8, 8, 4, 1, 2), 12433, 444, "exhaustive"),
     ],
     ids=[
         "gasp-small-2-2-2", "dog-rs-3-3-3", "gasp-rs-4-4-4", "dog-rs-4-4-4", "dog-rs-2-2-3-2-2",
-        "dog-rs-3-3-5-2-3",
+        "dog-rs-3-3-5-2-3", "gasp-rs-8-8-4-1-2",
     ],
 )
 def test_pinned_scans(dv, p, q, certificate):
     got = scan(dv)
     assert (got[0], got[1], got[4]) == (p, q, certificate)
     assert got == ref_scan(dv)
+
+
+@pytest.mark.parametrize(
+    "dv, p, q",
+    [
+        (construct_gasp_rs(5, 5, 5, 2, 3), 225289, 252),
+        (construct_dog_rs(5, 5, 5, 1, 3), 112663, 3414),
+    ],
+    ids=["gasp-rs-5-5-5-2-3", "dog-rs-5-5-5-1-3"],
+)
+def test_pinned_scans_past_the_reference(dv, p, q):
+    # At these p the reference's Leibniz sums overflow int64. Each walk
+    # eliminates C(53, 4) = 292,825 subsets, all of them where a side passes;
+    # the rank check walks the same subsets and reports the same level.
+    scheme = instantiate_degree_table(dv)
+    assert (scheme.field.p, scheme.params) == (p, {"q": q, "certificate": "exhaustive"})
+    assert verify_privacy_rank(scheme).level == "exhaustive"
 
 
 def ref_cat_prime(dv, min_p):

@@ -3,6 +3,7 @@
 import itertools
 from functools import lru_cache
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmm.cli import FAMILIES, build_degree_vectors
-from pdmm.cli import _instantiate as cli_instantiate
 from pdmm.degrees import (
     DegreeVectors,
     _step,
@@ -266,31 +266,68 @@ class TestInstantiateDegreeTable:
         [construct_gasp_rs(3, 3, 3, 2, 3), construct_dog_rs(3, 3, 3, 1, 2)],
         ids=["gasp-rs-3-3-3-2-3", "dog-rs-3-3-3-1-2"],
     )
-    def test_seed_drives_only_sampled_checks(self, dv):
-        # Whole walks do not read the seed; a sampled walk's subsets, and so
-        # its accepted candidate, may depend on it, and each accepted sample
-        # is recorded as such.
-        exact = {instantiate_degree_table(dv, seed=seed).rho for seed in range(4)}
-        assert len(exact) == 1
-        # Budget 200 < C(N-1, T-1), the 210 and 231 subsets a whole walk
-        # eliminates here, so every walk is sampled.
-        for seed in range(4):
-            scheme = instantiate_degree_table(dv, seed=seed, submatrix_budget=200)
-            assert scheme.params["certificate"] == "sampled"
-            assert verify_privacy_rank(scheme, 200, seed).ok
+    def test_scan_reads_no_seed(self, dv):
+        # Every walk is exhaustive, so nothing in the scan is drawn.
+        schemes = [instantiate_degree_table(dv, seed=seed) for seed in range(4)]
+        assert schemes == [schemes[0]] * 4
 
     @pytest.mark.parametrize(
-        "dv, budget, level",
+        "dv, level",
         [
-            (construct_gasp_rs(2, 2, 5, 2, 2), 100_000, "structural"),  # both steps 1
-            (construct_gasp_rs(3, 3, 3, 2, 3), 100_000, "exhaustive"),  # beta_s steps by 1
-            (construct_gasp_rs(3, 3, 3, 2, 3), 200, "sampled"),  # C(21, 2) = 210 > 200
+            (construct_gasp_rs(2, 2, 5, 2, 2), "structural"),  # both steps 1
+            (construct_gasp_rs(3, 3, 3, 2, 3), "exhaustive"),  # beta_s steps by 1
         ],
+        ids=["gasp-rs-2-2-5-2-2", "gasp-rs-3-3-3-2-3"],
     )
-    def test_random_search_records_its_certificate(self, dv, budget, level):
-        scheme = instantiate_degree_table(dv, "random_search", submatrix_budget=budget)
+    @pytest.mark.parametrize("budget", [1, 100_000])
+    def test_random_search_records_its_certificate(self, dv, level, budget):
+        # The rank check's budget does not matter on the scan's points.
+        scheme = instantiate_degree_table(dv, "random_search")
         assert scheme.params["certificate"] == level
         assert verify_privacy_rank(scheme, budget).level == level
+
+    def test_t1_table(self):
+        # The mask sides are no progressions, so both are walked: d has no
+        # column, and its one 0 x 0 submatrix stands for the 1 x 1 power of
+        # a nonzero point. The rank check walks it too, whatever its budget.
+        dv = DegreeVectors((0, 1), (4,), (0, 2), (4,))
+        scheme = instantiate_degree_table(dv)
+        assert (scheme.field.p, scheme.params) == (11, {"q": 10, "certificate": "exhaustive"})
+        assert scheme.rho == (1, 2, 4, 8, 5, 10, 9, 7)
+        report = verify_privacy_rank(scheme, budget=1)
+        assert report.a_check == report.b_check == SubmatrixCheck(None, 8, "exhaustive")
+
+    def test_refuses_a_walk_above_the_cap(self, monkeypatch):
+        # gasp-rs (6,6,6) r=2 s=3: N = 72, and beta_s is no progression, so
+        # a whole walk would eliminate C(71, 5) = 13,019,909 > 2^22 subsets.
+        def no_walk(*args):
+            raise AssertionError("the scan walked a side it refuses")
+
+        monkeypatch.setattr("pdmm.scheme._mask_checks", no_walk)
+        with pytest.raises(SchemeError, match="13019909") as refused:
+            instantiate_degree_table(construct_gasp_rs(6, 6, 6, 2, 3))
+        assert "4194304" in str(refused.value)
+
+    @pytest.mark.parametrize(
+        "dv, p, q, a_witness, b_witness",
+        [
+            (construct_gasp_rs(5, 5, 5, 2, 3), 56359, 3131, (0, 3, 25, 39, 46), (0, 1, 15, 36, 53)),
+            (construct_dog_rs(5, 5, 5, 1, 3), 28183, 462, None, (0, 1, 23, 29, 49)),
+            (construct_gasp_rs(6, 6, 5, 1, 3), 71693, 17923, None, (0, 1, 34, 37, 47)),
+            (construct_dog_rs(6, 6, 5, 1, 3), 17681, 104, None, (0, 1, 7, 11, 13)),
+        ],
+        ids=["gasp-rs-5-5-5-2-3", "dog-rs-5-5-5-1-3", "gasp-rs-6-6-5-1-3", "dog-rs-6-6-5-1-3"],
+    )
+    def test_rank_check_finds_what_a_sample_passed(self, dv, p, q, a_witness, b_witness):
+        # The fields a 100,000-subset sample once accepted for these tables.
+        # At default arguments the rank check walks d whole on such points.
+        fld = PrimeField.of(p)
+        omega = pow(fld.generator, (p - 1) // q, p)
+        qs = quadrants(dv)
+        scheme = PdmmScheme(dv, fld, tuple(pow(omega, w, p) for w in range(qs.n_unique)), qs.gamma)
+        report = verify_privacy_rank(scheme)
+        assert (report.a_check.witness, report.b_check.witness) == (a_witness, b_witness)
+        assert report.level == "exhaustive" and not report.ok
 
     def test_roots_of_unity_records_a_structural_certificate(self, cat222):
         gasp = instantiate_degree_table(construct_gasp_r(3, 3, 3, 1), "roots_of_unity")
@@ -578,13 +615,19 @@ class TestPrivacyRank:
         scheme = instantiate_degree_table(dv, "random_search")
         n = scheme.n_workers
         exhaustive = verify_privacy_rank(scheme)
-        sampled = verify_privacy_rank(scheme, budget=100, seed=1)
-        assert exhaustive.b_check == sampled.b_check
         assert exhaustive.b_check.level == "structural"
         assert exhaustive.a_check == all_txt_submatrices_invertible(
             vandermonde(scheme.rho, dv.alpha_s, scheme.field), 3
         )
         assert (exhaustive.a_check.checked, exhaustive.level) == (comb(n, 3), "exhaustive")
+        # The same points in reverse are no powers 1, r, r^2, .. so the
+        # budget decides: C(21, 3) = 1330 > 100 subsets are sampled.
+        reverse = PdmmScheme(dv, scheme.field, scheme.rho[::-1], scheme.gamma)
+        sampled = verify_privacy_rank(reverse, budget=100, seed=1)
+        assert sampled.b_check == exhaustive.b_check
+        assert sampled.a_check == all_txt_submatrices_invertible(
+            vandermonde(reverse.rho, dv.alpha_s, scheme.field), 3, 100, 1
+        )
         assert (sampled.a_check.checked, sampled.level) == (100, "sampled")
 
 
@@ -648,9 +691,10 @@ class TestProgressionSide:
 
 @st.composite
 def geometric_sides(draw):
-    """(points, exponents, t, p, budget): mostly the powers 1, r, r^2, .. of
-    some r, often of small order so that singular subsets are common, and
-    sometimes other points; budgets on both sides of C(n, t)."""
+    """(points, exponents, t, p, budget, cap): mostly the powers 1, r, r^2,
+    .. of some r, often of small order so that singular subsets are common,
+    and sometimes other points; budgets on both sides of C(n, t), and walk
+    caps on both sides of C(n-1, t-1)."""
     p = draw(st.sampled_from(SMALL_PRIMES[2:] + (97, 101)))
     r = draw(st.integers(1, p - 1))
     n = draw(st.integers(1, 12))
@@ -659,7 +703,9 @@ def geometric_sides(draw):
         rho[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
     t = draw(st.integers(1, min(n, 5)))
     exps = tuple(draw(st.lists(st.integers(0, 40), min_size=t, max_size=t)))
-    return tuple(rho), exps, t, p, draw(st.sampled_from([1, comb(n, t), 10**6, 10**6]))
+    budget = draw(st.sampled_from([1, comb(n, t), 10**6, 10**6]))
+    cap = draw(st.sampled_from([0, comb(n - 1, t - 1), 2**22, 2**22]))
+    return tuple(rho), exps, t, p, budget, cap
 
 
 class TestMaskCheck:
@@ -667,13 +713,18 @@ class TestMaskCheck:
     @given(geometric_sides())
     # The powers of 2 mod 11 but for x_2 = 1: rows 0, 1 and 2 are dependent,
     # which no subset of the powers themselves is.
-    @example(((1, 2, 1, 8, 5, 10), (0, 1, 2), 3, 11, 10**6))
+    @example(((1, 2, 1, 8, 5, 10), (0, 1, 2), 3, 11, 10**6, 2**22))
     def test_equals_the_full_check(self, side):
-        rho, exps, t, p, budget = side
-        fld = PrimeField.of(p)
-        assert scheme_module._mask_check(rho, exps, t, fld, budget, 3) == (
-            all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, 3)
-        )
+        # Exhaustive whatever the budget where d is walked: on the powers of
+        # rho[1] with C(n-1, t-1) within the cap. Elsewhere the budget decides.
+        rho, exps, t, p, budget, cap = side
+        n, fld = len(rho), PrimeField.of(p)
+        powers = all(x == pow(rho[min(1, n - 1)], w, p) for w, x in enumerate(rho))
+        with mock.patch.object(scheme_module, "_WALK_CAP", cap):
+            got = scheme_module._mask_check(rho, exps, t, fld, budget, 3)
+        if powers and comb(n - 1, t - 1) <= cap:
+            budget = comb(n, t)
+        assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, 3)
 
 
     @settings(max_examples=150, deadline=None)
@@ -694,7 +745,7 @@ class TestMaskCheck:
             )
             for w, p in zip(omegas, moduli)
         ]
-        assert scheme_module._mask_checks(omegas, moduli, exps, n, t, budget, 3) == want
+        assert scheme_module._mask_checks(omegas, moduli, exps, n, t) == want
 
 
 class TestPrivacyExhaustive:
@@ -839,7 +890,7 @@ class TestEveryFamily:
     def test_instantiated_scheme_is_private_and_exact(self, point):
         family, (k, l, t), r, s, (rows, inner, cols), seed = point
         dv, params = build_degree_vectors(family, k, l, t, r, s)
-        scheme = cli_instantiate(family, dv, params, seed, 0)
+        scheme = instantiate_degree_table(dv, family=family, params=params)
         assert verify_privacy_rank(scheme).ok
         p = scheme.field.p
         rng = np.random.default_rng(seed)
