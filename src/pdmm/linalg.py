@@ -9,14 +9,14 @@ division-free forward pass _singular on (t, t+m, M) stacks, with one
 modulus or one per matrix, serves is_invertible, solve, which
 back-substitutes on the upper triangular system it leaves, and the T x T
 submatrix checks: submatrix_checks walks a stack of matrices, each mod its
-own p, through the same row subsets at once, and
-all_txt_submatrices_invertible is its one-matrix case.
+own p, through all of their row subsets at once, and
+all_txt_submatrices_invertible is its one-matrix case. No check samples:
+each walks every subset or stops at the first singular one.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -202,8 +202,8 @@ def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
 
 
 # Certification levels of a T x T check, strongest first: decided from the
-# points by structure, every subset eliminated, or a seeded sample eliminated.
-LEVELS = ("structural", "exhaustive", "sampled")
+# points by structure, or every subset eliminated.
+LEVELS = ("structural", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,9 @@ class SubmatrixCheck:
 
     witness holds the first singular row subset, if one was found. level says
     how the matrix was checked: 'exhaustive' (the subsets in lexicographic
-    order), 'sampled' (a seeded sample of them), or 'structural' (a proof from
-    the points, with no subset eliminated; checked is then C(n, t)). status is
-    read from the two: 'found_singular' when there is a witness, else
-    'verified_sample' for a sampled check, else 'verified_all'. A sampled pass
-    is no proof, yet ok counts it as passing.
+    order) or 'structural' (a proof from the points, with no subset
+    eliminated; checked is then C(n, t)). status is 'found_singular' when
+    there is a witness, else 'verified_all'.
     """
 
     witness: tuple[int, ...] | None
@@ -225,9 +223,7 @@ class SubmatrixCheck:
 
     @property
     def status(self) -> str:
-        if self.witness is not None:
-            return "found_singular"
-        return "verified_sample" if self.level == "sampled" else "verified_all"
+        return "verified_all" if self.witness is None else "found_singular"
 
     @property
     def ok(self) -> bool:
@@ -245,35 +241,13 @@ _FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
 @lru_cache(maxsize=8)
 def _combination_indices(n: int, t: int) -> np.ndarray:
     """All C(n, t) row subsets in lexicographic order (for t = 0 the empty
-    one), shared and read-only."""
+    one), shared and read-only, in the smallest integer dtype that holds n:
+    one byte per index for n <= 255."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
-    idx = np.fromiter(flat, dtype=np.intp, count=comb(n, t) * t).reshape(comb(n, t), t)
+    dtype = np.min_scalar_type(n)
+    idx = np.fromiter(flat, dtype=dtype, count=comb(n, t) * t).reshape(comb(n, t), t)
     idx.flags.writeable = False
     return idx
-
-
-@lru_cache(maxsize=8)
-def _sampled_subsets(n: int, t: int, count: int, seed: int) -> np.ndarray:
-    """`count` sorted t-row subsets drawn from random.Random(seed), in draw
-    order, shared and read-only. Filled chunk by chunk in the smallest
-    integer dtype that holds n, so no list of all the draws is ever built."""
-    rng = random.Random(seed)
-    population = range(n)
-    out = np.empty((count, t), dtype=np.min_scalar_type(n))
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        out[start : start + size] = [sorted(rng.sample(population, t)) for _ in range(size)]
-    out.flags.writeable = False
-    return out
-
-
-def _subsets(n: int, t: int, budget: int, seed: int) -> tuple[str, np.ndarray]:
-    """The level and the row subsets of a check: all C(n, t) in
-    lexicographic order when that is at most budget, else the seeded
-    sample of budget subsets."""
-    if comb(n, t) <= budget:
-        return "exhaustive", _combination_indices(n, t)
-    return "sampled", _sampled_subsets(n, t, budget, seed)
 
 
 def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) -> list[int]:
@@ -314,15 +288,13 @@ def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) ->
     return first
 
 
-def _check(position: int, subsets: np.ndarray, level: str) -> SubmatrixCheck:
+def _check(position: int, subsets: np.ndarray) -> SubmatrixCheck:
     if position == len(subsets):
-        return SubmatrixCheck(None, position, level)
-    return SubmatrixCheck(tuple(subsets[position].tolist()), position + 1, level)
+        return SubmatrixCheck(None, position, "exhaustive")
+    return SubmatrixCheck(tuple(subsets[position].tolist()), position + 1, "exhaustive")
 
 
-def submatrix_checks(
-    mats, t: int, p, budget: int = 100_000, seed: int = 0
-) -> list[SubmatrixCheck]:
+def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     """all_txt_submatrices_invertible on each n x t matrix of a (G, n, t)
     stack of residues, matrix g mod p[g] (or all mod one int p), in one
     walk: the G matrices walk the same subsets, and check g is the one the
@@ -332,31 +304,25 @@ def submatrix_checks(
     if mats.ndim != 3 or mats.shape[2] != t:
         raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
     g, n, _ = mats.shape
-    level, subsets = _subsets(n, t, budget, seed)
+    subsets = _combination_indices(n, t)
     if not isinstance(p, int):
         p = np.asarray(p, dtype=np.int64).ravel()
         if p.size and (p == p[0]).all():  # one modulus: _singular's faster reduction
             p = int(p[0])
     cols = mats.transpose(2, 0, 1).reshape(t, g * n)
-    return [_check(i, subsets, level) for i in _first_singular(cols, n, g, p, subsets)]
+    return [_check(i, subsets) for i in _first_singular(cols, n, g, p, subsets)]
 
 
-def all_txt_submatrices_invertible(
-    m: FieldMatrix, t: int, budget: int = 100_000, seed: int = 0
-) -> SubmatrixCheck:
-    """Check invertibility of every (or a seeded sample of) t-row submatrix
-    of the n x t matrix m: the one-matrix case of submatrix_checks.
+def all_txt_submatrices_invertible(m: FieldMatrix, t: int) -> SubmatrixCheck:
+    """Check invertibility of every t-row submatrix of the n x t matrix m:
+    the one-matrix case of submatrix_checks.
 
-    Exhaustive when C(n, t) <= budget, walking the subsets in lexicographic
-    order; otherwise a deterministic pseudorandom sample of `budget` sorted
-    subsets drawn from random.Random(seed). Subsets are tested in chunks,
-    and the check stops at the first singular subset in that order and
-    returns it as the witness; checked is then its 1-based position.
-    Otherwise every subset has been tested, and checked is C(n, t)
-    (level 'exhaustive') or `budget` (level 'sampled').
+    The C(n, t) subsets are walked in lexicographic order, in chunks, and
+    the check stops at the first singular subset and returns it as the
+    witness; checked is then its 1-based position. Otherwise every subset
+    has been tested, and checked is C(n, t). The level is 'exhaustive'.
     """
     if m.cols != t:
         raise ValueError(f"matrix has {m.cols} columns, expected t={t}")
-    level, subsets = _subsets(m.rows, t, budget, seed)
-    first = _first_singular(m.data.T, m.rows, 1, m.field.p, subsets)
-    return _check(first[0], subsets, level)
+    subsets = _combination_indices(m.rows, t)
+    return _check(_first_singular(m.data.T, m.rows, 1, m.field.p, subsets)[0], subsets)

@@ -29,7 +29,6 @@ from .linalg import (
     LEVELS,
     FieldMatrix,
     SubmatrixCheck,
-    _sampled_subsets,
     all_txt_submatrices_invertible,
     matmul_mod,
     solve,
@@ -43,7 +42,8 @@ class SchemeError(Exception):
 
 
 class BudgetExceededError(SchemeError):
-    """An exhaustive verification would exceed its enumeration budget."""
+    """An exhaustive verification would exceed its enumeration budget or
+    walk cap; raised before anything is checked."""
 
 
 # splitmix64's state increment and its two mixing multipliers.
@@ -233,9 +233,20 @@ def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
     return m
 
 
-# The most subsets, C(N-1, T-1), that a walk of a mask side eliminates (see
-# _lift); the scan refuses a table with a side it must walk above it.
+# The most subsets that a T x T walk of a mask side eliminates: C(N-1, T-1)
+# for a walk of d (see _lift), C(N, T) for a whole mask matrix. A side that
+# must be walked above it is refused before anything is walked.
 _WALK_CAP = 2**22
+
+
+def _refuse_above_cap(n: int, t: int) -> None:
+    """Raise BudgetExceededError, naming the count and the cap, when a walk
+    of the t-row subsets of n rows would eliminate more than _WALK_CAP."""
+    if comb(n, t) > _WALK_CAP:
+        raise BudgetExceededError(
+            f"walking a mask side takes C({n}, {t}) = {comb(n, t)} subsets, "
+            f"above the cap of {_WALK_CAP}"
+        )
 
 
 def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
@@ -253,34 +264,32 @@ def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
     return SubmatrixCheck((0,) + tuple(w + 1 for w in check.witness), check.checked, check.level)
 
 
-def _walks_d(n: int, t: int) -> bool:
-    """Whether a mask check on n points 1, r, r^2, .. walks d (see _lift):
-    1 <= T <= N, and d's C(N-1, T-1) subsets, the ones that check
-    eliminates, are at most _WALK_CAP. The walk is then exhaustive."""
-    return 1 <= t <= n and comb(n - 1, t - 1) <= _WALK_CAP
-
-
 def _mask_checks(omegas, moduli, exps, n: int, t: int) -> list[SubmatrixCheck]:
     """_mask_check on the points omega^0 .. omega^(n-1) of each omega in omegas,
-    mod its own modulus, in one walk of d by submatrix_checks; _walks_d must hold."""
+    mod its own modulus, in one walk of d by submatrix_checks, for
+    1 <= T <= N; the caller refuses a walk above _WALK_CAP."""
     m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
     d = (m[:, 1:, 1:] - m[:, 1:, :1]) % np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
-    return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli, _WALK_CAP)]
+    return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli)]
 
 
-def _mask_check(rho, exps, t: int, fld: PrimeField, budget: int, seed: int) -> SubmatrixCheck:
-    """all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget,
-    seed), but exhaustive whatever budget is when rho = 1, r, r^2, .. and
-    _walks_d(N, T) holds: then only the C(N-1, T-1) subsets holding row 0 are
-    walked (see _lift). It is _mask_checks for one point set, through the
-    one-matrix check, whose calls bench/tracing.py counts."""
+def _mask_check(rho, exps, t: int, fld: PrimeField) -> SubmatrixCheck:
+    """all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t): a
+    whole walk of the C(N, T) subsets, or, when rho = 1, r, r^2, .. and
+    1 <= T <= N, of only the C(N-1, T-1) subsets of d (see _lift), with the
+    same witness and count. Either walk above _WALK_CAP raises
+    BudgetExceededError before anything is walked. It is _mask_checks for
+    one point set, through the one-matrix check, whose calls
+    bench/tracing.py counts."""
     n, p = len(rho), fld.p
     powers = n > 1 and rho[0] == 1 and all(b == a * rho[1] % p for a, b in zip(rho, rho[1:]))
-    if not (powers and _walks_d(n, t)):
-        return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, seed)
+    if not (powers and 1 <= t <= n):
+        _refuse_above_cap(n, t)
+        return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t)
+    _refuse_above_cap(n - 1, t - 1)
     m = _powers((rho[1],), (p,), exps, n)
     d = FieldMatrix(m[1:, 1:] - m[1:, :1], fld)
-    return _lift(all_txt_submatrices_invertible(d, t - 1, _WALK_CAP), n, t)
+    return _lift(all_txt_submatrices_invertible(d, t - 1), n, t)
 
 
 def _progression_order(d: int, n: int, q: int) -> bool:
@@ -329,8 +338,8 @@ def instantiate_degree_table(
     from q alone (see _progression_order), with no points built, once the
     candidate is counted against the band's 32: 'structural'. Any other
     side is walked whole, over the C(N-1, T-1) subsets of d (see _lift):
-    'exhaustive'. SchemeError is raised before any walk when that count
-    exceeds _WALK_CAP = 2^22. The walked sides of the band's remaining
+    'exhaustive'. BudgetExceededError is raised before any walk when that
+    count exceeds _WALK_CAP = 2^22. The walked sides of the band's remaining
     candidates are eliminated in groups of 1, 2, 4, .. candidates, so that
     a table accepted at its first candidate costs one check: the generator
     of F_p and omega are computed for the candidates of a group, and one
@@ -353,11 +362,8 @@ def instantiate_degree_table(
     vectors = (qs.gamma,) + sides
     # The common difference of each side that _progression_order decides.
     steps = [_step(exps, dv.modulus) if 2 <= len(exps) <= n else None for exps in sides]
-    if None in steps and not _walks_d(n, t):
-        raise SchemeError(
-            f"walking a mask side takes C(N-1, T-1) = {comb(n - 1, t - 1)} subsets, "
-            f"above the cap of {_WALK_CAP}"
-        )
+    if None in steps:
+        _refuse_above_cap(n - 1, t - 1)
     # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
     stride = 2 if dv.modulus is None else lcm(2, dv.modulus)
     distinct = {}  # q -> whether every vector keeps distinct residues mod q
@@ -564,25 +570,23 @@ class PrivacyRankReport:
         return max(self.a_check.level, self.b_check.level, key=LEVELS.index)
 
 
-def verify_privacy_rank(
-    scheme: PdmmScheme, budget: int = 100_000, seed: int = 0
-) -> PrivacyRankReport:
+def verify_privacy_rank(scheme: PdmmScheme) -> PrivacyRankReport:
     """T x T submatrix invertibility of the two mask Vandermonde matrices.
 
     A side that _progression_side proves from the points is reported as
     SubmatrixCheck(None, C(N, T), 'structural') with no subset eliminated;
     catx and GASP small/big schemes are proven so. Any other side gets
-    _mask_check's report, so a failing side keeps its witness: on the points
-    1, r, r^2, .. of a scanned scheme, the exhaustive walk of d the scan
-    made, whatever budget is; on other points budget decides, and past it a
-    sample drawn from seed is checked ('sampled').
+    _mask_check's exhaustive report, so a failing side keeps its witness: on
+    the points 1, r, r^2, .. of a scanned scheme, the walk of d the scan
+    made; on other points a walk of every T-row subset. A walk above
+    _WALK_CAP raises BudgetExceededError before anything is walked.
     """
     n, t, p = scheme.n_workers, scheme.t_privacy, scheme.field.p
 
     def side(exps) -> SubmatrixCheck:
         if _progression_side(scheme.rho, exps, scheme.dv.modulus, p):
             return SubmatrixCheck(None, comb(n, t), "structural")
-        return _mask_check(scheme.rho, exps, t, scheme.field, budget, seed)
+        return _mask_check(scheme.rho, exps, t, scheme.field)
 
     return PrivacyRankReport(side(scheme.dv.alpha_s), side(scheme.dv.beta_s))
 
@@ -637,16 +641,14 @@ def _enumerate_side(
 
 
 def verify_privacy_exhaustive(
-    scheme: PdmmScheme,
-    trials: str | int = "full",
-    seed: int = 0,
-    max_enumeration: int = 20_000_000,
+    scheme: PdmmScheme, max_enumeration: int = 20_000_000
 ) -> PrivacyExhaustiveReport:
     """Brute-force check that any T workers' tasks are uniform and data-independent.
 
     Requires 1x1 blocks conceptually: the enumeration treats each block as a
-    single field element. trials='full' enumerates every T-subset of workers;
-    an integer draws that many seeded subsets.
+    single field element. Every T-subset of workers is enumerated;
+    BudgetExceededError is raised first when p^(K+T) or p^(L+T) exceeds
+    max_enumeration.
     """
     dv = scheme.dv
     p = scheme.field.p
@@ -657,10 +659,7 @@ def verify_privacy_exhaustive(
             raise BudgetExceededError(
                 f"p^(K+T) = {p ** (side_k + t)} exceeds budget {max_enumeration}"
             )
-    if trials == "full":
-        subsets = list(itertools.combinations(range(n), t))
-    else:
-        subsets = _sampled_subsets(n, t, int(trials), seed).tolist()
+    subsets = list(itertools.combinations(range(n), t))
 
     ok_a, checked_a, wit_a = _enumerate_side(scheme.rho, dv.alpha_p, dv.alpha_s, p, subsets)
     if not ok_a:
@@ -673,10 +672,13 @@ def verify_privacy_exhaustive(
 
 # -- serialization ---------------------------------------------------------
 
+# The scheme parameters that a scheme document carries.
+_PARAM_KEYS = ("r", "s", "x", "q")
+
 
 def scheme_to_dict(scheme: PdmmScheme) -> dict:
     """The table document of the scheme's degree table plus p, omega and rho."""
-    params = {k: v for k, v in scheme.params.items() if k in ("r", "s", "x", "q")}
+    params = {k: v for k, v in scheme.params.items() if k in _PARAM_KEYS}
     doc = table_to_dict(scheme.family, scheme.dv, params)
     doc["p"] = scheme.field.p
     if scheme.omega is not None:
@@ -694,5 +696,5 @@ def scheme_from_dict(doc: dict) -> PdmmScheme:
         quadrants(dv).gamma,
         omega=doc.get("omega"),
         family=doc.get("family"),
-        params={k: doc[k] for k in ("r", "s", "x", "q") if k in doc},
+        params={k: doc[k] for k in _PARAM_KEYS if k in doc},
     )

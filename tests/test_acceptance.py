@@ -183,7 +183,7 @@ def test_criterion_6_privacy_rank(scheme_grid):
     schemes, _ = scheme_grid
     ok = True
     for fam, scheme in schemes:
-        rep = verify_privacy_rank(scheme, budget=200_000)
+        rep = verify_privacy_rank(scheme)
         if not (rep.ok and rep.a_check.status == "verified_all"
                 and rep.b_check.status == "verified_all"):
             ok = False
@@ -208,7 +208,7 @@ def test_criterion_7_privacy_exhaustive():
     start = time.time()
     scheme = instantiate_cat(construct_cat_x(2, 2, 2, 1))
     assert scheme.field.p == 11
-    rep = verify_privacy_exhaustive(scheme, trials="full")
+    rep = verify_privacy_exhaustive(scheme)
     elapsed = time.time() - start
     # 45 worker pairs on each of the two sides; every (A_1, A_2) in F_11^2
     # must induce the uniform distribution over all 11^2 task values.

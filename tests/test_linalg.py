@@ -1,6 +1,5 @@
 """Exact linear algebra over prime fields."""
 
-import random
 from itertools import combinations, permutations
 from math import comb
 
@@ -17,8 +16,8 @@ from pdmm.linalg import (
     FieldMatrix,
     SingularMatrixError,
     SubmatrixCheck,
+    _combination_indices,
     _residues,
-    _sampled_subsets,
     _singular,
     all_txt_submatrices_invertible,
     is_invertible,
@@ -450,19 +449,9 @@ class TestSubmatrixCheck:
         assert not check.ok
         assert check.witness == (1, 2)
 
-    def test_sampling_path_when_over_budget(self):
-        pts = tuple(range(1, 41))
-        m = vandermonde(pts, (0, 1), F53)
-        check = all_txt_submatrices_invertible(m, 2, budget=100, seed=1)
-        assert check.status == "verified_sample"
-        assert check.checked == 100
-
     def test_level_names_the_walk(self):
         m = vandermonde((1, 2, 51, 3), (2, 4), F53)
         assert all_txt_submatrices_invertible(m, 2).level == "exhaustive"
-        assert all_txt_submatrices_invertible(m, 2, budget=5).level == "sampled"
-        m = vandermonde(tuple(range(1, 41)), (0, 1), F53)
-        assert all_txt_submatrices_invertible(m, 2, budget=100).level == "sampled"
 
     def test_large_t_fallback(self):
         fld = PrimeField.of(101)
@@ -516,30 +505,12 @@ class TestSubmatrixCheck:
         assert check.witness == subsets[position - 1]
         assert check.checked == position
 
-    def test_sampled_witness_is_first_singular_draw(self):
-        # Points 21 and 47 coincide, so every subset holding both is singular.
-        n, t, budget, seed = 60, 3, 4000, 6
-        pts = list(range(1, n + 1))
-        pts[47] = pts[21]
-        m = vandermonde(pts, range(t), PrimeField.of(10007))
-        rng = random.Random(seed)
-        sample = [tuple(sorted(rng.sample(range(n), t))) for _ in range(budget)]
-        singular = singular_positions(m, sample)
-        assert len(singular) >= 2
-        first = singular[0]
-        assert first > _CHUNK
-        check = all_txt_submatrices_invertible(m, t, budget=budget, seed=seed)
-        assert check.status == "found_singular"
-        assert check.witness == sample[first - 1]
-        assert check.checked == first
-
     def test_stacked_walk_equals_one_matrix_checks(self):
         # Each matrix has its own modulus and at most one planted singular
         # subset, on either side of the chunk edges at 256 and 1,280 of the
         # C(21, 3) = 1,330 subsets, so the matrices leave the walk at
         # different chunks; two more mod 11 have many singular subsets. Each
-        # check must be the one the one-matrix check returns, exhaustive and
-        # sampled.
+        # check must be the one the one-matrix check returns.
         n, t = 21, 3
         subsets = list(combinations(range(n), t))
         edges = (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK)
@@ -555,12 +526,10 @@ class TestSubmatrixCheck:
         mats += [planted_dependencies(n, t, 11, [], seed) for seed in (1, 2)]
         stack = np.stack([m.data for m in mats])
         moduli = [m.field.p for m in mats]
-        for budget in (comb(n, t), 1000):
-            checks = submatrix_checks(stack, t, moduli, budget, seed=4)
-            assert checks == [all_txt_submatrices_invertible(m, t, budget, 4) for m in mats]
-            assert {c.level for c in checks} == {"exhaustive" if budget > 1000 else "sampled"}
-        exhaustive = submatrix_checks(stack, t, moduli)
-        assert [c.checked for c in exhaustive[: len(positions)]] == [
+        checks = submatrix_checks(stack, t, moduli)
+        assert checks == [all_txt_submatrices_invertible(m, t) for m in mats]
+        assert {c.level for c in checks} == {"exhaustive"}
+        assert [c.checked for c in checks[: len(positions)]] == [
             len(subsets) if pos is None else pos for pos in positions
         ]
 
@@ -588,11 +557,12 @@ class TestSubmatrixCheck:
         assert [c.checked for c in checks] == [1, 300]
         assert checks == [all_txt_submatrices_invertible(m, 3) for m in mats]
 
-    def test_sampled_subsets_are_the_seeded_draws(self):
-        rng = random.Random(5)
-        want = [sorted(rng.sample(range(41), 4)) for _ in range(2500)]
-        got = _sampled_subsets(41, 4, 2500, 5)
-        assert got.tolist() == want
-        assert got.dtype == np.uint8
+    @pytest.mark.parametrize("n, t", [(5, 0), (8, 3), (41, 4), (255, 2), (256, 2), (300, 1)])
+    def test_combination_indices_are_the_combinations(self, n, t):
+        # One byte per index while n fits uint8, the next dtype past it.
+        got = _combination_indices(n, t)
+        assert got.tolist() == [list(c) for c in combinations(range(n), t)]
+        assert got.shape == (comb(n, t), t)
+        assert got.dtype == (np.uint8 if n <= 255 else np.uint16)
         assert not got.flags.writeable
-        assert _sampled_subsets(41, 4, 2500, 5) is got
+        assert _combination_indices(n, t) is got

@@ -279,22 +279,21 @@ class TestInstantiateDegreeTable:
         ],
         ids=["gasp-rs-2-2-5-2-2", "gasp-rs-3-3-3-2-3"],
     )
-    @pytest.mark.parametrize("budget", [1, 100_000])
-    def test_random_search_records_its_certificate(self, dv, level, budget):
-        # The rank check's budget does not matter on the scan's points.
+    def test_random_search_records_its_certificate(self, dv, level):
+        # The rank check reports the level the scan recorded.
         scheme = instantiate_degree_table(dv, "random_search")
         assert scheme.params["certificate"] == level
-        assert verify_privacy_rank(scheme, budget).level == level
+        assert verify_privacy_rank(scheme).level == level
 
     def test_t1_table(self):
         # The mask sides are no progressions, so both are walked: d has no
         # column, and its one 0 x 0 submatrix stands for the 1 x 1 power of
-        # a nonzero point. The rank check walks it too, whatever its budget.
+        # a nonzero point. The rank check walks it too.
         dv = DegreeVectors((0, 1), (4,), (0, 2), (4,))
         scheme = instantiate_degree_table(dv)
         assert (scheme.field.p, scheme.params) == (11, {"q": 10, "certificate": "exhaustive"})
         assert scheme.rho == (1, 2, 4, 8, 5, 10, 9, 7)
-        report = verify_privacy_rank(scheme, budget=1)
+        report = verify_privacy_rank(scheme)
         assert report.a_check == report.b_check == SubmatrixCheck(None, 8, "exhaustive")
 
     def test_refuses_a_walk_above_the_cap(self, monkeypatch):
@@ -304,9 +303,45 @@ class TestInstantiateDegreeTable:
             raise AssertionError("the scan walked a side it refuses")
 
         monkeypatch.setattr("pdmm.scheme._mask_checks", no_walk)
-        with pytest.raises(SchemeError, match="13019909") as refused:
+        with pytest.raises(BudgetExceededError, match="13019909") as refused:
             instantiate_degree_table(construct_gasp_rs(6, 6, 6, 2, 3))
         assert "4194304" in str(refused.value)
+
+    @pytest.mark.parametrize("reverse, walked", [(False, comb(21, 2)), (True, comb(22, 3))])
+    def test_rank_check_refuses_a_walk_above_the_cap(self, reverse, walked, monkeypatch):
+        # gasp-rs (3,3,3) r=2 s=3 has N = 22, T = 3, and alpha_s walked. On
+        # the scan's points the rank check walks d's C(21, 2) subsets, on the
+        # points reversed, no powers 1, r, r^2, .., all C(22, 3). One subset
+        # below that cap it refuses before walking; at the cap it walks.
+        scheme = instantiate_degree_table(construct_gasp_rs(3, 3, 3, 2, 3))
+        if reverse:
+            scheme = PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma)
+        monkeypatch.setattr("pdmm.scheme._WALK_CAP", walked)
+        report = verify_privacy_rank(scheme)
+        assert report.ok and report.a_check.level == "exhaustive"
+
+        def no_walk(*args):
+            raise AssertionError("the rank check walked a side it refuses")
+
+        for name in ("all_txt_submatrices_invertible", "submatrix_checks", "_mask_checks"):
+            monkeypatch.setattr(f"pdmm.scheme.{name}", no_walk)
+        monkeypatch.setattr("pdmm.scheme._WALK_CAP", walked - 1)
+        with pytest.raises(BudgetExceededError, match=f" = {walked} subsets") as refused:
+            verify_privacy_rank(scheme)
+        assert f"cap of {walked - 1}" in str(refused.value)
+
+    def test_reversed_scan_points_are_walked_whole(self):
+        # dog-rs (3,3,5) r=2 s=3: neither mask side is a progression, and its
+        # scan's points in reverse are no powers 1, r, r^2, .., so the rank
+        # check walks all C(30, 5) = 142,506 subsets of each side.
+        scheme = instantiate_degree_table(construct_dog_rs(3, 3, 5, 2, 3))
+        assert (scheme.field.p, scheme.params["q"], scheme.n_workers) == (15877, 108, 30)
+        reverse = PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma)
+        report = verify_privacy_rank(reverse)
+        for check in (report.a_check, report.b_check):
+            assert (check.status, check.level, check.checked) == (
+                "verified_all", "exhaustive", 142_506
+            )
 
     @pytest.mark.parametrize(
         "dv, p, q, a_witness, b_witness",
@@ -320,7 +355,7 @@ class TestInstantiateDegreeTable:
     )
     def test_rank_check_finds_what_a_sample_passed(self, dv, p, q, a_witness, b_witness):
         # The fields a 100,000-subset sample once accepted for these tables.
-        # At default arguments the rank check walks d whole on such points.
+        # The rank check walks d whole on such points.
         fld = PrimeField.of(p)
         omega = pow(fld.generator, (p - 1) // q, p)
         qs = quadrants(dv)
@@ -586,8 +621,8 @@ class TestPrivacyRank:
         ids=["catx-8-8-4", "gasp-small-4-4-4"],
     )
     def test_roots_of_unity_schemes_are_proven_by_structure(self, scheme):
-        # C(92, 4) and C(41, 4) exceed the default budget of 100,000 subsets,
-        # which an elimination could only sample.
+        # C(92, 4) and C(41, 4) are each over 100,000 subsets, proven
+        # without eliminating one.
         scheme = scheme()
         full = comb(scheme.n_workers, scheme.t_privacy)
         assert full > 100_000
@@ -620,15 +655,15 @@ class TestPrivacyRank:
             vandermonde(scheme.rho, dv.alpha_s, scheme.field), 3
         )
         assert (exhaustive.a_check.checked, exhaustive.level) == (comb(n, 3), "exhaustive")
-        # The same points in reverse are no powers 1, r, r^2, .. so the
-        # budget decides: C(21, 3) = 1330 > 100 subsets are sampled.
+        # The same points in reverse are no powers 1, r, r^2, .. so all
+        # C(22, 3) = 1,540 subsets of alpha_s are walked.
         reverse = PdmmScheme(dv, scheme.field, scheme.rho[::-1], scheme.gamma)
-        sampled = verify_privacy_rank(reverse, budget=100, seed=1)
-        assert sampled.b_check == exhaustive.b_check
-        assert sampled.a_check == all_txt_submatrices_invertible(
-            vandermonde(reverse.rho, dv.alpha_s, scheme.field), 3, 100, 1
+        walked = verify_privacy_rank(reverse)
+        assert walked.b_check == exhaustive.b_check
+        assert walked.a_check == all_txt_submatrices_invertible(
+            vandermonde(reverse.rho, dv.alpha_s, scheme.field), 3
         )
-        assert (sampled.a_check.checked, sampled.level) == (100, "sampled")
+        assert (walked.a_check.checked, walked.level) == (1540, "exhaustive")
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -686,15 +721,15 @@ class TestProgressionSide:
         assert (got is not None) == decidable
         if got is not None:
             m = vandermonde(rho, exps, fld)
-            assert got == all_txt_submatrices_invertible(m, t, comb(len(rho), t)).ok
+            assert got == all_txt_submatrices_invertible(m, t).ok
 
 
 @st.composite
 def geometric_sides(draw):
-    """(points, exponents, t, p, budget, cap): mostly the powers 1, r, r^2,
-    .. of some r, often of small order so that singular subsets are common,
-    and sometimes other points; budgets on both sides of C(n, t), and walk
-    caps on both sides of C(n-1, t-1)."""
+    """(points, exponents, t, p, cap): mostly the powers 1, r, r^2, .. of
+    some r, often of small order so that singular subsets are common, and
+    sometimes other points; walk caps on both sides of C(n-1, t-1) and of
+    C(n, t)."""
     p = draw(st.sampled_from(SMALL_PRIMES[2:] + (97, 101)))
     r = draw(st.integers(1, p - 1))
     n = draw(st.integers(1, 12))
@@ -703,9 +738,8 @@ def geometric_sides(draw):
         rho[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
     t = draw(st.integers(1, min(n, 5)))
     exps = tuple(draw(st.lists(st.integers(0, 40), min_size=t, max_size=t)))
-    budget = draw(st.sampled_from([1, comb(n, t), 10**6, 10**6]))
-    cap = draw(st.sampled_from([0, comb(n - 1, t - 1), 2**22, 2**22]))
-    return tuple(rho), exps, t, p, budget, cap
+    cap = draw(st.sampled_from([0, comb(n - 1, t - 1), comb(n, t), 2**22]))
+    return tuple(rho), exps, t, p, cap
 
 
 class TestMaskCheck:
@@ -713,18 +747,21 @@ class TestMaskCheck:
     @given(geometric_sides())
     # The powers of 2 mod 11 but for x_2 = 1: rows 0, 1 and 2 are dependent,
     # which no subset of the powers themselves is.
-    @example(((1, 2, 1, 8, 5, 10), (0, 1, 2), 3, 11, 10**6, 2**22))
+    @example(((1, 2, 1, 8, 5, 10), (0, 1, 2), 3, 11, 2**22))
     def test_equals_the_full_check(self, side):
-        # Exhaustive whatever the budget where d is walked: on the powers of
-        # rho[1] with C(n-1, t-1) within the cap. Elsewhere the budget decides.
-        rho, exps, t, p, budget, cap = side
+        # The whole check, by a walk of d's C(n-1, t-1) subsets on the powers
+        # of rho[1] and of all C(n, t) elsewhere; refused above the cap.
+        rho, exps, t, p, cap = side
         n, fld = len(rho), PrimeField.of(p)
         powers = all(x == pow(rho[min(1, n - 1)], w, p) for w, x in enumerate(rho))
+        walked = comb(n - 1, t - 1) if powers else comb(n, t)
         with mock.patch.object(scheme_module, "_WALK_CAP", cap):
-            got = scheme_module._mask_check(rho, exps, t, fld, budget, 3)
-        if powers and comb(n - 1, t - 1) <= cap:
-            budget = comb(n, t)
-        assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t, budget, 3)
+            if walked > cap:
+                with pytest.raises(BudgetExceededError):
+                    scheme_module._mask_check(rho, exps, t, fld)
+                return
+            got = scheme_module._mask_check(rho, exps, t, fld)
+        assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t)
 
 
     @settings(max_examples=150, deadline=None)
@@ -738,10 +775,9 @@ class TestMaskCheck:
         primes = st.sampled_from(SMALL_PRIMES[2:] + (97, 101))
         pairs = data.draw(st.lists(st.tuples(primes, st.integers(1, 100)), min_size=1, max_size=6))
         omegas, moduli = [r % p or 1 for p, r in pairs], [p for p, _ in pairs]
-        budget = data.draw(st.sampled_from([1, comb(n, t), 10**6]))
         want = [
             scheme_module._mask_check(
-                tuple(pow(w, i, p) for i in range(n)), exps, t, PrimeField.of(p), budget, 3
+                tuple(pow(w, i, p) for i in range(n)), exps, t, PrimeField.of(p)
             )
             for w, p in zip(omegas, moduli)
         ]
@@ -762,11 +798,6 @@ class TestPrivacyExhaustive:
         side, subset, data = report.witness
         assert side == "A"
         assert len(subset) == 2
-
-    def test_sampled_subsets(self, cat222):
-        report = verify_privacy_exhaustive(cat222, trials=7, seed=3)
-        assert report.ok
-        assert report.subsets_checked == 14
 
     @pytest.mark.parametrize("block", [None, 5 * 121])  # 5 * 121: five data values per block
     @pytest.mark.parametrize("mutated", [False, True])
