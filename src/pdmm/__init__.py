@@ -14,7 +14,7 @@ from .degrees import (
     validate_degree_table,
 )
 from .field import FieldError, PrimeField
-from .linalg import FieldMatrix, SingularMatrixError, solve, vandermonde
+from .linalg import SingularMatrixError, solve, vandermonde
 from .scheme import (
     PdmmScheme,
     SchemeError,
@@ -29,7 +29,6 @@ from .search import SchemeChoice, SweepRecord, best_scheme, sweep
 __all__ = [
     "DegreeVectors",
     "FieldError",
-    "FieldMatrix",
     "ParameterError",
     "PdmmScheme",
     "PrimeField",

@@ -1,8 +1,9 @@
 """Prime fields F_p: primality and primitive elements.
 
-A :class:`PrimeField` names p and a generator of its multiplicative group.
-Elements are plain Python ints or int64 arrays in [0, p); the code that uses
-them reduces mod p itself.
+A :class:`PrimeField` names a prime p. Elements are plain Python ints or
+int64 arrays in [0, p); the code that uses them reduces mod p itself.
+_primitive_root gives the smallest primitive element of F_p, from which
+the field scan of scheme.instantiate_degree_table takes its roots of unity.
 """
 
 from __future__ import annotations
@@ -76,29 +77,10 @@ def _primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p together with a cached primitive element.
-
-    Construct via :meth:`PrimeField.of` unless both invariants (p prime,
-    generator of order p-1) are already known to hold.
-    """
+    """The field F_p; p must be prime."""
 
     p: int
-    generator: int
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
-        if not 1 <= self.generator < self.p:
-            raise FieldError(f"generator {self.generator} out of range for p={self.p}")
-        order_checks = (
-            pow(self.generator, (self.p - 1) // f, self.p) != 1
-            for f in _prime_factors(self.p - 1)
-        )
-        if self.p > 2 and not all(order_checks):
-            raise FieldError(f"{self.generator} is not a generator of F_{self.p}")
-
-    @classmethod
-    def of(cls, p: int) -> "PrimeField":
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        return cls(p, _primitive_root(p))

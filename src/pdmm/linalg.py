@@ -1,17 +1,17 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices are numpy int64 arrays reduced mod p; all elimination and every
-product is exact. The field must keep products of two residues inside int64,
-so p is at most isqrt(2^63 - 1) = 3,037,000,499. One product kernel,
-matmul_mod, serves encode, the simulated workers and decode; it divides an
-operand by p only when some entry lies outside [0, p). One elimination, the
-division-free forward pass _singular on (t, t+m, M) stacks, with one
-modulus or one per matrix, serves is_invertible, solve, which
-back-substitutes on the upper triangular system it leaves, and the T x T
-submatrix checks: submatrix_checks walks a stack of matrices, each mod its
-own p, through all of their row subsets at once, and
-all_txt_submatrices_invertible is its one-matrix case. No check samples:
-each walks every subset or stops at the first singular one.
+A matrix over F_p is an int64 array and an int p: every public function
+takes or returns that form, refuses p above isqrt(2^63 - 1) = 3,037,000,499,
+so that products of two residues stay inside int64, and divides its input by
+p only when some entry lies outside [0, p). All elimination and every
+product is exact. One product kernel, matmul_mod, serves encode, the
+simulated workers and decode. One elimination, the division-free forward
+pass _singular on (t, t+m, M) stacks, with one modulus or one per matrix,
+serves is_invertible, solve, which back-substitutes on the upper triangular
+system it leaves, and the T x T submatrix checks: submatrix_checks walks a
+stack of matrices, each mod its own p, through all of their row subsets at
+once, and all_txt_submatrices_invertible is its one-matrix case. No check
+samples: each walks every subset or stops at the first singular one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .field import _MAX_P, PrimeField
+from .field import _MAX_P
 
 
 class SingularMatrixError(Exception):
@@ -39,17 +39,29 @@ def _check_p(p: int):
         raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
 
 
-def _residues(x, p: int) -> np.ndarray:
+def _residues(x, p) -> np.ndarray:
     """x as int64, reduced mod p only if some entry lies outside [0, p).
+    p is an int, or an int64 array that broadcasts against x: a modulus per
+    entry.
 
     Callers pass residues almost always, and % p costs more than the float64
     product it feeds; min and max cost a fraction of it. The result is x
     itself when x is already a reduced int64 array: read it, never write it.
     """
     x = np.asarray(x, dtype=np.int64)
-    if x.size and (x.min() < 0 or x.max() >= p):
+    if x.size and (x.min() < 0 or (x.max() >= p if isinstance(p, int) else (x >= p).any())):
         return x % p
     return x
+
+
+def _matrix(m, p: int) -> np.ndarray:
+    """m as a 2-D int64 array of residues mod p, by _residues' rule, once p
+    is checked."""
+    _check_p(p)
+    m = _residues(m, p)
+    if m.ndim != 2:
+        raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
+    return m
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -66,11 +78,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     before the next is added. Output rows are made in slabs, so that no
     float64 copy of the whole result exists next to the int64 one.
 
-    Raises ValueError for p > _MAX_P, like FieldMatrix.
+    Raises ValueError for p > _MAX_P, like every function here.
     """
-    _check_p(p)
-    a, b = _residues(a, p), _residues(b, p)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    a, b = _matrix(a, p), _matrix(b, p)
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     sq = (p - 1) ** 2
     if sq + p < 2**53:
@@ -93,40 +104,14 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class FieldMatrix:
-    data: np.ndarray
-    field: PrimeField
-
-    def __post_init__(self):
-        _check_p(self.field.p)
-        arr = np.asarray(self.data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected 2-D matrix, got shape {arr.shape}")
-        self.data = arr % self.field.p
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.field.p == other.field.p
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-
-def vandermonde(points, exponents, field: PrimeField) -> FieldMatrix:
-    """Generalized Vandermonde matrix M[i][j] = points[i] ** exponents[j] in F_p."""
-    p = field.p
-    rows = [[pow(int(pt) % p, int(e), p) for e in exponents] for pt in points]
-    return FieldMatrix(np.array(rows, dtype=np.int64), field)
+def vandermonde(points, exponents, p: int) -> np.ndarray:
+    """Generalized Vandermonde matrix M[i][j] = points[i] ** exponents[j] mod p,
+    for a vector of integer points."""
+    _check_p(p)
+    if np.ndim(points) != 1:
+        raise ValueError(f"expected a vector of points, got shape {np.shape(points)}")
+    rows = [[pow(int(x) % p, int(e), p) for e in exponents] for x in points]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(exponents))
 
 
 def _singular(a: np.ndarray, p) -> np.ndarray:
@@ -174,11 +159,12 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
     return a[t - 1, t - 1] == 0
 
 
-def is_invertible(m: FieldMatrix) -> bool:
-    return m.rows == m.cols and not _singular(m.data[:, :, None].copy(), m.field.p)[0]
+def is_invertible(m, p: int) -> bool:
+    m = _matrix(m, p)
+    return m.shape[0] == m.shape[1] and not _singular(m[:, :, None].copy(), p)[0]
 
 
-def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
+def solve(m, rhs, p: int) -> np.ndarray:
     """Solve M X = rhs; M must be square and regular.
 
     _singular's forward pass on [M | rhs] leaves an equivalent upper
@@ -186,19 +172,20 @@ def solve(m: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
     pivot. Only the entries on and above the diagonal are read: those below
     are stale.
     """
-    if m.rows != m.cols:
-        raise SingularMatrixError(f"matrix is {m.rows}x{m.cols}, not square")
-    if m.rows != rhs.rows:
+    m, rhs = _matrix(m, p), _matrix(rhs, p)
+    n = m.shape[0]
+    if m.shape[1] != n:
+        raise SingularMatrixError(f"matrix is {n}x{m.shape[1]}, not square")
+    if rhs.shape[0] != n:
         raise ValueError("rhs row count does not match matrix dimension")
-    n, p = m.rows, m.field.p
-    aug = np.concatenate([m.data, rhs.data], axis=1)[:, :, None]
+    aug = np.concatenate([m, rhs], axis=1)[:, :, None]
     if _singular(aug, p)[0]:
         raise SingularMatrixError(f"{n}x{n} matrix is singular")
     u, x = aug[:, :n, 0], aug[:, n:, 0]
     for k in range(n - 1, -1, -1):
         x[k] = x[k] * pow(int(u[k, k]), p - 2, p) % p
         x[:k] = (x[:k] - u[:k, k, None] * x[k]) % p
-    return FieldMatrix(x, m.field)
+    return x
 
 
 # Certification levels of a T x T check, strongest first: decided from the
@@ -296,33 +283,35 @@ def _check(position: int, subsets: np.ndarray) -> SubmatrixCheck:
 
 def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     """all_txt_submatrices_invertible on each n x t matrix of a (G, n, t)
-    stack of residues, matrix g mod p[g] (or all mod one int p), in one
-    walk: the G matrices walk the same subsets, and check g is the one the
-    one-matrix check returns on matrix g alone.
+    stack, matrix g mod p[g] (or all mod one int p), in one walk: the G
+    matrices walk the same subsets, and check g is the one the one-matrix
+    check returns on matrix g alone. Entries outside [0, p) are reduced by
+    their own matrix's modulus.
     """
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim != 3 or mats.shape[2] != t:
         raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
     g, n, _ = mats.shape
-    subsets = _combination_indices(n, t)
     if not isinstance(p, int):
         p = np.asarray(p, dtype=np.int64).ravel()
         if p.size and (p == p[0]).all():  # one modulus: _singular's faster reduction
             p = int(p[0])
+        elif p.size != g:
+            raise ValueError(f"expected one modulus or {g}, got {p.size}")
+    _check_p(p if isinstance(p, int) else int(p.max(initial=0)))
+    mats = _residues(mats, p if isinstance(p, int) else p[:, None, None])
+    subsets = _combination_indices(n, t)
     cols = mats.transpose(2, 0, 1).reshape(t, g * n)
     return [_check(i, subsets) for i in _first_singular(cols, n, g, p, subsets)]
 
 
-def all_txt_submatrices_invertible(m: FieldMatrix, t: int) -> SubmatrixCheck:
-    """Check invertibility of every t-row submatrix of the n x t matrix m:
-    the one-matrix case of submatrix_checks.
+def all_txt_submatrices_invertible(m, t: int, p: int) -> SubmatrixCheck:
+    """Check invertibility mod p of every t-row submatrix of the n x t
+    matrix m: the one-matrix case of submatrix_checks.
 
     The C(n, t) subsets are walked in lexicographic order, in chunks, and
     the check stops at the first singular subset and returns it as the
     witness; checked is then its 1-based position. Otherwise every subset
     has been tested, and checked is C(n, t). The level is 'exhaustive'.
     """
-    if m.cols != t:
-        raise ValueError(f"matrix has {m.cols} columns, expected t={t}")
-    subsets = _combination_indices(m.rows, t)
-    return _check(_first_singular(m.data.T, m.rows, 1, m.field.p, subsets)[0], subsets)
+    return submatrix_checks(np.asarray(m)[None], t, p)[0]

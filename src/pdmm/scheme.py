@@ -27,7 +27,6 @@ from .degrees import (
 from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 from .linalg import (
     LEVELS,
-    FieldMatrix,
     SubmatrixCheck,
     all_txt_submatrices_invertible,
     matmul_mod,
@@ -74,13 +73,16 @@ class SplitMix64:
                 return v % n
 
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
-        """rows x cols draws of below(p), row by row, as int64.
+        """rows x cols draws of below(p), row by row, as int64, for
+        1 <= p <= 2^63; any other p raises ValueError, since its draws would
+        not fit int64 or there are none.
 
         The next rows * cols states are state + i * _GAMMA, so the stream is
         mixed in numpy uint64 at once. When a draw would be rejected, the
-        batch is drawn again by the scalar loop, which keeps the stream exact;
-        so is a p above 2^63, whose draws may not fit int64.
+        batch is drawn again by the scalar loop, which keeps the stream exact.
         """
+        if not 1 <= p <= 1 << 63:
+            raise ValueError(f"p = {p} lies outside [1, 2^63]")
         count = rows * cols
         u64 = np.uint64
         z = u64(self.state) + np.arange(1, count + 1, dtype=u64) * u64(_GAMMA)
@@ -88,7 +90,7 @@ class SplitMix64:
         z = (z ^ (z >> u64(27))) * u64(_MIX2)
         z ^= z >> u64(31)
         rejected = (1 << 64) % p
-        if p > 1 << 63 or (rejected and bool((z >= u64((1 << 64) - rejected)).any())):
+        if rejected and bool((z >= u64((1 << 64) - rejected)).any()):
             return np.array(
                 [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
             )
@@ -136,19 +138,19 @@ class PdmmScheme:
     def _encoders(self) -> tuple[np.ndarray, np.ndarray]:
         """E_A (N x (K+T)) and E_B (N x (L+T)): the share polynomials'
         generalized Vandermonde matrices at rho, data exponents first."""
-        dv = self.dv
+        dv, p = self.dv, self.field.p
         return (
-            vandermonde(self.rho, dv.alpha_p + dv.alpha_s, self.field).data,
-            vandermonde(self.rho, dv.beta_p + dv.beta_s, self.field).data,
+            vandermonde(self.rho, dv.alpha_p + dv.alpha_s, p),
+            vandermonde(self.rho, dv.beta_p + dv.beta_s, p),
         )
 
     @cached_property
     def _decoder(self) -> np.ndarray:
         """The KL x N rows of V_gamma^-1 that give the coefficients of the
         block products A_i B_j, in row-major (i, j) order."""
-        n = self.n_workers
-        v = vandermonde(self.rho, self.gamma, self.field)
-        inverse = solve(v, FieldMatrix(np.eye(n, dtype=np.int64), self.field)).data
+        p = self.field.p
+        v = vandermonde(self.rho, self.gamma, p)
+        inverse = solve(v, np.eye(self.n_workers, dtype=np.int64), p)
         data_sums = addition_table(self.dv)[: self.dv.k, : self.dv.l]
         return inverse[np.searchsorted(self.gamma, data_sums.ravel())]
 
@@ -269,27 +271,26 @@ def _mask_checks(omegas, moduli, exps, n: int, t: int) -> list[SubmatrixCheck]:
     mod its own modulus, in one walk of d by submatrix_checks, for
     1 <= T <= N; the caller refuses a walk above _WALK_CAP."""
     m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
-    d = (m[:, 1:, 1:] - m[:, 1:, :1]) % np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
+    d = m[:, 1:, 1:] - m[:, 1:, :1]  # submatrix_checks reduces each mod its own p
     return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli)]
 
 
-def _mask_check(rho, exps, t: int, fld: PrimeField) -> SubmatrixCheck:
-    """all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t): a
+def _mask_check(rho, exps, t: int, p: int) -> SubmatrixCheck:
+    """all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p): a
     whole walk of the C(N, T) subsets, or, when rho = 1, r, r^2, .. and
     1 <= T <= N, of only the C(N-1, T-1) subsets of d (see _lift), with the
     same witness and count. Either walk above _WALK_CAP raises
     BudgetExceededError before anything is walked. It is _mask_checks for
     one point set, through the one-matrix check, whose calls
     bench/tracing.py counts."""
-    n, p = len(rho), fld.p
+    n = len(rho)
     powers = n > 1 and rho[0] == 1 and all(b == a * rho[1] % p for a, b in zip(rho, rho[1:]))
     if not (powers and 1 <= t <= n):
         _refuse_above_cap(n, t)
-        return all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t)
+        return all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p)
     _refuse_above_cap(n - 1, t - 1)
     m = _powers((rho[1],), (p,), exps, n)
-    d = FieldMatrix(m[1:, 1:] - m[1:, :1], fld)
-    return _lift(all_txt_submatrices_invertible(d, t - 1), n, t)
+    return _lift(all_txt_submatrices_invertible(m[1:, 1:] - m[1:, :1], t - 1, p), n, t)
 
 
 def _progression_order(d: int, n: int, q: int) -> bool:
@@ -394,8 +395,6 @@ def instantiate_degree_table(
         )
         open_candidates = ((p, q, v) for p, q in candidates if False not in (v := verdicts(q)))
         for group in _doubling(open_candidates):
-            # The generator of PrimeField.of(p), without the field's checks:
-            # p is prime by construction.
             for p, _, _ in group:
                 if p not in generators:
                     generators[p] = _primitive_root(p)
@@ -416,8 +415,9 @@ def instantiate_degree_table(
                 rho = tuple(pow(omegas[c], w, p) for w in range(n))
                 level = "exhaustive" if None in v else "structural"
                 meta = dict(params or {}, q=q, certificate=level)
-                fld, omega = PrimeField(p, generators[p]), omegas[c]
-                return PdmmScheme(dv, fld, rho, qs.gamma, omega=omega, family=family, params=meta)
+                return PdmmScheme(
+                    dv, PrimeField(p), rho, qs.gamma, omega=omegas[c], family=family, params=meta
+                )
         band *= 2
     raise FieldError(
         f"no prime p <= {_MAX_P} from min_p={min_p} passes: larger ones overflow int64"
@@ -586,7 +586,7 @@ def verify_privacy_rank(scheme: PdmmScheme) -> PrivacyRankReport:
     def side(exps) -> SubmatrixCheck:
         if _progression_side(scheme.rho, exps, scheme.dv.modulus, p):
             return SubmatrixCheck(None, comb(n, t), "structural")
-        return _mask_check(scheme.rho, exps, t, scheme.field)
+        return _mask_check(scheme.rho, exps, t, p)
 
     return PrivacyRankReport(side(scheme.dv.alpha_s), side(scheme.dv.beta_s))
 
@@ -691,7 +691,7 @@ def scheme_from_dict(doc: dict) -> PdmmScheme:
     dv = table_from_dict(doc)
     return PdmmScheme(
         dv,
-        PrimeField.of(doc["p"]),
+        PrimeField(doc["p"]),
         tuple(doc["rho"]),
         quadrants(dv).gamma,
         omega=doc.get("omega"),

@@ -193,8 +193,8 @@ def test_criterion_6_privacy_rank(scheme_grid):
     bad_dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
     bad = PdmmScheme(bad_dv, good.field, good.rho, quadrants(bad_dv).gamma)
     detected = not verify_privacy_rank(bad).ok
-    v = vandermonde(good.rho, bad_dv.alpha_s, good.field)
-    (a, b), (c, d) = map(int, v.data[2]), map(int, v.data[4])
+    v = vandermonde(good.rho, bad_dv.alpha_s, good.field.p)
+    (a, b), (c, d) = map(int, v[2]), map(int, v[4])
     singular_at_2_4 = (a * d - b * c) % good.field.p == 0
     ok = ok and detected and singular_at_2_4
     report(

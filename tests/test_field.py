@@ -2,7 +2,7 @@
 
 import pytest
 
-from pdmm.field import _MAX_P, FieldError, PrimeField, is_prime
+from pdmm.field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 
 
 class TestIsPrime:
@@ -19,25 +19,24 @@ class TestIsPrime:
         assert not is_prime(2**61 + 1)
 
 
-class TestPrimeField:
+class TestPrimitiveRoot:
     def test_generator_of_f11(self):
-        fld = PrimeField.of(11)
-        assert fld.generator == 2
+        assert _primitive_root(11) == 2
         assert sorted(pow(2, e, 11) for e in range(10)) == list(range(1, 11))
 
-    @pytest.mark.parametrize("p", [2, 3, 13, 53, 101])
-    def test_generator_has_full_order(self, p):
-        fld = PrimeField.of(p)
-        assert {pow(fld.generator, e, p) for e in range(p - 1)} == set(range(1, p))
+    @pytest.mark.parametrize("p", [2, 3, 7, 13, 53, 101])
+    def test_smallest_generator_has_full_order(self, p):
+        # 2 has order 3 in F_7, whose smallest generator is 3.
+        g = _primitive_root(p)
+        assert {pow(g, e, p) for e in range(p - 1)} == set(range(1, p))
+        for smaller in range(2, g):
+            assert len({pow(smaller, e, p) for e in range(p - 1)}) < p - 1
 
-    def test_rejects_composite(self):
-        with pytest.raises(FieldError):
-            PrimeField.of(10)
 
-    def test_rejects_non_generator(self):
-        # 3 has order 5 in F_11.
-        with pytest.raises(FieldError):
-            PrimeField(11, 3)
+def test_prime_field_rejects_composite():
+    assert PrimeField(11).p == 11
+    with pytest.raises(FieldError):
+        PrimeField(10)
 
 
 def test_int64_bound():

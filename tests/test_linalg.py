@@ -8,12 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdmm.field import PrimeField
 from pdmm.linalg import (
     _CHUNK,
     _FIRST_CHUNK,
     _MAX_P,
-    FieldMatrix,
     SingularMatrixError,
     SubmatrixCheck,
     _combination_indices,
@@ -27,8 +25,6 @@ from pdmm.linalg import (
     vandermonde,
 )
 
-F11 = PrimeField.of(11)
-F53 = PrimeField.of(53)
 # The largest prime whose residue products fit int64: isqrt(2^63 - 1) - 6.
 P_NEAR_LIMIT = 3_037_000_493
 
@@ -50,13 +46,13 @@ def permanent_style_det(m, p):
 
 def planted_dependencies(n, t, p, dependent_rows, seed):
     """Random n x t matrix in which each listed row set is linearly dependent:
-    its last row is a random combination of the others."""
+    its last row is a random combination of the others; entries in [0, p)."""
     rng = np.random.default_rng(seed)
     data = rng.integers(1, p, (n, t))
     for rows in dependent_rows:
         coeffs = rng.integers(1, p, len(rows) - 1)
         data[rows[-1]] = coeffs @ data[list(rows[:-1])] % p
-    return FieldMatrix(data, PrimeField.of(p))
+    return data
 
 
 def det_mod(m, p):
@@ -79,41 +75,59 @@ def det_mod(m, p):
     return det % p
 
 
-def singular_positions(m, subsets):
-    """1-based positions of the singular t x t submatrices, by determinant."""
-    return [
-        i + 1
-        for i, rows in enumerate(subsets)
-        if det_mod(m.data[list(rows)], m.field.p) == 0
-    ]
+def singular_positions(m, subsets, p):
+    """1-based positions of the singular t x t submatrices mod p, by determinant."""
+    return [i + 1 for i, rows in enumerate(subsets) if det_mod(m[list(rows)], p) == 0]
 
 
-class TestFieldMatrix:
-    def test_reduces_mod_p(self):
-        m = FieldMatrix(np.array([[12, -1], [22, 5]]), F11)
-        assert m.data.tolist() == [[1, 10], [0, 5]]
+# Each public function on a matrix over F_p, as call(input, p), with an input
+# holding unreduced and negative entries mod 11 and an input of the wrong
+# shape. In the all_txt and submatrix_checks inputs a row is 11, which is
+# singular only once it is reduced.
+ENTRIES = {
+    "vandermonde": (lambda x, p: vandermonde(x, (0, 1, 3), p), [-1, 12, 25], [[1, 2], [3, 4]]),
+    "is_invertible": (is_invertible, [[12, -1], [22, 5]], np.arange(4)),
+    "solve": (lambda m, p: solve(m, [[-6], [23]], p), [[12, -1], [22, 5]], np.arange(4)),
+    "all_txt_submatrices_invertible": (
+        lambda m, p: all_txt_submatrices_invertible(m, 1, p),
+        [[3], [11]],
+        np.arange(4),
+    ),
+    "submatrix_checks": (
+        lambda m, p: submatrix_checks(m, 1, p),
+        [[[3], [11]], [[-2], [4]]],
+        [[3], [11]],
+    ),
+}
 
-    def test_equality(self):
-        a = FieldMatrix(np.array([[1, 2]]), F11)
-        b = FieldMatrix(np.array([[12, 13]]), F11)
-        assert a == b
-        assert a != FieldMatrix(np.array([[1, 2]]), F53)
 
-    def test_rejects_non_2d(self):
+def plain(result):
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_unreduced_entries_are_reduced_mod_p(self, name):
+        call, x, _ = ENTRIES[name]
+        x = np.array(x)
+        before = x.copy()
+        assert plain(call(x, 11)) == plain(call(before % 11, 11))
+        assert np.array_equal(x, before)  # reduced in a copy
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_refuses_the_wrong_shape(self, name):
+        call, _, wrong = ENTRIES[name]
         with pytest.raises(ValueError):
-            FieldMatrix(np.arange(4), F11)
+            call(wrong, 11)
 
-    def test_refuses_fields_past_int64_products(self):
-        # A singular [[a, b], [c*a, c*b]] over p = 4,000,000,007: its 2x2
-        # determinant overflows int64, and the submatrix check read it as
-        # invertible. The field scan never picks such a field, so build it directly.
-        fld = PrimeField.of(4_000_000_007)
-        assert fld.p > P_NEAR_LIMIT
-        a, b, c = 3_253_080_962, 2_597_663_003, 3_651_022_314
-        with pytest.raises(ValueError):
-            FieldMatrix(np.array([[a, b], [c * a % fld.p, c * b % fld.p]]), fld)
-        with pytest.raises(ValueError):
-            vandermonde((1, 2, 3), (0, 1), fld)
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("p", [_MAX_P + 2, 4_000_000_007, 2**62 + 1])
+    def test_refuses_fields_past_int64_products(self, name, p):
+        # Over such a p a product of two residues overflows int64: a singular
+        # [[a, b], [c*a, c*b]] mod 4,000,000,007 once read as invertible.
+        call, x, _ = ENTRIES[name]
+        with pytest.raises(ValueError, match="exceeds"):
+            call(np.array(x) % 11, p)
 
 
 # Primes on both sides of each path of matmul_mod, with the number k of inner
@@ -206,50 +220,48 @@ class TestMatmulMod:
 
 class TestVandermonde:
     def test_entries(self):
-        m = vandermonde((1, 2, 3), (0, 1, 2), F11)
-        assert m.data.tolist() == [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
+        m = vandermonde((1, 2, 3), (0, 1, 2), 11)
+        assert m.tolist() == [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
 
     def test_generalized_exponents(self):
-        m = vandermonde((2,), (0, 3, 10), F11)
-        assert m.data.tolist() == [[1, 8, 1]]  # 2^10 = 1 in F_11
+        m = vandermonde((2,), (0, 3, 10), 11)
+        assert m.tolist() == [[1, 8, 1]]  # 2^10 = 1 in F_11
 
 
 class TestRankSolve:
     def test_rank_fixtures(self):
         # Ranks 1, 2 and 0: only the full-rank matrix is invertible.
-        assert not is_invertible(FieldMatrix(np.array([[1, 2], [2, 4]]), F11))
-        assert is_invertible(FieldMatrix(np.array([[1, 2], [2, 5]]), F11))
-        assert not is_invertible(FieldMatrix(np.zeros((3, 3), dtype=int), F11))
+        assert not is_invertible(np.array([[1, 2], [2, 4]]), 11)
+        assert is_invertible(np.array([[1, 2], [2, 5]]), 11)
+        assert not is_invertible(np.zeros((3, 3), dtype=int), 11)
 
     def test_standard_vandermonde_invertible(self):
-        assert is_invertible(vandermonde((1, 2, 3, 4), (0, 1, 2, 3), F53))
+        assert is_invertible(vandermonde((1, 2, 3, 4), (0, 1, 2, 3), 53), 53)
 
     def test_solve_known_system(self):
-        m = FieldMatrix(np.array([[2, 1], [1, 3]]), F11)
-        rhs = FieldMatrix(np.array([[5], [10]]), F11)
-        x = solve(m, rhs)
-        assert (m.data @ x.data % 11).tolist() == rhs.data.tolist()
+        m = np.array([[2, 1], [1, 3]])
+        rhs = np.array([[5], [10]])
+        x = solve(m, rhs, 11)
+        assert (m @ x % 11).tolist() == rhs.tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_solve_roundtrip_random(self, seed):
         rng = np.random.default_rng(seed)
         while True:
-            m = FieldMatrix(rng.integers(0, 53, (6, 6)), F53)
-            if is_invertible(m):
+            m = rng.integers(0, 53, (6, 6))
+            if is_invertible(m, 53):
                 break
-        rhs = FieldMatrix(rng.integers(0, 53, (6, 4)), F53)
-        x = solve(m, rhs)
-        assert np.array_equal(m.data @ x.data % 53, rhs.data)
+        rhs = rng.integers(0, 53, (6, 4))
+        x = solve(m, rhs, 53)
+        assert np.array_equal(m @ x % 53, rhs)
 
     def test_solve_singular_raises(self):
-        m = FieldMatrix(np.array([[1, 2], [2, 4]]), F11)
         with pytest.raises(SingularMatrixError):
-            solve(m, FieldMatrix(np.array([[1], [2]]), F11))
+            solve(np.array([[1, 2], [2, 4]]), np.array([[1], [2]]), 11)
 
     def test_solve_rejects_non_square(self):
-        m = FieldMatrix(np.array([[1, 2, 3], [4, 5, 6]]), F11)
         with pytest.raises(SingularMatrixError):
-            solve(m, FieldMatrix(np.array([[1], [2]]), F11))
+            solve(np.array([[1, 2, 3], [4, 5, 6]]), np.array([[1], [2]]), 11)
 
 
 SOLVE_PRIMES = [2, 11, P_NEAR_LIMIT]
@@ -289,28 +301,24 @@ class TestSharedElimination:
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_solve_multi_column_rhs(self, p, n):
         rng = np.random.default_rng(n)
-        fld = PrimeField.of(p)
         m = regular_matrix(n, p, rng)
         rhs = rng.integers(0, p, (n, 3))
-        assert is_invertible(FieldMatrix(m, fld))
-        x = solve(FieldMatrix(m, fld), FieldMatrix(rhs, fld))
-        assert_solves(m, rhs, x.data, p)
+        assert is_invertible(m, p)
+        assert_solves(m, rhs, solve(m, rhs, p), p)
 
     @pytest.mark.parametrize("p", SOLVE_PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 8, 40])
     def test_zero_leading_pivots(self, p, n):
         rng = np.random.default_rng(100 + n)
-        fld = PrimeField.of(p)
         m = anti_triangular(n, p, rng)
         assert m[0, 0] == 0 and det_mod(m, p) != 0
-        assert is_invertible(FieldMatrix(m, fld))
-        x = solve(FieldMatrix(m, fld), FieldMatrix(np.eye(n, dtype=np.int64), fld))
-        assert_solves(m, np.eye(n, dtype=np.int64), x.data, p)
+        assert is_invertible(m, p)
+        eye = np.eye(n, dtype=np.int64)
+        assert_solves(m, eye, solve(m, eye, p), p)
 
     @pytest.mark.parametrize("p", SOLVE_PRIMES)
     def test_is_invertible_matches_determinant(self, p):
         rng = np.random.default_rng(p % 1000)
-        fld = PrimeField.of(p)
         outcomes = set()
         for trial in range(120):
             n = 1 + trial % 9
@@ -318,7 +326,7 @@ class TestSharedElimination:
             if trial % 4 == 0 and n > 1:
                 m[-1] = m[0] * rng.integers(0, p) % p
             want = det_mod(m, p) != 0
-            assert is_invertible(FieldMatrix(m, fld)) == want
+            assert is_invertible(m, p) == want
             outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -326,7 +334,6 @@ class TestSharedElimination:
     @pytest.mark.parametrize("n", [2, 9, 40])
     def test_singular_raises(self, p, n):
         rng = np.random.default_rng(200 + n)
-        fld = PrimeField.of(p)
         dependent = regular_matrix(n, p, rng)
         coeffs = rng.integers(0, p, n - 1).astype(object)
         dependent[-1] = (coeffs @ dependent[:-1].astype(object)) % p
@@ -334,23 +341,22 @@ class TestSharedElimination:
         zero_column[:, n // 2] = 0
         for m in (dependent, zero_column, anti_triangular(n, p, rng) * (np.arange(n) != 0)):
             assert det_mod(m, p) == 0
-            assert not is_invertible(FieldMatrix(m, fld))
+            assert not is_invertible(m, p)
             with pytest.raises(SingularMatrixError):
-                solve(FieldMatrix(m, fld), FieldMatrix(rng.integers(0, p, (n, 2)), fld))
+                solve(m, rng.integers(0, p, (n, 2)), p)
 
     def test_empty_matrix_is_regular(self):
-        empty = FieldMatrix(np.zeros((0, 0), dtype=np.int64), F11)
-        assert is_invertible(empty)
-        assert solve(empty, FieldMatrix(np.zeros((0, 2), dtype=np.int64), F11)).data.shape == (0, 2)
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert is_invertible(empty, 11)
+        assert solve(empty, np.zeros((0, 2), dtype=np.int64), 11).shape == (0, 2)
 
     @pytest.mark.parametrize("p", SOLVE_PRIMES)
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (40, 39)])
     def test_non_square_is_singular(self, p, shape):
-        fld = PrimeField.of(p)
-        m = FieldMatrix(np.ones(shape, dtype=np.int64), fld)
-        assert not is_invertible(m)
+        m = np.ones(shape, dtype=np.int64)
+        assert not is_invertible(m, p)
         with pytest.raises(SingularMatrixError):
-            solve(m, FieldMatrix(np.ones((shape[0], 1), dtype=np.int64), fld))
+            solve(m, np.ones((shape[0], 1), dtype=np.int64), p)
 
 
 def singular_stack(t, p, seed):
@@ -435,28 +441,27 @@ class TestBatchDets:
 
 class TestSubmatrixCheck:
     def test_vandermonde_all_pairs_invertible(self):
-        m = vandermonde(tuple(range(1, 11)), (0, 1), F53)
-        check = all_txt_submatrices_invertible(m, 2)
+        m = vandermonde(tuple(range(1, 11)), (0, 1), 53)
+        check = all_txt_submatrices_invertible(m, 2, 53)
         assert check.status == "verified_all"
         assert check.ok
         assert check.checked == 45
 
     def test_finds_singular_pair_with_witness(self):
         # Points 2 and -2 collapse under the even exponents (2, 4).
-        m = vandermonde((1, 2, 51, 3), (2, 4), F53)
-        check = all_txt_submatrices_invertible(m, 2)
+        m = vandermonde((1, 2, 51, 3), (2, 4), 53)
+        check = all_txt_submatrices_invertible(m, 2, 53)
         assert check.status == "found_singular"
         assert not check.ok
         assert check.witness == (1, 2)
 
     def test_level_names_the_walk(self):
-        m = vandermonde((1, 2, 51, 3), (2, 4), F53)
-        assert all_txt_submatrices_invertible(m, 2).level == "exhaustive"
+        m = vandermonde((1, 2, 51, 3), (2, 4), 53)
+        assert all_txt_submatrices_invertible(m, 2, 53).level == "exhaustive"
 
     def test_large_t_fallback(self):
-        fld = PrimeField.of(101)
-        m = vandermonde(tuple(range(1, 9)), (0, 1, 2, 3, 4), fld)
-        check = all_txt_submatrices_invertible(m, 5)
+        m = vandermonde(tuple(range(1, 9)), (0, 1, 2, 3, 4), 101)
+        check = all_txt_submatrices_invertible(m, 5, 101)
         assert check.status == "verified_all"
 
     def test_no_columns_is_one_empty_regular_subset(self):
@@ -464,12 +469,12 @@ class TestSubmatrixCheck:
         # submatrix is regular.
         check = SubmatrixCheck(None, 1, "exhaustive")
         assert submatrix_checks(np.zeros((3, 5, 0), dtype=np.int64), 0, [7, 11, 13]) == [check] * 3
-        assert all_txt_submatrices_invertible(FieldMatrix(np.zeros((5, 0)), F53), 0) == check
+        assert all_txt_submatrices_invertible(np.zeros((5, 0)), 0, 53) == check
 
     def test_rejects_column_mismatch(self):
-        m = vandermonde((1, 2, 3), (0, 1), F53)
+        m = vandermonde((1, 2, 3), (0, 1), 53)
         with pytest.raises(ValueError):
-            all_txt_submatrices_invertible(m, 3)
+            all_txt_submatrices_invertible(m, 3, 53)
 
     @pytest.mark.parametrize(
         "n, t, dependent_rows",
@@ -482,11 +487,11 @@ class TestSubmatrixCheck:
     def test_exhaustive_witness_is_first_singular_subset(self, n, t, dependent_rows):
         m = planted_dependencies(n, t, 10007, dependent_rows, seed=3)
         subsets = list(combinations(range(n), t))
-        singular = singular_positions(m, subsets)
+        singular = singular_positions(m, subsets, 10007)
         assert len(singular) >= 2
         first = singular[0]
         assert first > _CHUNK  # the witness lies beyond the first chunk
-        check = all_txt_submatrices_invertible(m, t)
+        check = all_txt_submatrices_invertible(m, t, 10007)
         assert check.status == "found_singular"
         assert check.witness == subsets[first - 1]
         assert check.checked == first
@@ -499,8 +504,8 @@ class TestSubmatrixCheck:
         n, t = 18, 4
         subsets = list(combinations(range(n), t))
         m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=7)
-        assert singular_positions(m, subsets) == [position]
-        check = all_txt_submatrices_invertible(m, t)
+        assert singular_positions(m, subsets, 1_000_003) == [position]
+        check = all_txt_submatrices_invertible(m, t, 1_000_003)
         assert (check.status, check.level) == ("found_singular", "exhaustive")
         assert check.witness == subsets[position - 1]
         assert check.checked == position
@@ -521,13 +526,13 @@ class TestSubmatrixCheck:
             p = primes[i % 2]
             planted = [] if pos is None else [subsets[pos - 1]]
             m = planted_dependencies(n, t, p, planted, seed=11 + i)
-            assert singular_positions(m, subsets) == ([] if pos is None else [pos])
+            assert singular_positions(m, subsets, p) == ([] if pos is None else [pos])
             mats.append(m)
+            moduli.append(p)
         mats += [planted_dependencies(n, t, 11, [], seed) for seed in (1, 2)]
-        stack = np.stack([m.data for m in mats])
-        moduli = [m.field.p for m in mats]
-        checks = submatrix_checks(stack, t, moduli)
-        assert checks == [all_txt_submatrices_invertible(m, t) for m in mats]
+        moduli += [11, 11]
+        checks = submatrix_checks(np.stack(mats), t, moduli)
+        assert checks == [all_txt_submatrices_invertible(m, t, p) for m, p in zip(mats, moduli)]
         assert {c.level for c in checks} == {"exhaustive"}
         assert [c.checked for c in checks[: len(positions)]] == [
             len(subsets) if pos is None else pos for pos in positions
@@ -537,12 +542,23 @@ class TestSubmatrixCheck:
         # An int modulus, or an array of one repeated prime, walks like the
         # per-matrix array.
         mats = [planted_dependencies(12, 3, 10007, [(1, 4, 9)], seed) for seed in range(3)]
-        stack = np.stack([m.data for m in mats])
-        want = [all_txt_submatrices_invertible(m, 3) for m in mats]
+        stack = np.stack(mats)
+        want = [all_txt_submatrices_invertible(m, 3, 10007) for m in mats]
         assert submatrix_checks(stack, 3, 10007) == want
         assert submatrix_checks(stack, 3, [10007] * 3) == want
         with pytest.raises(ValueError):
             submatrix_checks(stack, 4, 10007)
+
+    def test_entries_are_reduced_by_their_own_modulus(self):
+        # Row 0 is 11: a singular 1 x 1 submatrix mod 11, but not mod 13.
+        stack = np.array([[[11], [3]], [[11], [3]]])
+        assert submatrix_checks(stack[:1], 1, 11)[0].witness == (0,)
+        assert [c.witness for c in submatrix_checks(stack, 1, [11, 13])] == [(0,), None]
+        for p in (2**62 + 1, [11, 2**62 + 1]):
+            with pytest.raises(ValueError, match="exceeds"):
+                submatrix_checks(stack, 1, p)
+        with pytest.raises(ValueError, match="one modulus or 2"):
+            submatrix_checks(stack, 1, [11, 13, 17])
 
     def test_last_matrix_in_the_walk_reads_its_own_rows(self):
         # Matrix 0 leaves at the first subset; matrix 1, singular only at
@@ -552,10 +568,10 @@ class TestSubmatrixCheck:
             planted_dependencies(14, 3, 1_000_003, [subsets[0]], seed=1),
             planted_dependencies(14, 3, 1_000_003, [subsets[299]], seed=2),
         ]
-        assert singular_positions(mats[1], subsets) == [300]
-        checks = submatrix_checks(np.stack([m.data for m in mats]), 3, 1_000_003)
+        assert singular_positions(mats[1], subsets, 1_000_003) == [300]
+        checks = submatrix_checks(np.stack(mats), 3, 1_000_003)
         assert [c.checked for c in checks] == [1, 300]
-        assert checks == [all_txt_submatrices_invertible(m, 3) for m in mats]
+        assert checks == [all_txt_submatrices_invertible(m, 3, 1_000_003) for m in mats]
 
     @pytest.mark.parametrize("n, t", [(5, 0), (8, 3), (41, 4), (255, 2), (256, 2), (300, 1)])
     def test_combination_indices_are_the_combinations(self, n, t):

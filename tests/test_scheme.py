@@ -22,7 +22,7 @@ from pdmm.degrees import (
     table_from_dict,
     validate_degree_table,
 )
-from pdmm.field import FieldError, PrimeField
+from pdmm.field import FieldError, PrimeField, _primitive_root
 from pdmm.linalg import SubmatrixCheck, all_txt_submatrices_invertible, is_invertible, vandermonde
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
@@ -74,8 +74,8 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize(
         "rows, cols, n",
-        [(1, 1, 2), (3, 5, 97), (17, 9, 1091), (8, 8, 2**32), (6, 7, 1_000_000_021),
-         (4, 6, 2**62 + 1), (4, 6, 2**63 + 1)],
+        [(1, 1, 1), (1, 1, 2), (3, 5, 97), (17, 9, 1091), (8, 8, 2**32), (6, 7, 1_000_000_021),
+         (4, 6, 2**62 + 1), (4, 6, 2**64 // 3 + 1), (4, 6, 2**63)],
     )
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_matrix_is_the_scalar_stream(self, rows, cols, n, seed):
@@ -86,13 +86,21 @@ class TestSplitMix64:
         assert fast.state == slow.state
         assert fast.next_u64() == slow.next_u64()
 
-    @pytest.mark.parametrize("n", [2**62 + 1, 2**63 + 1])
+    @pytest.mark.parametrize("n", [2**62 + 1, 2**64 // 3 + 1])
     def test_matrix_rejection_runs_the_scalar_loop(self, n):
-        # n = 2^62 + 1 rejects about a quarter of the draws and 2^63 + 1
-        # about half, so 24 values take more than 24 steps of the stream.
+        # n = 2^62 + 1 rejects about a quarter of the draws and 2^64 / 3 + 1
+        # about a third, so 24 values take more than 24 steps of the stream.
         g = SplitMix64(3)
         g.matrix(4, 6, n)
         assert g.state != (3 + 24 * _GAMMA) & SplitMix64.MASK
+
+    @pytest.mark.parametrize("n", [-5, 0, 2**63 + 1, 2**64 - 59])
+    def test_matrix_refuses_draws_that_do_not_fit_int64(self, n):
+        # No draw below 0 or 1 exists; one from [0, n) above 2^63 may not fit int64.
+        g = SplitMix64(3)
+        with pytest.raises(ValueError, match="outside"):
+            g.matrix(2, 2, n)
+        assert g.state == 3
 
 
 class TestInstantiateCat:
@@ -172,7 +180,8 @@ class TestInstantiateDegreeTable:
         report = verify_privacy_rank(scheme)
         assert (report.a_check.status, report.b_check.status) == ("verified_all",) * 2
         assert report.level == scheme.params["certificate"] == "structural"
-        assert is_invertible(vandermonde(scheme.rho, scheme.gamma, scheme.field))
+        p = scheme.field.p
+        assert is_invertible(vandermonde(scheme.rho, scheme.gamma, p), p)
 
     def test_random_search_small_gasp(self):
         scheme = instantiate_degree_table(
@@ -356,10 +365,10 @@ class TestInstantiateDegreeTable:
     def test_rank_check_finds_what_a_sample_passed(self, dv, p, q, a_witness, b_witness):
         # The fields a 100,000-subset sample once accepted for these tables.
         # The rank check walks d whole on such points.
-        fld = PrimeField.of(p)
-        omega = pow(fld.generator, (p - 1) // q, p)
+        omega = pow(_primitive_root(p), (p - 1) // q, p)
         qs = quadrants(dv)
-        scheme = PdmmScheme(dv, fld, tuple(pow(omega, w, p) for w in range(qs.n_unique)), qs.gamma)
+        rho = tuple(pow(omega, w, p) for w in range(qs.n_unique))
+        scheme = PdmmScheme(dv, PrimeField(p), rho, qs.gamma)
         report = verify_privacy_rank(scheme)
         assert (report.a_check.witness, report.b_check.witness) == (a_witness, b_witness)
         assert report.level == "exhaustive" and not report.ok
@@ -486,7 +495,7 @@ class TestPipeline:
         assert (p - 1) ** 2 * inner < 2**63
         rng = np.random.default_rng(inner)
         task = TaskPair(rng.integers(0, p, (6, inner)), rng.integers(0, p, (inner, 7)), 0)
-        response = worker_multiply(PrimeField.of(p), task)
+        response = worker_multiply(PrimeField(p), task)
         expected = (task.a_share.astype(object) @ task.b_share.astype(object)) % p
         assert response.dtype == np.int64
         assert response.tolist() == expected.tolist()
@@ -638,8 +647,9 @@ class TestPrivacyRank:
         bad = PdmmScheme(bad_dv, cat222.field, cat222.rho, quadrants(bad_dv).gamma)
         assert _progression_side(bad.rho, bad_dv.alpha_s, 10, bad.field.p) is False
         report = verify_privacy_rank(bad)
+        p = bad.field.p
         assert report.a_check == all_txt_submatrices_invertible(
-            vandermonde(bad.rho, bad_dv.alpha_s, bad.field), 2
+            vandermonde(bad.rho, bad_dv.alpha_s, p), 2, p
         )
         assert report.a_check.level == "exhaustive"
         assert report.b_check.level == "structural"
@@ -648,11 +658,11 @@ class TestPrivacyRank:
         # beta_s (9, 10, 11) is proven; alpha_s (9, 10, 12) is eliminated.
         dv = construct_gasp_rs(3, 3, 3, 2, 3)
         scheme = instantiate_degree_table(dv, "random_search")
-        n = scheme.n_workers
+        n, p = scheme.n_workers, scheme.field.p
         exhaustive = verify_privacy_rank(scheme)
         assert exhaustive.b_check.level == "structural"
         assert exhaustive.a_check == all_txt_submatrices_invertible(
-            vandermonde(scheme.rho, dv.alpha_s, scheme.field), 3
+            vandermonde(scheme.rho, dv.alpha_s, p), 3, p
         )
         assert (exhaustive.a_check.checked, exhaustive.level) == (comb(n, 3), "exhaustive")
         # The same points in reverse are no powers 1, r, r^2, .. so all
@@ -661,7 +671,7 @@ class TestPrivacyRank:
         walked = verify_privacy_rank(reverse)
         assert walked.b_check == exhaustive.b_check
         assert walked.a_check == all_txt_submatrices_invertible(
-            vandermonde(reverse.rho, dv.alpha_s, scheme.field), 3
+            vandermonde(reverse.rho, dv.alpha_s, p), 3, p
         )
         assert (walked.a_check.checked, walked.level) == (1540, "exhaustive")
 
@@ -712,7 +722,6 @@ class TestProgressionSide:
     @example(((13, 12, 16, 1), (8, 0), 9, 17))
     def test_matches_exhaustive_elimination(self, side):
         rho, exps, modulus, p = side
-        fld = PrimeField.of(p)
         t = len(exps)
         got = _progression_side(rho, exps, modulus, p)
         progression = _step(exps, modulus) is not None
@@ -720,8 +729,8 @@ class TestProgressionSide:
         decidable = progression and roots and 2 <= t <= len(rho) and 0 not in rho
         assert (got is not None) == decidable
         if got is not None:
-            m = vandermonde(rho, exps, fld)
-            assert got == all_txt_submatrices_invertible(m, t).ok
+            m = vandermonde(rho, exps, p)
+            assert got == all_txt_submatrices_invertible(m, t, p).ok
 
 
 @st.composite
@@ -752,16 +761,16 @@ class TestMaskCheck:
         # The whole check, by a walk of d's C(n-1, t-1) subsets on the powers
         # of rho[1] and of all C(n, t) elsewhere; refused above the cap.
         rho, exps, t, p, cap = side
-        n, fld = len(rho), PrimeField.of(p)
+        n = len(rho)
         powers = all(x == pow(rho[min(1, n - 1)], w, p) for w, x in enumerate(rho))
         walked = comb(n - 1, t - 1) if powers else comb(n, t)
         with mock.patch.object(scheme_module, "_WALK_CAP", cap):
             if walked > cap:
                 with pytest.raises(BudgetExceededError):
-                    scheme_module._mask_check(rho, exps, t, fld)
+                    scheme_module._mask_check(rho, exps, t, p)
                 return
-            got = scheme_module._mask_check(rho, exps, t, fld)
-        assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, fld), t)
+            got = scheme_module._mask_check(rho, exps, t, p)
+        assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p)
 
 
     @settings(max_examples=150, deadline=None)
@@ -776,9 +785,7 @@ class TestMaskCheck:
         pairs = data.draw(st.lists(st.tuples(primes, st.integers(1, 100)), min_size=1, max_size=6))
         omegas, moduli = [r % p or 1 for p, r in pairs], [p for p, _ in pairs]
         want = [
-            scheme_module._mask_check(
-                tuple(pow(w, i, p) for i in range(n)), exps, t, PrimeField.of(p)
-            )
+            scheme_module._mask_check(tuple(pow(w, i, p) for i in range(n)), exps, t, p)
             for w, p in zip(omegas, moduli)
         ]
         assert scheme_module._mask_checks(omegas, moduli, exps, n, t) == want
