@@ -314,23 +314,36 @@ def _step(vec: tuple[int, ...], modulus: int | None) -> int | None:
     return diffs.pop() if len(diffs) == 1 else None
 
 
+def _progression_order(d: int, n: int, q: int) -> bool:
+    """Whether a mask side c + d*i (mod q for a cyclic table) makes every
+    T x T mask submatrix invertible on the points omega^0 .. omega^(n-1),
+    omega of order q, for 2 <= T <= n. Each such submatrix is diag(omega^(w*c))
+    times a Vandermonde matrix in the nodes omega^(w*d), which are powers of
+    an element of order q / gcd(d, q): they are pairwise distinct iff that
+    order is at least n. The scan of scheme.instantiate_degree_table and
+    root_order, which condition IV of a cyclic table reads, both decide a
+    progression side by this rule."""
+    return q // gcd(d, q) >= n
+
+
 def root_order(dv: DegreeVectors, n: int) -> int | None:
     """The modulus q of a cyclic table when the consecutive powers omega^0 ..
     omega^(n-1) of an element omega of order q, as the n evaluation points,
     make every T x T mask submatrix invertible; None when this rule does not
     certify the table. Integer tables are refused.
 
-    Both mask vectors must be arithmetic progressions c + d*i mod q with
-    each step d coprime to q, and q >= n. Then every T x T submatrix is
-    diag(omega^(w*c)) times a Vandermonde matrix in the nodes omega^(w*d).
-    The scan of scheme.instantiate_degree_table, which takes q as a cyclic
-    table's only order, proves both sides of a table that passes here by
-    the same rule (scheme._progression_order), with no elimination.
+    Both mask vectors must be arithmetic progressions c + d*i mod q that
+    _progression_order accepts: q / gcd(d, q) >= n, so that the nodes
+    omega^(w*d) are distinct. A zero step never passes for n >= 2, and a
+    single mask entry counts as step 1. The scan of
+    scheme.instantiate_degree_table, which takes q as a cyclic table's only
+    order, proves both sides of a table that passes here by the same
+    function, with no elimination.
     """
     if dv.modulus is None:
         raise ParameterError("root_order expects a cyclic table (modulus present)")
     steps = (_step(dv.alpha_s, dv.modulus), _step(dv.beta_s, dv.modulus))
-    if None in steps or 0 in steps:
-        return None
     q = dv.modulus
-    return q if q >= n and gcd(q, steps[0] * steps[1]) == 1 else None
+    if None in steps or not all(_progression_order(d, n, q) for d in steps):
+        return None
+    return q

@@ -1,17 +1,23 @@
 """Dense exact linear algebra over a prime field.
 
-A matrix over F_p is an int64 array and an int p: every public function
-takes or returns that form, refuses p above isqrt(2^63 - 1) = 3,037,000,499,
-so that products of two residues stay inside int64, and divides its input by
-p only when some entry lies outside [0, p). All elimination and every
-product is exact. One product kernel, matmul_mod, serves encode, the
-simulated workers and decode. One elimination, the division-free forward
-pass _singular on (t, t+m, M) stacks, with one modulus or one per matrix,
-serves is_invertible, solve, which back-substitutes on the upper triangular
-system it leaves, and the T x T submatrix checks: submatrix_checks walks a
-stack of matrices, each mod its own p, through all of their row subsets at
-once, and all_txt_submatrices_invertible is its one-matrix case. No check
-samples: each walks every subset or stops at the first singular one.
+A matrix over F_p is an integer array and an int p: every public function
+takes that form and returns int64, refuses p above isqrt(2^63 - 1) =
+3,037,000,499, so that products of two residues stay inside int64, and
+divides its input by p, in int64, only when some entry lies outside [0, p).
+All elimination and every product is exact. One product kernel, matmul_mod,
+serves encode, the simulated workers and decode: it multiplies in float32,
+float64 or int64 chunks, whichever is the smallest exact type, and reduces
+the output tile by tile in cache. It alone reads narrow residues (int8,
+int16, int32, as encode writes its shares) without widening them; every
+other function widens its input to int64 first, since elimination
+multiplies residues in the dtype of its input. One elimination, the
+division-free forward pass _singular on (t, t+m, M) stacks, with one
+modulus or one per matrix, serves is_invertible, solve, which
+back-substitutes on the upper triangular system it leaves, and the T x T
+submatrix checks: submatrix_checks walks a stack of matrices, each mod its
+own p, through all of their row subsets at once, and
+all_txt_submatrices_invertible is its one-matrix case. No check samples:
+each walks every subset or stops at the first singular one.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ class SingularMatrixError(Exception):
     """Square system has no unique solution."""
 
 
-# Output elements per row slab of matmul_mod: bounds its float64 temporary.
-_SLAB = 1 << 20
+# Output elements per tile of matmul_mod: a tile and its quotients, at most
+# 512 KiB each in float64, are reduced while they are still in the L2 cache.
+_TILE = 1 << 16
 
 
 def _check_p(p: int):
@@ -39,68 +46,100 @@ def _check_p(p: int):
         raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
 
 
-def _residues(x, p) -> np.ndarray:
+def _residues(x, p, narrow: bool = False) -> np.ndarray:
     """x as int64, reduced mod p only if some entry lies outside [0, p).
     p is an int, or an int64 array that broadcasts against x: a modulus per
-    entry.
+    entry. With narrow, a signed integer array of residues keeps its dtype;
+    only matmul_mod reads narrow residues without widening them, since
+    elimination multiplies residues in the dtype of its input.
 
-    Callers pass residues almost always, and % p costs more than the float64
-    product it feeds; min and max cost a fraction of it. The result is x
-    itself when x is already a reduced int64 array: read it, never write it.
+    Callers pass residues almost always, and % p costs more than the float
+    product it feeds; min and max cost a fraction of it. An entry outside
+    [0, p) is reduced in int64, whatever the width of x. The result is x
+    itself when x already holds residues in a dtype that is kept: read it,
+    never write it.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x, dtype=None if narrow else np.int64)
+    if x.dtype.kind != "i":
+        x = x.astype(np.int64)
     if x.size and (x.min() < 0 or (x.max() >= p if isinstance(p, int) else (x >= p).any())):
-        return x % p
+        return np.asarray(x, dtype=np.int64) % p
     return x
 
 
-def _matrix(m, p: int) -> np.ndarray:
-    """m as a 2-D int64 array of residues mod p, by _residues' rule, once p
-    is checked."""
+def _matrix(m, p: int, narrow: bool = False) -> np.ndarray:
+    """m as a 2-D array of residues mod p, by _residues' rule, once p is
+    checked."""
     _check_p(p)
-    m = _residues(m, p)
+    m = _residues(m, p, narrow)
     if m.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
     return m
 
 
-def matmul_mod(a, b, p: int) -> np.ndarray:
+def matmul_mod(a, b, p: int, *, _dtype=np.int64) -> np.ndarray:
     """Exact (a @ b) mod p as an int64 array, for integer matrices and p <= _MAX_P.
 
     Entries may be negative or >= p: an operand with an entry outside [0, p)
-    is reduced mod p first, one already in [0, p) is used as it is. Neither
-    input is modified, and the output is a new array. With delayed
-    reduction, as in FFLAS-FFPACK: a float64 BLAS product is exact
-    while every partial sum is an integer below 2^53, so the inner dimension
-    runs in chunks of k with (p-1)^2 * k + p < 2^53, one chunk whenever the
-    whole product fits; where a single product of residues does not fit, in
-    int64 chunks with (p-1)^2 * k + p < 2^63. Each chunk is reduced mod p
-    before the next is added. Output rows are made in slabs, so that no
-    float64 copy of the whole result exists next to the int64 one.
+    is reduced mod p in int64 first; one already in [0, p) is used as it
+    is, in any signed integer dtype. Neither input is modified, and the
+    output is a new array. scheme.encode alone passes _dtype, the narrow
+    signed dtype of its shares; every other result is int64.
+
+    The product is taken, as in FFLAS-FFPACK, in the smallest type in which
+    it is exact, with delayed reduction over chunks of k inner terms, each
+    chunk reduced mod p before the next is added:
+    - float32 BLAS, one chunk, when (p-1)^2 * inner + p < 2^24;
+    - float64 BLAS with (p-1)^2 * k + p < 2^53, one chunk whenever the whole
+      product fits, while (p-1)^2 + p < 2^53 (p <= 94,906,249);
+    - int64 with (p-1)^2 * k + p < 2^63 beyond that.
+    Every partial sum is then an integer below 2^m, m = 24, 53 or 63, so
+    no sum is rounded and none wraps. The output is made in tiles of about
+    _TILE entries. Each tile is reduced while it is in cache and written to
+    the output once, so no temporary the size of the output exists.
+
+    A float tile y is reduced as r = y - p * floor(y / p), which is exact for
+    every integer 0 <= y < 2^m, m = 24 for float32 and 53 for float64, the
+    significand's precision. Write y = k*p + c with 0 <= c < p. The quotient
+    y/p = k + c/p is rounded to the nearest float, off by at most
+    2^-m * y/p < 1/p <= (p - c)/p = (k + 1) - y/p. Both k and k + 1 are
+    floats, since k < k + 1 <= 2^m, and rounding is monotone, so
+    k <= fl(y/p) < k + 1 and its floor is k. Then k*p <= y is a float
+    product without rounding, and y - k*p = c a float difference without
+    rounding. The int64 tiles are reduced by %.
 
     Raises ValueError for p > _MAX_P, like every function here.
     """
-    a, b = _matrix(a, p), _matrix(b, p)
+    a, b = _matrix(a, p, narrow=True), _matrix(b, p, narrow=True)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    (rows, inner), cols = a.shape, b.shape[1]
     sq = (p - 1) ** 2
-    if sq + p < 2**53:
+    if sq * inner + p < 2**24:
+        dtype, step = np.float32, max(1, inner)
+    elif sq + p < 2**53:
         dtype, step = np.float64, (2**53 - 1 - p) // sq
     else:
         dtype, step = np.int64, (2**63 - 1 - p) // sq
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    inner = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    rows = max(1, _SLAB // max(1, b.shape[1]))
-    for r in range(0, a.shape[0], rows):
-        dst = out[r : r + rows]
-        for k in range(0, inner, step):
-            prod = a[r : r + rows, k : k + step] @ b[k : k + step]
-            if k:
-                np.add(dst, prod, out=dst, casting="unsafe")
-            else:
-                dst[...] = prod
-            dst %= p
+    out = np.empty((rows, cols), dtype=_dtype)
+    height = max(1, min(rows, _TILE))
+    width = max(1, _TILE // height)
+    modulus = dtype(p)
+    for r in range(0, rows, height):
+        for c in range(0, cols, width):
+            dst, y = out[r : r + height, c : c + width], None
+            for k in range(0, max(1, inner), step):
+                chunk = a[r : r + height, k : k + step] @ b[k : k + step, c : c + width]
+                y = chunk if y is None else np.add(chunk, y, out=chunk)
+                reduced = dst if k + step >= inner else y
+                if dtype is np.int64:
+                    np.remainder(y, p, out=reduced, casting="unsafe")
+                else:
+                    q = np.divide(y, modulus)
+                    np.floor(q, out=q)
+                    q *= modulus
+                    np.subtract(y, q, out=reduced, casting="unsafe")
     return out
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt, lcm
 
 import numpy as np
 
 from .degrees import (
     DegreeVectors,
     ParameterError,
+    _progression_order,
     _step,
     addition_table,
     quadrants,
@@ -293,15 +294,6 @@ def _mask_check(rho, exps, t: int, p: int) -> SubmatrixCheck:
     return _lift(all_txt_submatrices_invertible(m[1:, 1:] - m[1:, :1], t - 1, p), n, t)
 
 
-def _progression_order(d: int, n: int, q: int) -> bool:
-    """_progression_side for a mask side c + d*i, 2 <= T <= n (mod q for a
-    cyclic table of modulus q), on the points omega^0 .. omega^(n-1), omega
-    of order q, decided from q alone: the nodes omega^(w*d) are powers of an
-    element of order q / gcd(d, q), so they are pairwise distinct iff that
-    order is at least n."""
-    return q // gcd(d, q) >= n
-
-
 def _doubling(items):
     """Consecutive groups of 1, 2, 4, .. items, the last one short."""
     items, size = iter(items), 1
@@ -465,7 +457,13 @@ def encode(
 ) -> list[TaskPair]:
     """Evaluate the two encoding polynomials at every worker's point: one
     product E_A @ (A_1..A_K, R_1..R_T) and one for B; the shares are views
-    of the two results."""
+    of the two results.
+
+    The shares are the one narrow array of the pipeline: residues in the
+    smallest signed integer dtype that holds p - 1 (int8 at p = 23, int16
+    at p = 1091, int32 below 2^31), written by matmul_mod tile by tile.
+    Responses and decoded products are int64.
+    """
     dv = scheme.dv
     p = scheme.field.p
     a_shape = a_parts.blocks[0].shape
@@ -478,10 +476,11 @@ def encode(
         raise SchemeError("randomness shapes do not match block shapes")
     e_a, e_b = scheme._encoders
     n = scheme.n_workers
+    narrow = np.min_scalar_type(1 - p)
 
     def shares(e, blocks, shape):
         stacked = np.stack([b.reshape(-1) for b in blocks])
-        return matmul_mod(e, stacked, p).reshape(n, *shape)
+        return matmul_mod(e, stacked, p, _dtype=narrow).reshape(n, *shape)
 
     a_shares = shares(e_a, a_parts.blocks + rnd.r_mats, a_shape)
     b_shares = shares(e_b, b_parts.blocks + rnd.s_mats, b_shape)
@@ -489,7 +488,8 @@ def encode(
 
 
 def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
-    """One worker's response: a_share @ b_share mod p, in int64.
+    """One worker's response: a_share @ b_share mod p, in int64, from shares
+    in any signed integer dtype (encode's are narrow).
 
     Runs on matmul_mod wherever (p-1)^2 * inner < 2^63, and gives there the
     same result as a plain int64 product.
@@ -507,9 +507,11 @@ def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
     if (p - 1) ** 2 * inner < 2**63:
         return matmul_mod(task.a_share, task.b_share, p)
     # The int64 product wraps here. The benchmark's own tests expect this
-    # fault (ROADMAP item 2); the benchmark change that mends it deletes this
-    # branch together with that expectation.
-    return (task.a_share @ task.b_share) % field.p
+    # fault; the benchmark change that mends it deletes this branch together
+    # with that expectation. Narrow shares are widened first, so that it
+    # wraps exactly as it does on int64 shares.
+    a, b = (np.asarray(x, dtype=np.int64) for x in (task.a_share, task.b_share))
+    return (a @ b) % p
 
 
 def decode(scheme: PdmmScheme, responses: list[np.ndarray]) -> list[list[np.ndarray]]:

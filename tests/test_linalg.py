@@ -131,10 +131,16 @@ class TestEntryChecks:
 
 
 # Primes on both sides of each path of matmul_mod, with the number k of inner
-# terms per chunk: (p-1)^2 * k + p < 2^53 for float64, < 2^63 for int64.
+# terms per chunk: (p-1)^2 * inner + p < 2^24 for float32 in one chunk,
+# (p-1)^2 * k + p < 2^53 for float64, < 2^63 for int64. The inner
+# dimension here runs from 1 to 24.
 KERNEL_PRIMES = [
     2,
-    1091,  # float64, one product for any inner dimension here
+    829,  # the largest prime on float32 for every inner dimension here
+    839,  # float64 from inner dimension 24 on
+    1091,  # float32 up to inner dimension 14, then float64 in one product
+    4093,  # the largest prime on float32, at inner dimension 1 only
+    4099,  # the smallest prime never on float32
     33_554_393,  # float64 chunks, k = 8
     67_108_859,  # float64 chunks, k = 2
     94_906_249,  # the largest prime with a float64 chunk, k = 1
@@ -216,6 +222,125 @@ class TestMatmulMod:
         b = rng.integers(0, p, (20, 60_000))
         expected = (a.astype(object) @ b[:, ::97].astype(object)) % p
         assert matmul_mod(a, b, p)[:, ::97].tolist() == expected.tolist()
+
+
+
+
+def targeted_sums(p: int, inner: int, sums) -> tuple[np.ndarray, np.ndarray]:
+    """Operands a (2 x inner) and b (inner x len(sums)+1) of residues whose
+    product row 0 holds each of sums, and whose last column in row 1 holds
+    the largest sum of all, (p-1)^2 * inner. Row 0 of a is p-1 but for a
+    last 1, so column j of b gives sums[j] = (p-1) * q + r as q spread over
+    its first inner-1 entries, up to p-1 each, and r last."""
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    a[0, -1] = 1
+    cols = []
+    for total in sums:
+        q, r = divmod(total, p - 1)
+        assert q <= (p - 1) * (inner - 1)
+        cols.append([min(p - 1, max(0, q - (p - 1) * j)) for j in range(inner - 1)] + [r])
+    cols.append([p - 1] * inner)
+    return a, np.array(cols, dtype=np.int64).T
+
+
+class TestReduction:
+    """Sums on both sides of multiples of p, up to the largest each float
+    type allows, on one tile and on tiles of five entries."""
+
+    @pytest.mark.parametrize(
+        "p,inner,dtype",
+        [
+            (829, 24, "float32"),
+            (2_897, 2, "float32"),  # (p-1)^2 * 2 = 16,773,632, near 2^24
+            # At these two, y * fl(1/p) falls below k for some y = k*p, so
+            # floor(y * (1/p)) in place of floor(y / p) would leave r = p.
+            (307, 24, "float32"),
+            (33_554_291, 8, "float64"),
+            (1_091, 15, "float64"),
+            (33_554_393, 8, "float64"),  # (p-1)^2 * 8 + p, just below 2^53
+            (67_108_859, 4, "float64"),  # two chunks of k = 2
+            (94_906_297, 3, "int64"),
+        ],
+    )
+    @pytest.mark.parametrize("tile", [None, 5])
+    def test_sums_at_multiples_of_p(self, p, inner, dtype, tile, monkeypatch):
+        sq = (p - 1) ** 2
+        single = sq * inner + p < 2**24
+        assert dtype == ("float32" if single else "float64" if sq + p < 2**53 else "int64")
+        if tile is not None:
+            monkeypatch.setattr("pdmm.linalg._TILE", tile)
+        top = sq * (inner - 1) + p - 2  # the largest sum that row 0 can hold
+        # 200 multiples of p from each end of [p, top] and around its middle.
+        last, mid = top // p, top // (2 * p)
+        multiples = {*range(1, 201), *range(mid - 100, mid + 100), *range(last - 199, last + 1)}
+        sums = [0, p - 1, top - 1, top] + [
+            k * p + d for k in sorted(multiples) for d in (-1, 0, 1) if 0 < k * p + d <= top
+        ]
+        a, b = targeted_sums(p, inner, sums)
+        exact = a.astype(object) @ b.astype(object)
+        assert exact[0, :-1].tolist() == sums and exact[1, -1] == sq * inner
+        assert matmul_mod(a, b, p).tolist() == (exact % p).tolist()
+
+
+# The narrowest signed dtype that holds p - 1 at each width.
+NARROW_PRIMES = [(23, np.int8), (1091, np.int16), (1_000_000_021, np.int32)]
+
+
+class TestNarrowOperands:
+    @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
+    def test_narrow_operands_and_outputs_match_int64(self, p, dtype):
+        # int8 * int8 products of residues wrap at p = 23, int16 at 1091 and
+        # int32 at 1e9: matmul_mod reads narrow operands only through its
+        # exact float or int64 chunks, and writes any output dtype that
+        # holds p - 1.
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, (9, 40)), rng.integers(0, p, (40, 11))
+        a[0, 0] = b[0, 0] = p - 1
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert matmul_mod(a, b, p).tolist() == want.tolist()
+        for out in (np.int8, np.int16, np.int32, np.int64):
+            if np.iinfo(out).max >= p - 1:
+                got = matmul_mod(a.astype(dtype), b.astype(dtype), p, _dtype=out)
+                assert got.dtype == out and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
+    def test_narrow_entries_outside_the_field_are_reduced_in_int64(self, p, dtype):
+        rng = np.random.default_rng(3)
+        top = np.iinfo(dtype).max
+        a = rng.integers(-top, top + 1, (5, 7)).astype(dtype)
+        b = rng.integers(0, p, (7, 6)).astype(dtype)
+        a[0, 0], a[0, 1] = -top, top
+        before = a.copy()
+        expected = (a.astype(object) @ b.astype(object)) % p
+        assert matmul_mod(a, b, p).tolist() == expected.tolist()
+        assert np.array_equal(a, before)
+
+    def test_only_the_kernel_keeps_narrow_residues(self):
+        x = np.arange(12, dtype=np.int16).reshape(3, 4)
+        assert _residues(x, 23, narrow=True) is x
+        assert _residues(x, 23).dtype == np.int64
+        assert _residues(x, 11, narrow=True).dtype == np.int64  # reduced in int64
+
+    @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
+    def test_elimination_widens_narrow_inputs(self, p, dtype):
+        # Elimination multiplies residues in the dtype of its input, so a
+        # narrow input must give what the same int64 input gives.
+        rng = np.random.default_rng(p)
+        regular = regular_matrix(6, p, rng)
+        singular = regular.copy()
+        singular[5] = (3 * regular[0] + regular[2]) % p
+        rhs = rng.integers(0, p, (6, 2))
+        for m in (regular, singular):
+            assert is_invertible(m.astype(dtype), p) == is_invertible(m, p)
+        assert is_invertible(regular, p) and not is_invertible(singular, p)
+        x = solve(regular.astype(dtype), rhs.astype(dtype), p)
+        assert x.dtype == np.int64 and x.tolist() == solve(regular, rhs, p).tolist()
+        tall = np.concatenate([regular, singular])[:, :3]
+        for m in (tall, planted_dependencies(9, 3, p, [(1, 4, 7)], seed=p)):
+            want = all_txt_submatrices_invertible(m, 3, p)
+            assert all_txt_submatrices_invertible(m.astype(dtype), 3, p) == want
+            assert submatrix_checks(m.astype(dtype)[None], 3, p) == [want]
+        assert not all_txt_submatrices_invertible(tall, 3, p).ok
 
 
 class TestVandermonde:

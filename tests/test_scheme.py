@@ -126,6 +126,21 @@ class TestInstantiateCat:
         with pytest.raises(SchemeError):
             instantiate_cat(bad)
 
+    def test_step_sharing_a_factor_with_q_can_be_private(self):
+        # Step 2 shares a factor with q = 10, yet omega^(2w) has order 5 = N:
+        # IV reads the scan's rule, so the table validates, is instantiated at
+        # p = 11 with both sides proven from q, and decodes exactly.
+        dv = DegreeVectors((0,), (2, 4), (0,), (2, 4), modulus=10)
+        report = validate_degree_table(dv)
+        assert report.n_unique == 5 and report.flags["IV"] and report.valid
+        scheme = instantiate_degree_table(dv, family="catx")
+        assert (scheme.field.p, scheme.params["certificate"]) == (11, "structural")
+        assert verify_privacy_rank(scheme).ok and verify_privacy_exhaustive(scheme).ok
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, 11, (3, 4)), rng.integers(0, 11, (4, 5))
+        product = multiply_via_scheme(scheme, a, b, seed=1)
+        assert product.tolist() == (exact(a) @ exact(b) % 11).tolist()
+
 
 def progression_tables():
     """Every distinct valid gasp-rs and dog-rs table on K, L, T <= 5 whose
@@ -569,6 +584,7 @@ class TestLinearMaps:
         for task, point in zip(tasks, scheme.rho):
             want_a = evaluate(a_parts.blocks + rnd.r_mats, dv.alpha_p + dv.alpha_s, point, p)
             want_b = evaluate(b_parts.blocks + rnd.s_mats, dv.beta_p + dv.beta_s, point, p)
+            assert task.a_share.dtype == task.b_share.dtype == np.min_scalar_type(1 - p)
             assert task.a_share.tolist() == want_a.tolist()
             assert task.b_share.tolist() == want_b.tolist()
 
@@ -603,6 +619,60 @@ class TestLinearMaps:
         assert [[b.tolist() for b in row] for row in shifted] == [
             [b.tolist() for b in row] for row in grid
         ]
+
+
+class TestNarrowShares:
+    """Shares are the one narrow array: the smallest signed dtype holding
+    p - 1. Worker responses and the decoded product are int64."""
+
+    @pytest.mark.parametrize(
+        "min_p,p,dtype,inner",
+        [
+            (0, 11, np.int8, 5),
+            (1090, 1091, np.int16, 5),
+            (10**9, 1_000_000_021, np.int32, 5),
+            # An inner dimension of 1 keeps the workers' int64 product exact.
+            (3_037_000_000, 3_037_000_111, np.int64, 1),
+        ],
+    )
+    def test_only_the_shares_are_narrow(self, min_p, p, dtype, inner):
+        scheme = instantiate_cat(construct_cat_x(2, 2, 2, 1), min_p=min_p)
+        dv = scheme.dv
+        assert scheme.field.p == p
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, (6, inner)), rng.integers(0, p, (inner, 4))
+        a_parts, b_parts = partition_a(a, dv.k), partition_b(b, dv.l)
+        rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, 9)
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        assert all(t.a_share.dtype == t.b_share.dtype == dtype for t in tasks)
+        responses = [worker_multiply(scheme.field, task) for task in tasks]
+        assert all(r.dtype == np.int64 for r in responses)
+        assert all(block.dtype == np.int64 for row in decode(scheme, responses) for block in row)
+        product = multiply_via_scheme(scheme, a, b, seed=9)
+        assert product.dtype == np.int64
+        assert product.tolist() == (exact(a) @ exact(b) % p).tolist()
+
+    @pytest.mark.parametrize(
+        "p,dtype,inner",
+        [
+            (23, np.int8, 64),
+            (1091, np.int16, 64),
+            (1_000_000_021, np.int32, 4),
+            (1_000_000_021, np.int32, 12),  # (p-1)^2 * 12 >= 2^63: the int64 branch
+        ],
+    )
+    def test_worker_response_is_the_same_for_narrow_shares(self, p, dtype, inner):
+        rng = np.random.default_rng(inner)
+        a, b = rng.integers(0, p, (5, inner)), rng.integers(0, p, (inner, 6))
+        wide = worker_multiply(PrimeField(p), TaskPair(a, b, 0))
+        narrow = worker_multiply(PrimeField(p), TaskPair(a.astype(dtype), b.astype(dtype), 0))
+        assert wide.dtype == narrow.dtype == np.int64
+        assert wide.tobytes() == narrow.tobytes()
+        if (p - 1) ** 2 * inner < 2**63:
+            assert wide.tolist() == (exact(a) @ exact(b) % p).tolist()
+        else:
+            # The known int64 wrap, on narrow shares exactly as on int64 ones.
+            assert wide.tolist() == (a @ b % p).tolist()
 
 
 class TestPrivacyRank:
