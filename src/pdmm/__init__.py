@@ -14,7 +14,7 @@ from .degrees import (
     validate_degree_table,
 )
 from .field import FieldError, PrimeField
-from .linalg import SingularMatrixError, solve, vandermonde
+from .linalg import vandermonde
 from .scheme import (
     PdmmScheme,
     SchemeError,
@@ -34,7 +34,6 @@ __all__ = [
     "PrimeField",
     "SchemeChoice",
     "SchemeError",
-    "SingularMatrixError",
     "SweepRecord",
     "ValidationReport",
     "best_scheme",
@@ -48,7 +47,6 @@ __all__ = [
     "multiply_via_scheme",
     "n_catx_formula",
     "quadrants",
-    "solve",
     "sweep",
     "validate_degree_table",
     "vandermonde",

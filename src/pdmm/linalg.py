@@ -4,18 +4,20 @@ A matrix over F_p is an integer array and an int p: every public function
 takes that form and returns int64, refuses p above isqrt(2^63 - 1) =
 3,037,000,499, so that products of two residues stay inside int64, and
 divides its input by p, in int64, only when some entry lies outside [0, p).
-All elimination and every product is exact. One product kernel, matmul_mod,
+Unsigned entries are reduced exactly before they become int64, and float,
+complex or other non-integer entries are refused with ValueError. All
+elimination and every product is exact. One product kernel, matmul_mod,
 serves encode, the simulated workers and decode: it multiplies in float32,
 float64 or int64 chunks, whichever is the smallest exact type, and reduces
 the output tile by tile in cache. It alone reads narrow residues (int8,
 int16, int32, as encode writes its shares) without widening them; every
 other function widens its input to int64 first, since elimination
-multiplies residues in the dtype of its input. One elimination, the
-division-free forward pass _singular on (t, t+m, M) stacks, with one
-modulus or one per matrix, serves is_invertible, solve, which
-back-substitutes on the upper triangular system it leaves, and the T x T
-submatrix checks: submatrix_checks walks a stack of matrices, each mod its
-own p, through all of their row subsets at once, and
+multiplies residues in the dtype of its input. Elimination serves only the
+T x T submatrix checks; decoding needs none, since the scheme inverts its
+Vandermonde decode matrix in closed form. The division-free forward pass
+_singular on (t, t, M) stacks, with one modulus or one per matrix, decides
+which are singular: submatrix_checks walks a stack of matrices, each mod
+its own p, through all of their row subsets at once, and
 all_txt_submatrices_invertible is its one-matrix case. No check samples:
 each walks every subset or stops at the first singular one.
 """
@@ -30,10 +32,6 @@ from math import comb
 import numpy as np
 
 from .field import _MAX_P
-
-
-class SingularMatrixError(Exception):
-    """Square system has no unique solution."""
 
 
 # Output elements per tile of matmul_mod: a tile and its quotients, at most
@@ -55,13 +53,19 @@ def _residues(x, p, narrow: bool = False) -> np.ndarray:
 
     Callers pass residues almost always, and % p costs more than the float
     product it feeds; min and max cost a fraction of it. An entry outside
-    [0, p) is reduced in int64, whatever the width of x. The result is x
-    itself when x already holds residues in a dtype that is kept: read it,
-    never write it.
+    [0, p) is reduced in int64, whatever the width of x. Unsigned and bool
+    entries, which may lie at or above 2^63, are reduced in uint64 first.
+    Float, complex and other non-integer entries raise ValueError; an empty
+    array of any dtype is an empty int64 one. The result is x itself when x
+    already holds residues in a dtype that is kept: read it, never write it.
     """
-    x = np.asarray(x, dtype=None if narrow else np.int64)
-    if x.dtype.kind != "i":
-        x = x.astype(np.int64)
+    x = np.asarray(x)
+    if x.dtype.kind in "ub":
+        return np.remainder(x, np.asarray(p, dtype=np.uint64)).astype(np.int64)
+    if x.dtype.kind != "i" and x.size:
+        raise ValueError(f"expected integer entries, got dtype {x.dtype}")
+    if x.dtype.kind != "i" or not narrow:
+        x = x.astype(np.int64, copy=False)
     if x.size and (x.min() < 0 or (x.max() >= p if isinstance(p, int) else (x >= p).any())):
         return np.asarray(x, dtype=np.int64) % p
     return x
@@ -147,17 +151,17 @@ def vandermonde(points, exponents, p: int) -> np.ndarray:
     """Generalized Vandermonde matrix M[i][j] = points[i] ** exponents[j] mod p,
     for a vector of integer points."""
     _check_p(p)
-    if np.ndim(points) != 1:
-        raise ValueError(f"expected a vector of points, got shape {np.shape(points)}")
-    rows = [[pow(int(x) % p, int(e), p) for e in exponents] for x in points]
+    points = _residues(points, p)
+    if points.ndim != 1:
+        raise ValueError(f"expected a vector of points, got shape {points.shape}")
+    rows = [[pow(x, int(e), p) for e in exponents] for x in points.tolist()]
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(exponents))
 
 
 def _singular(a: np.ndarray, p) -> np.ndarray:
-    """Which matrices of a (t, t+m, M) stack of residues are singular in
-    their first t columns, for any t and m >= 0. p is one modulus for the
-    whole stack or an array of M, one per matrix, broadcast along the last
-    axis. Overwrites the stack.
+    """Which matrices of a (t, t, M) stack of residues are singular. p is
+    one modulus for the whole stack or an array of M, one per matrix,
+    broadcast along the last axis. Overwrites the stack.
 
     Division-free elimination, as in Bareiss' fraction-free method but without
     its exact division, which mod p is not needed: each step multiplies the
@@ -166,10 +170,7 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
     A zero pivot is replaced by adding the first row below with a nonzero
     entry in its column, which keeps the determinant. If a column has no
     nonzero entry left, every later row becomes zero; so a matrix is singular
-    exactly when its last diagonal entry ends at zero. Row operations span
-    all t+m columns, so a regular matrix leaves an equivalent upper
-    triangular system [U | c]: row k is exact from column k on, and the
-    entries below the diagonal are stale, never zeroed. A 0 x 0 matrix is
+    exactly when its last diagonal entry ends at zero. A 0 x 0 matrix is
     regular.
     """
     t = a.shape[0]
@@ -181,7 +182,7 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
             below = a[k + 1 :, k, zero] != 0
             has = below.any(axis=0)
             cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
-            # a[k, :, cols] is (len(cols), t+m): one modulus per row of it.
+            # a[k, :, cols] is (len(cols), t): one modulus per row of it.
             pc = p[cols, None] if isinstance(p, np.ndarray) else p
             a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % pc
         rest = a[k + 1 :, k + 1 :]
@@ -196,35 +197,6 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
         else:
             rest %= p
     return a[t - 1, t - 1] == 0
-
-
-def is_invertible(m, p: int) -> bool:
-    m = _matrix(m, p)
-    return m.shape[0] == m.shape[1] and not _singular(m[:, :, None].copy(), p)[0]
-
-
-def solve(m, rhs, p: int) -> np.ndarray:
-    """Solve M X = rhs; M must be square and regular.
-
-    _singular's forward pass on [M | rhs] leaves an equivalent upper
-    triangular system, solved from the last row up with one inverse per
-    pivot. Only the entries on and above the diagonal are read: those below
-    are stale.
-    """
-    m, rhs = _matrix(m, p), _matrix(rhs, p)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise SingularMatrixError(f"matrix is {n}x{m.shape[1]}, not square")
-    if rhs.shape[0] != n:
-        raise ValueError("rhs row count does not match matrix dimension")
-    aug = np.concatenate([m, rhs], axis=1)[:, :, None]
-    if _singular(aug, p)[0]:
-        raise SingularMatrixError(f"{n}x{n} matrix is singular")
-    u, x = aug[:, :n, 0], aug[:, n:, 0]
-    for k in range(n - 1, -1, -1):
-        x[k] = x[k] * pow(int(u[k, k]), p - 2, p) % p
-        x[:k] = (x[:k] - u[:k, k, None] * x[k]) % p
-    return x
 
 
 # Certification levels of a T x T check, strongest first: decided from the
@@ -327,7 +299,7 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     check returns on matrix g alone. Entries outside [0, p) are reduced by
     their own matrix's modulus.
     """
-    mats = np.asarray(mats, dtype=np.int64)
+    mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[2] != t:
         raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
     g, n, _ = mats.shape

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, isqrt, lcm
 
 import numpy as np
@@ -31,7 +31,6 @@ from .linalg import (
     SubmatrixCheck,
     all_txt_submatrices_invertible,
     matmul_mod,
-    solve,
     submatrix_checks,
     vandermonde,
 )
@@ -105,7 +104,8 @@ class PdmmScheme:
 
     gamma is the strictly ascending tuple of distinct degree-table entries,
     one per point of rho, as quadrants(dv).gamma gives it; the decoder
-    finds the data sums in it by binary search.
+    finds the data sums in it by binary search. Decoding needs omega, with
+    the points among omega^0 .. omega^(N-1); the privacy checks do not.
     """
 
     dv: DegreeVectors
@@ -147,13 +147,36 @@ class PdmmScheme:
 
     @cached_property
     def _decoder(self) -> np.ndarray:
-        """The KL x N rows of V_gamma^-1 that give the coefficients of the
-        block products A_i B_j, in row-major (i, j) order."""
-        p = self.field.p
-        v = vandermonde(self.rho, self.gamma, p)
-        inverse = solve(v, np.eye(self.n_workers, dtype=np.int64), p)
-        data_sums = addition_table(self.dv)[: self.dv.k, : self.dv.l]
-        return inverse[np.searchsorted(self.gamma, data_sums.ravel())]
+        """The KL x N rows of V^-1, V[i][j] = rho_i^gamma_j, that give the
+        coefficients of the block products A_i B_j, in row-major (i, j) order.
+
+        On rho_i = omega^sigma_i, V[i][j] = z_j^sigma_i in the nodes
+        z_j = omega^gamma_j, so row j of V^-1 is Lagrange's L_j = Q_j / Q_j(z_j)
+        read at the powers sigma_i, with Q_j = M / (x - z_j) by synthetic
+        division and M = prod(x - z_k): O(N^2 + KL*N) on Python ints, with no
+        elimination. Raises SchemeError, on first decode, when omega is None,
+        a point is not among omega^0 .. omega^(N-1) or two nodes coincide.
+        """
+        p, n, omega = self.field.p, self.n_workers, self.omega
+        if omega is None:
+            raise SchemeError("decoding needs omega: the points must be its powers")
+        sigma = {pow(omega, k, p): k for k in range(n)}
+        if missing := [x for x in self.rho if x % p not in sigma]:
+            raise SchemeError(f"point {missing[0]} is not among omega^0 .. omega^{n - 1}")
+        nodes = [pow(omega, g, p) for g in self.gamma]
+        if len(set(nodes)) < n:
+            raise SchemeError(f"nodes omega^gamma collide mod {p}: the decode matrix is singular")
+        master = [1]  # M's coefficients, highest first, as are Q_j's
+        for z in nodes:
+            master = [(a - z * b) % p for a, b in zip(master + [0], [0] + master)]
+        exps = [n - 1 - sigma[x % p] for x in self.rho]  # where x^sigma_i sits in q
+        data_sums = addition_table(self.dv)[: self.dv.k, : self.dv.l].ravel()
+        rows = []
+        for z in (nodes[j] for j in np.searchsorted(self.gamma, data_sums)):
+            q = list(itertools.accumulate(master[:n], lambda v, c: (v * z + c) % p))
+            scale = pow(reduce(lambda v, c: (v * z + c) % p, q, 0), -1, p)
+            rows.append([q[e] * scale % p for e in exps])
+        return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -340,8 +340,9 @@ class TestGoldenOutputs:
     exhaustive (r, s) scan that the per-r bitmap scan replaced; construct and
     validate are those of the set-based quadrants and the two validators
     that the one addition table replaced. The simulate runs pin the field,
-    the decode and the certificate line; they are those of the Gauss-Jordan
-    solve that the one forward elimination replaced."""
+    the decode and the certificate line; they were written when decoding
+    solved a Gauss-Jordan system, which the closed-form Lagrange decoder
+    replaced."""
 
     @pytest.mark.parametrize(
         "name,argv,code",

@@ -12,15 +12,12 @@ from pdmm.linalg import (
     _CHUNK,
     _FIRST_CHUNK,
     _MAX_P,
-    SingularMatrixError,
     SubmatrixCheck,
     _combination_indices,
     _residues,
     _singular,
     all_txt_submatrices_invertible,
-    is_invertible,
     matmul_mod,
-    solve,
     submatrix_checks,
     vandermonde,
 )
@@ -75,6 +72,12 @@ def det_mod(m, p):
     return det % p
 
 
+def invertible(m, p):
+    """Whether the square matrix m is invertible mod p: its one n-row subset
+    passes the T x T check."""
+    return all_txt_submatrices_invertible(m, len(m), p).ok
+
+
 def singular_positions(m, subsets, p):
     """1-based positions of the singular t x t submatrices mod p, by determinant."""
     return [i + 1 for i, rows in enumerate(subsets) if det_mod(m[list(rows)], p) == 0]
@@ -86,8 +89,7 @@ def singular_positions(m, subsets, p):
 # singular only once it is reduced.
 ENTRIES = {
     "vandermonde": (lambda x, p: vandermonde(x, (0, 1, 3), p), [-1, 12, 25], [[1, 2], [3, 4]]),
-    "is_invertible": (is_invertible, [[12, -1], [22, 5]], np.arange(4)),
-    "solve": (lambda m, p: solve(m, [[-6], [23]], p), [[12, -1], [22, 5]], np.arange(4)),
+    "matmul_mod": (lambda m, p: matmul_mod(m, [[-6], [23]], p), [[12, -1], [22, 5]], np.arange(4)),
     "all_txt_submatrices_invertible": (
         lambda m, p: all_txt_submatrices_invertible(m, 1, p),
         [[3], [11]],
@@ -119,6 +121,29 @@ class TestEntryChecks:
         call, _, wrong = ENTRIES[name]
         with pytest.raises(ValueError):
             call(wrong, 11)
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_unsigned_entries_are_reduced_exactly(self, name):
+        # Each entry plus a multiple of 11 near 2^64 - 1, which a plain cast
+        # to int64 wraps to a negative number of another residue.
+        call, x, _ = ENTRIES[name]
+        x = np.array(x) % 11
+        big = x.astype(np.uint64) + np.uint64(11 * ((2**64 - 1) // 11 - 1))
+        assert plain(call(big, 11)) == plain(call(x, 11))
+        assert plain(call(x != 0, 11)) == plain(call((x != 0).astype(np.int64), 11))
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, object])
+    def test_refuses_non_integer_entries(self, name, dtype):
+        call, x, _ = ENTRIES[name]
+        with pytest.raises(ValueError, match="integer"):
+            call(np.array(x).astype(dtype), 11)
+
+    def test_unsigned_and_float_repros(self):
+        # 2^64 - 1 = 1 (mod 7) once read as -1 = 6; 1.5 once read as 1.
+        assert matmul_mod(np.array([[2**64 - 1]], dtype=np.uint64), [[1]], 7).tolist() == [[1]]
+        with pytest.raises(ValueError, match="integer"):
+            matmul_mod([[1.5]], [[2]], 7)
 
     @pytest.mark.parametrize("name", ENTRIES)
     @pytest.mark.parametrize("p", [_MAX_P + 2, 4_000_000_007, 2**62 + 1])
@@ -329,12 +354,9 @@ class TestNarrowOperands:
         regular = regular_matrix(6, p, rng)
         singular = regular.copy()
         singular[5] = (3 * regular[0] + regular[2]) % p
-        rhs = rng.integers(0, p, (6, 2))
         for m in (regular, singular):
-            assert is_invertible(m.astype(dtype), p) == is_invertible(m, p)
-        assert is_invertible(regular, p) and not is_invertible(singular, p)
-        x = solve(regular.astype(dtype), rhs.astype(dtype), p)
-        assert x.dtype == np.int64 and x.tolist() == solve(regular, rhs, p).tolist()
+            assert invertible(m.astype(dtype), p) == invertible(m, p)
+        assert invertible(regular, p) and not invertible(singular, p)
         tall = np.concatenate([regular, singular])[:, :3]
         for m in (tall, planted_dependencies(9, 3, p, [(1, 4, 7)], seed=p)):
             want = all_txt_submatrices_invertible(m, 3, p)
@@ -353,43 +375,18 @@ class TestVandermonde:
         assert m.tolist() == [[1, 8, 1]]  # 2^10 = 1 in F_11
 
 
-class TestRankSolve:
+class TestRank:
     def test_rank_fixtures(self):
         # Ranks 1, 2 and 0: only the full-rank matrix is invertible.
-        assert not is_invertible(np.array([[1, 2], [2, 4]]), 11)
-        assert is_invertible(np.array([[1, 2], [2, 5]]), 11)
-        assert not is_invertible(np.zeros((3, 3), dtype=int), 11)
+        assert not invertible(np.array([[1, 2], [2, 4]]), 11)
+        assert invertible(np.array([[1, 2], [2, 5]]), 11)
+        assert not invertible(np.zeros((3, 3), dtype=int), 11)
 
     def test_standard_vandermonde_invertible(self):
-        assert is_invertible(vandermonde((1, 2, 3, 4), (0, 1, 2, 3), 53), 53)
-
-    def test_solve_known_system(self):
-        m = np.array([[2, 1], [1, 3]])
-        rhs = np.array([[5], [10]])
-        x = solve(m, rhs, 11)
-        assert (m @ x % 11).tolist() == rhs.tolist()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_solve_roundtrip_random(self, seed):
-        rng = np.random.default_rng(seed)
-        while True:
-            m = rng.integers(0, 53, (6, 6))
-            if is_invertible(m, 53):
-                break
-        rhs = rng.integers(0, 53, (6, 4))
-        x = solve(m, rhs, 53)
-        assert np.array_equal(m @ x % 53, rhs)
-
-    def test_solve_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve(np.array([[1, 2], [2, 4]]), np.array([[1], [2]]), 11)
-
-    def test_solve_rejects_non_square(self):
-        with pytest.raises(SingularMatrixError):
-            solve(np.array([[1, 2, 3], [4, 5, 6]]), np.array([[1], [2]]), 11)
+        assert invertible(vandermonde((1, 2, 3, 4), (0, 1, 2, 3), 53), 53)
 
 
-SOLVE_PRIMES = [2, 11, P_NEAR_LIMIT]
+ELIMINATION_PRIMES = [2, 11, P_NEAR_LIMIT]
 
 
 def regular_matrix(n, p, rng):
@@ -409,40 +406,29 @@ def anti_triangular(n, p, rng):
     return m + np.fliplr(np.diag(rng.integers(1, p, n)))
 
 
-def assert_solves(m, rhs, x, p):
-    """m x == rhs mod p, in Python ints, with x reduced."""
-    assert x.shape == rhs.shape
-    assert ((0 <= x) & (x < p)).all()
-    got = (m.astype(object) @ x.astype(object)) % p
-    assert got.tolist() == (rhs.astype(object) % p).tolist()
-
-
 class TestSharedElimination:
-    """is_invertible and solve on _singular's forward pass, against Python
-    int references, at the smallest prime, a small one and the largest
-    admissible one."""
+    """_singular's forward pass on square matrices, through the T x T check
+    of their one n-row subset, against Python int references, at the
+    smallest prime, a small one and the largest admissible one."""
 
-    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
-    def test_solve_multi_column_rhs(self, p, n):
+    def test_regular_matrices_are_invertible(self, p, n):
         rng = np.random.default_rng(n)
         m = regular_matrix(n, p, rng)
-        rhs = rng.integers(0, p, (n, 3))
-        assert is_invertible(m, p)
-        assert_solves(m, rhs, solve(m, rhs, p), p)
+        assert det_mod(m, p) != 0
+        assert invertible(m, p)
 
-    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 8, 40])
     def test_zero_leading_pivots(self, p, n):
         rng = np.random.default_rng(100 + n)
         m = anti_triangular(n, p, rng)
         assert m[0, 0] == 0 and det_mod(m, p) != 0
-        assert is_invertible(m, p)
-        eye = np.eye(n, dtype=np.int64)
-        assert_solves(m, eye, solve(m, eye, p), p)
+        assert invertible(m, p)
 
-    @pytest.mark.parametrize("p", SOLVE_PRIMES)
-    def test_is_invertible_matches_determinant(self, p):
+    @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+    def test_elimination_matches_determinant(self, p):
         rng = np.random.default_rng(p % 1000)
         outcomes = set()
         for trial in range(120):
@@ -451,13 +437,13 @@ class TestSharedElimination:
             if trial % 4 == 0 and n > 1:
                 m[-1] = m[0] * rng.integers(0, p) % p
             want = det_mod(m, p) != 0
-            assert is_invertible(m, p) == want
+            assert invertible(m, p) == want
             outcomes.add(want)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("p", SOLVE_PRIMES)
+    @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
     @pytest.mark.parametrize("n", [2, 9, 40])
-    def test_singular_raises(self, p, n):
+    def test_singular_matrices_fail(self, p, n):
         rng = np.random.default_rng(200 + n)
         dependent = regular_matrix(n, p, rng)
         coeffs = rng.integers(0, p, n - 1).astype(object)
@@ -466,22 +452,10 @@ class TestSharedElimination:
         zero_column[:, n // 2] = 0
         for m in (dependent, zero_column, anti_triangular(n, p, rng) * (np.arange(n) != 0)):
             assert det_mod(m, p) == 0
-            assert not is_invertible(m, p)
-            with pytest.raises(SingularMatrixError):
-                solve(m, rng.integers(0, p, (n, 2)), p)
+            assert not invertible(m, p)
 
     def test_empty_matrix_is_regular(self):
-        empty = np.zeros((0, 0), dtype=np.int64)
-        assert is_invertible(empty, 11)
-        assert solve(empty, np.zeros((0, 2), dtype=np.int64), 11).shape == (0, 2)
-
-    @pytest.mark.parametrize("p", SOLVE_PRIMES)
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (40, 39)])
-    def test_non_square_is_singular(self, p, shape):
-        m = np.ones(shape, dtype=np.int64)
-        assert not is_invertible(m, p)
-        with pytest.raises(SingularMatrixError):
-            solve(m, np.ones((shape[0], 1), dtype=np.int64), p)
+        assert invertible(np.zeros((0, 0), dtype=np.int64), 11)
 
 
 def singular_stack(t, p, seed):
@@ -498,15 +472,15 @@ def singular_stack(t, p, seed):
 
 @st.composite
 def mixed_modulus_stacks(draw):
-    """(stack, moduli): a (t, t+m, M) stack of residues, each matrix mod its
+    """(stack, moduli): a (t, t, M) stack of residues, each matrix mod its
     own prime among 2, 11 and P_NEAR_LIMIT, with a drawn share of zero
     entries, so that zero pivots, with and without a row below to repair
     them, are common."""
-    t, extra, count = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(1, 9))
+    t, count = draw(st.integers(1, 5)), draw(st.integers(1, 9))
     moduli = draw(st.lists(st.sampled_from((2, 11, P_NEAR_LIMIT)), min_size=count, max_size=count))
     moduli = np.array(moduli, dtype=np.int64)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stack = rng.integers(0, moduli[:, None, None], (count, t, t + extra))
+    stack = rng.integers(0, moduli[:, None, None], (count, t, t))
     stack[rng.random(stack.shape) < draw(st.sampled_from((0.2, 0.5, 0.8)))] = 0
     return stack.transpose(1, 2, 0).copy(), moduli
 

@@ -23,7 +23,7 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.field import FieldError, PrimeField, _primitive_root
-from pdmm.linalg import SubmatrixCheck, all_txt_submatrices_invertible, is_invertible, vandermonde
+from pdmm.linalg import SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
@@ -196,7 +196,8 @@ class TestInstantiateDegreeTable:
         assert (report.a_check.status, report.b_check.status) == ("verified_all",) * 2
         assert report.level == scheme.params["certificate"] == "structural"
         p = scheme.field.p
-        assert is_invertible(vandermonde(scheme.rho, scheme.gamma, p), p)
+        v = vandermonde(scheme.rho, scheme.gamma, p)
+        assert all_txt_submatrices_invertible(v, len(v), p).ok
 
     def test_random_search_small_gasp(self):
         scheme = instantiate_degree_table(
@@ -619,6 +620,118 @@ class TestLinearMaps:
         assert [[b.tolist() for b in row] for row in shifted] == [
             [b.tolist() for b in row] for row in grid
         ]
+
+
+# The schemes whose decoders are compared with an independent inverse:
+# (family, K, L, T, r, s), N = 92, 54, 38, 24, 23 and 10.
+DECODER_SPECS = [
+    ("catx", 8, 8, 4),
+    ("dog-rs", 5, 5, 5, 1, 3),
+    ("gasp-rs", 4, 4, 4, 2, 3),
+    ("gasp-small", 3, 3, 3),
+    ("dog-rs", 3, 3, 3, 1, 2),
+    ("catx", 2, 2, 2),
+]
+
+
+def spec_id(spec):
+    return "-".join(map(str, spec))
+
+
+@lru_cache(maxsize=None)
+def decoder_scheme(spec):
+    dv, params = build_degree_vectors(*spec)
+    return instantiate_degree_table(dv, family=spec[0], params=params)
+
+
+def gauss_jordan_inverse(m, p):
+    """The inverse of the square matrix m mod p, as lists of Python ints, by
+    Gauss-Jordan elimination on [m | I]; None when m is singular."""
+    n = len(m)
+    a = [[int(v) % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        inv = pow(a[k][k], -1, p)
+        a[k] = [v * inv % p for v in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def reversed_points(scheme):
+    return PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma, omega=scheme.omega)
+
+
+class TestDecoder:
+    """The closed-form decoder against an inverse by elimination, and the
+    schemes it refuses."""
+
+    @pytest.mark.parametrize("spec", DECODER_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["scan", "reversed"])
+    def test_rows_equal_the_inverse_by_elimination(self, spec, reverse):
+        scheme = decoder_scheme(spec)
+        if reverse:
+            scheme = reversed_points(scheme)
+        dv, p = scheme.dv, scheme.field.p
+        inverse = gauss_jordan_inverse(vandermonde(scheme.rho, scheme.gamma, p), p)
+        sums = [a + b for a in dv.alpha_p for b in dv.beta_p]
+        if dv.modulus is not None:
+            sums = [v % dv.modulus for v in sums]
+        want = [inverse[scheme.gamma.index(v)] for v in sums]
+        decoder = scheme._decoder
+        assert decoder.dtype == np.int64 and decoder.shape == (dv.k * dv.l, scheme.n_workers)
+        assert decoder.tolist() == want
+
+    @pytest.mark.parametrize("spec", [DECODER_SPECS[4], DECODER_SPECS[5]], ids=spec_id)
+    def test_pipeline_eliminates_nothing(self, spec, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("decoding eliminated a matrix")
+
+        scheme = reversed_points(decoder_scheme(spec))
+        monkeypatch.setattr("pdmm.linalg._singular", no_elimination)
+        p = scheme.field.p
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, p, (2 * scheme.dv.k, 5))
+        b = rng.integers(0, p, (5, 3 * scheme.dv.l))
+        expected = (a.astype(object) @ b.astype(object)) % p
+        assert multiply_via_scheme(scheme, a, b, seed=1).tolist() == expected.tolist()
+
+    def test_refuses_a_scheme_without_omega(self):
+        s = decoder_scheme(DECODER_SPECS[4])
+        bare = PdmmScheme(s.dv, s.field, s.rho, s.gamma)
+        assert verify_privacy_rank(bare).ok  # the checks still read it
+        with pytest.raises(SchemeError, match="omega"):
+            multiply_via_scheme(bare, np.eye(3, dtype=int), np.eye(3, dtype=int))
+
+    def test_refuses_a_point_that_is_no_power_of_omega(self):
+        s = decoder_scheme(DECODER_SPECS[4])
+        p, n = s.field.p, s.n_workers
+        powers = {pow(s.omega, k, p) for k in range(n)}
+        stray = next(x for x in range(2, p) if x not in powers)
+        off = PdmmScheme(s.dv, s.field, s.rho[:-1] + (stray,), s.gamma, omega=s.omega)
+        with pytest.raises(SchemeError, match=f"point {stray} is not among"):
+            multiply_via_scheme(off, np.eye(3, dtype=int), np.eye(3, dtype=int))
+
+    def test_refuses_an_omega_under_which_two_nodes_collide(self):
+        # An omega of order q' >= N gives N distinct points, yet if two gamma
+        # agree mod q' their nodes omega^gamma coincide and V is singular:
+        # here q' = N = 23 in F_47, a candidate the scan's residue rule skips.
+        s = decoder_scheme(DECODER_SPECS[4])
+        gamma, n = s.gamma, s.n_workers
+        p, q = 47, 23
+        assert q == n < s.params["q"] and (p - 1) % q == 0
+        assert len({g % q for g in gamma}) < n
+        omega = pow(_primitive_root(p), (p - 1) // q, p)
+        rho = tuple(pow(omega, w, p) for w in range(n))
+        assert gauss_jordan_inverse(vandermonde(rho, gamma, p), p) is None
+        colliding = PdmmScheme(s.dv, PrimeField(p), rho, gamma, omega=omega)
+        with pytest.raises(SchemeError, match="collide"):
+            colliding._decoder
 
 
 class TestNarrowShares:
