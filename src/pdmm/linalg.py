@@ -6,12 +6,17 @@ takes that form and returns int64, refuses p above isqrt(2^63 - 1) =
 divides its input by p, in int64, only when some entry lies outside [0, p).
 Unsigned entries are reduced exactly before they become int64, and float,
 complex or other non-integer entries are refused with ValueError. All
-elimination and every product is exact. One product kernel, matmul_mod,
-serves encode, the simulated workers and decode: it multiplies in float32,
-float64 or int64 chunks, whichever is the smallest exact type, and reduces
-the output tile by tile in cache. It alone reads narrow residues (int8,
-int16, int32, as encode writes its shares) without widening them; every
-other function widens its input to int64 first, since elimination
+elimination and every product is exact. One product kernel, _mulmod,
+serves encode, the simulated workers and decode: it multiplies residues
+already cast to float32, float64 or int64 chunks, whichever is the
+smallest exact type, and reduces the output tile by tile in cache. It
+checks nothing; its two fronts do. matmul_mod checks and casts both
+operands and returns int64; the workers call it. _matmul_parts, for
+encode and decode, copies each part of its right operand once, straight
+into the kernel's type, checks [0, p) there, and writes any integer dtype
+(encode's narrow shares). matmul_mod alone reads narrow residues
+(int8, int16, int32, as encode writes its shares) without widening them;
+every other function widens its input to int64 first, since elimination
 multiplies residues in the dtype of its input. Elimination serves only the
 T x T submatrix checks; decoding needs none, since the scheme inverts its
 Vandermonde decode matrix in closed form. The division-free forward pass
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -44,6 +49,19 @@ def _check_p(p: int):
         raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
 
 
+def _integers(x) -> np.ndarray:
+    """x as an array of integers: as it is when its dtype is a signed or
+    unsigned integer or bool, an empty int64 array when it is empty. Float,
+    complex and other non-integer entries raise ValueError, since a cast to
+    int64 would truncate them silently."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iub":
+        if x.size:
+            raise ValueError(f"expected integer entries, got dtype {x.dtype}")
+        x = x.astype(np.int64)
+    return x
+
+
 def _residues(x, p, narrow: bool = False) -> np.ndarray:
     """x as int64, reduced mod p only if some entry lies outside [0, p).
     p is an int, or an int64 array that broadcasts against x: a modulus per
@@ -55,16 +73,16 @@ def _residues(x, p, narrow: bool = False) -> np.ndarray:
     product it feeds; min and max cost a fraction of it. An entry outside
     [0, p) is reduced in int64, whatever the width of x. Unsigned and bool
     entries, which may lie at or above 2^63, are reduced in uint64 first.
-    Float, complex and other non-integer entries raise ValueError; an empty
-    array of any dtype is an empty int64 one. The result is x itself when x
-    already holds residues in a dtype that is kept: read it, never write it.
+    Non-integer entries raise ValueError, by _integers' rule. The result is
+    x itself when x already holds residues in a dtype that is kept: read
+    it, never write it.
     """
     x = np.asarray(x)
+    if x.dtype.kind not in "iub":
+        x = _integers(x)
     if x.dtype.kind in "ub":
         return np.remainder(x, np.asarray(p, dtype=np.uint64)).astype(np.int64)
-    if x.dtype.kind != "i" and x.size:
-        raise ValueError(f"expected integer entries, got dtype {x.dtype}")
-    if x.dtype.kind != "i" or not narrow:
+    if not narrow:
         x = x.astype(np.int64, copy=False)
     if x.size and (x.min() < 0 or (x.max() >= p if isinstance(p, int) else (x >= p).any())):
         return np.asarray(x, dtype=np.int64) % p
@@ -81,14 +99,27 @@ def _matrix(m, p: int, narrow: bool = False) -> np.ndarray:
     return m
 
 
-def matmul_mod(a, b, p: int, *, _dtype=np.int64) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _exact_type(p: int, inner: int):
+    """The smallest type in which a product of residues mod p over inner
+    terms is exact, and its chunk k of inner terms (see matmul_mod); cached,
+    since the many small products pay for every call."""
+    sq = (p - 1) ** 2
+    if sq * inner + p < 2**24:
+        return np.float32, max(1, inner)
+    if sq + p < 2**53:
+        return np.float64, (2**53 - 1 - p) // sq
+    return np.int64, (2**63 - 1 - p) // sq
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
     """Exact (a @ b) mod p as an int64 array, for integer matrices and p <= _MAX_P.
 
-    Entries may be negative or >= p: an operand with an entry outside [0, p)
-    is reduced mod p in int64 first; one already in [0, p) is used as it
-    is, in any signed integer dtype. Neither input is modified, and the
-    output is a new array. scheme.encode alone passes _dtype, the narrow
-    signed dtype of its shares; every other result is int64.
+    The checked front of the product kernel _mulmod. Entries may be
+    negative or >= p: an operand with an entry outside [0, p) is reduced
+    mod p in int64 first; one already in [0, p) is used as it is, in any
+    signed integer dtype. Both are then cast to the kernel's type. Neither
+    input is modified, and the output is a new array.
 
     The product is taken, as in FFLAS-FFPACK, in the smallest type in which
     it is exact, with delayed reduction over chunks of k inner terms, each
@@ -117,34 +148,92 @@ def matmul_mod(a, b, p: int, *, _dtype=np.int64) -> np.ndarray:
     a, b = _matrix(a, p, narrow=True), _matrix(b, p, narrow=True)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    kind, step = _exact_type(p, a.shape[1])
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    return _mulmod(a.astype(kind, copy=False), b.astype(kind, copy=False), p, step, out)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Write (a @ b) mod p into out and return it: the kernel behind
+    matmul_mod and _matmul_parts, which check its operands.
+
+    a and b hold residues mod p in the type, and step is the chunk of
+    inner terms, that _exact_type(p, inner) gives; nothing here checks
+    them. out is any integer array of the product's shape that holds
+    p - 1 (encode's narrow shares, int64 elsewhere). When the output spans
+    more than one tile, the buffers of a tile's product, running sum and
+    quotients are allocated once, at most _TILE entries each, and reused
+    through out=. For an output of one tile, as the many small products
+    are, @ and divide allocate their own: matmul's out= costs more per call
+    than it saves there.
+    """
     (rows, inner), cols = a.shape, b.shape[1]
-    sq = (p - 1) ** 2
-    if sq * inner + p < 2**24:
-        dtype, step = np.float32, max(1, inner)
-    elif sq + p < 2**53:
-        dtype, step = np.float64, (2**53 - 1 - p) // sq
-    else:
-        dtype, step = np.int64, (2**63 - 1 - p) // sq
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    out = np.empty((rows, cols), dtype=_dtype)
+    kind = a.dtype.type
     height = max(1, min(rows, _TILE))
     width = max(1, _TILE // height)
-    modulus = dtype(p)
+    spare = {} if rows > height or cols > width else None
+    size = height * min(width, cols)
+    modulus = kind(p)
     for r in range(0, rows, height):
         for c in range(0, cols, width):
             dst, y = out[r : r + height, c : c + width], None
             for k in range(0, max(1, inner), step):
-                chunk = a[r : r + height, k : k + step] @ b[k : k + step, c : c + width]
-                y = chunk if y is None else np.add(chunk, y, out=chunk)
+                left, right = a[r : r + height, k : k + step], b[k : k + step, c : c + width]
+                if spare is None:
+                    chunk = left @ right
+                else:
+                    buffer = _spare(spare, "sum" if y is None else "chunk", dst.shape, size, kind)
+                    chunk = np.matmul(left, right, out=buffer)
+                y = chunk if y is None else np.add(y, chunk, out=y)
                 reduced = dst if k + step >= inner else y
-                if dtype is np.int64:
+                if kind is np.int64:
                     np.remainder(y, p, out=reduced, casting="unsafe")
                 else:
-                    q = np.divide(y, modulus)
+                    if spare is None:
+                        q = np.divide(y, modulus)
+                    else:
+                        q = np.divide(y, modulus, out=_spare(spare, "q", dst.shape, size, kind))
                     np.floor(q, out=q)
                     q *= modulus
                     np.subtract(y, q, out=reduced, casting="unsafe")
     return out
+
+
+def _spare(spare: dict, name: str, shape, size: int, dtype) -> np.ndarray:
+    """The buffer spare[name], of size entries, made on first use, as a
+    contiguous array of shape."""
+    if name not in spare:
+        spare[name] = np.empty(size, dtype=dtype)
+    return spare[name][: shape[0] * shape[1]].reshape(shape)
+
+
+def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
+    """Exact (left @ S) mod p as a new array of dtype, where row i of S is
+    parts[i] raveled: encode's and decode's product.
+
+    left is a small matrix, checked and cast like matmul_mod's operands.
+    The parts, of one shape and any integer dtype, may be strided views.
+    np.stack copies each once, in C, straight into its row of S in the
+    kernel's type, and S is then checked for entries outside [0, p). That
+    check is exact on a float S too: an integer is rounded to a float
+    monotonically, and 0 and p - 1 are floats, so x < 0 exactly when
+    fl(x) < 0, and x > p - 1 exactly when fl(x) > p - 1. Unsigned entries at
+    or above 2^63 wrap to negatives in an int64 S and are caught the same
+    way. Each part with an entry outside [0, p) is reduced by _residues and
+    copied again. Non-integer parts raise ValueError, by _integers' rule, as
+    do parts of different shapes.
+    """
+    left = _matrix(left, p)
+    parts = [_integers(part) for part in parts]
+    shape = parts[0].shape
+    kind, step = _exact_type(p, len(parts))
+    s = np.empty((len(parts), prod(shape)), dtype=kind)
+    np.stack(parts, out=s.reshape(len(parts), *shape), casting="unsafe")
+    if s.size and (s.min() < 0 or s.max() > p - 1):
+        for i in np.flatnonzero((s.min(axis=1) < 0) | (s.max(axis=1) > p - 1)).tolist():
+            s[i] = _residues(parts[i], p).ravel()
+    out = np.empty((left.shape[0], s.shape[1]), dtype=dtype)
+    return _mulmod(left.astype(kind), s, p, step, out)
 
 
 def vandermonde(points, exponents, p: int) -> np.ndarray:

@@ -29,6 +29,8 @@ from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 from .linalg import (
     LEVELS,
     SubmatrixCheck,
+    _integers,
+    _matmul_parts,
     all_txt_submatrices_invertible,
     matmul_mod,
     submatrix_checks,
@@ -47,6 +49,11 @@ class BudgetExceededError(SchemeError):
 
 # splitmix64's state increment and its two mixing multipliers.
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+# Draws that SplitMix64.matrix mixes at a time: two uint64 buffers of
+# 128 KiB, which stay in the L2 cache. _STEPS[i] = (i + 1) * _GAMMA mod 2^64.
+_DRAWS = 1 << 14
+_STEPS = np.arange(1, _DRAWS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 class SplitMix64:
@@ -78,24 +85,40 @@ class SplitMix64:
         not fit int64 or there are none.
 
         The next rows * cols states are state + i * _GAMMA, so the stream is
-        mixed in numpy uint64 at once. When a draw would be rejected, the
-        batch is drawn again by the scalar loop, which keeps the stream exact.
+        mixed in numpy uint64, _DRAWS draws at a time in two buffers that
+        each chunk reuses, and each chunk is reduced straight into the int64
+        result as z - (z // p) * p, whose division by one uint64 numpy makes
+        by multiplication (libdivide), several times faster than z % p.
+        When a draw of any chunk would be rejected, the whole matrix is
+        drawn again by the scalar loop from the state it started at, which
+        keeps the stream exact; the state advances only at the end.
         """
         if not 1 <= p <= 1 << 63:
             raise ValueError(f"p = {p} lies outside [1, 2^63]")
         count = rows * cols
         u64 = np.uint64
-        z = u64(self.state) + np.arange(1, count + 1, dtype=u64) * u64(_GAMMA)
-        z = (z ^ (z >> u64(30))) * u64(_MIX1)
-        z = (z ^ (z >> u64(27))) * u64(_MIX2)
-        z ^= z >> u64(31)
-        rejected = (1 << 64) % p
-        if rejected and bool((z >= u64((1 << 64) - rejected)).any()):
-            return np.array(
-                [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
-            )
+        modulus, limit = u64(p), (1 << 64) - (1 << 64) % p  # draws >= limit are rejected
+        out = np.empty(count, dtype=np.int64)
+        z, t = np.empty(min(count, _DRAWS), dtype=u64), np.empty(min(count, _DRAWS), dtype=u64)
+        for start in range(0, count, _DRAWS):
+            n = min(_DRAWS, count - start)
+            zs, ts = z[:n], t[:n]
+            np.add(_STEPS[:n], u64((self.state + start * _GAMMA) & self.MASK), out=zs)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(zs, u64(shift), out=ts)
+                zs ^= ts
+                zs *= u64(mix)
+            np.right_shift(zs, u64(31), out=ts)
+            zs ^= ts
+            if limit < 1 << 64 and zs.max() >= limit:
+                return np.array(
+                    [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+                )
+            np.floor_divide(zs, modulus, out=ts)
+            ts *= modulus
+            np.subtract(zs, ts, out=out[start : start + n].view(u64))
         self.state = (self.state + count * _GAMMA) & self.MASK
-        return (z % u64(p)).astype(np.int64).reshape(rows, cols)
+        return out.reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -443,23 +466,30 @@ def instantiate_degree_table(
 
 
 def _partition(m: np.ndarray, parts: int, axis: int, name: str) -> PartitionedMatrix:
-    """Zero-pad m along axis to a multiple of parts and split it there."""
-    m = np.asarray(m, dtype=np.int64)
+    """Zero-pad m along axis to a multiple of parts and split it there. The
+    blocks are views, of m itself when it needs no padding, in m's integer
+    dtype, unreduced; encode reduces them. Raises SchemeError unless m is a
+    non-empty 2-D matrix, and ValueError for non-integer entries, by
+    linalg._integers' rule."""
+    m = np.asarray(m)
     if m.ndim != 2 or m.size == 0:
         raise SchemeError(f"{name} must be a non-empty 2-D matrix")
+    m = _integers(m)
     rows, cols = m.shape
     padding = (-m.shape[axis]) % parts
     if padding:
         m = np.pad(m, [(0, padding if ax == axis else 0) for ax in (0, 1)])
-    blocks = tuple(np.ascontiguousarray(b) for b in np.split(m, parts, axis=axis))
-    return PartitionedMatrix(blocks, rows, cols, padding)
+    return PartitionedMatrix(tuple(np.split(m, parts, axis=axis)), rows, cols, padding)
 
 
 def partition_a(a: np.ndarray, big_k: int) -> PartitionedMatrix:
+    """A's K row blocks, views of A (see _partition)."""
     return _partition(a, big_k, 0, "A")
 
 
 def partition_b(b: np.ndarray, big_l: int) -> PartitionedMatrix:
+    """B's L column blocks, strided views of B (see _partition); encode
+    reads each once, as it copies it into its product's operand."""
     return _partition(b, big_l, 1, "B")
 
 
@@ -482,9 +512,12 @@ def encode(
     product E_A @ (A_1..A_K, R_1..R_T) and one for B; the shares are views
     of the two results.
 
-    The shares are the one narrow array of the pipeline: residues in the
-    smallest signed integer dtype that holds p - 1 (int8 at p = 23, int16
-    at p = 1091, int32 below 2^31), written by matmul_mod tile by tile.
+    Each product's right operand is built once by linalg._matmul_parts: every
+    block and mask, strided or not, in any integer dtype, is copied straight
+    into it in the kernel's type and checked for [0, p) there. The shares
+    are the one narrow array of the pipeline: residues in the smallest
+    signed integer dtype that holds p - 1 (int8 at p = 23, int16 at
+    p = 1091, int32 below 2^31), written by the kernel tile by tile.
     Responses and decoded products are int64.
     """
     dv = scheme.dv
@@ -501,9 +534,8 @@ def encode(
     n = scheme.n_workers
     narrow = np.min_scalar_type(1 - p)
 
-    def shares(e, blocks, shape):
-        stacked = np.stack([b.reshape(-1) for b in blocks])
-        return matmul_mod(e, stacked, p, _dtype=narrow).reshape(n, *shape)
+    def shares(e, parts, shape):
+        return _matmul_parts(e, parts, p, narrow).reshape(n, *shape)
 
     a_shares = shares(e_a, a_parts.blocks + rnd.r_mats, a_shape)
     b_shares = shares(e_b, b_parts.blocks + rnd.s_mats, b_shape)
@@ -539,33 +571,46 @@ def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
 
 def decode(scheme: PdmmScheme, responses: list[np.ndarray]) -> list[list[np.ndarray]]:
     """Recover the K x L grid of block products from all worker responses by
-    applying the scheme's KL x N decode matrix."""
+    applying the scheme's KL x N decode matrix, through linalg._matmul_parts:
+    each response is copied once into the product's operand and checked for
+    [0, p) there. Non-integer responses raise ValueError."""
     n = scheme.n_workers
     if len(responses) != n:
         raise SchemeError(f"expected {n} responses, got {len(responses)}")
     shape = responses[0].shape
     if any(r.shape != shape for r in responses):
         raise SchemeError("responses have inconsistent shapes")
-    stacked = np.stack([np.asarray(r, dtype=np.int64).ravel() for r in responses])
-    coeffs = matmul_mod(scheme._decoder, stacked, scheme.field.p).reshape(-1, *shape)
+    coeffs = _matmul_parts(scheme._decoder, responses, scheme.field.p, np.int64)
+    coeffs = coeffs.reshape(-1, *shape)
     big_l = scheme.dv.l
     return [list(coeffs[i : i + big_l]) for i in range(0, len(coeffs), big_l)]
 
 
 def assemble(grid, a_parts: PartitionedMatrix, b_parts: PartitionedMatrix) -> np.ndarray:
-    """Stitch the grid of block products back together and drop padding."""
-    full = np.concatenate(
-        [np.concatenate(row, axis=1) for row in grid], axis=0
-    )
-    return full[: a_parts.original_rows, : b_parts.original_cols]
+    """Stitch the grid of block products back together and drop padding:
+    each row of blocks is concatenated once into its rows of the product,
+    and the padding is sliced off. Raises SchemeError when the grid, read
+    by its first block's shape, does not cover the product, and ValueError
+    when a row of blocks does not fill its rows."""
+    rows, cols = a_parts.original_rows, b_parts.original_cols
+    h, w = grid[0][0].shape
+    if len(grid) * h < rows or len(grid[0]) * w < cols:
+        raise SchemeError("the grid of blocks does not cover the product")
+    dtype = np.result_type(*{b.dtype for row in grid for b in row})
+    full = np.empty((len(grid) * h, len(grid[0]) * w), dtype=dtype)
+    for i, row in enumerate(grid):
+        np.concatenate(row, axis=1, out=full[i * h : (i + 1) * h])
+    return full[:rows, :cols]
 
 
 def multiply_via_scheme(
     scheme: PdmmScheme, a: np.ndarray, b: np.ndarray, seed: int = 0
 ) -> np.ndarray:
-    """Full pipeline: partition, encode, simulate workers, decode, reassemble."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """Full pipeline: partition, encode, simulate workers, decode, reassemble.
+
+    a and b may be of any integer dtype and hold entries outside [0, p);
+    non-integer entries raise ValueError."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[1] != b.shape[0]:
         raise SchemeError(f"inner dimensions mismatch: {a.shape} x {b.shape}")
     a_parts = partition_a(a, scheme.dv.k)

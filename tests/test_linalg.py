@@ -14,6 +14,7 @@ from pdmm.linalg import (
     _MAX_P,
     SubmatrixCheck,
     _combination_indices,
+    _matmul_parts,
     _residues,
     _singular,
     all_txt_submatrices_invertible,
@@ -316,16 +317,18 @@ class TestNarrowOperands:
     def test_narrow_operands_and_outputs_match_int64(self, p, dtype):
         # int8 * int8 products of residues wrap at p = 23, int16 at 1091 and
         # int32 at 1e9: matmul_mod reads narrow operands only through its
-        # exact float or int64 chunks, and writes any output dtype that
-        # holds p - 1.
+        # exact float or int64 chunks and returns int64, and the kernel,
+        # through _matmul_parts, writes any output dtype that holds p - 1.
         rng = np.random.default_rng(p)
         a, b = rng.integers(0, p, (9, 40)), rng.integers(0, p, (40, 11))
         a[0, 0] = b[0, 0] = p - 1
         want = (a.astype(object) @ b.astype(object)) % p
         assert matmul_mod(a, b, p).tolist() == want.tolist()
+        got = matmul_mod(a.astype(dtype), b.astype(dtype), p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
         for out in (np.int8, np.int16, np.int32, np.int64):
             if np.iinfo(out).max >= p - 1:
-                got = matmul_mod(a.astype(dtype), b.astype(dtype), p, _dtype=out)
+                got = _matmul_parts(a.astype(dtype), list(b.astype(dtype)), p, out)
                 assert got.dtype == out and got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)

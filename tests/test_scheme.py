@@ -1,6 +1,7 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
 import itertools
+import tracemalloc
 from functools import lru_cache
 from math import comb
 from unittest import mock
@@ -23,17 +24,20 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.field import FieldError, PrimeField, _primitive_root
-from pdmm.linalg import SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
+from pdmm.linalg import _TILE, SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
     _enumerate_side,
     _progression_side,
     BudgetExceededError,
+    PartitionedMatrix,
     PdmmScheme,
+    Randomness,
     SchemeError,
     SplitMix64,
     TaskPair,
+    assemble,
     decode,
     draw_randomness,
     encode,
@@ -101,6 +105,37 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match="outside"):
             g.matrix(2, 2, n)
         assert g.state == 3
+
+    @pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+    @pytest.mark.parametrize("n", [1091, 2**63])
+    def test_matrix_is_the_scalar_stream_across_chunks(self, count, n):
+        # matrix mixes 2^14 draws at a time; neither n rejects a draw here.
+        assert scheme_module._DRAWS == 2**14
+        fast, slow = SplitMix64(11), SplitMix64(11)
+        out = fast.matrix(1, count, n)
+        assert out.dtype == np.int64 and out.shape == (1, count)
+        assert out.tolist() == [[slow.below(n) for _ in range(count)]]
+        assert fast.state == slow.state == (11 + count * _GAMMA) & SplitMix64.MASK
+
+    @pytest.mark.parametrize(
+        "n, seed, draws",
+        [
+            (2**63 - 2**48, 2, None),  # rejects one draw in 2^15, first at 16,423
+            (2**64 // 3 + 1, 14, 4),  # rejects a third, first at 4, in chunks of 4
+        ],
+    )
+    def test_rejection_in_a_later_chunk_redraws_from_the_start(self, n, seed, draws, monkeypatch):
+        if draws is not None:
+            monkeypatch.setattr(scheme_module, "_DRAWS", draws)
+        chunk = scheme_module._DRAWS
+        raw, limit = SplitMix64(seed), (1 << 64) - (1 << 64) % n
+        first = next(i for i in itertools.count() if raw.next_u64() >= limit)
+        assert chunk <= first < 2 * chunk  # the first chunk passes, the second rejects
+        count = 3 * chunk + 5
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        out = fast.matrix(1, count, n)
+        assert out.tolist() == [[slow.below(n) for _ in range(count)]]
+        assert fast.state == slow.state != (seed + count * _GAMMA) & SplitMix64.MASK
 
 
 class TestInstantiateCat:
@@ -533,6 +568,130 @@ class TestPipeline:
     def test_shape_mismatch_raises(self, cat222):
         with pytest.raises(SchemeError):
             multiply_via_scheme(cat222, np.ones((4, 3)), np.ones((4, 4)))
+
+    def test_refuses_float_inputs(self, cat222):
+        # A cast to int64 would truncate 1.5 to 1 and multiply on.
+        eye = np.eye(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="integer entries"):
+            multiply_via_scheme(cat222, [[1.5, 2.0], [3.0, 4.0]], eye)
+        with pytest.raises(ValueError, match="integer entries"):
+            multiply_via_scheme(cat222, eye, np.eye(2))
+
+    def test_decode_refuses_float_responses(self, cat222):
+        p = cat222.field.p
+        a_parts = partition_a(np.arange(4).reshape(2, 2), 2)
+        b_parts = partition_b(np.arange(4).reshape(2, 2), 2)
+        rnd = draw_randomness(cat222, (1, 2), (2, 1), seed=0)
+        tasks = encode(cat222, a_parts, b_parts, rnd)
+        responses = [worker_multiply(cat222.field, t) for t in tasks]
+        assert decode(cat222, responses)[1][1].tolist() == [[(2 * 1 + 3 * 3) % p]]
+        with pytest.raises(ValueError, match="integer entries"):
+            decode(cat222, [r + 0.5 for r in responses])
+
+    @pytest.mark.parametrize("rows, cols", [(5, 7), (5, 3)])
+    def test_assemble_drops_padding_on_both_sides(self, rows, cols):
+        # 5 rows in 4 blocks of 2 leave the last block all padding.
+        a_parts = partition_a(np.ones((rows, 3), dtype=np.int64), 4)
+        b_parts = partition_b(np.ones((3, cols), dtype=np.int64), 2)
+        assert a_parts.padding and b_parts.padding
+        h, w = a_parts.blocks[0].shape[0], b_parts.blocks[0].shape[1]
+        grid = [[np.arange(h * w).reshape(h, w) + 100 * i + 10 * j for j in range(2)]
+                for i in range(4)]
+        out = assemble(grid, a_parts, b_parts)
+        assert out.shape == (rows, cols)
+        assert out.tolist() == np.block(grid)[:rows, :cols].tolist()
+        assert not any(np.shares_memory(out, block) for row in grid for block in row)
+
+    def test_assemble_refuses_a_grid_that_does_not_fill_the_product(self):
+        a_parts = partition_a(np.ones((4, 3), dtype=np.int64), 2)
+        b_parts = partition_b(np.ones((3, 4), dtype=np.int64), 2)
+        block = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(SchemeError, match="cover"):
+            assemble([[block, block]], a_parts, b_parts)
+        for grid in ([[block, block], [block]],
+                     [[block, block], [block, np.zeros((2, 1), dtype=np.int64)]],
+                     [[block, block], [block, np.zeros((1, 2), dtype=np.int64)]]):
+            with pytest.raises(ValueError):
+                assemble(grid, a_parts, b_parts)
+
+
+def in_form(x, form, p):
+    """The residues x mod p as another integer array with the same residues:
+    a strided view, unreduced entries, negative ones, or uint64 ones at or
+    above 2^63."""
+    if form == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=np.int64)
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    if form == "unreduced":
+        return x + p * np.random.default_rng(0).integers(-10, 11, x.shape)
+    if form == "negative":
+        return x - p
+    return x.astype(np.uint64) + np.uint64(-(-(2**63) // p) * p)
+
+
+class TestOperandForms:
+    @pytest.mark.parametrize("form", ["strided", "unreduced", "negative", "uint64"])
+    @pytest.mark.parametrize("index", [0, 2, 3], ids=["p11", "dog-rs", "p1e9"])
+    def test_encode_and_decode_equal_the_python_int_product(self, form, index):
+        # Float32, float64 and int64 kernels (encode at p = 11, decode at
+        # the dog-rs field, both at p ~ 1e9).
+        scheme = linear_map_schemes()[index]
+        dv, p = scheme.dv, scheme.field.p
+        rng = np.random.default_rng(index)
+        a, b = rng.integers(0, p, (2 * dv.k, 5)), rng.integers(0, p, (5, 3 * dv.l))
+        a_parts, b_parts = partition_a(a, dv.k), partition_b(b, dv.l)
+        rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, 4)
+
+        def formed(parts):
+            return PartitionedMatrix(
+                tuple(in_form(x, form, p) for x in parts.blocks),
+                parts.original_rows, parts.original_cols, parts.padding,
+            )
+
+        masks = Randomness(*(tuple(in_form(m, form, p) for m in ms)
+                             for ms in (rnd.r_mats, rnd.s_mats)))
+        tasks = encode(scheme, formed(a_parts), formed(b_parts), masks)
+        for task, point in zip(tasks, scheme.rho):
+            want_a = evaluate(a_parts.blocks + rnd.r_mats, dv.alpha_p + dv.alpha_s, point, p)
+            want_b = evaluate(b_parts.blocks + rnd.s_mats, dv.beta_p + dv.beta_s, point, p)
+            assert task.a_share.tolist() == want_a.tolist()
+            assert task.b_share.tolist() == want_b.tolist()
+        responses = [
+            in_form((exact(t.a_share) @ exact(t.b_share) % p).astype(np.int64), form, p)
+            for t in tasks
+        ]
+        grid = decode(scheme, responses)
+        for a_block, row in zip(a_parts.blocks, grid):
+            for b_block, block in zip(b_parts.blocks, row):
+                assert block.dtype == np.int64
+                assert block.tolist() == (exact(a_block) @ exact(b_block) % p).tolist()
+
+    def test_encode_allocates_the_shares_and_one_operand_per_side(self):
+        # catx (8,8,4) at 256^3: p = 1091, N = 92, 8,192 entries per block.
+        # encode keeps the shares (int16) and builds one float32 operand of
+        # K + T rows per side, multiplied in tiles through the kernel's sum
+        # and quotient buffers; an int64 stack of the parts would not fit.
+        scheme = instantiate_cat(construct_cat_x(8, 8, 4, 1))
+        dv, p, n = scheme.dv, scheme.field.p, scheme.n_workers
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, p, (256, 256)), rng.integers(0, p, (256, 256))
+        a_parts, b_parts = partition_a(a, dv.k), partition_b(b, dv.l)
+        rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, 0)
+        scheme._encoders  # built before the measurement
+        tracemalloc.start()
+        try:
+            tasks = encode(scheme, a_parts, b_parts, rnd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = a_parts.blocks[0].size
+        assert (p, n, size, b_parts.blocks[0].size) == (1091, 92, 8192, 8192)
+        assert tasks[0].a_share.dtype == np.int16
+        shares = 2 * n * size * 2
+        operands = 2 * (dv.k + dv.t) * size * 4
+        tiles = 2 * _TILE * 4
+        assert peak <= shares + operands + tiles
 
 
 @lru_cache(maxsize=None)
