@@ -1,9 +1,10 @@
 """Command-line front end: construct, validate, simulate, sweep, search.
 
 Exit codes: 0 success, 1 validation/simulation failure, 2 usage error.
-The default output format can be set via the PDMM_FORMAT environment
-variable (json, csv, or pretty); any other value is a usage error.  `sweep`
-has no pretty format and writes CSV for PDMM_FORMAT=pretty.
+--format takes only the formats a subcommand writes. The default output
+format can be set via the PDMM_FORMAT environment variable (json, csv, or
+pretty); any other value is a usage error. A subcommand that does not write
+it writes its own default: pretty, or CSV for `sweep`.
 """
 
 from __future__ import annotations
@@ -293,7 +294,16 @@ def _env_format() -> str | None:
     return value
 
 
-def _add_common(sub, env_format, with_family=True, with_seed=False):
+def _add_output(sub, formats, env_format):
+    """--format, choosing from the formats the subcommand writes, its
+    default first, with PDMM_FORMAT as the default when it is one, and -o."""
+    sub.add_argument(
+        "--format", choices=formats, default=env_format if env_format in formats else formats[0]
+    )
+    sub.add_argument("-o", "--output", default=None)
+
+
+def _add_common(sub, formats, env_format, with_family=True, with_seed=False):
     """-K -L -T, --format and -o; with_family adds the table flags --family,
     -r, -s and -x, with_seed the simulation flags --seed and --min-p."""
     if with_family:
@@ -308,8 +318,7 @@ def _add_common(sub, env_format, with_family=True, with_seed=False):
     if with_seed:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--min-p", dest="min_p", type=int, default=0)
-    sub.add_argument("--format", choices=FORMATS, default=env_format or "pretty")
-    sub.add_argument("-o", "--output", default=None)
+    _add_output(sub, formats, env_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     env_format = _env_format()
 
     p_construct = subs.add_parser("construct", help="print a degree table and its N")
-    _add_common(p_construct, env_format)
+    _add_common(p_construct, ("pretty", "json"), env_format)
 
     p_validate = subs.add_parser("validate", help="check the scheme conditions")
-    _add_common(p_validate, env_format)
+    _add_common(p_validate, ("pretty", "json"), env_format)
     p_validate.add_argument("--table", help="JSON file holding a degree table")
 
     p_simulate = subs.add_parser("simulate", help="run the full pipeline on random inputs")
-    _add_common(p_simulate, env_format, with_seed=True)
+    _add_common(p_simulate, ("pretty",), env_format, with_seed=True)
     p_simulate.add_argument("--dims", required=True, help="rAxcAxcB, e.g. 4x4x4")
 
     p_sweep = subs.add_parser("sweep", help="compare families over a grid")
@@ -336,15 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--L-range", dest="L_range")
     p_sweep.add_argument("--T-range", dest="T_range", required=True)
     p_sweep.add_argument("--mode", choices=("KequalsL", "full"), default="full")
-    p_sweep.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="csv" if env_format in (None, "pretty") else env_format,
-    )
-    p_sweep.add_argument("-o", "--output", default=None)
+    _add_output(p_sweep, ("csv", "json"), env_format)
 
     p_search = subs.add_parser("search", help="best parameters at one grid point")
-    _add_common(p_search, env_format, with_family=False)
+    _add_common(p_search, ("pretty", "json", "csv"), env_format, with_family=False)
 
     return parser
 

@@ -4,9 +4,9 @@ Constructs the four families of degree tables (GASP_r, GASP_rs, DOG_rs over
 the integers; CAT_x with addition modulo q). Both kinds share one addition
 table (addition_table), from which their unique entries are counted and one
 validator checks the decodability/privacy conditions; for a cyclic table,
-condition IV is the rule (root_order) under which consecutive powers of a
-root of unity serve as evaluation points. Exponents and moduli stay below
-2^62, so that every sum of two fits int64.
+condition IV is the progression rule (_progression_order) under which
+consecutive powers of a root of unity serve as evaluation points. Exponents
+and moduli stay below 2^62, so that every sum of two fits int64.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
     II: the KL data sums are distinct. III: the sums TR (IIIa), BL (IIIb)
     and BR (IIIc) miss the data sums. IV, for an integer table: no exponent
     repeats in alpha or in beta; for a cyclic table, the sufficient
-    condition that root_order certifies it for consecutive powers of a
-    q-th root of unity.
+    condition that both mask sides are progressions that _progression_order
+    proves on consecutive powers of a q-th root of unity.
     """
     qs = quadrants(dv)
     dups = _repeated(addition_table(dv)[: dv.k, : dv.l].ravel())
@@ -301,49 +301,33 @@ def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
         flags["IV"] = not repeats
         witnesses.extend(repeats)
     else:
-        flags["IV"] = root_order(dv, qs.n_unique) is not None
+        flags["IV"] = all(
+            d is not None and _progression_order(d, qs.n_unique, dv.modulus)
+            for d in _progression_steps(dv)
+        )
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
 
 
-def _step(vec: tuple[int, ...], modulus: int | None) -> int | None:
-    """The common difference of vec as an arithmetic progression, mod modulus
-    when given; 1 for a single entry, None when vec is no progression."""
-    if len(vec) == 1:
-        return 1
-    diffs = {b - a if modulus is None else (b - a) % modulus for a, b in zip(vec, vec[1:])}
-    return diffs.pop() if len(diffs) == 1 else None
+def _progression_steps(dv: DegreeVectors) -> tuple[int | None, int | None]:
+    """The step d of alpha_s and of beta_s as progressions c + d*i, mod q
+    for a cyclic table, or None for a side that is none; a single entry
+    steps by 1. Condition IV, the scan of scheme.instantiate_degree_table
+    and scheme.verify_privacy_rank take a side's step only from here, and
+    apply the rule to every side that has one, for every T."""
+    q, steps = dv.modulus, []
+    for vec in (dv.alpha_s, dv.beta_s):
+        diffs = {b - a if q is None else (b - a) % q for a, b in zip(vec, vec[1:])} or {1}
+        steps.append(diffs.pop() if len(diffs) == 1 else None)
+    return tuple(steps)
 
 
 def _progression_order(d: int, n: int, q: int) -> bool:
     """Whether a mask side c + d*i (mod q for a cyclic table) makes every
     T x T mask submatrix invertible on the points omega^0 .. omega^(n-1),
-    omega of order q, for 2 <= T <= n. Each such submatrix is diag(omega^(w*c))
-    times a Vandermonde matrix in the nodes omega^(w*d), which are powers of
-    an element of order q / gcd(d, q): they are pairwise distinct iff that
-    order is at least n. The scan of scheme.instantiate_degree_table and
-    root_order, which condition IV of a cyclic table reads, both decide a
-    progression side by this rule."""
+    omega of order q. Each such submatrix is diag(omega^(w*c)) times a
+    Vandermonde matrix in the nodes omega^(w*d), which are powers of an
+    element of order q / gcd(d, q): they are pairwise distinct iff that
+    order is at least n. For 2 <= T <= n two equal nodes make a submatrix
+    singular; a side of T > n entries has none. A zero step never passes
+    for n >= 2."""
     return q // gcd(d, q) >= n
-
-
-def root_order(dv: DegreeVectors, n: int) -> int | None:
-    """The modulus q of a cyclic table when the consecutive powers omega^0 ..
-    omega^(n-1) of an element omega of order q, as the n evaluation points,
-    make every T x T mask submatrix invertible; None when this rule does not
-    certify the table. Integer tables are refused.
-
-    Both mask vectors must be arithmetic progressions c + d*i mod q that
-    _progression_order accepts: q / gcd(d, q) >= n, so that the nodes
-    omega^(w*d) are distinct. A zero step never passes for n >= 2, and a
-    single mask entry counts as step 1. The scan of
-    scheme.instantiate_degree_table, which takes q as a cyclic table's only
-    order, proves both sides of a table that passes here by the same
-    function, with no elimination.
-    """
-    if dv.modulus is None:
-        raise ParameterError("root_order expects a cyclic table (modulus present)")
-    steps = (_step(dv.alpha_s, dv.modulus), _step(dv.beta_s, dv.modulus))
-    q = dv.modulus
-    if None in steps or not all(_progression_order(d, n, q) for d in steps):
-        return None
-    return q

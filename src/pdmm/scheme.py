@@ -18,7 +18,7 @@ from .degrees import (
     DegreeVectors,
     ParameterError,
     _progression_order,
-    _step,
+    _progression_steps,
     addition_table,
     quadrants,
     table_from_dict,
@@ -223,24 +223,23 @@ class Randomness:
     s_mats: tuple[np.ndarray, ...]
 
 
-def _progression_side(rho, exps, modulus: int | None, p: int) -> bool | None:
-    """Decide from the points alone whether every T x T submatrix of the mask
-    Vandermonde matrix [x^e for e in exps] over rho is invertible mod p: True
-    when all are, False when one is singular, None when this rule does not
-    apply and the submatrices must be eliminated.
+def _progression_side(rho, d: int, modulus: int | None, p: int) -> bool:
+    """Whether the points prove every T x T submatrix of the mask
+    Vandermonde matrix [x^e for e in exps] over rho invertible mod p, for a
+    side exps = c + d*i (mod modulus for a cyclic table) of the step d that
+    degrees._progression_steps gives. False means only that the
+    submatrices must be eliminated.
 
-    It applies when exps is an arithmetic progression c + d*i (mod modulus
-    for a cyclic table, whose points must then satisfy x^modulus = 1), with
-    2 <= T <= N and every point nonzero. Row x is then x^c times the
-    Vandermonde row of the node x^d, so the submatrix on rows W is
-    diag(x_w^c) times a Vandermonde matrix in the nodes x_w^d: every one is
-    invertible iff the N nodes are pairwise distinct.
+    Every point must be nonzero and, for a cyclic table, satisfy
+    x^modulus = 1. Row x is then x^c times the Vandermonde row of the node
+    x^d, so the submatrix on rows W is diag(x_w^c) times a Vandermonde
+    matrix in the nodes x_w^d: the proof holds when the N nodes are
+    pairwise distinct, and for 2 <= T <= N only then.
     """
-    d = _step(exps, modulus)
-    if d is None or not 2 <= len(exps) <= len(rho) or any(x % p == 0 for x in rho):
-        return None
+    if any(x % p == 0 for x in rho):
+        return False
     if modulus is not None and any(pow(x, modulus, p) != 1 for x in rho):
-        return None
+        return False
     return len({pow(x, d, p) for x in rho}) == len(rho)
 
 
@@ -286,6 +285,10 @@ def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
 # for a walk of d (see _lift), C(N, T) for a whole mask matrix. A side that
 # must be walked above it is refused before anything is walked.
 _WALK_CAP = 2**22
+
+# The most values, p^(K+T) or p^(L+T), that verify_privacy_exhaustive
+# enumerates on a side; a larger side is refused before it starts.
+_ENUMERATION_CAP = 20_000_000
 
 
 def _refuse_above_cap(n: int, t: int) -> None:
@@ -373,8 +376,9 @@ def instantiate_degree_table(
     past 3,037,000,499 (_MAX_P) FieldError is raised. The first candidate
     in this order whose two mask sides pass is accepted.
 
-    A mask side whose degrees form an arithmetic progression is decided
-    from q alone (see _progression_order), with no points built, once the
+    A mask side whose degrees form an arithmetic progression, with the step
+    that degrees._progression_steps gives, is decided from q alone by
+    _progression_order, as condition IV is, with no points built, once the
     candidate is counted against the band's 32: 'structural'. Any other
     side is walked whole, over the C(N-1, T-1) subsets of d (see _lift):
     'exhaustive'. BudgetExceededError is raised before any walk when that
@@ -399,8 +403,7 @@ def instantiate_degree_table(
     n, t = qs.n_unique, dv.t
     sides = (dv.alpha_s, dv.beta_s)
     vectors = (qs.gamma,) + sides
-    # The common difference of each side that _progression_order decides.
-    steps = [_step(exps, dv.modulus) if 2 <= len(exps) <= n else None for exps in sides]
+    steps = _progression_steps(dv)
     if None in steps:
         _refuse_above_cap(n - 1, t - 1)
     # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
@@ -643,22 +646,23 @@ class PrivacyRankReport:
 def verify_privacy_rank(scheme: PdmmScheme) -> PrivacyRankReport:
     """T x T submatrix invertibility of the two mask Vandermonde matrices.
 
-    A side that _progression_side proves from the points is reported as
-    SubmatrixCheck(None, C(N, T), 'structural') with no subset eliminated;
-    catx and GASP small/big schemes are proven so. Any other side gets
+    A progression side (degrees._progression_steps) that _progression_side
+    proves from the points is reported as SubmatrixCheck(None, C(N, T),
+    'structural') with no subset eliminated; catx and GASP small/big
+    schemes are proven so. Any other side gets
     _mask_check's exhaustive report, so a failing side keeps its witness: on
     the points 1, r, r^2, .. of a scanned scheme, the walk of d the scan
     made; on other points a walk of every T-row subset. A walk above
     _WALK_CAP raises BudgetExceededError before anything is walked.
     """
-    n, t, p = scheme.n_workers, scheme.t_privacy, scheme.field.p
+    dv, n, t, p = scheme.dv, scheme.n_workers, scheme.t_privacy, scheme.field.p
 
-    def side(exps) -> SubmatrixCheck:
-        if _progression_side(scheme.rho, exps, scheme.dv.modulus, p):
+    def side(exps, d) -> SubmatrixCheck:
+        if d is not None and _progression_side(scheme.rho, d, dv.modulus, p):
             return SubmatrixCheck(None, comb(n, t), "structural")
         return _mask_check(scheme.rho, exps, t, p)
 
-    return PrivacyRankReport(side(scheme.dv.alpha_s), side(scheme.dv.beta_s))
+    return PrivacyRankReport(*map(side, (dv.alpha_s, dv.beta_s), _progression_steps(dv)))
 
 
 @dataclass(frozen=True)
@@ -710,24 +714,22 @@ def _enumerate_side(
     return True, checked, None
 
 
-def verify_privacy_exhaustive(
-    scheme: PdmmScheme, max_enumeration: int = 20_000_000
-) -> PrivacyExhaustiveReport:
+def verify_privacy_exhaustive(scheme: PdmmScheme) -> PrivacyExhaustiveReport:
     """Brute-force check that any T workers' tasks are uniform and data-independent.
 
     Requires 1x1 blocks conceptually: the enumeration treats each block as a
     single field element. Every T-subset of workers is enumerated;
     BudgetExceededError is raised first when p^(K+T) or p^(L+T) exceeds
-    max_enumeration.
+    _ENUMERATION_CAP.
     """
     dv = scheme.dv
     p = scheme.field.p
     t = scheme.t_privacy
     n = scheme.n_workers
     for side_k in (dv.k, dv.l):
-        if p ** (side_k + t) > max_enumeration:
+        if p ** (side_k + t) > _ENUMERATION_CAP:
             raise BudgetExceededError(
-                f"p^(K+T) = {p ** (side_k + t)} exceeds budget {max_enumeration}"
+                f"p^(K+T) = {p ** (side_k + t)} exceeds budget {_ENUMERATION_CAP}"
             )
     subsets = list(itertools.combinations(range(n), t))
 

@@ -206,6 +206,40 @@ class TestFlags:
         assert out == ""
         assert err.startswith("error: ") and "--L-range" in err
 
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [("simulate", "json"), ("simulate", "csv"), ("construct", "csv"), ("validate", "csv"),
+         ("sweep", "pretty")],
+    )
+    def test_unwritten_format_is_usage_error(self, capsys, command, fmt):
+        code, out, err = run(capsys, *FORMAT_ARGV[command], "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err and repr(fmt) in err
+
+    @pytest.mark.parametrize(
+        "command, env, fallback",
+        [("simulate", "json", "pretty"), ("simulate", "csv", "pretty"),
+         ("construct", "csv", "pretty"), ("validate", "csv", "pretty"),
+         ("sweep", "pretty", "csv")],
+    )
+    def test_unwritten_env_format_falls_back(self, capsys, monkeypatch, command, env, fallback):
+        want = run(capsys, *FORMAT_ARGV[command], "--format", fallback)
+        monkeypatch.setenv("PDMM_FORMAT", env)
+        assert run(capsys, *FORMAT_ARGV[command]) == want
+        assert want[0] == 0
+
+
+# One small invocation per subcommand, without --format.
+FORMAT_ARGV = {
+    "simulate": (
+        "simulate", "--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--dims", "2x2x2"
+    ),
+    "construct": ("construct", "--family", "catx", "-K", "2", "-L", "2", "-T", "2"),
+    "validate": ("validate", "--family", "catx", "-K", "2", "-L", "2", "-T", "2"),
+    "sweep": ("sweep", "--K-range", "2", "--T-range", "2"),
+}
+
 
 class TestSimulate:
     def test_cat_exact_match(self, capsys):

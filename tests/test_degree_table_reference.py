@@ -7,6 +7,8 @@ kinds, with repeats, TL collisions, quadrant overlaps and non-progression
 masks, it must give the same quadrants, flags, witnesses and counts.
 """
 
+from math import gcd
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,6 @@ from pdmm.degrees import (
     ValidationReport,
     count_unique,
     quadrants,
-    root_order,
     validate_degree_table,
 )
 
@@ -81,6 +82,17 @@ def ref_validate_degree_table(dv):
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
 
 
+def ref_progression_rule(vec, q, n):
+    """A cyclic mask side passes when its differences mod q are one value d
+    (a single entry steps by 1) and omega^d, omega of order q, has order
+    q / gcd(d, q) >= n."""
+    diffs = {(b - a) % q for a, b in zip(vec, vec[1:])} if len(vec) > 1 else {1}
+    if len(diffs) != 1:
+        return False
+    (d,) = diffs
+    return q // gcd(d, q) >= n
+
+
 def ref_validate_cat(dv):
     qs = ref_quadrants(dv)
     flags = {"I": True}
@@ -91,7 +103,9 @@ def ref_validate_cat(dv):
     d_flags, d_wit = ref_disjointness(qs)
     flags.update(d_flags)
     witnesses.extend(d_wit)
-    flags["IV"] = root_order(dv, qs.n_unique) is not None
+    flags["IV"] = all(
+        ref_progression_rule(vec, dv.modulus, qs.n_unique) for vec in (dv.alpha_s, dv.beta_s)
+    )
     return ValidationReport(flags, qs.n_unique, tuple(witnesses))
 
 

@@ -7,6 +7,8 @@ import pytest
 from lattice_tools import lattice_solutions, lattice_span_mod_q, quadrant_intersections
 from pdmm.degrees import (
     EXPONENT_LIMIT,
+    _progression_order,
+    _progression_steps,
     DegreeVectors,
     ParameterError,
     addition_table,
@@ -20,7 +22,6 @@ from pdmm.degrees import (
     kappa_lambda,
     n_catx_formula,
     quadrants,
-    root_order,
     validate_degree_table,
 )
 from pdmm.scheme import instantiate_cat
@@ -254,34 +255,55 @@ class TestValidation:
             instantiate_cat(construct_gasp_r(2, 2, 2, 1))
 
 
-class TestRootOrder:
-    def test_cyclic_table_takes_its_modulus(self):
-        assert root_order(construct_cat_x(2, 2, 2, 1), 10) == 10
+def progression_rule(dv, n):
+    """Condition IV of a cyclic table on n points: both mask sides are
+    progressions that _progression_order proves for the table's modulus."""
+    return all(
+        d is not None and _progression_order(d, n, dv.modulus) for d in _progression_steps(dv)
+    )
 
-    def test_refuses_integer_tables(self):
-        # Integer tables take their points from instantiate_degree_table's scan.
-        with pytest.raises(ParameterError, match="cyclic"):
-            root_order(construct_gasp_r(2, 2, 2, 1), 11)
+
+class TestProgressionRule:
+    def test_cyclic_table_takes_its_modulus(self):
+        dv = construct_cat_x(2, 2, 2, 1)
+        assert progression_rule(dv, 10)
+        assert validate_degree_table(dv).flags["IV"] and count_unique(dv) == 10
+
+    def test_integer_tables_keep_their_steps_and_read_repeats(self):
+        # An integer table's steps are not reduced, and its condition IV
+        # reads repeated exponents, not the rule: the scan takes each
+        # order q of F_p^* and decides a progression side for it there.
+        assert _progression_steps(construct_gasp_r(2, 2, 2, 1)) == (2, 1)
+        dv = construct_gasp_rs(4, 4, 3, 1, 2)  # beta_s = (16, 17, 20)
+        assert _progression_steps(dv) == (4, None)
+        assert validate_degree_table(dv).flags["IV"]
 
     def test_non_progression(self):
         # alpha_s = (1, 2, 4): steps 1 and 2.
         dv = DegreeVectors((0, 3), (1, 2, 4), (0, 1), (6, 7, 8), modulus=10)
-        assert root_order(dv, 8) is None
+        assert _progression_steps(dv) == (None, 1)
+        assert not progression_rule(dv, 8)
 
     @pytest.mark.parametrize("modulus", [10, 12])
     def test_zero_step(self, modulus):
         dv = DegreeVectors((0, 3), (1, 1), (0, 1), (7, 8), modulus=modulus)
-        assert root_order(dv, 4) is None
+        assert _progression_steps(dv) == (0, 1)
+        assert not progression_rule(dv, 4)
 
     def test_step_sharing_a_factor_with_the_modulus(self):
         dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
-        assert root_order(dv, 10) is None
+        assert _progression_steps(dv) == (5, 3)
+        assert not progression_rule(dv, 10)
 
     def test_too_few_powers(self):
-        assert root_order(construct_cat_x(2, 2, 2, 1), 11) is None
+        # n > q: the n points omega^0 .. omega^(n-1) repeat.
+        assert not progression_rule(construct_cat_x(2, 2, 2, 1), 11)
 
     def test_single_mask_entry_is_a_progression(self):
-        assert root_order(DegreeVectors((0, 1), (4,), (0, 2), (5,), modulus=10), 8) == 10
+        dv = DegreeVectors((0, 1), (4,), (0, 2), (5,), modulus=10)
+        assert _progression_steps(dv) == (1, 1)
+        assert progression_rule(dv, 8)
+        assert validate_degree_table(dv).flags["IV"] and count_unique(dv) == 8
 
 
 class TestDegreeVectorsInvariants:

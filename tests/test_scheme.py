@@ -1,9 +1,11 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
 import itertools
+import json
 import tracemalloc
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from pdmm.cli import FAMILIES, build_degree_vectors
 from pdmm.degrees import (
     DegreeVectors,
-    _step,
+    ParameterError,
+    _progression_steps,
     construct_cat_x,
     construct_dog_rs,
     construct_gasp_r,
@@ -191,8 +194,7 @@ def progression_tables():
                 n = quadrants(dv).n_unique
                 if (
                     validate_degree_table(dv).valid
-                    and _step(dv.alpha_s, None) is not None
-                    and _step(dv.beta_s, None) is not None
+                    and None not in _progression_steps(dv)
                     and comb(n, big_t) <= 100_000
                 ):
                     tables.setdefault(dv, f"{family}-{big_k}-{big_l}-{big_t}-{r}-{s}")
@@ -346,15 +348,19 @@ class TestInstantiateDegreeTable:
         assert verify_privacy_rank(scheme).level == level
 
     def test_t1_table(self):
-        # The mask sides are no progressions, so both are walked: d has no
-        # column, and its one 0 x 0 submatrix stands for the 1 x 1 power of
-        # a nonzero point. The rank check walks it too.
+        # A single mask entry is a progression of step 1, so the rule proves
+        # both sides from q, as condition IV does for a cyclic table: each
+        # 1 x 1 submatrix is a power of a nonzero point. The rank check
+        # proves them from the points. Walked instead, both sides pass on
+        # the same field and points.
         dv = DegreeVectors((0, 1), (4,), (0, 2), (4,))
         scheme = instantiate_degree_table(dv)
-        assert (scheme.field.p, scheme.params) == (11, {"q": 10, "certificate": "exhaustive"})
+        assert (scheme.field.p, scheme.params) == (11, {"q": 10, "certificate": "structural"})
         assert scheme.rho == (1, 2, 4, 8, 5, 10, 9, 7)
         report = verify_privacy_rank(scheme)
-        assert report.a_check == report.b_check == SubmatrixCheck(None, 8, "exhaustive")
+        assert report.a_check == report.b_check == SubmatrixCheck(None, 8, "structural")
+        walked = [scheme_module._mask_check(scheme.rho, exps, 1, 11) for exps in ((4,), (4,))]
+        assert walked == [SubmatrixCheck(None, 8, "exhaustive")] * 2
 
     def test_refuses_a_walk_above_the_cap(self, monkeypatch):
         # gasp-rs (6,6,6) r=2 s=3: N = 72, and beta_s is no progression, so
@@ -987,7 +993,8 @@ class TestPrivacyRank:
         # alpha_s = (1, 6) steps by 5 mod 10: the nodes x^5 take two values.
         bad_dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
         bad = PdmmScheme(bad_dv, cat222.field, cat222.rho, quadrants(bad_dv).gamma)
-        assert _progression_side(bad.rho, bad_dv.alpha_s, 10, bad.field.p) is False
+        assert _progression_steps(bad_dv)[0] == 5
+        assert _progression_side(bad.rho, 5, 10, bad.field.p) is False
         report = verify_privacy_rank(bad)
         p = bad.field.p
         assert report.a_check == all_txt_submatrices_invertible(
@@ -1016,6 +1023,55 @@ class TestPrivacyRank:
             vandermonde(reverse.rho, dv.alpha_s, p), 3, p
         )
         assert (walked.a_check.checked, walked.level) == (1540, "exhaustive")
+
+
+def rule_tables():
+    """Every valid catx table with T <= L <= K <= 6 and x in {1, 2}; the
+    tables of tests/test_degrees.py::TestProgressionRule; the step-2 table
+    (0), (2, 4), (0), (2, 4) mod 10; and tests/data/table_cyclic_q10.json."""
+    tables = []
+    for big_k, big_l, big_t in itertools.product(range(2, 7), repeat=3):
+        for x in (1, 2) if big_k >= big_l >= big_t else ():
+            try:
+                dv = construct_cat_x(big_k, big_l, big_t, x)
+            except ParameterError:  # x shares a factor with q
+                continue
+            tables.append(pytest.param(dv, id=f"catx-{big_k}-{big_l}-{big_t}-x{x}"))
+    named = {
+        "gasp-small-2-2-2": construct_gasp_r(2, 2, 2, 1),
+        "non-progression": DegreeVectors((0, 3), (1, 2, 4), (0, 1), (6, 7, 8), modulus=10),
+        "zero-step-q10": DegreeVectors((0, 3), (1, 1), (0, 1), (7, 8), modulus=10),
+        "zero-step-q12": DegreeVectors((0, 3), (1, 1), (0, 1), (7, 8), modulus=12),
+        "step-sharing-a-factor": DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10),
+        "single-mask-entry": DegreeVectors((0, 1), (4,), (0, 2), (5,), modulus=10),
+        "step-2-q10": DegreeVectors((0,), (2, 4), (0,), (2, 4), modulus=10),
+        "table-cyclic-q10": table_from_dict(
+            json.loads((Path(__file__).parent / "data" / "table_cyclic_q10.json").read_text())
+        ),
+    }
+    return tables + [pytest.param(dv, id=label) for label, dv in named.items()]
+
+
+class TestProgressionRuleAgreement:
+    @pytest.mark.parametrize("dv", rule_tables())
+    def test_iv_scan_and_rank_check_agree(self, dv):
+        # Condition IV, the scan and the rank check take each side's step
+        # from degrees._progression_steps. A table that passes IV (by the
+        # rule for a cyclic table; these integer tables' sides are
+        # progressions too) is certified structural by the scan and by the
+        # rank check, and one that fails it, or another condition, is refused.
+        if not validate_degree_table(dv).valid:
+            with pytest.raises(SchemeError):
+                instantiate_degree_table(dv)
+            return
+        scheme = instantiate_degree_table(dv)
+        assert scheme.params["certificate"] == "structural"
+        assert verify_privacy_rank(scheme).level == "structural"
+
+    def test_skipped_x_is_refused(self):
+        # catx (2, 2, 2) has q = 10, which x = 2 divides.
+        with pytest.raises(ParameterError, match="coprime"):
+            construct_cat_x(2, 2, 2, 2)
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -1063,16 +1119,18 @@ class TestProgressionSide:
     # is not x^9: rows 13 and 16 are dependent, though the nodes x^1 differ.
     @example(((13, 12, 16, 1), (8, 0), 9, 17))
     def test_matches_exhaustive_elimination(self, side):
+        # A proof is sound for every T, and for 2 <= T <= N exact: a side it
+        # does not prove there has a singular T x T submatrix.
         rho, exps, modulus, p = side
         t = len(exps)
-        got = _progression_side(rho, exps, modulus, p)
-        progression = _step(exps, modulus) is not None
+        d = _progression_steps(DegreeVectors((0,), exps, (0,), exps, modulus=modulus))[0]
         roots = modulus is None or all(pow(x, modulus, p) == 1 for x in rho)
-        decidable = progression and roots and 2 <= t <= len(rho) and 0 not in rho
-        assert (got is not None) == decidable
-        if got is not None:
-            m = vandermonde(rho, exps, p)
-            assert got == all_txt_submatrices_invertible(m, t, p).ok
+        decidable = d is not None and roots and 0 not in rho
+        got = d is not None and _progression_side(rho, d, modulus, p)
+        ok = all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p).ok
+        assert not got or (decidable and ok)
+        if decidable and 2 <= t <= len(rho):
+            assert got == ok
 
 
 @st.composite
@@ -1167,6 +1225,14 @@ class TestPrivacyExhaustive:
         scheme = instantiate_cat(construct_cat_x(4, 4, 4, 3))
         with pytest.raises(BudgetExceededError):
             verify_privacy_exhaustive(scheme)
+
+    def test_budget_guard_reads_the_cap(self, cat222, monkeypatch):
+        # catx (2,2,2) at p = 11 enumerates 11^4 = 14,641 values per side.
+        monkeypatch.setattr("pdmm.scheme._ENUMERATION_CAP", 11**4 - 1)
+        with pytest.raises(BudgetExceededError, match="14641"):
+            verify_privacy_exhaustive(cat222)
+        monkeypatch.setattr("pdmm.scheme._ENUMERATION_CAP", 11**4)
+        assert verify_privacy_exhaustive(cat222).ok
 
 
 def per_value_enumerate_side(rho, prefix_exps, suffix_exps, p, subsets):
