@@ -114,6 +114,8 @@ class TestAgainstBruteForce:
         for klt in ((big_k, big_l, big_t), (big_l, big_k, big_t)):
             got = (best_gasp_r(*klt), best_gasp_rs(*klt), best_dog_rs(*klt))
             assert got == expected
+            rec = best_scheme(*klt)
+            assert (rec.gasp_r, rec.gasp_rs, rec.dog_rs) == got
 
 
 def _counted(chains, big_l, big_t):
@@ -165,11 +167,55 @@ class TestCounter:
         }
 
     def test_bound_skips_a_chain_whose_left_set_is_large_enough(self):
+        # The skip floor is |(α_p ∪ α_s) + (β_p ∪ {b0})|: left plus the first
+        # entry b0 of β_s, which every chain width s keeps.
         _, *chain = next(search._dog_rs_chains(7, 7, 6))
         dv = construct_dog_rs(7, 7, 6, 1, 1)
-        n_left = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p})
-        assert list(search._counts(7, 6, *chain, bound=n_left)) == []
-        assert [s for s, _ in search._counts(7, 6, *chain, bound=n_left + 1)] == [1, 2, 3, 4, 5, 6]
+        floor = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p + dv.beta_s[:1]})
+        assert list(search._counts(7, 6, *chain, bound=floor)) == []
+        assert [s for s, _ in search._counts(7, 6, *chain, bound=floor + 1)] == [1, 2, 3, 4, 5, 6]
+
+    def test_t_bound_counts_s_equal_t_alone(self):
+        # Past `bound`, a floor under `t_bound` still yields (T, N(r, T)).
+        _, *chain = next(search._gasp_rs_chains(7, 7, 6, [1], [1, 2, 6]))
+        dv = construct_gasp_rs(7, 7, 6, 1, 6)
+        floor = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p + dv.beta_s[:1]})
+        assert list(search._counts(7, 6, *chain, bound=floor, t_bound=floor)) == []
+        assert list(search._counts(7, 6, *chain, bound=floor, t_bound=floor + 1)) == [
+            (6, count_unique(dv))
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["gasp_rs", "dog_rs"]),
+        big_k=st.integers(2, 12),
+        big_l=st.integers(2, 12),
+        big_t=st.integers(2, 12),
+    )
+    def test_floor_lies_between_left_and_every_count(self, kind, big_k, big_l, big_t):
+        """|left| <= floor <= N(r, s) for every admissible s, so skipping an
+        r whose floor reaches the best N never skips a better (r, s)."""
+        if kind == "gasp_rs":
+            rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
+            chains = search._gasp_rs_chains(big_k, big_l, big_t, rs, rs)
+
+            def build(r, s):
+                return construct_gasp_rs(big_k, big_l, big_t, r, s)
+        else:
+            chains = search._dog_rs_chains(big_k, big_l, big_t)
+
+            def build(r, s):
+                return construct_dog_rs(big_k, big_l, big_t, r, s)
+        for r, *chain in chains:
+            ss = chain[-1]
+            dv = build(r, ss[0])
+            alphas = dv.alpha_p + dv.alpha_s
+            left = len({a + b for a in alphas for b in dv.beta_p})
+            floor = len({a + b for a in alphas for b in dv.beta_p + dv.beta_s[:1]})
+            assert left <= floor <= min(count_unique(build(r, s)) for s in ss)
+            # The counter skips at exactly this floor.
+            assert list(search._counts(big_l, big_t, *chain, bound=floor)) == []
+            assert len(list(search._counts(big_l, big_t, *chain, bound=floor + 1))) == len(ss)
 
 
 class TestCatxChoice:
@@ -247,6 +293,39 @@ class TestSweep:
     def test_cat_dominates_when_t_is_small(self):
         recs = sweep(range(10, 16), [], [2], mode="KequalsL")
         assert all(r.winner == "CATX" for r in recs)
+
+    @pytest.mark.parametrize(
+        "ranges,mode",
+        [
+            ((range(2, 8), range(3, 10), range(2, 7)), "full"),
+            ((range(2, 9), [99], range(2, 6)), "KequalsL"),
+        ],
+    )
+    def test_equals_best_scheme_per_point(self, ranges, mode):
+        recs = sweep(*ranges, mode=mode)
+        ks, ls, ts = ranges
+        if mode == "full":
+            points = [(k, l, t) for k in ks for l in ls for t in ts]
+        else:
+            points = [(k, k, t) for k in ks for t in ts]
+        assert recs == [best_scheme(*pt) for pt in points]
+
+    def test_each_oriented_point_computed_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*klt):
+            calls.append(klt)
+            return best_scheme(*klt)
+
+        monkeypatch.setattr(search, "best_scheme", counted)
+        ks, ls, ts = range(2, 6), range(2, 7), range(2, 4)
+        oriented = {(max(k, l), min(k, l), t) for k in ks for l in ls for t in ts}
+        recs = sweep(ks, ls, ts)
+        assert len(recs) == len(ks) * len(ls) * len(ts)
+        assert len(calls) == len(oriented) < len(recs)
+        assert {search._oriented(*klt) for klt in calls} == oriented
+        sweep(ks, ls, ts)
+        assert len(calls) == 2 * len(oriented)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
