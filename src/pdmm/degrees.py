@@ -11,6 +11,7 @@ and moduli stay below 2^62, so that every sum of two fits int64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -25,13 +26,26 @@ class ParameterError(ValueError):
 EXPONENT_LIMIT = 1 << 62
 
 
+_VECTORS = ("alpha_p", "alpha_s", "beta_p", "beta_s")
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a float, which int() truncates, or a bool is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must hold integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DegreeVectors:
     """The tuple (alpha_p, alpha_s, beta_p, beta_s), optionally cyclic.
 
     When ``modulus`` is set, all additions in the degree table are taken
     modulo it and entries must already lie in [0, modulus). Every entry and
-    the modulus lie below EXPONENT_LIMIT = 2^62.
+    the modulus are ints, by _integer's rule, below EXPONENT_LIMIT = 2^62.
     """
 
     alpha_p: tuple[int, ...]
@@ -41,11 +55,13 @@ class DegreeVectors:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and not 1 <= self.modulus < EXPONENT_LIMIT:
-            raise ParameterError(f"modulus must lie in [1, 2^62), got {self.modulus}")
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", _integer(self.modulus, "modulus"))
+            if not 1 <= self.modulus < EXPONENT_LIMIT:
+                raise ParameterError(f"modulus must lie in [1, 2^62), got {self.modulus}")
         bound = EXPONENT_LIMIT if self.modulus is None else self.modulus
-        for name in ("alpha_p", "alpha_s", "beta_p", "beta_s"):
-            vec = tuple(int(v) for v in getattr(self, name))
+        for name in _VECTORS:
+            vec = tuple(_integer(v, name) for v in getattr(self, name))
             object.__setattr__(self, name, vec)
             if not vec:
                 raise ParameterError(f"{name} must be non-empty")
@@ -245,20 +261,15 @@ def table_to_dict(family: str | None, dv: DegreeVectors, params: dict) -> dict:
 
 
 def table_from_dict(doc: dict) -> DegreeVectors:
-    """The degree table of a table or scheme document.
-
-    The table is cyclic, mod doc["q"], when its family is catx, or when the
-    document has no family key but an omega key. A scheme on an integer
-    table records q and omega too, yet its table is integer.
-    """
-    cyclic = doc.get("family") == "catx" or ("family" not in doc and "omega" in doc)
-    return DegreeVectors(
-        tuple(doc["alpha_p"]),
-        tuple(doc["alpha_s"]),
-        tuple(doc["beta_p"]),
-        tuple(doc["beta_s"]),
-        modulus=doc.get("q") if cyclic else None,
-    )
+    """The degree table of a table or scheme document, cyclic mod doc["q"]
+    exactly when it carries q. ParameterError unless doc is a JSON object
+    with all four vectors."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"expected a JSON object, got {type(doc).__name__}")
+    missing = [name for name in _VECTORS if name not in doc]
+    if missing:
+        raise ParameterError(f"table document has no {missing[0]}")
+    return DegreeVectors(*(doc[name] for name in _VECTORS), modulus=doc.get("q"))
 
 
 def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:

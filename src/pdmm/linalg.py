@@ -1,30 +1,30 @@
 """Dense exact linear algebra over a prime field.
 
-A matrix over F_p is an integer array and an int p: every public function
-takes that form and returns int64, refuses p above isqrt(2^63 - 1) =
-3,037,000,499, so that products of two residues stay inside int64, and
-divides its input by p, in int64, only when some entry lies outside [0, p).
-Unsigned entries are reduced exactly before they become int64, and float,
-complex or other non-integer entries are refused with ValueError. All
-elimination and every product is exact. One product kernel, _mulmod,
-serves encode, the simulated workers and decode: it multiplies residues
-already cast to float32, float64 or int64 chunks, whichever is the
-smallest exact type, and reduces the output tile by tile in cache. It
-checks nothing; its two fronts do. matmul_mod checks and casts both
-operands and returns int64; the workers call it. _matmul_parts, for
-encode and decode, copies each part of its right operand once, straight
-into the kernel's type, checks [0, p) there, and writes any integer dtype
-(encode's narrow shares). matmul_mod alone reads narrow residues
-(int8, int16, int32, as encode writes its shares) without widening them;
-every other function widens its input to int64 first, since elimination
-multiplies residues in the dtype of its input. Elimination serves only the
-T x T submatrix checks; decoding needs none, since the scheme inverts its
-Vandermonde decode matrix in closed form. The division-free forward pass
-_singular on (t, t, M) stacks, with one modulus or one per matrix and one
-reduction for both, decides which are singular: submatrix_checks walks a
-stack of matrices, each mod its own p, through all of their row subsets at
-once, and all_txt_submatrices_invertible is its one-matrix case. No check
-samples: each walks every subset or stops at the first singular one.
+A matrix over F_p is an integer array and an int p. Every public function,
+and _matmul_parts' left operand, takes its input by one entry rule,
+_residues. It raises ValueError for non-integer entries, for an input of the
+wrong number of dimensions and for p above isqrt(2^63 - 1) = 3,037,000,499,
+past which a product of two residues overflows int64. It divides by p, in
+int64, only when some entry lies outside [0, p), and reduces unsigned
+entries exactly. Signed residues are read in their own dtype (int8, int16,
+int32, as encode writes its shares): the walk of the T x T checks is the one
+place that widens them to int64, since elimination multiplies in the dtype
+of its input. Every matrix returned is int64, and every result exact. One
+product kernel, _mulmod, serves encode, the simulated workers and decode: it
+multiplies residues cast to float32, float64 or int64 chunks, whichever is
+the smallest exact type, and reduces the output tile by tile in cache. It
+checks nothing; its two fronts do. matmul_mod, which the workers call, casts
+both operands. _matmul_parts, for encode and decode, copies each part of its
+right operand once, straight into the kernel's type, checks [0, p) there,
+and writes any integer dtype (encode's narrow shares). Elimination serves
+only the T x T submatrix checks; decoding needs none, since the scheme
+inverts its Vandermonde decode matrix in closed form. The division-free
+forward pass _singular on (t, t, M) stacks, with one modulus or one per
+matrix and one reduction for both, decides which are singular:
+submatrix_checks walks a stack of matrices, each mod its own p, through all
+of their row subsets at once, and all_txt_submatrices_invertible is its
+one-matrix case. No check samples: each walks every subset or stops at the
+first singular one.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ from .field import _MAX_P
 _TILE = 1 << 16
 
 
-def _check_p(p: int):
-    if p > _MAX_P:
-        raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
-
-
 def _integers(x) -> np.ndarray:
     """x as an array of integers: as it is when its dtype is a signed or
     unsigned integer or bool, an empty int64 array when it is empty. Float,
@@ -62,41 +57,31 @@ def _integers(x) -> np.ndarray:
     return x
 
 
-def _residues(x, p, narrow: bool = False) -> np.ndarray:
-    """x as int64, reduced mod p only if some entry lies outside [0, p).
-    p is an int, or an int64 array that broadcasts against x: a modulus per
-    entry. With narrow, a signed integer array of residues keeps its dtype;
-    only matmul_mod reads narrow residues without widening them, since
-    elimination multiplies residues in the dtype of its input.
+def _residues(x, p, ndim: int | None = None) -> np.ndarray:
+    """x as residues mod p, by the entry rule of every public function here.
 
-    Callers pass residues almost always, and % p costs more than the float
-    product it feeds; min and max cost a fraction of it. An entry outside
-    [0, p) is reduced in int64, whatever the width of x. Unsigned and bool
-    entries, which may lie at or above 2^63, are reduced in uint64 first.
-    Non-integer entries raise ValueError, by _integers' rule. The result is
-    x itself when x already holds residues in a dtype that is kept: read
-    it, never write it.
+    p is an int, or an int64 array of moduli, one per entry, that broadcasts
+    against x. p or a modulus above _MAX_P, non-integer entries (by
+    _integers' rule) and an x of other than ndim dimensions, when ndim is
+    given, raise ValueError. Signed residues are returned as they are, in
+    their own dtype: x itself, to be read, never written, since % p costs
+    more than the float product it feeds, and min and max a fraction of it.
+    Only the walk of submatrix_checks widens them, as elimination multiplies
+    in the dtype of its input. An entry outside [0, p) is reduced in int64;
+    unsigned and bool entries, which may lie at or above 2^63, in uint64
+    first.
     """
-    x = np.asarray(x)
-    if x.dtype.kind not in "iub":
-        x = _integers(x)
+    top = p if isinstance(p, int) else int(np.max(p, initial=0))
+    if top > _MAX_P:
+        raise ValueError(f"p = {top} exceeds {_MAX_P}: products of two residues overflow int64")
+    x = _integers(x)
+    if ndim is not None and x.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {x.shape}")
     if x.dtype.kind in "ub":
         return np.remainder(x, np.asarray(p, dtype=np.uint64)).astype(np.int64)
-    if not narrow:
-        x = x.astype(np.int64, copy=False)
     if x.size and (x.min() < 0 or (x.max() >= p if isinstance(p, int) else (x >= p).any())):
         return np.asarray(x, dtype=np.int64) % p
     return x
-
-
-def _matrix(m, p: int, narrow: bool = False) -> np.ndarray:
-    """m as a 2-D array of residues mod p, by _residues' rule, once p is
-    checked."""
-    _check_p(p)
-    m = _residues(m, p, narrow)
-    if m.ndim != 2:
-        raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
-    return m
 
 
 @lru_cache(maxsize=256)
@@ -145,7 +130,7 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
     Raises ValueError for p > _MAX_P, like every function here.
     """
-    a, b = _matrix(a, p, narrow=True), _matrix(b, p, narrow=True)
+    a, b = _residues(a, p, 2), _residues(b, p, 2)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     kind, step = _exact_type(p, a.shape[1])
@@ -223,7 +208,7 @@ def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
     copied again. Non-integer parts raise ValueError, by _integers' rule, as
     do parts of different shapes.
     """
-    left = _matrix(left, p)
+    left = _residues(left, p, 2)
     parts = [_integers(part) for part in parts]
     shape = parts[0].shape
     kind, step = _exact_type(p, len(parts))
@@ -239,10 +224,7 @@ def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
 def vandermonde(points, exponents, p: int) -> np.ndarray:
     """Generalized Vandermonde matrix M[i][j] = points[i] ** exponents[j] mod p,
     for a vector of integer points."""
-    _check_p(p)
-    points = _residues(points, p)
-    if points.ndim != 1:
-        raise ValueError(f"expected a vector of points, got shape {points.shape}")
+    points = _residues(points, p, 1)
     rows = [[pow(x, int(e), p) for e in exponents] for x in points.tolist()]
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(exponents))
 
@@ -400,10 +382,9 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
             p = int(p[0])
         elif p.size != g:
             raise ValueError(f"expected one modulus or {g}, got {p.size}")
-    _check_p(p if isinstance(p, int) else int(p.max(initial=0)))
     mats = _residues(mats, p if isinstance(p, int) else p[:, None, None])
     subsets = _combination_indices(n, t)
-    cols = mats.transpose(2, 0, 1).reshape(t, g * n)
+    cols = mats.transpose(2, 0, 1).reshape(t, g * n).astype(np.int64, copy=False)
     return [_check(i, subsets) for i in _first_singular(cols, n, g, p, subsets)]
 
 

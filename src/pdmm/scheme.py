@@ -744,13 +744,16 @@ def verify_privacy_exhaustive(scheme: PdmmScheme) -> PrivacyExhaustiveReport:
 
 # -- serialization ---------------------------------------------------------
 
-# The scheme parameters that a scheme document carries.
-_PARAM_KEYS = ("r", "s", "x", "q")
+# The scheme parameters that a scheme document carries besides q, which marks
+# a cyclic table: an integer table's root order q is carried as order.
+_PARAM_KEYS = ("r", "s", "x")
 
 
 def scheme_to_dict(scheme: PdmmScheme) -> dict:
     """The table document of the scheme's degree table plus p, omega and rho."""
     params = {k: v for k, v in scheme.params.items() if k in _PARAM_KEYS}
+    if scheme.dv.modulus is None and "q" in scheme.params:
+        params["order"] = scheme.params["q"]
     doc = table_to_dict(scheme.family, scheme.dv, params)
     doc["p"] = scheme.field.p
     if scheme.omega is not None:
@@ -761,6 +764,9 @@ def scheme_to_dict(scheme: PdmmScheme) -> dict:
 
 def scheme_from_dict(doc: dict) -> PdmmScheme:
     dv = table_from_dict(doc)
+    params = {k: doc[k] for k in _PARAM_KEYS + ("q",) if k in doc}
+    if "order" in doc:
+        params["q"] = doc["order"]
     return PdmmScheme(
         dv,
         PrimeField(doc["p"]),
@@ -768,5 +774,5 @@ def scheme_from_dict(doc: dict) -> PdmmScheme:
         quadrants(dv).gamma,
         omega=doc.get("omega"),
         family=doc.get("family"),
-        params={k: doc[k] for k in _PARAM_KEYS if k in doc},
+        params=params,
     )

@@ -175,6 +175,37 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_q_makes_a_table_cyclic_without_a_family(self, capsys, tmp_path):
+        # Read as an integer table, the q = 10 document counted N = 13 and
+        # passed IV; mod 10 it has N = 10 and fails IIIb, IIIc and IV.
+        doc = json.loads((DATA / "table_cyclic_q10.json").read_text())
+        del doc["family"]
+        table = tmp_path / "q10.json"
+        table.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--table", str(table))
+        _, want, _ = run(capsys, "validate", "--table", str(DATA / "table_cyclic_q10.json"))
+        assert code == 1
+        assert "N = 10" in out.splitlines() and "IV: FAIL" in out
+        assert out == want
+
+    @pytest.mark.parametrize(
+        "doc,words",
+        [
+            ({"alpha_p": [0, 1], "alpha_s": [1, 6], "beta_p": [0, 2]}, "beta_s"),
+            ([[0, 1], [1, 6], [0, 2], [4, 5]], "JSON object"),
+            ({"alpha_p": [0, 1], "alpha_s": [0.5, 6], "beta_p": [0, 2], "beta_s": [4, 5]}, "0.5"),
+        ],
+        ids=["missing-beta_s", "list", "half-exponent"],
+    )
+    def test_malformed_table_is_a_usage_error(self, capsys, tmp_path, doc, words):
+        # Exit 1 means the table failed validation; these are no tables.
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and words in err
+
 
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""

@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from lattice_tools import lattice_solutions, lattice_span_mod_q, quadrant_intersections
@@ -314,6 +315,29 @@ class TestDegreeVectorsInvariants:
     def test_rejects_mismatched_mask_lengths(self):
         with pytest.raises(ParameterError):
             DegreeVectors((0,), (1, 2), (0,), (1,))
+
+    @pytest.mark.parametrize(
+        "vectors,modulus",
+        [
+            (((0.5, 1.7), (4.9,), (0, 2), (7,)), None),  # int() would truncate them
+            (((0, 1), (4,), (0, 2), (7,)), 10.5),
+            (((0, True), (4,), (0, 2), (7,)), None),
+            (((0, np.bool_(True)), (4,), (0, 2), (7,)), None),
+            (((0, 1), (4,), (0, 2), ("7",)), None),
+            (((0, 1), (4,), (0, 2), (7,)), True),
+        ],
+    )
+    def test_rejects_non_integer_entries_and_moduli(self, vectors, modulus):
+        with pytest.raises(ParameterError, match="integers"):
+            DegreeVectors(*vectors, modulus=modulus)
+
+    def test_numpy_integers_become_ints(self):
+        dv = DegreeVectors(
+            np.arange(2), (np.int32(4),), (np.uint8(0), 2), (7,), modulus=np.int64(10)
+        )
+        assert dv == DegreeVectors((0, 1), (4,), (0, 2), (7,), modulus=10)
+        assert all(type(v) is int for v in dv.alpha_p + dv.alpha_s + dv.beta_p)
+        assert type(dv.modulus) is int
 
     def test_dimensions(self):
         dv = construct_gasp_rs(5, 4, 3, 1, 2)

@@ -343,11 +343,22 @@ class TestNarrowOperands:
         assert matmul_mod(a, b, p).tolist() == expected.tolist()
         assert np.array_equal(a, before)
 
-    def test_only_the_kernel_keeps_narrow_residues(self):
+    def test_signed_residues_keep_their_dtype(self):
+        # Residues are read as they are; an entry outside [0, p) is reduced
+        # in int64, whatever the width of its input.
         x = np.arange(12, dtype=np.int16).reshape(3, 4)
-        assert _residues(x, 23, narrow=True) is x
-        assert _residues(x, 23).dtype == np.int64
-        assert _residues(x, 11, narrow=True).dtype == np.int64  # reduced in int64
+        assert _residues(x, 23) is x and _residues(x, 23, 2) is x
+        reduced = _residues(x, 11)
+        assert reduced.dtype == np.int64 and reduced.tolist() == (x % 11).tolist()
+        edge = np.array([[127, -128]], dtype=np.int8)
+        assert _residues(edge, 1091).tolist() == [[127, 1091 - 128]]
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
+    def test_narrow_residues_give_the_int64_result(self, name, p, dtype):
+        call, x, _ = ENTRIES[name]
+        x = np.array(x) % p  # negative entries become residues near p
+        assert plain(call(x.astype(dtype), p)) == plain(call(x, p))
 
     @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
     def test_elimination_widens_narrow_inputs(self, p, dtype):

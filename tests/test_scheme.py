@@ -1285,17 +1285,41 @@ class TestSerialization:
 
     @pytest.mark.parametrize("family", ["dog-rs", None])
     def test_integer_table_scheme_reads_back_integer(self, family):
-        # The document records the root order q and omega, yet the table of
-        # the scheme is integer.
+        # The document records the root order q, as order, and omega, yet
+        # the table of the scheme is integer: only q makes a document cyclic.
         scheme = instantiate_degree_table(construct_dog_rs(2, 2, 3, 2, 2), family=family)
         doc = scheme_to_dict(scheme)
-        assert (doc["q"], doc["omega"]) == (33, scheme.omega)
+        assert "q" not in doc and (doc["order"], doc["omega"]) == (33, scheme.omega)
         dv = table_from_dict(doc)
         assert dv.modulus is None
         assert dv == scheme.dv
         assert validate_degree_table(dv).valid
         back = scheme_from_dict(doc)
         assert (back.dv, back.rho, back.omega) == (scheme.dv, scheme.rho, scheme.omega)
+        assert back.params["q"] == 33
+
+
+    def test_cyclic_scheme_without_family_round_trips(self):
+        # family None is written as null; q alone makes the document cyclic.
+        scheme = instantiate_degree_table(construct_cat_x(3, 3, 2))
+        doc = scheme_to_dict(scheme)
+        assert doc["family"] is None and doc["q"] == scheme.dv.modulus and "order" not in doc
+        back = scheme_from_dict(doc)
+        assert (back.dv, back.rho, back.omega) == (scheme.dv, scheme.rho, scheme.omega)
+        assert back.params["q"] == scheme.dv.modulus
+
+    def test_table_without_family_is_cyclic_when_it_carries_q(self):
+        doc = json.loads((Path(__file__).parent / "data" / "table_cyclic_q10.json").read_text())
+        del doc["family"]
+        dv = table_from_dict(doc)
+        assert dv.modulus == 10 and quadrants(dv).n_unique == 10
+        del doc["q"]
+        assert table_from_dict(doc).modulus is None
+
+    @pytest.mark.parametrize("doc", [[], {"alpha_p": [0], "alpha_s": [1], "beta_p": [0]}])
+    def test_malformed_documents_raise_parameter_error(self, doc):
+        with pytest.raises(ParameterError):
+            table_from_dict(doc)
 
 
 class TestSchemeInvariants:
