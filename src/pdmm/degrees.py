@@ -263,12 +263,15 @@ def table_to_dict(family: str | None, dv: DegreeVectors, params: dict) -> dict:
 def table_from_dict(doc: dict) -> DegreeVectors:
     """The degree table of a table or scheme document, cyclic mod doc["q"]
     exactly when it carries q. ParameterError unless doc is a JSON object
-    with all four vectors."""
+    with all four vectors, each a list."""
     if not isinstance(doc, dict):
         raise ParameterError(f"expected a JSON object, got {type(doc).__name__}")
     missing = [name for name in _VECTORS if name not in doc]
     if missing:
         raise ParameterError(f"table document has no {missing[0]}")
+    for name in _VECTORS:
+        if not isinstance(doc[name], list):
+            raise ParameterError(f"{name} must be a list of integers")
     return DegreeVectors(*(doc[name] for name in _VECTORS), modulus=doc.get("q"))
 
 

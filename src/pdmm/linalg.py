@@ -7,24 +7,25 @@ wrong number of dimensions and for p above isqrt(2^63 - 1) = 3,037,000,499,
 past which a product of two residues overflows int64. It divides by p, in
 int64, only when some entry lies outside [0, p), and reduces unsigned
 entries exactly. Signed residues are read in their own dtype (int8, int16,
-int32, as encode writes its shares): the walk of the T x T checks is the one
-place that widens them to int64, since elimination multiplies in the dtype
-of its input. Every matrix returned is int64, and every result exact. One
-product kernel, _mulmod, serves encode, the simulated workers and decode: it
-multiplies residues cast to float32, float64 or int64 chunks, whichever is
-the smallest exact type, and reduces the output tile by tile in cache. It
-checks nothing; its two fronts do. matmul_mod, which the workers call, casts
-both operands. _matmul_parts, for encode and decode, copies each part of its
-right operand once, straight into the kernel's type, checks [0, p) there,
-and writes any integer dtype (encode's narrow shares). Elimination serves
-only the T x T submatrix checks; decoding needs none, since the scheme
-inverts its Vandermonde decode matrix in closed form. The division-free
-forward pass _singular on (t, t, M) stacks, with one modulus or one per
-matrix and one reduction for both, decides which are singular:
-submatrix_checks walks a stack of matrices, each mod its own p, through all
-of their row subsets at once, and all_txt_submatrices_invertible is its
-one-matrix case. No check samples: each walks every subset or stops at the
-first singular one.
+int32, as encode writes its shares). Every matrix returned is int64, and
+every result exact. Exactness is decided in one place, _exact_type: the
+smallest of float32, float64 and int64 in which the products of residues
+mod p are exact. One product kernel, _mulmod, serves encode, the simulated
+workers and decode: it multiplies residues cast to that type, in chunks,
+and reduces the output tile by tile in cache. It checks nothing; its two
+fronts do. matmul_mod, which the workers call, casts both operands.
+_matmul_parts, for encode and decode, copies each part of its right operand
+once, straight into the kernel's type, checks [0, p) there, and writes any
+integer dtype (encode's narrow shares). Elimination serves only the T x T
+submatrix checks; decoding needs none, since the scheme inverts its
+Vandermonde decode matrix in closed form. The division-free forward pass
+_singular on (t, t, M) stacks, with one modulus or one per matrix, decides
+which are singular, in the type _exact_type gives for one product of two
+residues: submatrix_checks walks a stack of matrices, each mod its own p,
+through all of their row subsets at once, and all_txt_submatrices_invertible
+is its one-matrix case. The kernel's tiles and the elimination's steps share
+one reduction, _reduce, whose exactness matmul_mod proves. No check
+samples: each walks every subset or stops at the first singular one.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def _residues(x, p, ndim: int | None = None) -> np.ndarray:
     given, raise ValueError. Signed residues are returned as they are, in
     their own dtype: x itself, to be read, never written, since % p costs
     more than the float product it feeds, and min and max a fraction of it.
-    Only the walk of submatrix_checks widens them, as elimination multiplies
-    in the dtype of its input. An entry outside [0, p) is reduced in int64;
+    The kernel and the walk of submatrix_checks cast them to the type
+    _exact_type gives. An entry outside [0, p) is reduced in int64;
     unsigned and bool entries, which may lie at or above 2^63, in uint64
     first.
     """
@@ -118,15 +119,22 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     _TILE entries. Each tile is reduced while it is in cache and written to
     the output once, so no temporary the size of the output exists.
 
-    A float tile y is reduced as r = y - p * floor(y / p), which is exact for
-    every integer 0 <= y < 2^m, m = 24 for float32 and 53 for float64, the
-    significand's precision. Write y = k*p + c with 0 <= c < p. The quotient
-    y/p = k + c/p is rounded to the nearest float, off by at most
-    2^-m * y/p < 1/p <= (p - c)/p = (k + 1) - y/p. Both k and k + 1 are
-    floats, since k < k + 1 <= 2^m, and rounding is monotone, so
-    k <= fl(y/p) < k + 1 and its floor is k. Then k*p <= y is a float
-    product without rounding, and y - k*p = c a float difference without
-    rounding. The int64 tiles are reduced by %.
+    Each tile is reduced by _reduce, the one reduction, which _singular's
+    elimination steps share. An int64 tile is reduced by np.remainder. A
+    float y, a tile here or an elimination step's difference of two products
+    of residues there, is reduced as r = y - p * floor(y / p). That is exact
+    for every integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for
+    float64, the significand's precision: a tile lies in [0, 2^m), and a
+    step's difference in [-(p-1)^2, (p-1)^2], with (p-1)^2 + p < 2^m by the
+    walk's _exact_type(p, 1). Write y = k*p + c with k = floor(y/p) and
+    0 <= c < p. Rounding to nearest is symmetric, fl(-x) = -fl(x), so the
+    quotient y/p is rounded, whatever its sign, to a float off by at most
+    2^-m * |y|/p < 1/p. When c = 0, y/p = k is a float, since |k| <= |y| <
+    2^m, and fl(y/p) = k. Otherwise y/p = k + c/p lies at least 1/p from
+    both k and k + 1, so k < fl(y/p) < k + 1. Either way its floor is k.
+    Then 0 <= k*p <= y < 2^m for y >= 0, and |k*p| = |y| + c < |y| + p <=
+    2^m for y < 0, so k*p is a float product without rounding, and
+    y - k*p = c a float difference without rounding.
 
     Raises ValueError for p > _MAX_P, like every function here.
     """
@@ -147,7 +155,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) ->
     them. out is any integer array of the product's shape that holds
     p - 1 (encode's narrow shares, int64 elsewhere). When the output spans
     more than one tile, the buffers of a tile's product, running sum and
-    quotients are allocated once, at most _TILE entries each, and reused
+    float quotients are allocated once, at most _TILE entries each, and reused
     through out=. For an output of one tile, as the many small products
     are, @ and divide allocate their own: matmul's out= costs more per call
     than it saves there.
@@ -158,6 +166,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) ->
     width = max(1, _TILE // height)
     spare = {} if rows > height or cols > width else None
     size = height * min(width, cols)
+    spare_q = spare is not None and kind is not np.int64  # int64 takes no quotients
     modulus = kind(p)
     for r in range(0, rows, height):
         for c in range(0, cols, width):
@@ -170,18 +179,27 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) ->
                     buffer = _spare(spare, "sum" if y is None else "chunk", dst.shape, size, kind)
                     chunk = np.matmul(left, right, out=buffer)
                 y = chunk if y is None else np.add(y, chunk, out=y)
-                reduced = dst if k + step >= inner else y
-                if kind is np.int64:
-                    np.remainder(y, p, out=reduced, casting="unsafe")
-                else:
-                    if spare is None:
-                        q = np.divide(y, modulus)
-                    else:
-                        q = np.divide(y, modulus, out=_spare(spare, "q", dst.shape, size, kind))
-                    np.floor(q, out=q)
-                    q *= modulus
-                    np.subtract(y, q, out=reduced, casting="unsafe")
+                q = _spare(spare, "q", dst.shape, size, kind) if spare_q else None
+                _reduce(y, modulus, dst if k + step >= inner else y, q)
     return out
+
+
+def _reduce(y: np.ndarray, p, out: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Write y mod p into out, in [0, p), and return it: the one reduction
+    of _mulmod's tiles and _singular's steps.
+
+    y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
+    a float y (see matmul_mod's proof), and p is a scalar, or an array that
+    broadcasts against y, of the same type. An int64 y is reduced by
+    np.remainder, a float y as y - p * floor(y / p). q, when given, is a
+    buffer of y's shape for the float quotients; an int64 y leaves it unused.
+    """
+    if y.dtype.kind != "f":
+        return np.remainder(y, p, out=out, casting="unsafe")
+    q = np.divide(y, p, out=q)
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(y, q, out=out, casting="unsafe")
 
 
 def _spare(spare: dict, name: str, shape, size: int, dtype) -> np.ndarray:
@@ -223,21 +241,26 @@ def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
 
 def vandermonde(points, exponents, p: int) -> np.ndarray:
     """Generalized Vandermonde matrix M[i][j] = points[i] ** exponents[j] mod p,
-    for a vector of integer points."""
-    points = _residues(points, p, 1)
-    rows = [[pow(x, int(e), p) for e in exponents] for x in points.tolist()]
+    for vectors of integer points and integer exponents: non-integer
+    exponents raise ValueError, by _integers' rule, as points do."""
+    points, exponents = _residues(points, p, 1), _integers(exponents).tolist()
+    rows = [[pow(x, e, p) for e in exponents] for x in points.tolist()]
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(exponents))
 
 
 def _singular(a: np.ndarray, p) -> np.ndarray:
-    """Which matrices of a (t, t, M) stack of residues are singular. p is
-    one modulus for the whole stack or an array of M, one per matrix,
-    broadcast along the last axis. Overwrites the stack.
+    """Which matrices of a (t, t, M) stack of residues are singular. The
+    stack is in the type _exact_type(p, 1) gives for its largest modulus
+    (float32, float64 or int64), and p is one modulus for the whole stack,
+    or an array of M, one per matrix, broadcast along the last axis, in the
+    same type. Overwrites the stack.
 
     Division-free elimination, as in Bareiss' fraction-free method but without
     its exact division, which mod p is not needed: each step multiplies the
     rows below the pivot by the pivot and subtracts a multiple of the pivot
-    row, so no inverses are needed and every product stays below p^2.
+    row, so no inverses are needed. Every product, at most (p-1)^2, and
+    every difference, in [-(p-1)^2, (p-1)^2], is then an integer that the
+    stack's type holds exactly, and _reduce is exact on it (see matmul_mod).
     A zero pivot is replaced by adding the first row below with a nonzero
     entry in its column, which keeps the determinant. If a column has no
     nonzero entry left, every later row becomes zero; so a matrix is singular
@@ -255,17 +278,13 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
             cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
             # a[k, :, cols] is (len(cols), t): one modulus per row of it.
             pc = p[cols, None] if isinstance(p, np.ndarray) else p
-            a[k, :, cols] = (a[k, :, cols] + a[rows, :, cols]) % pc
+            added = a[k, :, cols] + a[rows, :, cols]
+            a[k, :, cols] = _reduce(added, pc, added)
         rest = a[k + 1 :, k + 1 :]
         rest *= a[k, k]
         lift = a[k + 1 :, k, None] * a[k, k + 1 :]
         rest -= lift
-        # rest mod p: fmod, then lift its negative remainders by p, in the
-        # product's buffer.
-        np.fmod(rest, p, out=rest)
-        np.right_shift(rest, 63, out=lift)
-        lift &= p
-        rest += lift
+        _reduce(rest, p, rest, lift)  # the product's buffer takes the quotients
     return a[t - 1, t - 1] == 0
 
 
@@ -323,7 +342,7 @@ def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) ->
     or len(subsets) when it has none. Singularity is transpose-invariant, so
     cols holds g matrices of residues, each n x t, transposed and side by
     side: row r of matrix m is column m*n + r of the t x g*n array. p is
-    one int modulus or an array of g.
+    one modulus or an array of g, in cols' type (see _singular).
 
     Subsets are tested in chunks, every matrix still in the walk at once,
     and a matrix leaves the walk at its first singular subset.
@@ -383,8 +402,12 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
         elif p.size != g:
             raise ValueError(f"expected one modulus or {g}, got {p.size}")
     mats = _residues(mats, p if isinstance(p, int) else p[:, None, None])
+    # The walk runs in the smallest type in which a product of two residues
+    # mod the largest modulus is exact; every smaller modulus is exact in it.
+    kind = _exact_type(p if isinstance(p, int) else int(p.max(initial=0)), 1)[0]
+    p = kind(p) if isinstance(p, int) else p.astype(kind)
     subsets = _combination_indices(n, t)
-    cols = mats.transpose(2, 0, 1).reshape(t, g * n).astype(np.int64, copy=False)
+    cols = mats.transpose(2, 0, 1).reshape(t, g * n).astype(kind, copy=False)
     return [_check(i, subsets) for i in _first_singular(cols, n, g, p, subsets)]
 
 

@@ -206,6 +206,17 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ") and words in err
 
+    @pytest.mark.parametrize("name,value", [("alpha_p", 5), ("alpha_s", "ab")])
+    def test_vector_that_is_no_list_is_named(self, capsys, tmp_path, name, value):
+        doc = {"alpha_p": [0, 1], "alpha_s": [1, 6], "beta_p": [0, 2], "beta_s": [4, 5]}
+        doc[name] = value
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be a list of integers")
+
 
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""

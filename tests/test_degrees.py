@@ -23,6 +23,7 @@ from pdmm.degrees import (
     kappa_lambda,
     n_catx_formula,
     quadrants,
+    table_from_dict,
     validate_degree_table,
 )
 from pdmm.scheme import instantiate_cat
@@ -330,6 +331,17 @@ class TestDegreeVectorsInvariants:
     def test_rejects_non_integer_entries_and_moduli(self, vectors, modulus):
         with pytest.raises(ParameterError, match="integers"):
             DegreeVectors(*vectors, modulus=modulus)
+
+    @pytest.mark.parametrize(
+        "name,value", [("alpha_p", 5), ("alpha_s", "ab"), ("beta_p", None), ("beta_s", {"0": 4})]
+    )
+    def test_table_document_vectors_must_be_lists(self, name, value):
+        # A bare int is no iterable, and a string would be read by characters.
+        doc = {"alpha_p": [0, 1], "alpha_s": [2, 3], "beta_p": [0, 4], "beta_s": [5, 6]}
+        assert table_from_dict(doc) == DegreeVectors((0, 1), (2, 3), (0, 4), (5, 6))
+        doc[name] = value
+        with pytest.raises(ParameterError, match=f"^{name} must be a list of integers"):
+            table_from_dict(doc)
 
     def test_numpy_integers_become_ints(self):
         dv = DegreeVectors(

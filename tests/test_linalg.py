@@ -14,7 +14,9 @@ from pdmm.linalg import (
     _MAX_P,
     SubmatrixCheck,
     _combination_indices,
+    _exact_type,
     _matmul_parts,
+    _reduce,
     _residues,
     _singular,
     all_txt_submatrices_invertible,
@@ -307,6 +309,23 @@ class TestReduction:
         assert exact[0, :-1].tolist() == sums and exact[1, -1] == sq * inner
         assert matmul_mod(a, b, p).tolist() == (exact % p).tolist()
 
+    @pytest.mark.parametrize("p", [4_093, 4_099, 94_906_249, 94_906_297])
+    def test_elimination_differences(self, p):
+        # An elimination step reduces differences in [-(p-1)^2, (p-1)^2] in
+        # the walk's type: at both ends, and at and next to multiples of p
+        # of either sign.
+        kind = _exact_type(p, 1)[0]
+        sq = (p - 1) ** 2
+        k = (sq - 1) // p  # the largest k with k*p + 1 <= (p-1)^2
+        ys = [0, 1, sq - 1, sq] + [j * p + d for j in (1, 2, k // 2, k - 1, k) for d in (-1, 0, 1)]
+        ys += [-y for y in ys]
+        y = np.array(ys, dtype=kind)
+        assert y.astype(object).tolist() == ys  # every y is exact in the type
+        for q in (None, np.empty_like(y)):
+            out = np.empty(len(ys), dtype=np.int64)
+            assert _reduce(y, kind(p), out, q).tolist() == [v % p for v in ys]
+        assert _reduce(y.copy(), kind(p), y).astype(object).tolist() == [v % p for v in ys]
+
 
 # The narrowest signed dtype that holds p - 1 at each width.
 NARROW_PRIMES = [(23, np.int8), (1091, np.int16), (1_000_000_021, np.int32)]
@@ -362,8 +381,8 @@ class TestNarrowOperands:
 
     @pytest.mark.parametrize("p,dtype", NARROW_PRIMES)
     def test_elimination_widens_narrow_inputs(self, p, dtype):
-        # Elimination multiplies residues in the dtype of its input, so a
-        # narrow input must give what the same int64 input gives.
+        # The walk casts its input to the type _exact_type gives, so a narrow
+        # input must give what the same int64 input gives.
         rng = np.random.default_rng(p)
         regular = regular_matrix(6, p, rng)
         singular = regular.copy()
@@ -387,6 +406,13 @@ class TestVandermonde:
     def test_generalized_exponents(self):
         m = vandermonde((2,), (0, 3, 10), 11)
         assert m.tolist() == [[1, 8, 1]]  # 2^10 = 1 in F_11
+
+    def test_refuses_non_integer_exponents(self):
+        # int(e) would truncate them to the exponents (1, 2).
+        with pytest.raises(ValueError, match="integer"):
+            vandermonde([2, 3], [1.5, 2.9], 11)
+        exponents = np.array([1, 2], dtype=np.uint8)
+        assert vandermonde([2, 3], exponents, 11).tolist() == [[2, 4], [3, 9]]
 
 
 class TestRank:
@@ -695,3 +721,93 @@ class TestSubmatrixCheck:
         assert got.dtype == (np.uint8 if n <= 255 else np.uint16)
         assert not got.flags.writeable
         assert _combination_indices(n, t) is got
+
+
+# The walk's type at either side of each switch of _exact_type(p, 1): the
+# largest prime on float32, the smallest past it, the largest on float64, the
+# smallest past it, and the largest prime at or below _MAX_P.
+RUNGS = [
+    (4_093, np.float32),
+    (4_099, np.float64),
+    (94_906_249, np.float64),
+    (94_906_297, np.int64),
+    (P_NEAR_LIMIT, np.int64),
+]
+
+
+def first_singular_reference(m, t, p):
+    """(witness, checked) of the T x T check of m, by Python-int determinants
+    of its row subsets in lexicographic order."""
+    subsets = list(combinations(range(len(m)), t))
+    for i, rows in enumerate(subsets):
+        if det_mod(m[list(rows)], p) == 0:
+            return rows, i + 1
+    return None, len(subsets)
+
+
+def rung_matrices(p, seed):
+    """9 x 4 matrices mod p: random; that with its subset (4, 5, 7, 8), the
+    124th of C(9, 4) = 126, made singular; that with zeros in rows 0 to 2,
+    so that the first pivots of the subsets holding them are zero and are
+    repaired by a row added from below, and with its subset (1, 5, 6, 8),
+    the 89th, made singular, which needs such a repair; and the last again
+    with unreduced and negative entries."""
+    n, t = 9, 4
+    rng = np.random.default_rng(seed)
+    regular = rng.integers(1, p, (n, t))
+
+    def singular(m, rows):
+        m = m.copy()
+        coeffs = rng.integers(1, p, t - 1).astype(object)
+        m[rows[-1]] = (coeffs @ m[list(rows[:-1])].astype(object)) % p
+        return m
+
+    zeros = regular.copy()
+    zeros[:2, :2] = zeros[2, 0] = 0
+    zeros = singular(zeros, (1, 5, 6, 8))
+    shifted = zeros + p * rng.integers(-3, 4, (n, t))
+    shifted[0, 0] = -p
+    return t, {
+        "random": regular,
+        "planted": singular(regular, (4, 5, 7, 8)),
+        "zero pivots": zeros,
+        "unreduced": shifted,
+    }
+
+
+class TestWalkRungs:
+    """The T x T walk in each type of _exact_type's ladder, against
+    Python-int elimination."""
+
+    @pytest.mark.parametrize("p,kind", RUNGS)
+    def test_walk_equals_python_int_reference(self, p, kind, monkeypatch):
+        kinds = []
+
+        def recorded(a, q):
+            kinds.append((a.dtype.type, type(q)))
+            return _singular(a, q)
+
+        monkeypatch.setattr("pdmm.linalg._singular", recorded)
+        t, mats = rung_matrices(p, seed=p % 1000)
+        outcomes = set()
+        for name, m in mats.items():
+            witness, checked = first_singular_reference(m, t, p)
+            want = SubmatrixCheck(witness, checked, "exhaustive")
+            assert all_txt_submatrices_invertible(m, t, p) == want, name
+            assert submatrix_checks(m[None], t, [p]) == [want], name
+            outcomes.add(witness is None)
+        assert outcomes == {True, False}
+        assert set(kinds) == {(kind, kind)}
+
+    @pytest.mark.parametrize("pair", [(4_093, 4_099), (94_906_249, 94_906_297)])
+    def test_stack_across_two_rungs(self, pair):
+        # One walk in the larger modulus' type equals one walk per matrix in
+        # its own.
+        mats, moduli = [], []
+        for p in pair:
+            t, by_name = rung_matrices(p, seed=p % 997)
+            mats += by_name.values()
+            moduli += [p] * len(by_name)
+        alone = [submatrix_checks(m[None], t, p)[0] for m, p in zip(mats, moduli)]
+        assert submatrix_checks(np.stack(mats), t, moduli) == alone
+        assert {c.ok for c in alone} == {True, False}
