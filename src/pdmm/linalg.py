@@ -3,29 +3,33 @@
 A matrix over F_p is an integer array and an int p. Every public function,
 and _matmul_parts' left operand, takes its input by one entry rule,
 _residues. It raises ValueError for non-integer entries, for an input of the
-wrong number of dimensions and for p above isqrt(2^63 - 1) = 3,037,000,499,
-past which a product of two residues overflows int64. It divides by p, in
-int64, only when some entry lies outside [0, p), and reduces unsigned
-entries exactly. Signed residues are read in their own dtype (int8, int16,
-int32, as encode writes its shares). Every matrix returned is int64, and
-every result exact. Exactness is decided in one place, _exact_type: the
-smallest of float32, float64 and int64 in which the products of residues
-mod p are exact. One product kernel, _mulmod, serves encode, the simulated
-workers and decode: it multiplies residues cast to that type, in chunks,
-and reduces the output tile by tile in cache. It checks nothing; its two
-fronts do. matmul_mod, which the workers call, casts both operands.
-_matmul_parts, for encode and decode, copies each part of its right operand
-once, straight into the kernel's type, checks [0, p) there, and writes any
-integer dtype (encode's narrow shares). Elimination serves only the T x T
-submatrix checks; decoding needs none, since the scheme inverts its
-Vandermonde decode matrix in closed form. The division-free forward pass
-_singular on (t, t, M) stacks, with one modulus or one per matrix, decides
-which are singular, in the type _exact_type gives for one product of two
-residues: submatrix_checks walks a stack of matrices, each mod its own p,
-through all of their row subsets at once, and all_txt_submatrices_invertible
-is its one-matrix case. The kernel's tiles and the elimination's steps share
-one reduction, _reduce, whose exactness matmul_mod proves. No check
-samples: each walks every subset or stops at the first singular one.
+wrong number of dimensions, for p below 2, which has no residues, and for p
+above isqrt(2^63 - 1) = 3,037,000,499, past which a product of two residues
+overflows int64. It divides by p, in int64, only when some entry lies
+outside [0, p), and reduces unsigned entries exactly. Signed residues are
+read in their own dtype (int8, int16, int32, as encode writes its shares).
+Every matrix returned is int64, and every result exact. Exactness is
+decided in one place, _exact_type: the smallest of float32, float64 and
+int64 in which the products of residues mod p are exact. One product
+kernel, _mulmod, serves encode, the simulated workers and decode: it
+multiplies residues cast to that type, in chunks, and reduces the output
+tile by tile in cache, each temporary a tile-sized array that numpy
+allocates where it is made. It checks nothing; its two fronts do.
+matmul_mod, which the workers call, casts both operands. _matmul_parts, for
+encode and decode, copies each part of its right operand once, straight
+into the kernel's type, checks [0, p) there, and writes any integer dtype
+(encode's narrow shares). Elimination serves only the T x T submatrix
+checks; decoding needs none, since the scheme inverts its Vandermonde
+decode matrix in closed form. The division-free forward pass _singular on
+(t, t, M) stacks, with one modulus or one per matrix, decides which are
+singular, in the type _exact_type gives for one product of two residues:
+submatrix_checks walks a (t, n, G) stack of G matrices, transposed, each
+mod its own p, through all of their row subsets at once, and a matrix
+leaves the stack at its first singular subset;
+all_txt_submatrices_invertible is its one-matrix case. The kernel's tiles
+and the elimination's steps share one reduction, _reduce, whose exactness
+matmul_mod proves. No check samples: each walks every subset or stops at
+the first singular one.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _residues(x, p, ndim: int | None = None) -> np.ndarray:
     """x as residues mod p, by the entry rule of every public function here.
 
     p is an int, or an int64 array of moduli, one per entry, that broadcasts
-    against x. p or a modulus above _MAX_P, non-integer entries (by
+    against x. p or a modulus below 2 or above _MAX_P, non-integer entries (by
     _integers' rule) and an x of other than ndim dimensions, when ndim is
     given, raise ValueError. Signed residues are returned as they are, in
     their own dtype: x itself, to be read, never written, since % p costs
@@ -72,6 +76,9 @@ def _residues(x, p, ndim: int | None = None) -> np.ndarray:
     unsigned and bool entries, which may lie at or above 2^63, in uint64
     first.
     """
+    low = p if isinstance(p, int) else int(np.min(p, initial=2))
+    if low < 2:
+        raise ValueError(f"p = {low} is below 2: there are no residues mod it")
     top = p if isinstance(p, int) else int(np.max(p, initial=0))
     if top > _MAX_P:
         raise ValueError(f"p = {top} exceeds {_MAX_P}: products of two residues overflow int64")
@@ -136,7 +143,7 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     2^m for y < 0, so k*p is a float product without rounding, and
     y - k*p = c a float difference without rounding.
 
-    Raises ValueError for p > _MAX_P, like every function here.
+    Raises ValueError for p < 2 or p > _MAX_P, like every function here.
     """
     a, b = _residues(a, p, 2), _residues(b, p, 2)
     if a.shape[1] != b.shape[0]:
@@ -153,61 +160,39 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) ->
     a and b hold residues mod p in the type, and step is the chunk of
     inner terms, that _exact_type(p, inner) gives; nothing here checks
     them. out is any integer array of the product's shape that holds
-    p - 1 (encode's narrow shares, int64 elsewhere). When the output spans
-    more than one tile, the buffers of a tile's product, running sum and
-    float quotients are allocated once, at most _TILE entries each, and reused
-    through out=. For an output of one tile, as the many small products
-    are, @ and divide allocate their own: matmul's out= costs more per call
-    than it saves there.
+    p - 1 (encode's narrow shares, int64 elsewhere). Each chunk's product,
+    the tile's running sum and _reduce's quotients are arrays of at most
+    _TILE entries, which numpy allocates where they are made.
     """
     (rows, inner), cols = a.shape, b.shape[1]
-    kind = a.dtype.type
     height = max(1, min(rows, _TILE))
     width = max(1, _TILE // height)
-    spare = {} if rows > height or cols > width else None
-    size = height * min(width, cols)
-    spare_q = spare is not None and kind is not np.int64  # int64 takes no quotients
-    modulus = kind(p)
+    modulus = a.dtype.type(p)
     for r in range(0, rows, height):
         for c in range(0, cols, width):
             dst, y = out[r : r + height, c : c + width], None
             for k in range(0, max(1, inner), step):
-                left, right = a[r : r + height, k : k + step], b[k : k + step, c : c + width]
-                if spare is None:
-                    chunk = left @ right
-                else:
-                    buffer = _spare(spare, "sum" if y is None else "chunk", dst.shape, size, kind)
-                    chunk = np.matmul(left, right, out=buffer)
+                chunk = a[r : r + height, k : k + step] @ b[k : k + step, c : c + width]
                 y = chunk if y is None else np.add(y, chunk, out=y)
-                q = _spare(spare, "q", dst.shape, size, kind) if spare_q else None
-                _reduce(y, modulus, dst if k + step >= inner else y, q)
+                _reduce(y, modulus, dst if k + step >= inner else y)
     return out
 
 
-def _reduce(y: np.ndarray, p, out: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     """Write y mod p into out, in [0, p), and return it: the one reduction
     of _mulmod's tiles and _singular's steps.
 
     y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
     a float y (see matmul_mod's proof), and p is a scalar, or an array that
     broadcasts against y, of the same type. An int64 y is reduced by
-    np.remainder, a float y as y - p * floor(y / p). q, when given, is a
-    buffer of y's shape for the float quotients; an int64 y leaves it unused.
+    np.remainder, a float y as y - p * floor(y / p).
     """
     if y.dtype.kind != "f":
         return np.remainder(y, p, out=out, casting="unsafe")
-    q = np.divide(y, p, out=q)
+    q = y / p
     np.floor(q, out=q)
     q *= p
     return np.subtract(y, q, out=out, casting="unsafe")
-
-
-def _spare(spare: dict, name: str, shape, size: int, dtype) -> np.ndarray:
-    """The buffer spare[name], of size entries, made on first use, as a
-    contiguous array of shape."""
-    if name not in spare:
-        spare[name] = np.empty(size, dtype=dtype)
-    return spare[name][: shape[0] * shape[1]].reshape(shape)
 
 
 def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
@@ -282,9 +267,8 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
             a[k, :, cols] = _reduce(added, pc, added)
         rest = a[k + 1 :, k + 1 :]
         rest *= a[k, k]
-        lift = a[k + 1 :, k, None] * a[k, k + 1 :]
-        rest -= lift
-        _reduce(rest, p, rest, lift)  # the product's buffer takes the quotients
+        rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
+        _reduce(rest, p, rest)
     return a[t - 1, t - 1] == 0
 
 
@@ -337,31 +321,29 @@ def _combination_indices(n: int, t: int) -> np.ndarray:
     return idx
 
 
-def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) -> list[int]:
+def _first_singular(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
     """The position in subsets of each matrix's first singular row subset,
     or len(subsets) when it has none. Singularity is transpose-invariant, so
-    cols holds g matrices of residues, each n x t, transposed and side by
-    side: row r of matrix m is column m*n + r of the t x g*n array. p is
-    one modulus or an array of g, in cols' type (see _singular).
+    cols is a (t, n, G) stack of G matrices of residues, each n x t,
+    transposed: entry [k, r, m] is row r, column k of matrix m. p is one
+    modulus or an array of G, in cols' type (see _singular).
 
     Subsets are tested in chunks, every matrix still in the walk at once,
-    and a matrix leaves the walk at its first singular subset.
+    and a matrix leaves the walk, and the stack, at its first singular
+    subset.
     """
-    t = cols.shape[0]
+    t, _, g = cols.shape
     first = [len(subsets)] * g
-    live = list(range(g))  # the matrices still in the walk
+    live = list(range(g))  # the input position of each matrix left in cols
     start, size = 0, _FIRST_CHUNK
     while start < len(subsets) and live:
         chunk = subsets[start : start + size]
         c = len(chunk)
-        rows = chunk.T
-        if len(live) > 1 or live[0]:
-            # Entry [i, k * L + l] is row chunk[k, i] of the l-th of L live matrices.
-            rows = (rows[:, :, None] + n * np.array(live)).reshape(t, c * len(live))
-        # np.take lays the submatrices out C-contiguous, [column, row, matrix],
-        # where fancy indexing would leave the row operations strided.
+        # np.take lays the submatrices out C-contiguous, [column, row, subset,
+        # matrix], where fancy indexing would leave the row operations strided.
         bad = _singular(
-            np.take(cols, rows, axis=1), np.tile(p, c) if isinstance(p, np.ndarray) else p
+            np.take(cols, chunk.T, axis=1).reshape(t, t, c * len(live)),
+            np.tile(p, c) if isinstance(p, np.ndarray) else p,
         )
         if np.flatnonzero(bad).size:
             bad = bad.reshape(c, len(live))
@@ -369,6 +351,7 @@ def _first_singular(cols: np.ndarray, n: int, g: int, p, subsets: np.ndarray) ->
             for j, k in zip(np.flatnonzero(hit).tolist(), bad[:, hit].argmax(axis=0).tolist()):
                 first[live[j]] = start + k
             live = [m for m, h in zip(live, hit.tolist()) if not h]
+            cols = cols[:, :, ~hit]
             if isinstance(p, np.ndarray):
                 p = p[~hit]
         start, size = start + c, _CHUNK if size == _FIRST_CHUNK else min(2 * size, _LAST_CHUNK)
@@ -391,7 +374,7 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[2] != t:
         raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
-    g, n, _ = mats.shape
+    g = mats.shape[0]
     if not isinstance(p, int):
         p = np.asarray(p, dtype=np.int64).ravel()
         # One modulus as an int tiles no moduli per chunk: the scan's walk of
@@ -406,9 +389,9 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     # mod the largest modulus is exact; every smaller modulus is exact in it.
     kind = _exact_type(p if isinstance(p, int) else int(p.max(initial=0)), 1)[0]
     p = kind(p) if isinstance(p, int) else p.astype(kind)
-    subsets = _combination_indices(n, t)
-    cols = mats.transpose(2, 0, 1).reshape(t, g * n).astype(kind, copy=False)
-    return [_check(i, subsets) for i in _first_singular(cols, n, g, p, subsets)]
+    subsets = _combination_indices(mats.shape[1], t)
+    cols = mats.transpose(2, 1, 0).astype(kind)
+    return [_check(i, subsets) for i in _first_singular(cols, p, subsets)]
 
 
 def all_txt_submatrices_invertible(m, t: int, p: int) -> SubmatrixCheck:

@@ -50,8 +50,8 @@ class BudgetExceededError(SchemeError):
 # splitmix64's state increment and its two mixing multipliers.
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
-# Draws that SplitMix64.matrix mixes at a time: two uint64 buffers of
-# 128 KiB, which stay in the L2 cache. _STEPS[i] = (i + 1) * _GAMMA mod 2^64.
+# Draws that SplitMix64.matrix mixes at a time: uint64 arrays of 128 KiB,
+# which stay in the L2 cache. _STEPS[i] = (i + 1) * _GAMMA mod 2^64.
 _DRAWS = 1 << 14
 _STEPS = np.arange(1, _DRAWS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
@@ -85,10 +85,10 @@ class SplitMix64:
         not fit int64 or there are none.
 
         The next rows * cols states are state + i * _GAMMA, so the stream is
-        mixed in numpy uint64, _DRAWS draws at a time in two buffers that
-        each chunk reuses, and each chunk is reduced straight into the int64
-        result as z - (z // p) * p, whose division by one uint64 numpy makes
-        by multiplication (libdivide), several times faster than z % p.
+        mixed in numpy uint64, _DRAWS draws at a time, and each chunk is
+        reduced straight into the int64 result as z - (z // p) * p, whose
+        division by one uint64 numpy makes by multiplication (libdivide),
+        several times faster than z % p.
         When a draw of any chunk would be rejected, the whole matrix is
         drawn again by the scalar loop from the state it started at, which
         keeps the stream exact; the state advances only at the end.
@@ -99,24 +99,18 @@ class SplitMix64:
         u64 = np.uint64
         modulus, limit = u64(p), (1 << 64) - (1 << 64) % p  # draws >= limit are rejected
         out = np.empty(count, dtype=np.int64)
-        z, t = np.empty(min(count, _DRAWS), dtype=u64), np.empty(min(count, _DRAWS), dtype=u64)
         for start in range(0, count, _DRAWS):
             n = min(_DRAWS, count - start)
-            zs, ts = z[:n], t[:n]
-            np.add(_STEPS[:n], u64((self.state + start * _GAMMA) & self.MASK), out=zs)
+            z = _STEPS[:n] + u64((self.state + start * _GAMMA) & self.MASK)
             for shift, mix in ((30, _MIX1), (27, _MIX2)):
-                np.right_shift(zs, u64(shift), out=ts)
-                zs ^= ts
-                zs *= u64(mix)
-            np.right_shift(zs, u64(31), out=ts)
-            zs ^= ts
-            if limit < 1 << 64 and zs.max() >= limit:
+                z ^= z >> u64(shift)
+                z *= u64(mix)
+            z ^= z >> u64(31)
+            if limit < 1 << 64 and z.max() >= limit:
                 return np.array(
                     [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
                 )
-            np.floor_divide(zs, modulus, out=ts)
-            ts *= modulus
-            np.subtract(zs, ts, out=out[start : start + n].view(u64))
+            np.subtract(z, z // modulus * modulus, out=out[start : start + n].view(u64))
         self.state = (self.state + count * _GAMMA) & self.MASK
         return out.reshape(rows, cols)
 
@@ -612,9 +606,11 @@ def multiply_via_scheme(
     """Full pipeline: partition, encode, simulate workers, decode, reassemble.
 
     a and b may be of any integer dtype and hold entries outside [0, p);
-    non-integer entries raise ValueError."""
+    non-integer entries raise ValueError. An operand that is not a non-empty
+    2-D matrix, and 2-D operands of mismatched inner dimensions, raise
+    SchemeError."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape[1] != b.shape[0]:
+    if a.ndim == b.ndim == 2 and a.shape[1] != b.shape[0]:
         raise SchemeError(f"inner dimensions mismatch: {a.shape} x {b.shape}")
     a_parts = partition_a(a, scheme.dv.k)
     b_parts = partition_b(b, scheme.dv.l)

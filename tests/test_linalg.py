@@ -1,5 +1,6 @@
 """Exact linear algebra over prime fields."""
 
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -12,6 +13,7 @@ from pdmm.linalg import (
     _CHUNK,
     _FIRST_CHUNK,
     _MAX_P,
+    _TILE,
     SubmatrixCheck,
     _combination_indices,
     _exact_type,
@@ -46,12 +48,13 @@ def permanent_style_det(m, p):
 
 def planted_dependencies(n, t, p, dependent_rows, seed):
     """Random n x t matrix in which each listed row set is linearly dependent:
-    its last row is a random combination of the others; entries in [0, p)."""
+    its last row is a random combination of the others, summed in Python
+    ints, since int64 wraps near _MAX_P; entries in [0, p)."""
     rng = np.random.default_rng(seed)
     data = rng.integers(1, p, (n, t))
     for rows in dependent_rows:
-        coeffs = rng.integers(1, p, len(rows) - 1)
-        data[rows[-1]] = coeffs @ data[list(rows[:-1])] % p
+        coeffs = rng.integers(1, p, len(rows) - 1).astype(object)
+        data[rows[-1]] = coeffs @ data[list(rows[:-1])].astype(object) % p
     return data
 
 
@@ -157,6 +160,20 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match="exceeds"):
             call(np.array(x) % 11, p)
 
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("p", [0, 1, -7])
+    def test_refuses_moduli_below_two(self, name, p):
+        # matmul_mod([[1]], [[1]], 0) once returned -2^63, mod -7 it gave -4,
+        # and a check mod 0 found the witness (0,).
+        call, x, _ = ENTRIES[name]
+        with pytest.raises(ValueError, match="below 2"):
+            call(np.array(x) % 11, p)
+
+    def test_refuses_a_modulus_below_two_in_a_stack(self):
+        call, x, _ = ENTRIES["submatrix_checks"]
+        with pytest.raises(ValueError, match="below 2"):
+            call(np.array(x) % 11, [7, 0])
+
 
 # Primes on both sides of each path of matmul_mod, with the number k of inner
 # terms per chunk: (p-1)^2 * inner + p < 2^24 for float32 in one chunk,
@@ -251,7 +268,23 @@ class TestMatmulMod:
         expected = (a.astype(object) @ b[:, ::97].astype(object)) % p
         assert matmul_mod(a, b, p)[:, ::97].tolist() == expected.tolist()
 
-
+    def test_temporaries_stay_tile_sized(self):
+        # float64 in chunks of 8 inner terms, over tiles of 512 x 128: past
+        # the output and the two float64 casts of the operands, a chunk's
+        # product, the tile's sum and its quotients are alive at once (3.13
+        # tiles measured), never an array the size of the output.
+        p = 33_554_393
+        assert _exact_type(p, 64) == (np.float64, 8)
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, p, (512, 64)), rng.integers(0, p, (64, 512))
+        tracemalloc.start()
+        try:
+            out = matmul_mod(a, b, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
+        assert peak <= out.nbytes + (a.size + b.size) * 8 + 4 * _TILE * 8
 
 
 def targeted_sums(p: int, inner: int, sums) -> tuple[np.ndarray, np.ndarray]:
@@ -321,9 +354,8 @@ class TestReduction:
         ys += [-y for y in ys]
         y = np.array(ys, dtype=kind)
         assert y.astype(object).tolist() == ys  # every y is exact in the type
-        for q in (None, np.empty_like(y)):
-            out = np.empty(len(ys), dtype=np.int64)
-            assert _reduce(y, kind(p), out, q).tolist() == [v % p for v in ys]
+        out = np.empty(len(ys), dtype=np.int64)
+        assert _reduce(y, kind(p), out).tolist() == [v % p for v in ys]
         assert _reduce(y.copy(), kind(p), y).astype(object).tolist() == [v % p for v in ys]
 
 
@@ -629,17 +661,21 @@ class TestSubmatrixCheck:
         singular = singular_positions(m, subsets, 10007)
         assert len(singular) >= 2
         first = singular[0]
-        assert first > _CHUNK  # the witness lies beyond the first chunk
+        assert first > _CHUNK  # past the first chunk, which ends at _FIRST_CHUNK < _CHUNK
         check = all_txt_submatrices_invertible(m, t, 10007)
         assert check.status == "found_singular"
         assert check.witness == subsets[first - 1]
         assert check.checked == first
 
-    @pytest.mark.parametrize("position", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, comb(18, 4)])
+    @pytest.mark.parametrize(
+        "position",
+        [1, *(e + d for e in (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK) for d in (0, 1)), comb(18, 4)],
+    )
     def test_witness_position_at_chunk_edges(self, position):
-        # One planted singular subset at 1, 1,024, 1,025, 2,049 or the last
-        # of the C(18, 4) = 3,060 subsets: checked is its 1-based position,
-        # so at the last subset it equals C(n, t).
+        # One planted singular subset at 1, on either side of the chunk edges
+        # at 256 and 1,280, or at the last of the C(18, 4) = 3,060 subsets:
+        # checked is its 1-based position, so at the last subset it equals
+        # C(n, t).
         n, t = 18, 4
         subsets = list(combinations(range(n), t))
         m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=7)
@@ -648,6 +684,15 @@ class TestSubmatrixCheck:
         assert (check.status, check.level) == ("found_singular", "exhaustive")
         assert check.witness == subsets[position - 1]
         assert check.checked == position
+
+    def test_planted_dependency_near_the_int64_edge(self):
+        # Summed in int64 the planted row wrapped, and none of the 126 4-row
+        # subsets was singular.
+        subsets = list(combinations(range(9), 4))
+        m = planted_dependencies(9, 4, P_NEAR_LIMIT, [(2, 3, 5, 8)], seed=493)
+        position = subsets.index((2, 3, 5, 8)) + 1
+        assert singular_positions(m, subsets, P_NEAR_LIMIT) == [position]
+        assert all_txt_submatrices_invertible(m, 4, P_NEAR_LIMIT).checked == position
 
     def test_stacked_walk_equals_one_matrix_checks(self):
         # Each matrix has its own modulus and at most one planted singular

@@ -575,6 +575,13 @@ class TestPipeline:
         with pytest.raises(SchemeError):
             multiply_via_scheme(cat222, np.ones((4, 3)), np.ones((4, 4)))
 
+    def test_one_dimensional_operands_raise(self, cat222):
+        # A 1-D operand once raised IndexError at a.shape[1].
+        with pytest.raises(SchemeError, match="A must be a non-empty 2-D matrix"):
+            multiply_via_scheme(cat222, np.arange(4), np.arange(4))
+        with pytest.raises(SchemeError, match="B must be a non-empty 2-D matrix"):
+            multiply_via_scheme(cat222, np.eye(2, dtype=np.int64), np.arange(2))
+
     def test_refuses_float_inputs(self, cat222):
         # A cast to int64 would truncate 1.5 to 1 and multiply on.
         eye = np.eye(2, dtype=np.int64)
@@ -676,8 +683,8 @@ class TestOperandForms:
     def test_encode_allocates_the_shares_and_one_operand_per_side(self):
         # catx (8,8,4) at 256^3: p = 1091, N = 92, 8,192 entries per block.
         # encode keeps the shares (int16) and builds one float32 operand of
-        # K + T rows per side, multiplied in tiles through the kernel's sum
-        # and quotient buffers; an int64 stack of the parts would not fit.
+        # K + T rows per side, multiplied in tiles, whose product, sum and
+        # quotients are tile-sized; an int64 stack of the parts would not fit.
         scheme = instantiate_cat(construct_cat_x(8, 8, 4, 1))
         dv, p, n = scheme.dv, scheme.field.p, scheme.n_workers
         rng = np.random.default_rng(0)
