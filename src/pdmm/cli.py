@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .scheme import (
     SplitMix64,
     instantiate_degree_table,
     multiply_via_scheme,
+    partition_a,
+    partition_b,
     verify_privacy_rank,
 )
 from .search import SweepRecord, best_scheme, sweep
@@ -43,9 +46,21 @@ FAMILIES = ("catx", "gasp-r", "gasp-rs", "dog-rs", "gasp-small", "gasp-big")
 
 FORMATS = ("json", "csv", "pretty")
 
-CSV_HEADER = (
-    "K,L,T,N_catx,N_gaspr,r_gaspr,N_gasprs,r_gasprs,s_gasprs,"
-    "N_dogrs,r_dogrs,s_dogrs,winner,margin"
+# Each family's SweepRecord attribute, which upper-cased is its name in
+# `search`'s text, and the SchemeChoice fields of its CSV columns. A column
+# is named field_attribute without underscores, n_workers as N: N_gaspr.
+_COLUMNS = (
+    ("catx", ("n_workers",)),
+    ("gasp_r", ("n_workers", "r")),
+    ("gasp_rs", ("n_workers", "r", "s")),
+    ("dog_rs", ("n_workers", "r", "s")),
+)
+
+CSV_HEADER = ",".join(
+    ["K", "L", "T"]
+    + [f"{'N' if f == 'n_workers' else f}_{key.replace('_', '')}"
+       for key, fields in _COLUMNS for f in fields]
+    + ["winner", "margin"]
 )
 
 
@@ -93,53 +108,37 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
-def _require_klt(args):
-    if args.K is None or args.L is None or args.T is None:
-        raise ParameterError("-K, -L and -T are required")
+def _table(args):
+    """The degree table and params that the table flags name."""
+    return build_degree_vectors(args.family, args.K, args.L, args.T, args.r, args.s, args.x)
 
 
 def cmd_construct(args) -> int:
-    _require_klt(args)
-    if not args.family:
-        raise ParameterError("construct requires --family")
-    dv, params = build_degree_vectors(
-        args.family, args.K, args.L, args.T, args.r, args.s, args.x
-    )
-    n = quadrants(dv).n_unique
+    dv, params = _table(args)
     if args.format == "json":
         _emit(json.dumps(table_to_dict(args.family, dv, params), indent=2), args.output)
     else:
         lines = [render_table(dv)]
         if dv.modulus is not None:
             lines.append(f"q = {dv.modulus}")
-        lines.append(f"N = {n}")
+        lines.append(f"N = {quadrants(dv).n_unique}")
         _emit("\n".join(lines), args.output)
     return 0
-
-
-def _report_to_dict(report) -> dict:
-    return {
-        "valid": report.valid,
-        "flags": report.flags,
-        "n_unique": report.n_unique,
-        "witnesses": [list(w) for w in report.witnesses],
-    }
 
 
 def cmd_validate(args) -> int:
     if args.table:
         with open(args.table) as fh:
             dv = table_from_dict(json.load(fh))
+    elif not args.family:
+        raise ParameterError("validate requires --family or --table")
+    elif None in (args.K, args.L, args.T):
+        raise ParameterError("-K, -L and -T are required")
     else:
-        if not args.family:
-            raise ParameterError("validate requires --family or --table")
-        _require_klt(args)
-        dv, _ = build_degree_vectors(
-            args.family, args.K, args.L, args.T, args.r, args.s, args.x
-        )
+        dv, _ = _table(args)
     report = validate_degree_table(dv)
     if args.format == "json":
-        _emit(json.dumps(_report_to_dict(report), indent=2), args.output)
+        _emit(json.dumps({"valid": report.valid, **asdict(report)}, indent=2), args.output)
     else:
         lines = [
             f"{cond}: {'pass' if ok else 'FAIL'}" for cond, ok in sorted(report.flags.items())
@@ -164,12 +163,7 @@ def cmd_simulate(args) -> int:
         raise ParameterError(f"--dims must look like 4x4x4, got {args.dims}")
     if min(r_a, c_a, c_b) < 1:
         raise ParameterError("matrix dimensions must be positive")
-    _require_klt(args)
-    if not args.family:
-        raise ParameterError("simulate requires --family")
-    dv, params = build_degree_vectors(
-        args.family, args.K, args.L, args.T, args.r, args.s, args.x
-    )
+    dv, params = _table(args)
     scheme = instantiate_degree_table(dv, min_p=args.min_p, family=args.family, params=params)
     p = scheme.field.p
     rng = SplitMix64(args.seed)
@@ -179,18 +173,16 @@ def cmd_simulate(args) -> int:
     exact = bool(np.array_equal(product, _exact_product(a, b, p)))
     privacy = verify_privacy_rank(scheme)
 
-    pad_rows = (-r_a) % dv.k
-    pad_cols = (-c_b) % dv.l
-    task_a = ((r_a + pad_rows) // dv.k, c_a)
-    task_b = (c_a, (c_b + pad_cols) // dv.l)
+    a_parts, b_parts = partition_a(a, dv.k), partition_b(b, dv.l)
+    (ar, ac), (br, bc) = a_parts.blocks[0].shape, b_parts.blocks[0].shape
     lines = [
         f"p = {p}",
-        f"q = {dv.modulus if dv.modulus is not None else scheme.params.get('q', '-')}",
+        f"q = {scheme.params['q']}",
         f"N = {scheme.n_workers}",
-        f"task shapes: A share {task_a[0]}x{task_a[1]}, B share {task_b[0]}x{task_b[1]}",
+        f"task shapes: A share {ar}x{ac}, B share {br}x{bc}",
     ]
-    if pad_rows or pad_cols:
-        lines.append(f"padding: {pad_rows} rows, {pad_cols} cols")
+    if a_parts.padding or b_parts.padding:
+        lines.append(f"padding: {a_parts.padding} rows, {b_parts.padding} cols")
     lines.append("decode: exact match" if exact else "decode: MISMATCH")
     lines.append(f"privacy rank: {'pass' if privacy.ok else 'FAIL'}")
     lines.append(f"privacy certificate: {privacy.level}")
@@ -198,43 +190,38 @@ def cmd_simulate(args) -> int:
     return 0 if exact and privacy.ok else 1
 
 
-def _csv_row(rec: SweepRecord) -> str:
-    def opt(choice, attr):
-        if choice is None:
-            return ""
-        v = getattr(choice, attr)
-        return "" if v is None else str(v)
-
-    fields = [
-        str(rec.k), str(rec.l), str(rec.t),
-        opt(rec.catx, "n_workers"),
-        str(rec.gasp_r.n_workers), opt(rec.gasp_r, "r"),
-        str(rec.gasp_rs.n_workers), opt(rec.gasp_rs, "r"), opt(rec.gasp_rs, "s"),
-        str(rec.dog_rs.n_workers), opt(rec.dog_rs, "r"), opt(rec.dog_rs, "s"),
-        rec.winner, str(rec.margin),
-    ]
-    return ",".join(fields)
+def _choice_to_dict(choice) -> dict | None:
+    if choice is None:
+        return None
+    fields = (("family", choice.family), ("N", choice.n_workers),
+              ("r", choice.r), ("s", choice.s), ("x", choice.x))
+    return {k: v for k, v in fields if v is not None}
 
 
 def _record_to_dict(rec: SweepRecord) -> dict:
-    def choice(c):
-        if c is None:
-            return None
-        return {k: v for k, v in (("family", c.family), ("N", c.n_workers),
-                                  ("r", c.r), ("s", c.s), ("x", c.x)) if v is not None}
-
     return {
         "K": rec.k, "L": rec.l, "T": rec.t,
-        "catx": choice(rec.catx),
-        "gasp_r": choice(rec.gasp_r),
-        "gasp_rs": choice(rec.gasp_rs),
-        "dog_rs": choice(rec.dog_rs),
+        **{key: _choice_to_dict(getattr(rec, key)) for key, _ in _COLUMNS},
         "winner": rec.winner,
         "margin": rec.margin,
         "polegap": rec.polegap,
         "dog_saving": float(rec.dog_saving),
         "gasp_rs_saving": float(rec.gasp_rs_saving),
     }
+
+
+def _csv_row(rec: SweepRecord) -> str:
+    """One CSV line; a family without a construction, or a parameter it
+    lacks, is an empty cell. It reads the record itself: the dict that
+    `_record_to_dict` builds, with its two exact savings, costs more per
+    grid point than the rest of a sweep's rendering."""
+    cells = [str(rec.k), str(rec.l), str(rec.t)]
+    for key, fields in _COLUMNS:
+        choice = getattr(rec, key)
+        for f in fields:
+            v = getattr(choice, f, None)  # None also for a family without one
+            cells.append("" if v is None else str(v))
+    return ",".join(cells + [rec.winner, str(rec.margin)])
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -248,11 +235,11 @@ def _parse_range(spec: str) -> list[int]:
 def cmd_sweep(args) -> int:
     if args.mode == "KequalsL" and args.L_range is not None:
         raise ParameterError("--L-range is not read in KequalsL mode, where L = K")
+    l_spec = None if args.mode == "KequalsL" else args.L_range or args.K_range
     records = sweep(
         _parse_range(args.K_range),
-        _parse_range(args.L_range) if args.L_range else _parse_range(args.K_range),
+        None if l_spec is None else _parse_range(l_spec),
         _parse_range(args.T_range),
-        mode=args.mode,
     )
     if args.format == "json":
         _emit(json.dumps([_record_to_dict(r) for r in records], indent=2), args.output)
@@ -262,116 +249,81 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _require_klt(args)
     rec = best_scheme(args.K, args.L, args.T)
+    doc = _record_to_dict(rec)
     if args.format == "json":
-        _emit(json.dumps(_record_to_dict(rec), indent=2), args.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     elif args.format == "csv":
         _emit("\n".join([CSV_HEADER, _csv_row(rec)]), args.output)
     else:
         lines = []
-        for name, choice in rec.choices.items():
-            if choice is None:
-                lines.append(f"{name:8s} -")
-                continue
-            extras = " ".join(
-                f"{k}={v}" for k, v in (("r", choice.r), ("s", choice.s), ("x", choice.x))
-                if v is not None
-            )
-            lines.append(f"{name:8s} N={choice.n_workers}" + (f"  {extras}" if extras else ""))
-        lines.append(f"winner: {rec.winner} (margin {rec.margin}, PoleGap {rec.polegap})")
+        for key, _ in _COLUMNS:
+            c = doc[key]
+            extras = c and " ".join(f"{k}={c[k]}" for k in "rsx" if k in c)
+            lines.append(f"{key.upper():8s} " + (f"N={c['N']}  {extras}" if c else "-"))
+        lines.append(f"winner: {doc['winner']} (margin {doc['margin']}, PoleGap {doc['polegap']})")
         _emit("\n".join(lines), args.output)
     return 0
 
 
-def _env_format() -> str | None:
-    """PDMM_FORMAT, or None when it is unset or empty."""
-    value = os.environ.get("PDMM_FORMAT") or None
-    if value is not None and value not in FORMATS:
-        raise ParameterError(
-            f"PDMM_FORMAT must be one of {', '.join(FORMATS)}, got {value!r}"
-        )
-    return value
-
-
-def _add_output(sub, formats, env_format):
-    """--format, choosing from the formats the subcommand writes, its
-    default first, with PDMM_FORMAT as the default when it is one, and -o."""
-    sub.add_argument(
-        "--format", choices=formats, default=env_format if env_format in formats else formats[0]
-    )
-    sub.add_argument("-o", "--output", default=None)
-
-
-def _add_common(sub, formats, env_format, with_family=True, with_seed=False):
-    """-K -L -T, --format and -o; with_family adds the table flags --family,
-    -r, -s and -x, with_seed the simulation flags --seed and --min-p."""
-    if with_family:
-        sub.add_argument("--family", choices=FAMILIES)
-    sub.add_argument("-K", type=int)
-    sub.add_argument("-L", type=int)
-    sub.add_argument("-T", type=int)
-    if with_family:
-        sub.add_argument("-r", type=int)
-        sub.add_argument("-s", type=int)
-        sub.add_argument("-x", type=int, default=1)
-    if with_seed:
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--min-p", dest="min_p", type=int, default=0)
-    _add_output(sub, formats, env_format)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    env_format = os.environ.get("PDMM_FORMAT") or None
+    if env_format not in (None, *FORMATS):
+        raise ParameterError(
+            f"PDMM_FORMAT must be one of {', '.join(FORMATS)}, got {env_format!r}"
+        )
     parser = argparse.ArgumentParser(
         prog="pdmm",
         description="Polynomial-code schemes for private distributed matrix multiplication",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    env_format = _env_format()
 
-    p_construct = subs.add_parser("construct", help="print a degree table and its N")
-    _add_common(p_construct, ("pretty", "json"), env_format)
+    def command(name, run, formats, help, table=True, klt=True, required=True):
+        """Subcommand `name`, run by `run`: the table flags --family, -r, -s
+        and -x where `table`, -K -L -T where `klt`, --family and -K -L -T
+        required where `required`; --format, from the formats it writes, its
+        default first, with PDMM_FORMAT as the default when it is one; -o."""
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(run=run)
+        if table:
+            sub.add_argument("--family", choices=FAMILIES, required=required)
+        for flag in ("-K", "-L", "-T") if klt else ():
+            sub.add_argument(flag, type=int, required=required)
+        if table:
+            sub.add_argument("-r", type=int)
+            sub.add_argument("-s", type=int)
+            sub.add_argument("-x", type=int, default=1)
+        default = env_format if env_format in formats else formats[0]
+        sub.add_argument("--format", choices=formats, default=default)
+        sub.add_argument("-o", "--output", default=None)
+        return sub
 
-    p_validate = subs.add_parser("validate", help="check the scheme conditions")
-    _add_common(p_validate, ("pretty", "json"), env_format)
-    p_validate.add_argument("--table", help="JSON file holding a degree table")
-
-    p_simulate = subs.add_parser("simulate", help="run the full pipeline on random inputs")
-    _add_common(p_simulate, ("pretty",), env_format, with_seed=True)
-    p_simulate.add_argument("--dims", required=True, help="rAxcAxcB, e.g. 4x4x4")
-
-    p_sweep = subs.add_parser("sweep", help="compare families over a grid")
-    p_sweep.add_argument("--K-range", dest="K_range", required=True)
-    p_sweep.add_argument("--L-range", dest="L_range")
-    p_sweep.add_argument("--T-range", dest="T_range", required=True)
-    p_sweep.add_argument("--mode", choices=("KequalsL", "full"), default="full")
-    _add_output(p_sweep, ("csv", "json"), env_format)
-
-    p_search = subs.add_parser("search", help="best parameters at one grid point")
-    _add_common(p_search, ("pretty", "json", "csv"), env_format, with_family=False)
-
+    command("construct", cmd_construct, ("pretty", "json"), "print a degree table and its N")
+    validate = command("validate", cmd_validate, ("pretty", "json"),
+                       "check the scheme conditions", required=False)
+    validate.add_argument("--table", help="JSON file holding a degree table")
+    simulate = command("simulate", cmd_simulate, ("pretty",),
+                       "run the full pipeline on random inputs")
+    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--min-p", dest="min_p", type=int, default=0)
+    simulate.add_argument("--dims", required=True, help="rAxcAxcB, e.g. 4x4x4")
+    sweep_cmd = command("sweep", cmd_sweep, ("csv", "json"), "compare families over a grid",
+                        table=False, klt=False)
+    sweep_cmd.add_argument("--K-range", dest="K_range", required=True)
+    sweep_cmd.add_argument("--L-range", dest="L_range")
+    sweep_cmd.add_argument("--T-range", dest="T_range", required=True)
+    sweep_cmd.add_argument("--mode", choices=("KequalsL", "full"), default="full")
+    command("search", cmd_search, ("pretty", "json", "csv"), "best parameters at one grid point",
+            table=False)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    handlers = {
-        "construct": cmd_construct,
-        "validate": cmd_validate,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "search": cmd_search,
-    }
-    try:
-        return handlers[args.command](args)
     except (ParameterError, SchemeError, FieldError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -134,8 +134,10 @@ class PdmmScheme:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.rho)) != len(self.rho) or 0 in self.rho:
-            raise SchemeError("evaluation points must be distinct and nonzero")
+        p = self.field.p
+        residues = {x % p for x in self.rho}
+        if len(residues) != len(self.rho) or 0 in residues:
+            raise SchemeError(f"evaluation points must be distinct and nonzero mod p = {p}")
         if len(self.rho) != len(self.gamma):
             raise SchemeError("need exactly one evaluation point per distinct degree")
         if any(a >= b for a, b in zip(self.gamma, self.gamma[1:])):
@@ -171,10 +173,13 @@ class PdmmScheme:
         z_j = omega^gamma_j, so row j of V^-1 is Lagrange's L_j = Q_j / Q_j(z_j)
         read at the powers sigma_i, with Q_j = M / (x - z_j) by synthetic
         division and M = prod(x - z_k): O(N^2 + KL*N) on Python ints, with no
-        elimination. Raises SchemeError, on first decode, when omega is None,
-        a point is not among omega^0 .. omega^(N-1) or two nodes coincide.
+        elimination. Raises SchemeError, on first decode, when gamma is not
+        the table's distinct sums, omega is None, a point is not among
+        omega^0 .. omega^(N-1) or two nodes coincide.
         """
         p, n, omega = self.field.p, self.n_workers, self.omega
+        if tuple(self.gamma) != quadrants(self.dv).gamma:
+            raise SchemeError("gamma is not the degree table's distinct sums, ascending")
         if omega is None:
             raise SchemeError("decoding needs omega: the points must be its powers")
         sigma = {pow(omega, k, p): k for k in range(n)}

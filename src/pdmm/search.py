@@ -236,21 +236,19 @@ def best_scheme(big_k: int, big_l: int, big_t: int) -> SweepRecord:
     return SweepRecord(big_k, big_l, big_t, cx, gr, grs, dg, winner, margin)
 
 
-def sweep(k_range, l_range, t_range, mode: str = "full") -> list[SweepRecord]:
+def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
     """One record per grid point, in lexicographic (K, L, T) order.
 
-    mode 'KequalsL' ties L to K and ignores l_range; 'full' takes the product
-    of all three ranges.  A point and its transpose (L, K, T) are one problem
-    (`_oriented`), so each is computed once per call and the other's record
-    is the same with K and L as given.
+    l_range None ties L to K: the points (K, K, T). Otherwise the grid is
+    the product of all three ranges.  A point and its transpose (L, K, T)
+    are one problem (`_oriented`), so each is computed once per call and
+    the other's record is the same with K and L as given.
     """
     ks, ts = sorted(set(k_range)), sorted(set(t_range))
-    if mode == "KequalsL":
+    if l_range is None:
         points = [(k, k, t) for k in ks for t in ts]
-    elif mode == "full":
-        points = [(k, l, t) for k in ks for l in sorted(set(l_range)) for t in ts]
     else:
-        raise ValueError(f"unknown sweep mode: {mode}")
+        points = [(k, l, t) for k in ks for l in sorted(set(l_range)) for t in ts]
     if not points:
         raise ValueError("empty sweep grid")
     # Grid points are independent; evaluate in deterministic order.

@@ -239,6 +239,20 @@ class TestFlags:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (("search", "-K", "2", "-L", "2"), "-T"),
+            (("construct", "-K", "2", "-L", "2", "-T", "2"), "--family"),
+            (("simulate", "--family", "catx", "-L", "2", "--dims", "2x2x2"), "-K, -T"),
+        ],
+    )
+    def test_missing_required_flag_is_usage_error(self, capsys, argv, missing):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.rstrip().endswith(f"error: the following arguments are required: {missing}")
+
     def test_l_range_in_k_equals_l_mode_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--mode", "KequalsL", "--K-range", "2..4", "--L-range", "9",
@@ -418,7 +432,9 @@ class TestGoldenOutputs:
     that the one addition table replaced. The simulate runs pin the field,
     the decode and the certificate line; they were written when decoding
     solved a Gauss-Jordan system, which the closed-form Lagrange decoder
-    replaced."""
+    replaced. The JSON sweep over 2..4 and the (2,2,3) search in text and
+    CSV, where catx has no construction, were written before one field list
+    rendered every record."""
 
     @pytest.mark.parametrize(
         "name,argv,code",
@@ -435,6 +451,11 @@ class TestGoldenOutputs:
              ("search", "-K", "120", "-L", "80", "-T", "60", "--format", "json"), 0),
             ("search_60-60-40.json",
              ("search", "-K", "60", "-L", "60", "-T", "40", "--format", "json"), 0),
+            ("sweep_KequalsL_2-4.json",
+             ("sweep", "--K-range", "2..4", "--T-range", "2..4", "--mode", "KequalsL",
+              "--format", "json"), 0),
+            ("search_2-2-3.txt", ("search", "-K", "2", "-L", "2", "-T", "3"), 0),
+            ("search_2-2-3.csv", ("search", "-K", "2", "-L", "2", "-T", "3", "--format", "csv"), 0),
             ("simulate_catx-2-2-2-seed7.txt",
              ("simulate", "--family", "catx", "-K", "2", "-L", "2", "-T", "2",
               "--dims", "4x4x4", "--seed", "7"), 0),

@@ -643,6 +643,45 @@ def in_form(x, form, p):
     return x.astype(np.uint64) + np.uint64(-(-(2**63) // p) * p)
 
 
+class TestPipelineErrors:
+    """Each stage refuses parts that do not fit the scheme or each other."""
+
+    @pytest.fixture
+    def parts(self, cat222):
+        a_parts = partition_a(np.ones((4, 2), dtype=int), 2)
+        b_parts = partition_b(np.ones((2, 4), dtype=int), 2)
+        return a_parts, b_parts, draw_randomness(cat222, (2, 2), (2, 2), seed=0)
+
+    def test_encode_refuses_block_counts_off_k_l(self, cat222, parts):
+        a_parts, b_parts, rnd = parts
+        three = partition_a(np.ones((6, 2), dtype=int), 3)
+        with pytest.raises(SchemeError, match="partition block counts"):
+            encode(cat222, three, b_parts, rnd)
+
+    def test_encode_refuses_masks_of_another_shape(self, cat222, parts):
+        a_parts, b_parts, _ = parts
+        rnd = draw_randomness(cat222, (2, 3), (2, 2), seed=0)
+        with pytest.raises(SchemeError, match="randomness shapes"):
+            encode(cat222, a_parts, b_parts, rnd)
+
+    def test_decode_refuses_a_missing_response(self, cat222, parts):
+        responses = [worker_multiply(cat222.field, t) for t in encode(cat222, *parts)]
+        n = cat222.n_workers
+        with pytest.raises(SchemeError, match=f"expected {n} responses, got {n - 1}"):
+            decode(cat222, responses[:-1])
+
+    def test_decode_refuses_responses_of_two_shapes(self, cat222, parts):
+        responses = [worker_multiply(cat222.field, t) for t in encode(cat222, *parts)]
+        responses[-1] = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(SchemeError, match="inconsistent shapes"):
+            decode(cat222, responses)
+
+    def test_worker_refuses_shares_of_mismatched_inner_dimension(self, cat222):
+        task = TaskPair(np.ones((2, 3), dtype=np.int64), np.ones((2, 2), dtype=np.int64), 0)
+        with pytest.raises(SchemeError, match=r"inner dimensions mismatch: \(2, 3\) x \(2, 2\)"):
+            worker_multiply(cat222.field, task)
+
+
 class TestOperandForms:
     @pytest.mark.parametrize("form", ["strided", "unreduced", "negative", "uint64"])
     @pytest.mark.parametrize("index", [0, 2, 3], ids=["p11", "dog-rs", "p1e9"])
@@ -1228,6 +1267,20 @@ class TestPrivacyExhaustive:
             args = (scheme.rho, prefix, suffix, p, subsets)
             assert _enumerate_side(*args) == per_value_enumerate_side(*args)
 
+    def test_beta_side_failure_names_b(self):
+        # gasp-rs (2,2,2) r=2 s=1 at its scanned p = 29, on points that are no
+        # powers of its omega: alpha_s passes the rank check, beta_s fails at
+        # workers (1, 7), and the enumeration finds the same pair on side B.
+        s = instantiate_degree_table(construct_gasp_rs(2, 2, 2, 2, 1))
+        assert s.field.p == 29
+        rho = (28, 13, 25, 14, 2, 9, 17, 16, 27, 10, 21, 12)
+        scheme = PdmmScheme(s.dv, s.field, rho, s.gamma)
+        rank = verify_privacy_rank(scheme)
+        assert rank.a_check.ok and rank.b_check.witness == (1, 7)
+        report = verify_privacy_exhaustive(scheme)
+        assert not report.ok
+        assert report.witness == ("B", (1, 7), (0, 0))
+
     def test_budget_guard(self):
         scheme = instantiate_cat(construct_cat_x(4, 4, 4, 3))
         with pytest.raises(BudgetExceededError):
@@ -1338,6 +1391,26 @@ class TestSchemeInvariants:
         rho = (0,) + cat222.rho[1:]
         with pytest.raises(SchemeError):
             PdmmScheme(cat222.dv, cat222.field, rho, cat222.gamma)
+
+    @pytest.mark.parametrize("shift", ["p", "zero"])
+    def test_rejects_points_that_coincide_mod_p(self, shift):
+        # gasp-small (2,2,2) at p = 23: rho[0] + p, or p itself, is the
+        # point rho[0], or 0, of F_p; decoding on it gives a wrong product.
+        s = instantiate_degree_table(construct_gasp_r(2, 2, 2, 1))
+        p, rho = s.field.p, list(s.rho)
+        rho[1] = rho[0] + p if shift == "p" else p
+        with pytest.raises(SchemeError, match=f"nonzero mod p = {p}"):
+            PdmmScheme(s.dv, s.field, tuple(rho), s.gamma, omega=s.omega)
+
+    def test_decode_refuses_gamma_off_the_table(self):
+        # Shifted by 100, gamma stays ascending with one entry per point, and
+        # decoding on it gives [[12,12],[12,12]] for [[0,1],[2,3]] @ [[1,2],[3,4]].
+        s = instantiate_degree_table(construct_gasp_r(2, 2, 2, 1))
+        shifted = PdmmScheme(s.dv, s.field, s.rho, tuple(g + 100 for g in s.gamma), omega=s.omega)
+        a, b = np.array([[0, 1], [2, 3]]), np.array([[1, 2], [3, 4]])
+        with pytest.raises(SchemeError, match="gamma"):
+            multiply_via_scheme(shifted, a, b)
+        assert multiply_via_scheme(s, a, b).tolist() == [[3, 4], [11, 16]]
 
     def test_rejects_unordered_gamma(self, cat222):
         # The decoder looks the data sums up in gamma by binary search.

@@ -281,28 +281,29 @@ class TestSweep:
         assert sweep([4], [4], [3])[0] == best_scheme(4, 4, 3)
 
     def test_k_equals_l_mode(self):
-        recs = sweep([2, 3], [99], [2], mode="KequalsL")
+        recs = sweep([2, 3], None, [2])
         assert [(r.k, r.l, r.t) for r in recs] == [(2, 2, 2), (3, 3, 2)]
 
     def test_full_mode_lexicographic_order(self):
-        recs = sweep([3, 2], [2], [3, 2], mode="full")
+        recs = sweep([3, 2], [2], [3, 2])
         assert [(r.k, r.l, r.t) for r in recs] == [
             (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3)
         ]
 
     def test_cat_dominates_when_t_is_small(self):
-        recs = sweep(range(10, 16), [], [2], mode="KequalsL")
+        recs = sweep(range(10, 16), None, [2])
         assert all(r.winner == "CATX" for r in recs)
 
     @pytest.mark.parametrize(
         "ranges,mode",
         [
             ((range(2, 8), range(3, 10), range(2, 7)), "full"),
-            ((range(2, 9), [99], range(2, 6)), "KequalsL"),
+            ((range(2, 9), None, range(2, 6)), "KequalsL"),
         ],
     )
     def test_equals_best_scheme_per_point(self, ranges, mode):
-        recs = sweep(*ranges, mode=mode)
+        # mode names the CLI's grid: KequalsL is the one without an L range.
+        recs = sweep(*ranges)
         ks, ls, ts = ranges
         if mode == "full":
             points = [(k, l, t) for k in ks for l in ls for t in ts]
@@ -330,7 +331,3 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([], [], [2])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sweep([2], [2], [2], mode="diagonal")
