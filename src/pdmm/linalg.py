@@ -18,15 +18,20 @@ allocates where it is made. It checks nothing; its two fronts do.
 matmul_mod, which the workers call, casts both operands. _matmul_parts, for
 encode and decode, copies each part of its right operand once, straight
 into the kernel's type, checks [0, p) there, and writes any integer dtype
-(encode's narrow shares). Elimination serves only the T x T submatrix
-checks; decoding needs none, since the scheme inverts its Vandermonde
-decode matrix in closed form. The division-free forward pass _singular on
-(t, t, M) stacks, with one modulus or one per matrix, decides which are
-singular, in the type _exact_type gives for one product of two residues:
-submatrix_checks walks a (t, n, G) stack of G matrices, transposed, each
-mod its own p, through all of their row subsets at once, and a matrix
-leaves the stack at its first singular subset;
-all_txt_submatrices_invertible is its one-matrix case. The kernel's tiles
+(encode's narrow shares). Decoding eliminates nothing, since the scheme
+inverts its Vandermonde decode matrix in closed form. The T x T submatrix
+checks are the one other use of the kernel: submatrix_checks walks a stack
+of G n x t matrices, each mod its own p, through the row subsets of all of
+them at once, in lexicographic order, and a matrix leaves the stack at its
+first singular subset; all_txt_submatrices_invertible is its one-matrix
+case. For t up to _MINORS_UP_TO the walk, _cofactor_walk, shares minors
+between subsets: a subset P + {i}, i > max(P), is singular exactly when
+d[i] . c_P = 0 (mod p), c_P the cofactors of the row prefix P. Each
+prefix's minors come from its parent's by one _mulmod against a matrix of
+Laplace signs, and the last level is one _mulmod of the cofactors against
+d.T, in the type _exact_type(p, t) gives. Wider checks are eliminated by
+the division-free forward pass _singular, over (t, t, M) stacks of subsets,
+in the type _exact_type(p, 1) gives. The kernel's tiles, the walk's levels
 and the elimination's steps share one reduction, _reduce, whose exactness
 matmul_mod proves. No check samples: each walks every subset or stops at
 the first singular one.
@@ -126,22 +131,25 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     _TILE entries. Each tile is reduced while it is in cache and written to
     the output once, so no temporary the size of the output exists.
 
-    Each tile is reduced by _reduce, the one reduction, which _singular's
-    elimination steps share. An int64 tile is reduced by np.remainder. A
-    float y, a tile here or an elimination step's difference of two products
-    of residues there, is reduced as r = y - p * floor(y / p). That is exact
-    for every integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for
-    float64, the significand's precision: a tile lies in [0, 2^m), and a
-    step's difference in [-(p-1)^2, (p-1)^2], with (p-1)^2 + p < 2^m by the
-    walk's _exact_type(p, 1). Write y = k*p + c with k = floor(y/p) and
-    0 <= c < p. Rounding to nearest is symmetric, fl(-x) = -fl(x), so the
-    quotient y/p is rounded, whatever its sign, to a float off by at most
-    2^-m * |y|/p < 1/p. When c = 0, y/p = k is a float, since |k| <= |y| <
-    2^m, and fl(y/p) = k. Otherwise y/p = k + c/p lies at least 1/p from
-    both k and k + 1, so k < fl(y/p) < k + 1. Either way its floor is k.
-    Then 0 <= k*p <= y < 2^m for y >= 0, and |k*p| = |y| + c < |y| + p <=
-    2^m for y < 0, so k*p is a float product without rounding, and
-    y - k*p = c a float difference without rounding.
+    Each tile is reduced by _reduce, the one reduction, which the T x T
+    walks share. An int64 tile is reduced by np.remainder. A float y, a tile
+    here or an elimination step's difference of two products of residues
+    there, is reduced as r = y - p * floor(y / p). That is exact for every
+    integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for float64, the
+    significand's precision: a tile lies in [0, 2^m), and a step's
+    difference in [-(p-1)^2, (p-1)^2], with (p-1)^2 + p < 2^m by the
+    elimination's _exact_type(p, 1). The cofactor walk's tiles, sums of at
+    most step products of a residue and a residue or its negation added to
+    a reduced sum, lie in (-(p-1)^2 * step, (p-1)^2 * step + p), with
+    (p-1)^2 * step + p < 2^m by its _exact_type(p, t). Write y = k*p + c
+    with k = floor(y/p) and 0 <= c < p. Rounding to nearest is symmetric,
+    fl(-x) = -fl(x), so the quotient y/p is rounded, whatever its sign, to
+    a float off by at most 2^-m * |y|/p < 1/p. When c = 0, y/p = k is a
+    float, since |k| <= |y| < 2^m, and fl(y/p) = k. Otherwise y/p = k + c/p
+    lies at least 1/p from both k and k + 1, so k < fl(y/p) < k + 1. Either
+    way its floor is k. Then 0 <= k*p <= y < 2^m for y >= 0, and |k*p| =
+    |y| + c < |y| + p <= 2^m for y < 0, so k*p is a float product without
+    rounding, and y - k*p = c a float difference without rounding.
 
     Raises ValueError for p < 2 or p > _MAX_P, like every function here.
     """
@@ -153,26 +161,37 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return _mulmod(a.astype(kind, copy=False), b.astype(kind, copy=False), p, step, out)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) -> np.ndarray:
+def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.ndarray:
     """Write (a @ b) mod p into out and return it: the kernel behind
-    matmul_mod and _matmul_parts, which check its operands.
+    matmul_mod, _matmul_parts and the levels of the cofactor walk, which
+    check its operands.
 
-    a and b hold residues mod p in the type, and step is the chunk of
-    inner terms, that _exact_type(p, inner) gives; nothing here checks
-    them. out is any integer array of the product's shape that holds
-    p - 1 (encode's narrow shares, int64 elsewhere). Each chunk's product,
-    the tile's running sum and _reduce's quotients are arrays of at most
-    _TILE entries, which numpy allocates where they are made.
+    a and b hold residues mod p in the type that _exact_type(p, inner)
+    gives, and step is the chunk of inner terms that it gives; nothing here
+    checks them. The cofactor walk passes two other kinds of operands:
+    residues against negated residues, -(p-1) .. 0, and Laplace signs, -1,
+    0 and 1, against products of two residues, in chunks with no more
+    nonzero signs in a row than _exact_type's step. Either way a chunk's
+    sum, added to a reduced one, stays within the bounds of matmul_mod's
+    proof of _reduce. a and b are matrices, or stacks of matrices along
+    leading axes, multiplied as np.matmul does, and p is an int or, for a
+    stack, an array of that type that broadcasts against the output. out
+    is any integer array of the product's shape that holds p - 1 (encode's
+    narrow shares, int64 elsewhere), or an array of a and b's type. Each
+    chunk's product, the tile's running sum and _reduce's quotients are
+    arrays of at most _TILE entries, which numpy allocates where they are
+    made.
     """
-    (rows, inner), cols = a.shape, b.shape[1]
-    height = max(1, min(rows, _TILE))
-    width = max(1, _TILE // height)
-    modulus = a.dtype.type(p)
+    (rows, inner), cols = a.shape[-2:], b.shape[-1]
+    tile = _TILE // max(1, prod(out.shape[:-2])) if out.ndim > 2 else _TILE
+    height = max(1, min(rows, tile))
+    width = max(1, tile // height)
+    modulus = p if isinstance(p, np.ndarray) else a.dtype.type(p)
     for r in range(0, rows, height):
         for c in range(0, cols, width):
-            dst, y = out[r : r + height, c : c + width], None
+            dst, y = out[..., r : r + height, c : c + width], None
             for k in range(0, max(1, inner), step):
-                chunk = a[r : r + height, k : k + step] @ b[k : k + step, c : c + width]
+                chunk = a[..., r : r + height, k : k + step] @ b[..., k : k + step, c : c + width]
                 y = chunk if y is None else np.add(y, chunk, out=y)
                 _reduce(y, modulus, dst if k + step >= inner else y)
     return out
@@ -180,7 +199,8 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, step: int, out: np.ndarray) ->
 
 def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     """Write y mod p into out, in [0, p), and return it: the one reduction
-    of _mulmod's tiles and _singular's steps.
+    of _mulmod's tiles, the cofactor walk's among them, and _singular's
+    steps.
 
     y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
     a float y (see matmul_mod's proof), and p is a scalar, or an array that
@@ -301,11 +321,185 @@ class SubmatrixCheck:
         return self.witness is None
 
 
-# Row subsets are checked in chunks so that a singular subset ends the check
-# without enumerating or testing the rest. The first chunk is smaller, since
-# a matrix with a singular subset most often shows one early; after the
-# second, chunks double up to _LAST_CHUNK, since a matrix still in the walk
-# most often has none.
+# Widths up to _MINORS_UP_TO are walked by shared minors (_cofactor_walk),
+# wider ones by elimination. Over whole one-matrix walks on 2 vCPUs, minors
+# took 0.26-0.31 of elimination's time at widths 4 and 5 (C(53, 4) and
+# C(40, 5) subsets), 0.52 at width 6 (C(25, 6)) and 0.68 at width 7
+# (C(20, 7)), but 1.8 and 2.3 times it on C(14, 7) and C(16, 8): there the
+# C(t, k) minors per prefix at each level outgrow the subsets they serve.
+_MINORS_UP_TO = 5
+
+# The cofactor walk's chunks: the first holds the prefixes of the first
+# _FIRST_WALK subsets, since a matrix with a singular subset most often shows
+# one early; each later one about _WALK_CHUNK determinants of the live
+# matrices together, so that a one-matrix walk of C(35, 3) takes two. The
+# instantiate scans' walks took 1.01 of elimination's time with 256 first
+# subsets and 0.85-0.89 with 512; the dog-rs (8,8,5) scan took 0.75-1.06 s
+# at 2^16 determinants, 0.97-1.40 s at 2^15, and no less at 2^17.
+_FIRST_WALK, _WALK_CHUNK = 512, 1 << 16
+
+# The signs 1, -1, 1, .. of the walk's widths: a product with float32,
+# float64 or int64 residues keeps their type.
+_ALTERNATING = np.array([(-1) ** s for s in range(_MINORS_UP_TO)], dtype=np.int8)
+
+
+@lru_cache(maxsize=8)
+def _prefix_tree(n: int, t: int):
+    """The row prefixes of the cofactor walk of the t-row subsets of n rows.
+
+    Level k holds, in lexicographic order, the k-row prefixes that a t-row
+    subset can start with: those whose last row is at most n - 1 - (t - k).
+    Level 0 is the empty prefix, whose last row is -1. Returns (parents,
+    rows, ends, later): for each level k = 1 .. t-1, parents[k - 1] and
+    rows[k - 1] give each prefix's (k-1)-row prefix (its index one level
+    down) and its last row, so rows[-1], or [-1] for t = 1, holds the last
+    row c of each (t-1)-row prefix P, whose n - 1 - c extensions P + {i},
+    i > c, come in lexicographic order. ends[j] is the number of t-row
+    subsets that start with a (t-1)-row prefix up to j, and later[c, i]
+    says whether i > c.
+    """
+    parents, rows = [], []
+    last = np.array([-1], dtype=np.intp)
+    for k in range(1, t):
+        counts = np.maximum(n - 1 - (t - k) - last, 0)
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts  # each parent's first child
+        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
+        parents.append(parent)
+        rows.append(last)
+    later = np.arange(n) > np.arange(n)[:, None]
+    return parents, rows, np.cumsum(n - 1 - last), later
+
+
+@lru_cache(maxsize=32)
+def _laplace(t: int, k: int, kind) -> np.ndarray:
+    """The level-k expansion of a width-t walk as a matrix of signs in the
+    walk's type: row J, a column set of size k in lexicographic order, has
+    the Laplace sign (-1)^(k-1+m) of the m-th column j of J at column
+    j * C(t, k-1) + J', J' the index of J less j among the (k-1)-sets, and
+    zeros elsewhere; read-only."""
+    below = {cols: i for i, cols in enumerate(itertools.combinations(range(t), k - 1))}
+    signs = np.zeros((comb(t, k), t * len(below)), dtype=kind)
+    for row, cols in enumerate(itertools.combinations(range(t), k)):
+        for m, j in enumerate(cols):
+            signs[row, j * len(below) + below[cols[:m] + cols[m + 1 :]]] = (-1) ** (k - 1 + m)
+    signs.flags.writeable = False
+    return signs
+
+
+def _prefix_rows(parents: list, rows: list, idx: int) -> tuple[int, ...]:
+    """The rows of (t-1)-row prefix idx of _prefix_tree, read back through
+    its parents."""
+    out = []
+    for parent, row in zip(reversed(parents), reversed(rows)):
+        out.append(int(row[idx]))
+        idx = parent[idx]
+    return tuple(out[::-1])
+
+
+def _chunk_minors(cols: np.ndarray, p, step: int, parents: list, rows: list, start: int, stop: int):
+    """The minors of the (t-1)-row prefixes start .. stop - 1 of _prefix_tree
+    on every (t-1)-column set, laid out [matrix, column set, prefix], for
+    _cofactor_walk's (G, t, n) cols. They are built level by level from the
+    run of shorter prefixes they extend, a contiguous run at every level:
+    level 1 is cols, and each level k comes from level k-1 by one _mulmod of
+    _laplace's signs against the products of each prefix's last row and its
+    parent's minors."""
+    g, t, _ = cols.shape
+    if t <= 2:  # the empty prefix, or one row each
+        return np.ones((g, 1, 1), dtype=cols.dtype) if t == 1 else cols[:, :, start:stop]
+    spans = [(start, stop)]  # the run of prefixes at each level, top down
+    for parent in reversed(parents[1:]):
+        lo, hi = spans[-1]
+        spans.append((int(parent[lo]), int(parent[hi - 1]) + 1))
+    spans.reverse()
+    minors = cols[:, :, spans[0][0] : spans[0][1]]
+    for k in range(2, t):
+        (lo, hi), below = spans[k - 1], spans[k - 2][0]
+        entries = np.take(cols, rows[k - 1][lo:hi], axis=2)[:, :, None]
+        terms = entries * np.take(minors, parents[k - 1][lo:hi] - below, axis=2)[:, None]
+        signs = _laplace(t, k, cols.dtype.type)
+        out = np.empty((g, len(signs), hi - lo), dtype=cols.dtype)
+        # A row of signs has k nonzeros: one chunk holds them all when step does.
+        chunk = signs.shape[1] if step >= k else step
+        minors = _mulmod(signs, terms.reshape(g, -1, hi - lo), p, chunk, out)
+    return minors
+
+
+def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]:
+    """The first singular t-row subset of each matrix of a (G, t, n) stack
+    of G matrices of residues, each n x t, transposed, as (witness,
+    checked), or None when it has none. cols is in the type
+    _exact_type(p, t) gives for its largest modulus, whose chunk of inner
+    terms is step, and p is a scalar of that type or a (G, 1, 1) array of
+    one modulus per matrix.
+
+    A subset P + {i} with i > max(P) is singular exactly when d[i] . c_P = 0
+    (mod p), where c_P is the vector of cofactors of the (t-1)-row prefix P:
+    its signed (t-1) x (t-1) minors, which _chunk_minors builds level by
+    level by expansion along each prefix's last row. The last level is one
+    _mulmod of the prefixes' minors against d.T, signed, so the first zero
+    in row-major order with i > max(P) is the first singular subset in
+    lexicographic order; checked counts the subsets up to P, less those
+    after i. Every sum of step signed products of two residues lies in
+    [-(p-1)^2 * step, (p-1)^2 * step], and _reduce is exact on it, plus a
+    reduced sum before it (see matmul_mod).
+
+    The prefixes are walked in lexicographic chunks (_FIRST_WALK subsets
+    first, then about _WALK_CHUNK determinants of the live matrices), each
+    with the run of shorter prefixes it needs at every level; a matrix leaves
+    the stack at its first singular subset.
+    """
+    g, _, n = cols.shape
+    parents, rows, ends, later = _prefix_tree(n, t)
+    last = rows[-1] if rows else np.array([-1], dtype=np.intp)
+    # The last level's right operand: at column set s the prefixes' minors
+    # lack column j = t-1-s, whose Laplace sign is (-1)^(t-1+j) = (-1)^s.
+    right = cols[:, ::-1] * _ALTERNATING[:t, None]
+    found: list[tuple | None] = [None] * g
+    live = list(range(g))  # the input position of each matrix left in the stack
+    total = int(ends[-1])
+    start, done, budget = 0, 0, _FIRST_WALK  # done: the subsets before prefix start
+    while start < len(ends) and live:
+        if total - done <= budget:
+            stop = len(ends)
+        else:
+            stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        minors = _chunk_minors(cols, p, step, parents, rows, start, stop)
+        top = last[start:stop]
+        col = int(top[0] if t <= 2 else top.min()) + 1
+        dets = np.empty((len(live), stop - start, n - col), dtype=cols.dtype)
+        _mulmod(minors.transpose(0, 2, 1), right[:, :, col:], p, step, dets)
+        zero = dets == 0
+        if t == 2:  # the prefixes are the rows start .. stop - 1
+            zero &= later[start:stop, col:]
+        elif t > 2:
+            zero &= np.take(later[:, col:], top, axis=0)
+        zero = zero.reshape(len(live), -1)
+        if zero.any():
+            hit = zero.any(axis=1)
+            hits = np.flatnonzero(hit)
+            for j, at in zip(hits.tolist(), zero[hits].argmax(axis=1).tolist()):
+                prefix, i = divmod(at, n - col)
+                idx, i = start + prefix, col + i
+                checked = int(ends[idx]) - (n - 1 - i)
+                found[live[j]] = (_prefix_rows(parents, rows, idx) + (i,), checked)
+            if stop < len(ends):
+                keep = ~hit
+                live = [m for m, h in zip(live, hit.tolist()) if not h]
+                cols, right = cols[keep], right[keep]
+                if isinstance(p, np.ndarray):
+                    p = p[keep]
+        start, done = stop, int(ends[stop - 1])
+        budget = max(_FIRST_WALK, _WALK_CHUNK // max(1, len(live) * t))
+    return found
+
+
+# Elimination checks row subsets in chunks so that a singular subset ends
+# the check without enumerating or testing the rest. The first chunk is
+# smaller, since a matrix with a singular subset most often shows one early;
+# after the second, chunks double up to _LAST_CHUNK, since a matrix still in
+# the walk most often has none.
 _FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
 
 
@@ -321,12 +515,13 @@ def _combination_indices(n: int, t: int) -> np.ndarray:
     return idx
 
 
-def _first_singular(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
-    """The position in subsets of each matrix's first singular row subset,
-    or len(subsets) when it has none. Singularity is transpose-invariant, so
-    cols is a (t, n, G) stack of G matrices of residues, each n x t,
-    transposed: entry [k, r, m] is row r, column k of matrix m. p is one
-    modulus or an array of G, in cols' type (see _singular).
+def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
+    """The walk of widths above _MINORS_UP_TO, by _singular: the position
+    in subsets of each matrix's first singular row subset, or len(subsets)
+    when it has none. Singularity is transpose-invariant, so cols is a
+    (t, n, G) stack of G matrices of residues, each n x t, transposed: entry
+    [k, r, m] is row r, column k of matrix m. p is one modulus or an array
+    of G, in cols' type (see _singular).
 
     Subsets are tested in chunks, every matrix still in the walk at once,
     and a matrix leaves the walk, and the stack, at its first singular
@@ -377,21 +572,31 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     g = mats.shape[0]
     if not isinstance(p, int):
         p = np.asarray(p, dtype=np.int64).ravel()
-        # One modulus as an int tiles no moduli per chunk: the scan's walk of
-        # dog-rs (5,5,5) r=1 s=3's beta_s (292,825 subsets) took 0.031-0.032 s
-        # so, 0.034-0.035 s as an array (2 vCPUs).
+        # One modulus as an int: elimination then tiles no moduli per chunk.
+        # Its walk of dog-rs (5,5,5) r=1 s=3's beta_s (292,825 subsets) in
+        # the scan took 0.031-0.032 s so, 0.034-0.035 s as an array (2 vCPUs).
         if p.size and (p == p[0]).all():
             p = int(p[0])
         elif p.size != g:
             raise ValueError(f"expected one modulus or {g}, got {p.size}")
     mats = _residues(mats, p if isinstance(p, int) else p[:, None, None])
-    # The walk runs in the smallest type in which a product of two residues
-    # mod the largest modulus is exact; every smaller modulus is exact in it.
-    kind = _exact_type(p if isinstance(p, int) else int(p.max(initial=0)), 1)[0]
+    # The walk runs in the smallest type in which a sum of t products of two
+    # residues (one product for elimination) mod the largest modulus is
+    # exact; every smaller modulus is exact in it.
+    top = p if isinstance(p, int) else int(p.max(initial=0))
+    n = mats.shape[1]
+    if 0 < t <= _MINORS_UP_TO:
+        kind, step = _exact_type(top, t)
+        p = kind(p) if isinstance(p, int) else p.astype(kind)[:, None, None]
+        cols = np.ascontiguousarray(mats.transpose(0, 2, 1), dtype=kind)
+        found = _cofactor_walk(cols, p, t, step) if n >= t else [None] * g
+        passed = SubmatrixCheck(None, comb(n, t), "exhaustive")
+        return [passed if f is None else SubmatrixCheck(*f, "exhaustive") for f in found]
+    kind = _exact_type(top, 1)[0]
     p = kind(p) if isinstance(p, int) else p.astype(kind)
-    subsets = _combination_indices(mats.shape[1], t)
+    subsets = _combination_indices(n, t)
     cols = mats.transpose(2, 1, 0).astype(kind)
-    return [_check(i, subsets) for i in _first_singular(cols, p, subsets)]
+    return [_check(i, subsets) for i in _elimination_walk(cols, p, subsets)]
 
 
 def all_txt_submatrices_invertible(m, t: int, p: int) -> SubmatrixCheck:

@@ -63,15 +63,6 @@ class SweepRecord:
     polegap: str = "n/a"
 
     @property
-    def choices(self) -> dict[str, SchemeChoice | None]:
-        return {
-            "CATX": self.catx,
-            "GASP_R": self.gasp_r,
-            "GASP_RS": self.gasp_rs,
-            "DOG_RS": self.dog_rs,
-        }
-
-    @property
     def dog_saving(self) -> Fraction:
         return Fraction(self.gasp_r.n_workers - self.dog_rs.n_workers, self.gasp_r.n_workers)
 

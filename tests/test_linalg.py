@@ -6,19 +6,26 @@ from math import comb
 
 import numpy as np
 import pytest
+
+import pdmm.linalg as pdmm_linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmm.linalg import (
     _CHUNK,
     _FIRST_CHUNK,
+    _FIRST_WALK,
     _MAX_P,
+    _MINORS_UP_TO,
     _TILE,
+    _WALK_CHUNK,
     SubmatrixCheck,
     _combination_indices,
     _exact_type,
     _matmul_parts,
     _reduce,
+    _prefix_rows,
+    _prefix_tree,
     _residues,
     _singular,
     all_txt_submatrices_invertible,
@@ -87,6 +94,14 @@ def invertible(m, p):
 def singular_positions(m, subsets, p):
     """1-based positions of the singular t x t submatrices mod p, by determinant."""
     return [i + 1 for i, rows in enumerate(subsets) if det_mod(m[list(rows)], p) == 0]
+
+
+def first_chunk_end(n, t):
+    """The last subset of the first chunk of one matrix's cofactor walk of
+    the t-row subsets of n rows: the end of the last row prefix whose
+    subsets all lie within the first _FIRST_WALK."""
+    ends = _prefix_tree(n, t)[2]
+    return int(ends[np.searchsorted(ends, _FIRST_WALK, side="right") - 1])
 
 
 # Each public function on a matrix over F_p, as call(input, p), with an input
@@ -661,7 +676,7 @@ class TestSubmatrixCheck:
         singular = singular_positions(m, subsets, 10007)
         assert len(singular) >= 2
         first = singular[0]
-        assert first > _CHUNK  # past the first chunk, which ends at _FIRST_CHUNK < _CHUNK
+        assert first > _CHUNK > max(_FIRST_CHUNK, _FIRST_WALK)  # past either walk's first chunk
         check = all_txt_submatrices_invertible(m, t, 10007)
         assert check.status == "found_singular"
         assert check.witness == subsets[first - 1]
@@ -669,11 +684,12 @@ class TestSubmatrixCheck:
 
     @pytest.mark.parametrize(
         "position",
-        [1, *(e + d for e in (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK) for d in (0, 1)), comb(18, 4)],
+        [1, *(first_chunk_end(18, 4) + d for d in (-1, 0, 1, 2)), comb(18, 4)],
     )
     def test_witness_position_at_chunk_edges(self, position):
-        # One planted singular subset at 1, on either side of the chunk edges
-        # at 256 and 1,280, or at the last of the C(18, 4) = 3,060 subsets:
+        # One planted singular subset at 1, on either side of the end of the
+        # cofactor walk's first chunk (512 of the C(18, 4) = 3,060 subsets,
+        # where a prefix's run of subsets ends), or at the last subset:
         # checked is its 1-based position, so at the last subset it equals
         # C(n, t).
         n, t = 18, 4
@@ -684,6 +700,21 @@ class TestSubmatrixCheck:
         assert (check.status, check.level) == ("found_singular", "exhaustive")
         assert check.witness == subsets[position - 1]
         assert check.checked == position
+
+    @pytest.mark.parametrize(
+        "position", [e + d for e in (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK) for d in (0, 1)]
+    )
+    def test_elimination_witness_at_chunk_edges(self, position):
+        # Widths above _MINORS_UP_TO are eliminated in chunks of 256, 1,024,
+        # .. subsets: a planted subset on either side of the edges at 256 and
+        # 1,280 of the C(13, 6) = 1,716.
+        n, t = 13, 6
+        assert t > _MINORS_UP_TO
+        subsets = list(combinations(range(n), t))
+        m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=8)
+        assert singular_positions(m, subsets, 1_000_003) == [position]
+        check = all_txt_submatrices_invertible(m, t, 1_000_003)
+        assert (check.witness, check.checked) == (subsets[position - 1], position)
 
     def test_planted_dependency_near_the_int64_edge(self):
         # Summed in int64 the planted row wrapped, and none of the 126 4-row
@@ -696,14 +727,14 @@ class TestSubmatrixCheck:
 
     def test_stacked_walk_equals_one_matrix_checks(self):
         # Each matrix has its own modulus and at most one planted singular
-        # subset, on either side of the chunk edges at 256 and 1,280 of the
-        # C(21, 3) = 1,330 subsets, so the matrices leave the walk at
+        # subset, on either side of the end of the first chunk (511 of the
+        # C(21, 3) = 1,330 subsets) or last, so the matrices leave the walk at
         # different chunks; two more mod 11 have many singular subsets. Each
         # check must be the one the one-matrix check returns.
         n, t = 21, 3
         subsets = list(combinations(range(n), t))
-        edges = (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK)
-        positions = [1] + [e + d for e in edges for d in (0, 1)] + [len(subsets), None]
+        edge = first_chunk_end(n, t)
+        positions = [1] + [edge + d for d in (0, 1, 2)] + [len(subsets), None]
         primes = (1_000_003, P_NEAR_LIMIT)
         mats, moduli = [], []
         for i, pos in enumerate(positions):
@@ -746,15 +777,17 @@ class TestSubmatrixCheck:
 
     def test_last_matrix_in_the_walk_reads_its_own_rows(self):
         # Matrix 0 leaves at the first subset; matrix 1, singular only at
-        # subset 300 of C(14, 3) = 364, then walks the second chunk alone.
-        subsets = list(combinations(range(14), 3))
+        # subset 540 of C(16, 3) = 560, past the first chunk's 510, then walks
+        # the second chunk alone.
+        subsets = list(combinations(range(16), 3))
+        assert first_chunk_end(16, 3) < 540
         mats = [
-            planted_dependencies(14, 3, 1_000_003, [subsets[0]], seed=1),
-            planted_dependencies(14, 3, 1_000_003, [subsets[299]], seed=2),
+            planted_dependencies(16, 3, 1_000_003, [subsets[0]], seed=1),
+            planted_dependencies(16, 3, 1_000_003, [subsets[539]], seed=2),
         ]
-        assert singular_positions(mats[1], subsets, 1_000_003) == [300]
+        assert singular_positions(mats[1], subsets, 1_000_003) == [540]
         checks = submatrix_checks(np.stack(mats), 3, 1_000_003)
-        assert [c.checked for c in checks] == [1, 300]
+        assert [c.checked for c in checks] == [1, 540]
         assert checks == [all_txt_submatrices_invertible(m, 3, 1_000_003) for m in mats]
 
     @pytest.mark.parametrize("n, t", [(5, 0), (8, 3), (41, 4), (255, 2), (256, 2), (300, 1)])
@@ -768,9 +801,10 @@ class TestSubmatrixCheck:
         assert _combination_indices(n, t) is got
 
 
-# The walk's type at either side of each switch of _exact_type(p, 1): the
-# largest prime on float32, the smallest past it, the largest on float64, the
-# smallest past it, and the largest prime at or below _MAX_P.
+# The elimination's type, for widths above _MINORS_UP_TO, at either side of
+# each switch of _exact_type(p, 1): the largest prime on float32, the smallest
+# past it, the largest on float64, the smallest past it, and the largest
+# prime at or below _MAX_P.
 RUNGS = [
     (4_093, np.float32),
     (4_099, np.float64),
@@ -778,6 +812,33 @@ RUNGS = [
     (94_906_297, np.int64),
     (P_NEAR_LIMIT, np.int64),
 ]
+
+# The cofactor walk's type at width t, _exact_type(p, t): float32 while
+# t (p-1)^2 + p < 2^24, float64 while (p-1)^2 + p < 2^53, int64 past that.
+# Its sums of t products fit one chunk while t (p-1)^2 + p < 2^m, m = 24, 53
+# or 63, and are reduced in chunks of fewer terms past it. Per width: the
+# largest prime on float32, the smallest past it, and the largest prime whose
+# t products fit one float64 chunk and the smallest past it (for t = 1, the
+# switch to int64).
+WALK_EDGES = {
+    1: (4_093, 4_099, 94_906_249, 94_906_297),
+    2: (2_897, 2_903, 67_108_859, 67_108_879),
+    3: (2_357, 2_371, 54_794_149, 54_794_197),
+    4: (2_039, 2_053, 47_453_111, 47_453_149),
+    5: (1_831, 1_847, 42_443_351, 42_443_377),
+}
+# Past the edges, at every width above 1: the largest prime on float64, whose
+# sums are reduced term by term, the smallest on int64, in one chunk, and two
+# int64 primes whose sums are reduced every 2 terms and term by term.
+EDGE_KINDS = (np.float32, np.float64, np.float64, np.float64)
+PAST_EDGES = [(94_906_249, np.float64)] + [
+    (p, np.int64) for p in (94_906_297, 2_147_483_647, P_NEAR_LIMIT)
+]
+WALK_RUNGS = [
+    (t, p, np.int64 if (t, p) == (1, 94_906_297) else kind)
+    for t, edges in WALK_EDGES.items()
+    for p, kind in zip(edges, EDGE_KINDS)
+] + [(t, p, kind) for t in range(2, _MINORS_UP_TO + 1) for p, kind in PAST_EDGES]
 
 
 def first_singular_reference(m, t, p):
@@ -790,14 +851,13 @@ def first_singular_reference(m, t, p):
     return None, len(subsets)
 
 
-def rung_matrices(p, seed):
-    """9 x 4 matrices mod p: random; that with its subset (4, 5, 7, 8), the
-    124th of C(9, 4) = 126, made singular; that with zeros in rows 0 to 2,
-    so that the first pivots of the subsets holding them are zero and are
-    repaired by a row added from below, and with its subset (1, 5, 6, 8),
-    the 89th, made singular, which needs such a repair; and the last again
-    with unreduced and negative entries."""
-    n, t = 9, 4
+def rung_matrices(p, t, seed):
+    """(t + 5) x t matrices mod p: random; that with its last subset made
+    singular; that with zeros in rows 0 and 1, so that the first pivots of
+    the subsets holding them are zero and are repaired by a row added from
+    below, and with its subset (1, 4, 5, ..), which needs such a repair,
+    made singular; and the last again with unreduced and negative entries."""
+    n = t + 5
     rng = np.random.default_rng(seed)
     regular = rng.integers(1, p, (n, t))
 
@@ -808,24 +868,58 @@ def rung_matrices(p, seed):
         return m
 
     zeros = regular.copy()
-    zeros[:2, :2] = zeros[2, 0] = 0
-    zeros = singular(zeros, (1, 5, 6, 8))
+    zeros[:2, :2] = 0
+    zeros = singular(zeros, (1, *range(4, t + 3)))
     shifted = zeros + p * rng.integers(-3, 4, (n, t))
     shifted[0, 0] = -p
-    return t, {
+    return {
         "random": regular,
-        "planted": singular(regular, (4, 5, 7, 8)),
+        "planted": singular(regular, tuple(range(n - t, n))),
         "zero pivots": zeros,
         "unreduced": shifted,
     }
 
 
+def assert_equals_reference(t, p, mats):
+    """Both fronts on each matrix give the Python-int reference, and the
+    matrices hold both outcomes."""
+    outcomes = set()
+    for name, m in mats.items():
+        witness, checked = first_singular_reference(m, t, p)
+        want = SubmatrixCheck(witness, checked, "exhaustive")
+        assert all_txt_submatrices_invertible(m, t, p) == want, name
+        assert submatrix_checks(m[None], t, [p]) == [want], name
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
 class TestWalkRungs:
     """The T x T walk in each type of _exact_type's ladder, against
-    Python-int elimination."""
+    Python-int determinants: the cofactor walk at every width it serves, and
+    the elimination above it."""
+
+    @pytest.mark.parametrize("t,p,kind", WALK_RUNGS)
+    def test_walk_equals_python_int_reference(self, t, p, kind, monkeypatch):
+        walks = []
+
+        def recorded(cols, q, width, step):
+            walks.append((cols.dtype.type, type(q), step))
+            return walk(cols, q, width, step)
+
+        def no_elimination(*args):
+            raise AssertionError("a width the cofactor walk serves was eliminated")
+
+        walk = pdmm_linalg._cofactor_walk
+        monkeypatch.setattr("pdmm.linalg._cofactor_walk", recorded)
+        monkeypatch.setattr("pdmm.linalg._singular", no_elimination)
+        assert_equals_reference(t, p, rung_matrices(p, t, seed=p % 1000 + t))
+        ((got, modulus, step),) = set(walks)
+        bits = {np.float32: 24, np.float64: 53, np.int64: 63}[kind]
+        assert (got, modulus) == (kind, kind)
+        assert (step >= t) == ((p - 1) ** 2 * t + p < 2**bits)
 
     @pytest.mark.parametrize("p,kind", RUNGS)
-    def test_walk_equals_python_int_reference(self, p, kind, monkeypatch):
+    def test_elimination_equals_python_int_reference(self, p, kind, monkeypatch):
         kinds = []
 
         def recorded(a, q):
@@ -833,26 +927,89 @@ class TestWalkRungs:
             return _singular(a, q)
 
         monkeypatch.setattr("pdmm.linalg._singular", recorded)
-        t, mats = rung_matrices(p, seed=p % 1000)
-        outcomes = set()
-        for name, m in mats.items():
-            witness, checked = first_singular_reference(m, t, p)
-            want = SubmatrixCheck(witness, checked, "exhaustive")
-            assert all_txt_submatrices_invertible(m, t, p) == want, name
-            assert submatrix_checks(m[None], t, [p]) == [want], name
-            outcomes.add(witness is None)
-        assert outcomes == {True, False}
+        t = _MINORS_UP_TO + 1
+        assert_equals_reference(t, p, rung_matrices(p, t, seed=p % 1000))
         assert set(kinds) == {(kind, kind)}
 
-    @pytest.mark.parametrize("pair", [(4_093, 4_099), (94_906_249, 94_906_297)])
-    def test_stack_across_two_rungs(self, pair):
+    @pytest.mark.parametrize(
+        "t,pair", [(4, (2_039, 2_053)), (4, (94_906_249, 94_906_297)), (6, (4_093, 4_099))]
+    )
+    def test_stack_across_two_rungs(self, t, pair):
         # One walk in the larger modulus' type equals one walk per matrix in
         # its own.
         mats, moduli = [], []
         for p in pair:
-            t, by_name = rung_matrices(p, seed=p % 997)
+            by_name = rung_matrices(p, t, seed=p % 997)
             mats += by_name.values()
             moduli += [p] * len(by_name)
         alone = [submatrix_checks(m[None], t, p)[0] for m, p in zip(mats, moduli)]
         assert submatrix_checks(np.stack(mats), t, moduli) == alone
         assert {c.ok for c in alone} == {True, False}
+
+
+class TestCofactorWalk:
+    """The cofactor walk's prefixes, chunks and memory."""
+
+    @pytest.mark.parametrize("t", range(1, _MINORS_UP_TO + 1))
+    @pytest.mark.parametrize(
+        "moduli",
+        [(2, 11, 13, 2_039, 11, 1_831), (11, 1_000_003, P_NEAR_LIMIT, 94_906_249, 2, 67_108_859)],
+    )
+    def test_chunked_stacks_equal_the_reference(self, t, moduli, monkeypatch):
+        # Chunks of 3 to 8 subsets, so that chunks end inside and at the end
+        # of a prefix's run, every level's run of prefixes starts mid-way,
+        # and the matrices, each mod its own prime with one subset planted
+        # singular from the first to the last, leave the walk at different
+        # chunks.
+        n = t + 6
+        subsets = list(combinations(range(n), t))
+        spots = [0, 1, len(subsets) // 3, len(subsets) // 2, len(subsets) - 2, len(subsets) - 1]
+        mats = [
+            planted_dependencies(n, t, p, [subsets[spot]], seed=31 * t + i)
+            for i, (p, spot) in enumerate(zip(moduli, spots))
+        ]
+        want = [
+            SubmatrixCheck(*first_singular_reference(m, t, p), "exhaustive")
+            for m, p in zip(mats, moduli)
+        ]
+        whole = [all_txt_submatrices_invertible(m, t, p) for m, p in zip(mats, moduli)]
+        monkeypatch.setattr("pdmm.linalg._FIRST_WALK", 3)
+        monkeypatch.setattr("pdmm.linalg._WALK_CHUNK", 8 * t)
+        assert submatrix_checks(np.stack(mats), t, list(moduli)) == want == whole
+        assert [all_txt_submatrices_invertible(m, t, p) for m, p in zip(mats, moduli)] == want
+        assert len({c.checked for c in want}) > 2
+
+    @pytest.mark.parametrize("n, t", [(1, 1), (6, 1), (7, 2), (9, 3), (10, 4), (11, 5), (5, 5)])
+    def test_prefixes_are_the_lexicographic_runs(self, n, t):
+        # Each (t-1)-row prefix, read back through its parents, in order,
+        # with the subsets up to it.
+        parents, rows, ends, later = _prefix_tree(n, t)
+        prefixes = [_prefix_rows(parents, rows, j) for j in range(len(ends))]
+        assert prefixes == list(combinations(range(n - 1), t - 1))
+        runs = [n - 1 - (p[-1] if p else -1) for p in prefixes]
+        assert ends.tolist() == list(np.cumsum(runs)) and ends[-1] == comb(n, t)
+        assert later.tolist() == [[i > c for i in range(n)] for c in range(n)]
+
+    def test_no_subset_array_below_the_cutoff(self):
+        # The walk reads its prefixes; the C(n, t) subset array is built
+        # only for elimination.
+        m = planted_dependencies(40, 4, 1_000_003, [], seed=5)
+        _combination_indices.cache_clear()
+        assert all_txt_submatrices_invertible(m, 4, 1_000_003).checked == comb(40, 4)
+        assert _combination_indices.cache_info().currsize == 0
+
+    def test_temporaries_stay_chunk_sized(self):
+        # A one-matrix walk of the C(60, 4) = 487,635 subsets holds one
+        # chunk's determinants, about _WALK_CHUNK, their quotients and minors
+        # at a time, and its prefixes (C(59, 3) of them, 0.8 MiB): its peak,
+        # 4.8 chunks in float64 measured, is a small multiple of one chunk,
+        # not of the walk.
+        m = planted_dependencies(60, 4, 33_554_393, [], seed=6)
+        tracemalloc.start()
+        try:
+            check = all_txt_submatrices_invertible(m, 4, 33_554_393)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.checked == comb(60, 4)
+        assert peak <= 6 * _WALK_CHUNK * 8

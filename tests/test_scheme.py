@@ -905,6 +905,7 @@ class TestDecoder:
 
         scheme = reversed_points(decoder_scheme(spec))
         monkeypatch.setattr("pdmm.linalg._singular", no_elimination)
+        monkeypatch.setattr("pdmm.linalg._cofactor_walk", no_elimination)
         p = scheme.field.p
         rng = np.random.default_rng(8)
         a = rng.integers(0, p, (2 * scheme.dv.k, 5))
