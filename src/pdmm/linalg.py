@@ -14,24 +14,27 @@ int64 in which the products of residues mod p are exact. One product
 kernel, _mulmod, serves encode, the simulated workers and decode: it
 multiplies residues cast to that type, in chunks, and reduces the output
 tile by tile in cache, each temporary a tile-sized array that numpy
-allocates where it is made. It checks nothing; its two fronts do.
-matmul_mod, which the workers call, casts both operands. _matmul_parts, for
+allocates where it is made. It checks nothing; its callers do. matmul_mod,
+the public front, checks and casts both operands. _matmul_parts, for
 encode and decode, copies each part of its right operand once, straight
 into the kernel's type, checks [0, p) there, and writes any integer dtype
-(encode's narrow shares). Decoding eliminates nothing, since the scheme
-inverts its Vandermonde decode matrix in closed form. The T x T submatrix
-checks are the one other use of the kernel: submatrix_checks walks a stack
-of G n x t matrices, each mod its own p, through the row subsets of all of
-them at once, in lexicographic order, and a matrix leaves the stack at its
-first singular subset; all_txt_submatrices_invertible is its one-matrix
-case. For t up to _MINORS_UP_TO the walk, _cofactor_walk, shares minors
-between subsets: a subset P + {i}, i > max(P), is singular exactly when
-d[i] . c_P = 0 (mod p), c_P the cofactors of the row prefix P. Each
-prefix's minors come from its parent's by one _mulmod against a matrix of
-Laplace signs, and the last level is one _mulmod of the cofactors against
-d.T, in the type _exact_type(p, t) gives. Wider checks are eliminated by
-the division-free forward pass _singular, over (t, t, M) stacks of subsets,
-in the type _exact_type(p, 1) gives. The kernel's tiles, the walk's levels
+(encode's narrow shares). The simulated workers of pdmm.scheme cast
+encode's shares, residues by construction, and call the kernel on stacks
+of workers, about one tile of output per call. Decoding eliminates
+nothing, since the scheme inverts its Vandermonde decode matrix in closed
+form. The T x T submatrix checks are the one other use of the kernel:
+submatrix_checks walks a stack of G n x t matrices, each mod its own p,
+through the row subsets of all of them at once, in lexicographic order,
+and a matrix leaves the stack at its first singular subset;
+all_txt_submatrices_invertible is its one-matrix case. For t up to
+_MINORS_UP_TO the walk, _cofactor_walk, shares minors between subsets: a
+subset P + {i}, i > max(P), is singular exactly when d[i] . c_P = 0
+(mod p), c_P the cofactors of the row prefix P. Each prefix's minors come
+from its parent's by one _mulmod against a matrix of Laplace signs, and
+the last level is one _mulmod of the cofactors against d.T, in the type
+_exact_type(p, t) gives. Wider checks are eliminated by the division-free
+forward pass _singular, over (t, t, M) stacks of subsets, in the type
+_exact_type(p, 1) gives. The kernel's tiles, the walk's levels
 and the elimination's steps share one reduction, _reduce, whose exactness
 matmul_mod proves. No check samples: each walks every subset or stops at
 the first singular one.
@@ -163,8 +166,9 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.ndarray:
     """Write (a @ b) mod p into out and return it: the kernel behind
-    matmul_mod, _matmul_parts and the levels of the cofactor walk, which
-    check its operands.
+    matmul_mod, _matmul_parts, the simulated workers of pdmm.scheme and
+    the levels of the cofactor walk, which check its operands or build
+    them as residues.
 
     a and b hold residues mod p in the type that _exact_type(p, inner)
     gives, and step is the chunk of inner terms that it gives; nothing here

@@ -27,12 +27,15 @@ from .degrees import (
 )
 from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 from .linalg import (
+    _TILE,
     LEVELS,
     SubmatrixCheck,
+    _exact_type,
     _integers,
     _matmul_parts,
+    _mulmod,
+    _residues,
     all_txt_submatrices_invertible,
-    matmul_mod,
     submatrix_checks,
     vandermonde,
 )
@@ -504,30 +507,24 @@ def draw_randomness(scheme: PdmmScheme, a_shape, b_shape, seed: int) -> Randomne
     return Randomness(r_mats, s_mats)
 
 
-def encode(
+def _shares(
     scheme: PdmmScheme,
     a_parts: PartitionedMatrix,
     b_parts: PartitionedMatrix,
     rnd: Randomness,
-) -> list[TaskPair]:
-    """Evaluate the two encoding polynomials at every worker's point: one
-    product E_A @ (A_1..A_K, R_1..R_T) and one for B; the shares are views
-    of the two results.
-
-    Each product's right operand is built once by linalg._matmul_parts: every
-    block and mask, strided or not, in any integer dtype, is copied straight
-    into it in the kernel's type and checked for [0, p) there. The shares
-    are the one narrow array of the pipeline: residues in the smallest
-    signed integer dtype that holds p - 1 (int8 at p = 23, int16 at
-    p = 1091, int32 below 2^31), written by the kernel tile by tile.
-    Responses and decoded products are int64.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """encode's checks and its two products: the stacks (N, h, m) of A's
+    shares and (N, m, w) of B's, share w at row w (see encode)."""
     dv = scheme.dv
     p = scheme.field.p
     a_shape = a_parts.blocks[0].shape
     b_shape = b_parts.blocks[0].shape
     if len(a_parts.blocks) != dv.k or len(b_parts.blocks) != dv.l:
         raise SchemeError("partition block counts do not match (K, L)")
+    if len(rnd.r_mats) != dv.t or len(rnd.s_mats) != dv.t:
+        raise SchemeError(
+            f"expected T = {dv.t} masks per side, got {len(rnd.r_mats)} and {len(rnd.s_mats)}"
+        )
     if any(r.shape != a_shape for r in rnd.r_mats) or any(
         s.shape != b_shape for s in rnd.s_mats
     ):
@@ -541,41 +538,104 @@ def encode(
 
     a_shares = shares(e_a, a_parts.blocks + rnd.r_mats, a_shape)
     b_shares = shares(e_b, b_parts.blocks + rnd.s_mats, b_shape)
-    return [TaskPair(a_shares[w], b_shares[w], w) for w in range(n)]
+    return a_shares, b_shares
+
+
+def encode(
+    scheme: PdmmScheme,
+    a_parts: PartitionedMatrix,
+    b_parts: PartitionedMatrix,
+    rnd: Randomness,
+) -> list[TaskPair]:
+    """Evaluate the two encoding polynomials at every worker's point: one
+    product E_A @ (A_1..A_K, R_1..R_T) and one for B, each written as one
+    stack of the N workers' shares; task w's shares are views of row w of
+    the two stacks, which multiply_via_scheme hands to the workers whole.
+
+    Each product's right operand is built once by linalg._matmul_parts: every
+    block and mask, strided or not, in any integer dtype, is copied straight
+    into it in the kernel's type and checked for [0, p) there. The shares
+    are the one narrow array of the pipeline: residues in the smallest
+    signed integer dtype that holds p - 1 (int8 at p = 23, int16 at
+    p = 1091, int32 below 2^31), written by the kernel tile by tile.
+    Responses and decoded products are int64.
+
+    Raises SchemeError when the block counts are not (K, L), or rnd does
+    not hold exactly T masks per side, each of its side's block shape.
+    """
+    a_shares, b_shares = _shares(scheme, a_parts, b_parts, rnd)
+    return [TaskPair(a_shares[w], b_shares[w], w) for w in range(len(a_shares))]
+
+
+def _respond(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The workers' responses a @ b mod p as a new int64 array, for shares
+    of residues mod p in any signed integer dtype: one worker's h x m and
+    m x w matrices, or the stacks (N, h, m) and (N, m, w) of N workers.
+    Nothing is checked here; worker_multiply checks its shares, and
+    encode's are residues by construction.
+
+    While (p-1)^2 * m < 2^63 the workers run on linalg's kernel _mulmod: a
+    stack max(1, _TILE // (h*w)) workers per call, so that a call's output
+    is about one tile, and one worker's matrices in a 2-D call, since a
+    stack of one slices more per call (worker_multiply on a 12 x 96 by
+    96 x 12 task took 19.9 us so, against 17.9 us in 2-D). There the
+    responses equal a plain int64 product. Past that bound (p ~ 10^9 at
+    m = 10) the int64 product is kept, in the same groups, and wraps
+    silently, so the responses, and the decoded product, are wrong there.
+    """
+    (rows, inner), cols = a.shape[-2:], b.shape[-1]
+    out = np.empty(a.shape[:-1] + (cols,), dtype=np.int64)
+    wraps = (p - 1) ** 2 * inner >= 2**63
+    kind, step = (np.int64, None) if wraps else _exact_type(p, inner)
+    if a.ndim == 2:
+        groups = [(a, b, out)]
+    else:
+        size = max(1, _TILE // max(1, rows * cols))
+        groups = [
+            (a[g : g + size], b[g : g + size], out[g : g + size]) for g in range(0, len(a), size)
+        ]
+    for x, y, dst in groups:
+        x, y = x.astype(kind, copy=False), y.astype(kind, copy=False)
+        if wraps:
+            # The int64 product wraps here. The benchmark's own tests expect
+            # this fault; the benchmark change that mends it deletes this
+            # branch together with that expectation. Sums that wrap mod 2^64
+            # do not depend on their order, so a stack wraps exactly as its
+            # workers do one by one.
+            np.remainder(x @ y, p, out=dst)
+        else:
+            _mulmod(x, y, p, step, dst)
+    return out
 
 
 def worker_multiply(field: PrimeField, task: TaskPair) -> np.ndarray:
-    """One worker's response: a_share @ b_share mod p, in int64, from shares
-    in any signed integer dtype (encode's are narrow).
+    """One worker's response: a_share @ b_share mod p, in int64, by the
+    core that multiply_via_scheme runs on all workers at once (see
+    _respond), so the two give the same bytes.
 
-    Runs on matmul_mod wherever (p-1)^2 * inner < 2^63, and gives there the
-    same result as a plain int64 product.
-
-    Raises/limits: SchemeError on mismatched inner dimensions. Past that
-    bound (p ~ 10^9 at inner dimension 10) the int64 product is kept and
-    wraps silently, so responses, and the decoded product, are wrong there.
+    The shares are taken by linalg's entry rule, in any integer dtype
+    (encode's are narrow): entries outside [0, p) are reduced first, and
+    non-integer entries and p above 3,037,000,499 raise ValueError. Shares
+    that are not 2-D, or of mismatched inner dimensions, raise SchemeError.
+    Past (p-1)^2 * inner < 2^63 (p ~ 10^9 at inner dimension 10) the int64
+    product wraps silently, so responses, and the decoded product, are
+    wrong there.
     """
-    inner = task.a_share.shape[1]
-    if inner != task.b_share.shape[0]:
-        raise SchemeError(
-            f"inner dimensions mismatch: {task.a_share.shape} x {task.b_share.shape}"
-        )
+    a, b = task.a_share, task.b_share
+    if a.ndim != 2 or b.ndim != 2:
+        raise SchemeError(f"shares must be 2-D matrices: {a.shape} x {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise SchemeError(f"inner dimensions mismatch: {a.shape} x {b.shape}")
     p = field.p
-    if (p - 1) ** 2 * inner < 2**63:
-        return matmul_mod(task.a_share, task.b_share, p)
-    # The int64 product wraps here. The benchmark's own tests expect this
-    # fault; the benchmark change that mends it deletes this branch together
-    # with that expectation. Narrow shares are widened first, so that it
-    # wraps exactly as it does on int64 shares.
-    a, b = (np.asarray(x, dtype=np.int64) for x in (task.a_share, task.b_share))
-    return (a @ b) % p
+    return _respond(_residues(a, p), _residues(b, p), p)
 
 
-def decode(scheme: PdmmScheme, responses: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Recover the K x L grid of block products from all worker responses by
-    applying the scheme's KL x N decode matrix, through linalg._matmul_parts:
-    each response is copied once into the product's operand and checked for
-    [0, p) there. Non-integer responses raise ValueError."""
+def decode(scheme: PdmmScheme, responses) -> list[list[np.ndarray]]:
+    """Recover the K x L grid of block products from all worker responses,
+    a list of N matrices or one (N, h, w) stack, by applying the scheme's
+    KL x N decode matrix, through linalg._matmul_parts: each response is
+    copied once into the product's operand and checked for [0, p) there.
+    Non-integer responses raise ValueError."""
     n = scheme.n_workers
     if len(responses) != n:
         raise SchemeError(f"expected {n} responses, got {len(responses)}")
@@ -610,6 +670,11 @@ def multiply_via_scheme(
 ) -> np.ndarray:
     """Full pipeline: partition, encode, simulate workers, decode, reassemble.
 
+    The N workers are simulated as one stacked product: encode's two stacks
+    of shares go whole to worker_multiply's core, _respond, and its stack
+    of responses to decode. The product equals, byte for byte, that of the
+    stage functions called one by one with worker_multiply per task.
+
     a and b may be of any integer dtype and hold entries outside [0, p);
     non-integer entries raise ValueError. An operand that is not a non-empty
     2-D matrix, and 2-D operands of mismatched inner dimensions, raise
@@ -620,9 +685,8 @@ def multiply_via_scheme(
     a_parts = partition_a(a, scheme.dv.k)
     b_parts = partition_b(b, scheme.dv.l)
     rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, seed)
-    tasks = encode(scheme, a_parts, b_parts, rnd)
-    responses = [worker_multiply(scheme.field, t) for t in tasks]
-    grid = decode(scheme, responses)
+    a_shares, b_shares = _shares(scheme, a_parts, b_parts, rnd)
+    grid = decode(scheme, _respond(a_shares, b_shares, scheme.field.p))
     return assemble(grid, a_parts, b_parts)
 
 

@@ -531,6 +531,50 @@ class TestPipeline:
         b = rng.integers(0, p, (3, 2 * dv.l))
         assert np.array_equal(multiply_via_scheme(scheme, a, b, seed=2), a @ b % p)
 
+    @pytest.mark.parametrize(
+        "spec, dims, groups",
+        [
+            (("catx", 8, 8, 4), (13, 7, 11), 1),
+            (("gasp-small", 2, 2, 2), (5, 7, 3), 1),
+            (("dog-rs", 3, 3, 3, 1, 2), (7, 4, 8), 1),
+            # (p-1)^2 * 40 >= 2^63: the workers' int64 product wraps. At 12
+            # inner terms the branch runs, but no sum of share products
+            # passes 2^63, so nothing wraps.
+            ("p1e9", (5, 40, 7), 1),
+            # 32 x 32 responses: 64 of the 92 workers per kernel call, then 28.
+            (("catx", 8, 8, 4), (250, 3, 251), 2),
+            # 82 x 83 responses: 9 of the 10 workers per int64 product, then 1.
+            ("p1e9", (163, 40, 165), 2),
+        ],
+        ids=[
+            "catx-8-8-4", "gasp-small-2-2-2", "dog-rs-3-3-3", "catx-2-2-2-p1e9",
+            "catx-8-8-4-two-groups", "catx-2-2-2-p1e9-two-groups",
+        ],
+    )
+    def test_stacked_workers_equal_the_staged_path(self, spec, dims, groups):
+        # Every dims pads A's rows, B's columns or both. groups counts the
+        # stacked workers' products of about _TILE output entries each.
+        scheme = linear_map_schemes()[3] if spec == "p1e9" else decoder_scheme(spec)
+        dv, p, n = scheme.dv, scheme.field.p, scheme.n_workers
+        rows, inner, cols = dims
+        assert rows % dv.k or cols % dv.l
+        assert ((p - 1) ** 2 * inner >= 2**63) == (spec == "p1e9")
+        rng = np.random.default_rng(rows)
+        a, b = rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))
+        a_parts, b_parts = partition_a(a, dv.k), partition_b(b, dv.l)
+        h, w = a_parts.blocks[0].shape[0], b_parts.blocks[0].shape[1]
+        assert -(-n // max(1, _TILE // (h * w))) == groups
+        rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, 6)
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        responses = [worker_multiply(scheme.field, task) for task in tasks]
+        staged = assemble(decode(scheme, responses), a_parts, b_parts)
+        whole = multiply_via_scheme(scheme, a, b, seed=6)
+        assert (whole.dtype, whole.shape) == (staged.dtype, staged.shape) == (np.int64, dims[::2])
+        assert whole.tobytes() == staged.tobytes()
+        # The same wrong bytes where the int64 product wraps, exact elsewhere.
+        exact_product = (exact(a) @ exact(b) % p).tolist()
+        assert (whole.tolist() == exact_product) == (spec != "p1e9")
+
     def test_worker_count_matches_tasks(self, cat222):
         a_parts = partition_a(np.ones((4, 2), dtype=int), 2)
         b_parts = partition_b(np.ones((2, 4), dtype=int), 2)
@@ -664,6 +708,15 @@ class TestPipelineErrors:
         with pytest.raises(SchemeError, match="randomness shapes"):
             encode(cat222, a_parts, b_parts, rnd)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_encode_refuses_a_mask_count_off_t(self, cat222, parts, count):
+        # Off-count masks once surfaced as numpy's matmul ValueError.
+        a_parts, b_parts, rnd = parts
+        masks = (rnd.r_mats[0],) * count
+        for off in (Randomness(masks, rnd.s_mats), Randomness(rnd.r_mats, masks)):
+            with pytest.raises(SchemeError, match="expected T = 2 masks per side"):
+                encode(cat222, a_parts, b_parts, off)
+
     def test_decode_refuses_a_missing_response(self, cat222, parts):
         responses = [worker_multiply(cat222.field, t) for t in encode(cat222, *parts)]
         n = cat222.n_workers
@@ -675,6 +728,30 @@ class TestPipelineErrors:
         responses[-1] = np.zeros((2, 3), dtype=np.int64)
         with pytest.raises(SchemeError, match="inconsistent shapes"):
             decode(cat222, responses)
+
+    def test_worker_refuses_shares_that_are_not_2d(self, cat222):
+        # 1-D shares once raised IndexError at a_share.shape[1].
+        for a, b, shapes in [
+            (np.ones(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64), r"\(3,\) x \(3, 2\)"),
+            (np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64), r"\(2, 3\) x \(3,\)"),
+            (np.ones((1, 2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64),
+             r"\(1, 2, 3\) x \(3, 2\)"),
+        ]:
+            with pytest.raises(SchemeError, match=f"shares must be 2-D matrices: {shapes}"):
+                worker_multiply(cat222.field, TaskPair(a, b, 0))
+
+    @pytest.mark.parametrize("p, inner", [(1091, 4), (1_000_000_021, 12)])
+    def test_worker_takes_its_shares_by_the_entry_rule(self, p, inner):
+        # Shares off their residues by multiples of p give the same bytes,
+        # in the int64 branch too ((p-1)^2 * 12 >= 2^63); float shares are
+        # refused, where the int64 branch once truncated them.
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, (3, inner)), rng.integers(0, p, (inner, 2))
+        field = PrimeField(p)
+        want = worker_multiply(field, TaskPair(a, b, 0))
+        assert worker_multiply(field, TaskPair(a + 3 * p, b - p, 0)).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="integer entries"):
+            worker_multiply(field, TaskPair(a + 0.5, b, 0))
 
     def test_worker_refuses_shares_of_mismatched_inner_dimension(self, cat222):
         task = TaskPair(np.ones((2, 3), dtype=np.int64), np.ones((2, 2), dtype=np.int64), 0)
