@@ -499,12 +499,15 @@ def partition_b(b: np.ndarray, big_l: int) -> PartitionedMatrix:
 
 
 def draw_randomness(scheme: PdmmScheme, a_shape, b_shape, seed: int) -> Randomness:
-    rng = SplitMix64(seed)
-    p = scheme.field.p
-    t = scheme.t_privacy
-    r_mats = tuple(rng.matrix(a_shape[0], a_shape[1], p) for _ in range(t))
-    s_mats = tuple(rng.matrix(b_shape[0], b_shape[1], p) for _ in range(t))
-    return Randomness(r_mats, s_mats)
+    """The T masks of A's block shape a_shape, then the T of B's, as 2T
+    consecutive calls of SplitMix64(seed).matrix would draw them, in one
+    call: matrix draws the stream of below, row by row, whether or not it
+    rejects a draw, so one call of the total count gives the values of
+    consecutive ones. The masks are int64 views of that one array."""
+    t, (h, m), (k, w) = scheme.t_privacy, a_shape, b_shape
+    draws = SplitMix64(seed).matrix(1, t * (h * m + k * w), scheme.field.p)
+    r, s = np.split(draws[0], [t * h * m])
+    return Randomness(tuple(r.reshape(t, h, m)), tuple(s.reshape(t, k, w)))
 
 
 def _shares(
@@ -576,17 +579,20 @@ def _respond(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     While (p-1)^2 * m < 2^63 the workers run on linalg's kernel _mulmod: a
     stack max(1, _TILE // (h*w)) workers per call, so that a call's output
-    is about one tile, and one worker's matrices in a 2-D call, since a
-    stack of one slices more per call (worker_multiply on a 12 x 96 by
-    96 x 12 task took 19.9 us so, against 17.9 us in 2-D). There the
-    responses equal a plain int64 product. Past that bound (p ~ 10^9 at
-    m = 10) the int64 product is kept, in the same groups, and wraps
-    silently, so the responses, and the decoded product, are wrong there.
+    is about one tile, and one worker's matrices straight to _mulmod in
+    2-D, since a stack of one slices and groups more per call
+    (worker_multiply on a 12 x 96 by 96 x 12 task took 17.8 us so, against
+    15.6 us in 2-D; 2 vCPUs). There the responses equal a plain int64
+    product. Past that bound (p ~ 10^9 at m = 10) the int64 product is
+    kept, in the same groups, and wraps silently, so the responses, and
+    the decoded product, are wrong there.
     """
     (rows, inner), cols = a.shape[-2:], b.shape[-1]
     out = np.empty(a.shape[:-1] + (cols,), dtype=np.int64)
     wraps = (p - 1) ** 2 * inner >= 2**63
     kind, step = (np.int64, None) if wraps else _exact_type(p, inner)
+    if a.ndim == 2 and not wraps:
+        return _mulmod(a.astype(kind, copy=False), b.astype(kind, copy=False), p, step, out)
     if a.ndim == 2:
         groups = [(a, b, out)]
     else:

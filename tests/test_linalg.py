@@ -11,6 +11,7 @@ import pdmm.linalg as pdmm_linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdmm.field import PrimeField
 from pdmm.linalg import (
     _CHUNK,
     _FIRST_CHUNK,
@@ -33,6 +34,7 @@ from pdmm.linalg import (
     submatrix_checks,
     vandermonde,
 )
+from pdmm.scheme import TaskPair, worker_multiply
 
 # The largest prime whose residue products fit int64: isqrt(2^63 - 1) - 6.
 P_NEAR_LIMIT = 3_037_000_493
@@ -301,6 +303,32 @@ class TestMatmulMod:
         assert out.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
         assert peak <= out.nbytes + (a.size + b.size) * 8 + 4 * _TILE * 8
 
+    @pytest.mark.parametrize(
+        "p,inner",
+        [
+            (1091, 12),  # float32: one chunk of every inner dimension
+            (33_554_393, 8),  # float64 in chunks of 8 inner terms
+            (33_554_393, 9),
+            (P_NEAR_LIMIT, 1),  # int64 in chunks of one term
+            (P_NEAR_LIMIT, 2),
+        ],
+    )
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_tile_equals_the_tiled_loop(self, p, inner, extra, monkeypatch):
+        # An output of at most _TILE entries and an inner dimension of at
+        # most one chunk is one tile of one chunk; one entry or one inner
+        # term more takes the loop. Either must equal the loop over tiles of
+        # 4,096 entries and Python ints.
+        step = _exact_type(p, inner)[1]
+        assert inner == step or inner == step + 1
+        rng = np.random.default_rng(inner + extra)
+        a, b = rng.integers(0, p, (1, inner)), rng.integers(0, p, (inner, _TILE + extra))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest sum, (p-1)^2 * inner
+        got = matmul_mod(a, b, p)
+        monkeypatch.setattr("pdmm.linalg._TILE", 4096)
+        assert got.tobytes() == matmul_mod(a, b, p).tobytes()
+        assert got.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
+
 
 def targeted_sums(p: int, inner: int, sums) -> tuple[np.ndarray, np.ndarray]:
     """Operands a (2 x inner) and b (inner x len(sums)+1) of residues whose
@@ -443,6 +471,89 @@ class TestNarrowOperands:
             assert all_txt_submatrices_invertible(m.astype(dtype), 3, p) == want
             assert submatrix_checks(m.astype(dtype)[None], 3, p) == [want]
         assert not all_txt_submatrices_invertible(tall, 3, p).ok
+
+
+# A prime at or below 2^(bits-1) and one above it for each signed width: the
+# entry check reads the first through an unsigned view of the entries, the
+# second by their minimum alone, since no entry of the dtype reaches it.
+SIGNED_EDGES = [
+    (np.int8, 127),
+    (np.int8, 131),
+    (np.int16, 32_749),
+    (np.int16, 32_771),
+    (np.int32, 2**31 - 1),
+    (np.int32, 2_147_483_659),
+    (np.int64, 1091),
+    (np.int64, P_NEAR_LIMIT),
+]
+
+
+def signed_entries(dtype, p, shape, kind, rng):
+    """Entries of dtype: residues, residues with one negative entry or one
+    at or above p, or any entries of the dtype ('any')."""
+    info = np.iinfo(dtype)
+    x = rng.integers(0, min(p, info.max + 1), shape, dtype=dtype)
+    spot = tuple(rng.integers(0, shape))
+    if kind == "negative":
+        x[spot] = rng.integers(info.min, 0)
+    elif kind == "large":
+        x[spot] = rng.integers(p, info.max, endpoint=True)
+    elif kind == "any":
+        x = rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+        x.flat[:2] = info.min, info.max
+    return x
+
+
+def entry_cases():
+    for dtype, p in SIGNED_EDGES:
+        for kind in ("residues", "negative", "large", "any"):
+            if kind != "large" or p <= np.iinfo(dtype).max:
+                for order in "<>":
+                    yield pytest.param(dtype, p, kind, order, id=f"{dtype.__name__}-{p}-{kind}-{order}")
+
+
+class TestSignedEntryCheck:
+    """The entry check of signed operands, through matmul_mod, worker_multiply
+    and the T x T checks, against Python ints, in both byte orders, on both
+    sides of p = 2^(bits-1)."""
+
+    @pytest.mark.parametrize("dtype,p,kind,order", entry_cases())
+    def test_products_and_checks_equal_python_ints(self, dtype, p, kind, order):
+        rng = np.random.default_rng(p)
+        x = signed_entries(dtype, p, (6, 2), kind, rng)
+        x[4] = x[1]  # the subset (1, 4) is singular
+        x = x.astype(np.dtype(dtype).newbyteorder(order))
+        y = rng.integers(0, p, (2, 5))
+        before = x.copy()
+        residues = np.array([[int(v) % p for v in row] for row in x.tolist()], dtype=object)
+        checked = _residues(x, p)
+        assert checked.tolist() == residues.tolist()
+        assert (checked is x) == (x.tolist() == residues.tolist())
+        want = (residues @ y.astype(object)) % p
+        assert matmul_mod(x, y, p).tolist() == want.tolist()
+        assert matmul_mod(y.T, x.T, p).tolist() == want.T.tolist()
+        # The worker's int64 product wraps past (p-1)^2 * 2 >= 2^63; there it
+        # must give the bytes that int64 residues give.
+        response = worker_multiply(PrimeField(p), TaskPair(x, y, 0))
+        wide = worker_multiply(PrimeField(p), TaskPair(residues.astype(np.int64), y, 0))
+        assert response.tobytes() == wide.tobytes()
+        if (p - 1) ** 2 * 2 < 2**63:
+            assert response.tolist() == want.tolist()
+        subsets = list(combinations(range(6), 2))
+        first = singular_positions(residues, subsets, p)[0]
+        check = SubmatrixCheck(subsets[first - 1], first, "exhaustive")
+        assert first <= subsets.index((1, 4)) + 1
+        assert submatrix_checks(x[None], 2, p) == [check]
+        assert all_txt_submatrices_invertible(x, 2, p) == check
+        assert np.array_equal(x, before)
+
+    def test_big_endian_entries_outside_the_field(self):
+        # 5632 is 0x1600; its bytes read in the other order give 22 < 23, so
+        # a check that ignored the byte order would multiply it unreduced,
+        # and float32 holds the sums exactly only up to n = 141.
+        for n in range(100, 800):
+            a, b = np.full((1, n), 5632, ">i2"), np.full((n, 1), 21, ">i2")
+            assert matmul_mod(a, b, 23).tolist() == [[5632 * 21 * n % 23]], n
 
 
 class TestVandermonde:

@@ -140,6 +140,21 @@ class TestSplitMix64:
         assert out.tolist() == [[slow.below(n) for _ in range(count)]]
         assert fast.state == slow.state != (seed + count * _GAMMA) & SplitMix64.MASK
 
+    # p = 3 * 2^61 rejects a quarter of the draws, those at or above 3 * 2^62.
+    # From seed 0 the first draw is rejected; from seed 3 the eighth, so of
+    # 5 + 8 draws the first five take the numpy path and the rest the scalar
+    # loop.
+    @pytest.mark.parametrize("a,b", [(1, 1), (5, 8), (40, 24)])
+    @pytest.mark.parametrize("seed", [0, 3, 6])
+    def test_one_matrix_is_two_consecutive_ones(self, a, b, seed):
+        p = 3 * 2**61
+        one, two = SplitMix64(seed), SplitMix64(seed)
+        whole = one.matrix(1, a + b, p)
+        parts = np.concatenate([two.matrix(1, a, p), two.matrix(1, b, p)], axis=1)
+        assert whole.dtype == parts.dtype == np.int64
+        assert whole.tolist() == parts.tolist()
+        assert one.state == two.state
+
 
 class TestInstantiateCat:
     def test_2_2_2_fixture(self, cat222):
@@ -574,6 +589,24 @@ class TestPipeline:
         # The same wrong bytes where the int64 product wraps, exact elsewhere.
         exact_product = (exact(a) @ exact(b) % p).tolist()
         assert (whole.tolist() == exact_product) == (spec != "p1e9")
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((1, 1), (1, 1)), ((2, 3), (2, 2))])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_randomness_is_2t_consecutive_matrices(self, shapes, seed):
+        # One draw of all 2T masks: the stream, dtypes and shapes of T
+        # matrices of A's block shape, then T of B's, drawn one by one.
+        scheme = decoder_scheme(("catx", 8, 8, 4))
+        (a_shape, b_shape), t, p = shapes, scheme.t_privacy, scheme.field.p
+        rng = SplitMix64(seed)
+        want = [rng.matrix(*a_shape, p) for _ in range(t)] + [rng.matrix(*b_shape, p) for _ in range(t)]
+        rnd = draw_randomness(scheme, a_shape, b_shape, seed)
+        got = rnd.r_mats + rnd.s_mats
+        assert len(rnd.r_mats) == len(rnd.s_mats) == t == 4
+        assert [(x.dtype, x.shape) for x in got] == [(x.dtype, x.shape) for x in want]
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        one = SplitMix64(seed)
+        one.matrix(1, sum(x.size for x in want), p)
+        assert one.state == rng.state
 
     def test_worker_count_matches_tasks(self, cat222):
         a_parts = partition_a(np.ones((4, 2), dtype=int), 2)
@@ -1064,17 +1097,23 @@ class TestNarrowShares:
         ],
     )
     def test_worker_response_is_the_same_for_narrow_shares(self, p, dtype, inner):
+        wraps = (p - 1) ** 2 * inner >= 2**63
+        # In the int64 branch, entries from the top sixteenth of [0, p) make
+        # every dot product pass 2^63.
+        low = p - p // 16 if wraps else 0
         rng = np.random.default_rng(inner)
-        a, b = rng.integers(0, p, (5, inner)), rng.integers(0, p, (inner, 6))
+        a, b = rng.integers(low, p, (5, inner)), rng.integers(low, p, (inner, 6))
         wide = worker_multiply(PrimeField(p), TaskPair(a, b, 0))
         narrow = worker_multiply(PrimeField(p), TaskPair(a.astype(dtype), b.astype(dtype), 0))
         assert wide.dtype == narrow.dtype == np.int64
         assert wide.tobytes() == narrow.tobytes()
-        if (p - 1) ** 2 * inner < 2**63:
+        if not wraps:
             assert wide.tolist() == (exact(a) @ exact(b) % p).tolist()
         else:
             # The known int64 wrap, on narrow shares exactly as on int64 ones.
+            assert (exact(a) @ exact(b)).min() >= 2**63
             assert wide.tolist() == (a @ b % p).tolist()
+            assert wide.tolist() != (exact(a) @ exact(b) % p).tolist()
 
 
 class TestPrivacyRank:
