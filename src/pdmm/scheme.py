@@ -579,20 +579,18 @@ def _respond(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     While (p-1)^2 * m < 2^63 the workers run on linalg's kernel _mulmod: a
     stack max(1, _TILE // (h*w)) workers per call, so that a call's output
-    is about one tile, and one worker's matrices straight to _mulmod in
-    2-D, since a stack of one slices and groups more per call
-    (worker_multiply on a 12 x 96 by 96 x 12 task took 17.8 us so, against
-    15.6 us in 2-D; 2 vCPUs). There the responses equal a plain int64
-    product. Past that bound (p ~ 10^9 at m = 10) the int64 product is
-    kept, in the same groups, and wraps silently, so the responses, and
-    the decoded product, are wrong there.
+    is about one tile, and one worker's matrices in a 2-D call, since a
+    stack of one slices more per call (worker_multiply on a 12 x 96 by
+    96 x 12 task took 17.1 us so, against 15.6 us in 2-D, where _mulmod
+    makes it one product and one reduction). There the responses equal a
+    plain int64 product. Past that bound (p ~ 10^9 at m = 10) the int64
+    product is kept, in the same groups, and wraps silently, so the
+    responses, and the decoded product, are wrong there.
     """
     (rows, inner), cols = a.shape[-2:], b.shape[-1]
     out = np.empty(a.shape[:-1] + (cols,), dtype=np.int64)
     wraps = (p - 1) ** 2 * inner >= 2**63
     kind, step = (np.int64, None) if wraps else _exact_type(p, inner)
-    if a.ndim == 2 and not wraps:
-        return _mulmod(a.astype(kind, copy=False), b.astype(kind, copy=False), p, step, out)
     if a.ndim == 2:
         groups = [(a, b, out)]
     else:
