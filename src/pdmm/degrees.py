@@ -282,9 +282,12 @@ def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:
 
 
 def _repeated(values) -> list[int]:
-    """The values that occur more than once, ascending."""
-    unique, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
-    return unique[counts > 1].tolist()
+    """The values of a short vector of ints that occur more than once,
+    ascending."""
+    seen, repeats = set(), set()
+    for v in values:
+        (repeats if v in seen else seen).add(v)
+    return sorted(repeats)
 
 
 def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
@@ -298,7 +301,7 @@ def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
     proves on consecutive powers of a q-th root of unity.
     """
     qs = quadrants(dv)
-    dups = _repeated(addition_table(dv)[: dv.k, : dv.l].ravel())
+    dups = _repeated(addition_table(dv)[: dv.k, : dv.l].ravel().tolist())
     flags = {"I": True, "II": not dups}
     witnesses = [("TL", v) for v in dups]
     for label, name, other in (("IIIa", "TR", qs.tr), ("IIIb", "BL", qs.bl),

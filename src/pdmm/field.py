@@ -20,13 +20,20 @@ class FieldError(Exception):
 # comfortably covering the 64-bit range used here.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Below 3,215,031,751, the least strong pseudoprime to the bases 2, 3, 5 and
+# 7, those four bases alone are deterministic. The bound lies above _MAX_P,
+# so they decide every number that the field scan tests.
+_MR_SMALL_BOUND = 3_215_031_751
+
 # The largest p whose products of two residues fit int64: linalg refuses any
 # larger field, so the field scan of scheme.instantiate_degree_table stops here.
 _MAX_P = isqrt(2**63 - 1)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witness set)."""
+    """Deterministic primality test: trial division by the primes of
+    _MR_BASES, then Miller-Rabin with the bases 2, 3, 5 and 7 below
+    _MR_SMALL_BOUND and with all twelve from it on."""
     if n < 2:
         return False
     for sp in _MR_BASES:
@@ -36,7 +43,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_SMALL_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb, isqrt, lcm
 
 import numpy as np
@@ -160,12 +160,20 @@ class PdmmScheme:
     @cached_property
     def _encoders(self) -> tuple[np.ndarray, np.ndarray]:
         """E_A (N x (K+T)) and E_B (N x (L+T)): the share polynomials'
-        generalized Vandermonde matrices at rho, data exponents first."""
-        dv, p = self.dv, self.field.p
-        return (
-            vandermonde(self.rho, dv.alpha_p + dv.alpha_s, p),
-            vandermonde(self.rho, dv.beta_p + dv.beta_s, p),
-        )
+        generalized Vandermonde matrices at rho, data exponents first.
+
+        On the points 1, r, r^2, .. (see _ratio), for p <= _MAX_P, both are
+        built by _powers' doubling, side by side, from one pow per
+        exponent; other points take linalg.vandermonde's pow per entry,
+        which refuses p above _MAX_P. The two give the same bytes."""
+        dv, p, n = self.dv, self.field.p, self.n_workers
+        exps_a, exps_b = dv.alpha_p + dv.alpha_s, dv.beta_p + dv.beta_s
+        r = _ratio(self.rho, p) if p <= _MAX_P else None
+        if r is None:
+            return vandermonde(self.rho, exps_a, p), vandermonde(self.rho, exps_b, p)
+        m = _powers((r,), (p,), exps_a + exps_b, n)
+        split = len(exps_a)
+        return np.ascontiguousarray(m[:, :split]), np.ascontiguousarray(m[:, split:])
 
     @cached_property
     def _decoder(self) -> np.ndarray:
@@ -174,34 +182,51 @@ class PdmmScheme:
 
         On rho_i = omega^sigma_i, V[i][j] = z_j^sigma_i in the nodes
         z_j = omega^gamma_j, so row j of V^-1 is Lagrange's L_j = Q_j / Q_j(z_j)
-        read at the powers sigma_i, with Q_j = M / (x - z_j) by synthetic
-        division and M = prod(x - z_k): O(N^2 + KL*N) on Python ints, with no
-        elimination. Raises SchemeError, on first decode, when gamma is not
-        the table's distinct sums, omega is None, a point is not among
-        omega^0 .. omega^(N-1) or two nodes coincide.
+        read at the powers sigma_i, with Q_j = M / (x - z_j) and
+        M = prod(x - z_k): no elimination. _master gives M's coefficients
+        m_0 .. m_N, highest first. The coefficient of x^(N-1-k) in Q_j is
+        u_k z_j^(k-N+1), with u_k = sum_{i <= k} m_i z_j^(N-1-i), and
+        Q_j(z_j) = sum_k u_k. So the rows are a cumulative sum, two sums and
+        a few products along the KL x N table of the powers z_j^k, which
+        _powers builds by doubling: int64 array operations, in which every
+        product of two residues stays below 2^63 for p <= _MAX_P, and so
+        does every sum of N residues. On the points omega^0 .. omega^(N-1)
+        in order (see _ratio) sigma_i = i; other orders are looked up among
+        omega's powers.
+
+        Raises SchemeError, on first decode, when gamma is not the table's
+        distinct sums, omega is None, a point is not among
+        omega^0 .. omega^(N-1) or two nodes coincide, and ValueError for
+        p above _MAX_P.
         """
         p, n, omega = self.field.p, self.n_workers, self.omega
-        if tuple(self.gamma) != quadrants(self.dv).gamma:
+        table = addition_table(self.dv)
+        if tuple(self.gamma) != tuple(sorted(set(table.ravel().tolist()))):
             raise SchemeError("gamma is not the degree table's distinct sums, ascending")
         if omega is None:
             raise SchemeError("decoding needs omega: the points must be its powers")
-        sigma = {pow(omega, k, p): k for k in range(n)}
-        if missing := [x for x in self.rho if x % p not in sigma]:
-            raise SchemeError(f"point {missing[0]} is not among omega^0 .. omega^{n - 1}")
+        if p > _MAX_P:
+            raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
+        omega %= p
+        if _ratio(self.rho, p) == omega:
+            sigma = np.arange(n)
+        else:
+            index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
+            sigma = [index.get(x % p) for x in self.rho]
+            if None in sigma:
+                stray = self.rho[sigma.index(None)]
+                raise SchemeError(f"point {stray} is not among omega^0 .. omega^{n - 1}")
+            sigma = np.array(sigma)
         nodes = [pow(omega, g, p) for g in self.gamma]
         if len(set(nodes)) < n:
             raise SchemeError(f"nodes omega^gamma collide mod {p}: the decode matrix is singular")
-        master = [1]  # M's coefficients, highest first, as are Q_j's
-        for z in nodes:
-            master = [(a - z * b) % p for a, b in zip(master + [0], [0] + master)]
-        exps = [n - 1 - sigma[x % p] for x in self.rho]  # where x^sigma_i sits in q
-        data_sums = addition_table(self.dv)[: self.dv.k, : self.dv.l].ravel()
-        rows = []
-        for z in (nodes[j] for j in np.searchsorted(self.gamma, data_sums)):
-            q = list(itertools.accumulate(master[:n], lambda v, c: (v * z + c) % p))
-            scale = pow(reduce(lambda v, c: (v * z + c) % p, q, 0), -1, p)
-            rows.append([q[e] * scale % p for e in exps])
-        return np.array(rows, dtype=np.int64)
+        master = _master(nodes, p)
+        data = table[: self.dv.k, : self.dv.l].ravel().tolist()
+        powers = np.ascontiguousarray(_powers((omega,), (p,), data, n).T)  # z_j^k
+        u = np.cumsum(master[:n] * powers[:, ::-1] % p, axis=1) % p
+        scale = u.sum(axis=1) % p * powers[:, -1] % p
+        w = np.array([pow(v, -1, p) for v in scale.tolist()], dtype=np.int64)
+        return (u * powers % p)[:, n - 1 - sigma] * w[:, None] % p
 
 
 @dataclass(frozen=True)
@@ -225,24 +250,87 @@ class Randomness:
     s_mats: tuple[np.ndarray, ...]
 
 
-def _progression_side(rho, d: int, modulus: int | None, p: int) -> bool:
+# Below this many nodes _master's O(N^2) Python loop costs less than its N
+# numpy steps.
+_LIST_NODES = 32
+
+
+def _master(nodes, p: int) -> np.ndarray:
+    """The N + 1 coefficients of prod(x - z) over the N nodes mod p, highest
+    first, in int64: by Python ints below _LIST_NODES nodes, else one int64
+    step per node, for p <= _MAX_P."""
+    n = len(nodes)
+    if n < _LIST_NODES:
+        m = [1] + [0] * n
+        for k, z in enumerate(nodes, 1):  # times x - z
+            for i in range(k, 0, -1):
+                m[i] = (m[i] - z * m[i - 1]) % p
+        return np.array(m, dtype=np.int64)
+    m = np.zeros(n + 1, dtype=np.int64)
+    m[0] = 1
+    for k, z in enumerate(nodes, 1):
+        m[1 : k + 1] -= m[:k] * z
+        m[1 : k + 1] %= p
+    return m
+
+
+def _geometric(r: int, n: int, p: int) -> list[int]:
+    """The n powers 1, r, r^2, .. mod p, by accumulation."""
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * r % p)
+    return powers
+
+
+def _ratio(rho, p: int) -> int | None:
+    """The residue r when rho = 1, r, r^2, .., r^(N-1) mod p, N >= 2, and None
+    otherwise. On such points every table of powers is a geometric
+    recurrence: _mask_check walks d, _progression_side decides a side from
+    r, the encoders are built by _powers' doubling, and the decoder reads
+    sigma_i = i when r = omega."""
+    if len(rho) < 2:
+        return None
+    r, x = rho[1] % p, 1
+    for y in rho:
+        if y % p != x:
+            return None
+        x = x * r % p
+    return r
+
+
+def _progression_side(rho, d: int, modulus: int | None, p: int, r: int | None) -> bool:
     """Whether the points prove every T x T submatrix of the mask
     Vandermonde matrix [x^e for e in exps] over rho invertible mod p, for a
     side exps = c + d*i (mod modulus for a cyclic table) of the step d that
-    degrees._progression_steps gives. False means only that the
-    submatrices must be eliminated.
+    degrees._progression_steps gives; r is _ratio(rho, p). False means only
+    that the submatrices must be eliminated.
 
     Every point must be nonzero and, for a cyclic table, satisfy
     x^modulus = 1. Row x is then x^c times the Vandermonde row of the node
     x^d, so the submatrix on rows W is diag(x_w^c) times a Vandermonde
     matrix in the nodes x_w^d: the proof holds when the N nodes are
     pairwise distinct, and for 2 <= T <= N only then.
+
+    On the points r^w this takes O(N) multiplications and no pow per
+    point: they are nonzero iff r is, x^modulus = 1 for all iff r^modulus
+    = 1, and the nodes s^w, s = r^d, are distinct iff s^k != 1 for
+    1 <= k < N. Other points take a pow or two per point.
     """
-    if any(x % p == 0 for x in rho):
+    n = len(rho)
+    if r is None:
+        if any(x % p == 0 for x in rho):
+            return False
+        if modulus is not None and any(pow(x, modulus, p) != 1 for x in rho):
+            return False
+        return len({pow(x, d, p) for x in rho}) == n
+    if r == 0 or (modulus is not None and pow(r, modulus, p) != 1):
         return False
-    if modulus is not None and any(pow(x, modulus, p) != 1 for x in rho):
-        return False
-    return len({pow(x, d, p) for x in rho}) == len(rho)
+    s = x = pow(r, d, p)
+    for _ in range(n - 1):  # x = s^k, 1 <= k < N
+        if x == 1:
+            return False
+        x = x * s % p
+    return True
 
 
 def instantiate_cat(dv: DegreeVectors, min_p: int = 0, params: dict | None = None) -> PdmmScheme:
@@ -269,17 +357,23 @@ def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
     """The G mask Vandermonde matrices on the points omega^0 .. omega^(n-1),
     side by side in an n x G*len(exps) array: entry [w, g*len(exps) + j] is
     omegas[g]^(w * exps[j]) mod moduli[g]. Built by doubling: rows k .. 2k - 1
-    are rows 0 .. k - 1 times row k."""
+    are rows 0 .. k - 1 times row k, the square of row k / 2, written in
+    place; every product of two residues fits int64 for moduli <= _MAX_P."""
     e = len(exps)
     if len(set(moduli)) == 1:
         p = moduli[0]
     else:
         p = np.repeat(np.array(moduli, dtype=np.int64), e)
-    m = np.ones((n, len(omegas) * e), dtype=np.int64)
+    m = np.empty((n, len(omegas) * e), dtype=np.int64)
+    m[:1] = 1
     if n > 1:
         m[1] = [pow(w, x, q) for w, q in zip(omegas, moduli) for x in exps]
+        step = m[1]
     for k in (2**i for i in range(1, (n - 1).bit_length())):
-        m[k : 2 * k] = m[: min(k, n - k)] * (m[k - 1] * m[1] % p) % p
+        step = step * step % p  # row k
+        rows = m[k : 2 * k]
+        np.multiply(m[: len(rows)], step, out=rows)
+        np.remainder(rows, p, out=rows)
     return m
 
 
@@ -327,21 +421,20 @@ def _mask_checks(omegas, moduli, exps, n: int, t: int) -> list[SubmatrixCheck]:
     return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli)]
 
 
-def _mask_check(rho, exps, t: int, p: int) -> SubmatrixCheck:
+def _mask_check(rho, exps, t: int, p: int, r: int | None) -> SubmatrixCheck:
     """all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p): a
-    whole walk of the C(N, T) subsets, or, when rho = 1, r, r^2, .. and
-    1 <= T <= N, of only the C(N-1, T-1) subsets of d (see _lift), with the
-    same witness and count. Either walk above _WALK_CAP raises
+    whole walk of the C(N, T) subsets, or, when r = _ratio(rho, p) is not
+    None and 1 <= T <= N, of only the C(N-1, T-1) subsets of d (see _lift),
+    with the same witness and count. Either walk above _WALK_CAP raises
     BudgetExceededError before anything is walked. It is _mask_checks for
     one point set, through the one-matrix check, whose calls
     bench/tracing.py counts."""
     n = len(rho)
-    powers = n > 1 and rho[0] == 1 and all(b == a * rho[1] % p for a, b in zip(rho, rho[1:]))
-    if not (powers and 1 <= t <= n):
+    if r is None or not 1 <= t <= n:
         _refuse_above_cap(n, t)
         return all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p)
     _refuse_above_cap(n - 1, t - 1)
-    m = _powers((rho[1],), (p,), exps, n)
+    m = _powers((r,), (p,), exps, n)
     return _lift(all_txt_submatrices_invertible(m[1:, 1:] - m[1:, :1], t - 1, p), n, t)
 
 
@@ -455,7 +548,7 @@ def instantiate_degree_table(
             if live:
                 c = live[0]
                 p, q, v = group[c]
-                rho = tuple(pow(omegas[c], w, p) for w in range(n))
+                rho = tuple(_geometric(omegas[c], n, p))
                 level = "exhaustive" if None in v else "structural"
                 meta = dict(params or {}, q=q, certificate=level)
                 return PdmmScheme(
@@ -722,14 +815,16 @@ def verify_privacy_rank(scheme: PdmmScheme) -> PrivacyRankReport:
     _mask_check's exhaustive report, so a failing side keeps its witness: on
     the points 1, r, r^2, .. of a scanned scheme, the walk of d the scan
     made; on other points a walk of every T-row subset. A walk above
-    _WALK_CAP raises BudgetExceededError before anything is walked.
+    _WALK_CAP raises BudgetExceededError before anything is walked. Both
+    sides share one _ratio of the points.
     """
     dv, n, t, p = scheme.dv, scheme.n_workers, scheme.t_privacy, scheme.field.p
+    r = _ratio(scheme.rho, p)
 
     def side(exps, d) -> SubmatrixCheck:
-        if d is not None and _progression_side(scheme.rho, d, dv.modulus, p):
+        if d is not None and _progression_side(scheme.rho, d, dv.modulus, p, r):
             return SubmatrixCheck(None, comb(n, t), "structural")
-        return _mask_check(scheme.rho, exps, t, p)
+        return _mask_check(scheme.rho, exps, t, p, r)
 
     return PrivacyRankReport(*map(side, (dv.alpha_s, dv.beta_s), _progression_steps(dv)))
 

@@ -1,8 +1,11 @@
 """Primality and prime fields; the field scan is tested in test_scan_reference."""
 
+from unittest import mock
+
 import pytest
 
-from pdmm.field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
+import pdmm.field as field_module
+from pdmm.field import _MAX_P, _MR_SMALL_BOUND, FieldError, PrimeField, _primitive_root, is_prime
 
 
 class TestIsPrime:
@@ -17,6 +20,29 @@ class TestIsPrime:
     def test_large_prime(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_least_strong_pseudoprime_to_the_four_bases_is_composite(self):
+        # 3,215,031,751 = 151 * 751 * 28,351 passes Miller-Rabin to the
+        # bases 2, 3, 5 and 7, so from it on all twelve bases are used.
+        n = _MR_SMALL_BOUND
+        assert n == 151 * 751 * 28_351 == 3_215_031_751 > _MAX_P
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            range(0, 30_000),
+            range(10**9 - 5_000, 10**9 + 5_000),
+            range(_MAX_P - 20_000, _MAX_P + 1),
+        ],
+        ids=["small", "1e9", "max-p"],
+    )
+    def test_four_bases_agree_with_twelve(self, window):
+        four = [is_prime(n) for n in window]
+        with mock.patch.object(field_module, "_MR_SMALL_BOUND", 0):
+            twelve = [is_prime(n) for n in window]
+        assert four == twelve
+        assert any(four)
 
 
 class TestPrimitiveRoot:

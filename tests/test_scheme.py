@@ -1,5 +1,6 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -33,6 +34,7 @@ from pdmm.scheme import (
     _GAMMA,
     _enumerate_side,
     _progression_side,
+    _ratio,
     BudgetExceededError,
     PartitionedMatrix,
     PdmmScheme,
@@ -374,7 +376,8 @@ class TestInstantiateDegreeTable:
         assert scheme.rho == (1, 2, 4, 8, 5, 10, 9, 7)
         report = verify_privacy_rank(scheme)
         assert report.a_check == report.b_check == SubmatrixCheck(None, 8, "structural")
-        walked = [scheme_module._mask_check(scheme.rho, exps, 1, 11) for exps in ((4,), (4,))]
+        r = _ratio(scheme.rho, 11)
+        walked = [scheme_module._mask_check(scheme.rho, (4,), 1, 11, r) for _ in range(2)]
         assert walked == [SubmatrixCheck(None, 8, "exhaustive")] * 2
 
     def test_refuses_a_walk_above_the_cap(self, monkeypatch):
@@ -960,9 +963,9 @@ def spec_id(spec):
 
 
 @lru_cache(maxsize=None)
-def decoder_scheme(spec):
+def decoder_scheme(spec, min_p=0):
     dv, params = build_degree_vectors(*spec)
-    return instantiate_degree_table(dv, family=spec[0], params=params)
+    return instantiate_degree_table(dv, min_p=min_p, family=spec[0], params=params)
 
 
 def gauss_jordan_inverse(m, p):
@@ -986,6 +989,69 @@ def gauss_jordan_inverse(m, p):
 
 def reversed_points(scheme):
     return PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma, omega=scheme.omega)
+
+
+def oracle_encoders(scheme):
+    """E_A and E_B by a pow per entry, on Python ints."""
+    dv, p = scheme.dv, scheme.field.p
+    return tuple(
+        np.array([[pow(x, e, p) for e in exps] for x in scheme.rho], dtype=np.int64)
+        for exps in (dv.alpha_p + dv.alpha_s, dv.beta_p + dv.beta_s)
+    )
+
+
+def oracle_decoder(scheme):
+    """The decoder's rows on Python ints: M = prod(x - z_k) one node at a
+    time, and for each data node z the quotient M / (x - z) by synthetic
+    division, read at the powers sigma_i and scaled by its value at z."""
+    p, n, omega, dv = scheme.field.p, scheme.n_workers, scheme.omega, scheme.dv
+    sigma = {pow(omega, k, p): k for k in range(n)}
+    nodes = [pow(omega, g, p) for g in scheme.gamma]
+    master = [1]
+    for z in nodes:
+        master = [(a - z * b) % p for a, b in zip(master + [0], [0] + master)]
+    exps = [n - 1 - sigma[x % p] for x in scheme.rho]
+    data_sums = [a + b for a in dv.alpha_p for b in dv.beta_p]
+    if dv.modulus is not None:
+        data_sums = [v % dv.modulus for v in data_sums]
+    rows = []
+    for z in (nodes[scheme.gamma.index(v)] for v in data_sums):
+        q = list(itertools.accumulate(master[:n], lambda v, c: (v * z + c) % p))
+        scale = pow(functools.reduce(lambda v, c: (v * z + c) % p, q, 0), -1, p)
+        rows.append([q[e] * scale % p for e in exps])
+    return np.array(rows, dtype=np.int64)
+
+
+# DECODER_SPECS, catx (16,16,8) with N = 338, and catx (4,4,4) with N = 34
+# at p = 3,000,000,371, where products of two residues come close to 2^63.
+ORACLE_SPECS = [(spec, 0) for spec in DECODER_SPECS] + [
+    (("catx", 16, 16, 8), 0),
+    (("catx", 4, 4, 4), 3 * 10**9),
+]
+
+
+class TestMapsAgainstPythonInts:
+    """The two linear maps, built from power tables by recurrence, against
+    the pow per entry and the synthetic division on Python ints, byte for
+    byte, on the scan's points (1, omega, omega^2, ..) and in reverse."""
+
+    @pytest.mark.parametrize(
+        "spec,min_p", ORACLE_SPECS, ids=[f"{spec_id(s)}-p{m}" for s, m in ORACLE_SPECS]
+    )
+    @pytest.mark.parametrize("reverse", [False, True], ids=["scan", "reversed"])
+    def test_bytes_equal_the_oracle(self, spec, min_p, reverse):
+        scheme = decoder_scheme(spec, min_p)
+        assert scheme.field.p >= min_p
+        if reverse:
+            scheme = reversed_points(scheme)
+        maps = scheme._encoders + (scheme._decoder,)
+        for got, want in zip(maps, oracle_encoders(scheme) + (oracle_decoder(scheme),)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_field_is_pinned(self):
+        scheme = decoder_scheme(("catx", 4, 4, 4), 3 * 10**9)
+        assert (scheme.field.p, scheme.n_workers) == (3_000_000_371, 34)
 
 
 class TestDecoder:
@@ -1029,6 +1095,15 @@ class TestDecoder:
         assert verify_privacy_rank(bare).ok  # the checks still read it
         with pytest.raises(SchemeError, match="omega"):
             multiply_via_scheme(bare, np.eye(3, dtype=int), np.eye(3, dtype=int))
+
+    def test_refuses_a_field_above_the_int64_bound(self):
+        # 3,037,000,507, the first prime past _MAX_P: the maps' int64
+        # products of two residues would wrap there, so both refuse it.
+        s = decoder_scheme(DECODER_SPECS[5])
+        big = PdmmScheme(s.dv, PrimeField(3_037_000_507), s.rho, s.gamma, omega=s.omega)
+        for name in ("_encoders", "_decoder"):
+            with pytest.raises(ValueError, match="exceeds"):
+                getattr(big, name)
 
     def test_refuses_a_point_that_is_no_power_of_omega(self):
         s = decoder_scheme(DECODER_SPECS[4])
@@ -1116,7 +1191,83 @@ class TestNarrowShares:
             assert wide.tolist() != (exact(a) @ exact(b) % p).tolist()
 
 
+# verify_privacy_rank on every scheme of the benchmark's instantiate grid
+# (2 <= T <= L <= K <= 4, gasp-rs and dog-rs at their best (r, s), gasp-rs
+# (2,2,5) and the product schemes), keyed by (spec, min_p): the field p, the
+# count C(N, T) that both sides report, and each side's level, S structural
+# or E exhaustive. No side has a witness.
+RANK_PINS = {
+    (("catx", 8, 8, 4), 0): (1091, 2794155, "SS"),
+    (("gasp-small", 2, 2, 2), 0): (23, 55, "SS"),
+    (("dog-rs", 3, 3, 3, 1, 2), 0): (109, 1771, "SE"),
+    (("catx", 2, 2, 2), 10**9): (1000000021, 45, "SS"),
+    (("catx", 2, 2, 2), 0): (11, 45, "SS"),
+    (("gasp-big", 2, 2, 2), 0): (13, 55, "SS"),
+    (("gasp-rs", 2, 2, 2, 1, 1), 0): (23, 55, "SS"),
+    (("dog-rs", 2, 2, 2, 1, 2), 0): (17, 55, "SS"),
+    (("catx", 3, 2, 2), 0): (53, 78, "SS"),
+    (("gasp-small", 3, 2, 2), 0): (23, 91, "SS"),
+    (("gasp-big", 3, 2, 2), 0): (17, 91, "SS"),
+    (("gasp-rs", 3, 2, 2, 1, 2), 0): (23, 91, "SS"),
+    (("dog-rs", 3, 2, 2, 1, 2), 0): (31, 91, "SS"),
+    (("catx", 3, 3, 2), 0): (103, 136, "SS"),
+    (("gasp-small", 3, 3, 2), 0): (29, 153, "SS"),
+    (("gasp-big", 3, 3, 2), 0): (23, 171, "SS"),
+    (("gasp-rs", 3, 3, 2, 1, 2), 0): (29, 153, "SS"),
+    (("dog-rs", 3, 3, 2, 1, 2), 0): (43, 153, "SS"),
+    (("catx", 3, 3, 3), 0): (59, 1540, "SS"),
+    (("gasp-small", 3, 3, 3), 0): (29, 2024, "SS"),
+    (("gasp-big", 3, 3, 3), 0): (29, 1771, "SS"),
+    (("gasp-rs", 3, 3, 3, 2, 3), 0): (127, 1540, "ES"),
+    (("catx", 4, 2, 2), 0): (17, 120, "SS"),
+    (("gasp-small", 4, 2, 2), 0): (43, 136, "SS"),
+    (("gasp-big", 4, 2, 2), 0): (23, 136, "SS"),
+    (("gasp-rs", 4, 2, 2, 1, 2), 0): (43, 136, "SS"),
+    (("dog-rs", 4, 2, 2, 1, 2), 0): (23, 136, "SS"),
+    (("catx", 4, 3, 2), 0): (43, 210, "SS"),
+    (("gasp-small", 4, 3, 2), 0): (47, 231, "SS"),
+    (("gasp-big", 4, 3, 2), 0): (29, 253, "SS"),
+    (("gasp-rs", 4, 3, 2, 1, 2), 0): (47, 231, "SS"),
+    (("dog-rs", 4, 3, 2, 1, 2), 0): (29, 231, "SS"),
+    (("catx", 4, 3, 3), 0): (59, 2300, "SS"),
+    (("gasp-small", 4, 3, 3), 0): (59, 3276, "SS"),
+    (("gasp-big", 4, 3, 3), 0): (31, 2925, "SS"),
+    (("gasp-rs", 4, 3, 3, 2, 3), 0): (173, 2925, "ES"),
+    (("dog-rs", 4, 3, 3, 1, 3), 0): (37, 2925, "SS"),
+    (("catx", 4, 4, 2), 0): (53, 325, "SS"),
+    (("gasp-small", 4, 4, 2), 0): (59, 351, "SS"),
+    (("gasp-big", 4, 4, 2), 0): (37, 406, "SS"),
+    (("gasp-rs", 4, 4, 2, 1, 2), 0): (59, 351, "SS"),
+    (("dog-rs", 4, 4, 2, 1, 2), 0): (37, 351, "SS"),
+    (("catx", 4, 4, 3), 0): (59, 3654, "SS"),
+    (("gasp-small", 4, 4, 3), 0): (67, 5456, "SS"),
+    (("gasp-big", 4, 4, 3), 0): (41, 5984, "SS"),
+    (("gasp-rs", 4, 4, 3, 1, 2), 0): (191, 5456, "SE"),
+    (("dog-rs", 4, 4, 3, 1, 3), 0): (37, 4960, "SS"),
+    (("catx", 4, 4, 4), 0): (103, 46376, "SS"),
+    (("gasp-small", 4, 4, 4), 0): (83, 101270, "SS"),
+    (("gasp-big", 4, 4, 4), 0): (41, 82251, "SS"),
+    (("gasp-rs", 4, 4, 4, 1, 2), 0): (1193, 58905, "SE"),
+    (("dog-rs", 4, 4, 4, 1, 2), 0): (1201, 58905, "SE"),
+    (("gasp-rs", 2, 2, 5, 2, 2), 0): (19, 6188, "SS"),
+}
+
+
 class TestPrivacyRank:
+    @pytest.mark.parametrize(
+        "key", list(RANK_PINS), ids=[f"{spec_id(s)}-p{m}" for s, m in RANK_PINS]
+    )
+    def test_instantiate_grid_is_pinned(self, key):
+        p, checked, levels = RANK_PINS[key]
+        scheme = decoder_scheme(*key)
+        report = verify_privacy_rank(scheme)
+        assert scheme.field.p == p
+        assert checked == comb(scheme.n_workers, scheme.t_privacy)
+        names = {"S": "structural", "E": "exhaustive"}
+        for check, level in zip((report.a_check, report.b_check), levels):
+            assert (check.level, check.checked, check.witness) == (names[level], checked, None)
+        assert scheme.params["certificate"] == report.level
+
     def test_cat_2_2_2_passes(self, cat222):
         report = verify_privacy_rank(cat222)
         assert report.ok
@@ -1157,9 +1308,9 @@ class TestPrivacyRank:
         bad_dv = DegreeVectors((0, 3), (1, 6), (0, 1), (9, 2), modulus=10)
         bad = PdmmScheme(bad_dv, cat222.field, cat222.rho, quadrants(bad_dv).gamma)
         assert _progression_steps(bad_dv)[0] == 5
-        assert _progression_side(bad.rho, 5, 10, bad.field.p) is False
-        report = verify_privacy_rank(bad)
         p = bad.field.p
+        assert _progression_side(bad.rho, 5, 10, p, _ratio(bad.rho, p)) is False
+        report = verify_privacy_rank(bad)
         assert report.a_check == all_txt_submatrices_invertible(
             vandermonde(bad.rho, bad_dv.alpha_s, p), 2, p
         )
@@ -1275,6 +1426,58 @@ def mask_sides(draw):
     return rho, exps, modulus, p
 
 
+def multiplicative_order(r, p):
+    """The order of r mod p, or None for r = 0 mod p."""
+    if r % p == 0:
+        return None
+    return next(k for k in range(1, p) if pow(r, k, p) == 1)
+
+
+@st.composite
+def power_sides(draw):
+    """(points, exponents, modulus, p): the powers 1, r, r^2, .. of one r,
+    often of small order or 0 or 1, with multiples of p added to some
+    entries; integer or cyclic progressions, a cyclic modulus often a
+    multiple of r's order and otherwise one where mostly r^modulus != 1."""
+    p = draw(st.sampled_from(SMALL_PRIMES[2:] + (97, 101)))
+    small = [x for x in range(p) if (multiplicative_order(x, p) or 1) <= 6]
+    r = draw(st.one_of(st.sampled_from(small), st.integers(0, p - 1)))
+    n = draw(st.integers(2, 12))
+    rho = tuple(pow(r, w, p) + p * draw(st.sampled_from([0, 0, 1, 3])) for w in range(n))
+    t = draw(st.integers(1, 5))
+    order = multiplicative_order(r, p)
+    if draw(st.booleans()):
+        modulus = None
+    elif order is not None and draw(st.booleans()):
+        modulus = order * draw(st.integers(1, 12 // order or 1))
+    else:
+        modulus = draw(st.integers(2, 12))
+    c, d = draw(st.integers(0, 12)), draw(st.integers(-4, 6))
+    if modulus is None:
+        c = max(c, -d * (t - 1))  # exponents stay non-negative
+        exps = tuple(c + d * i for i in range(t))
+    else:
+        exps = tuple((c + d * i) % modulus for i in range(t))
+    return rho, exps, modulus, p
+
+
+def assert_matches_elimination(rho, exps, modulus, p):
+    """A proof is sound for every T, and for 2 <= T <= N exact: a side it
+    does not prove there has a singular T x T submatrix. The rule on the
+    powers of _ratio(rho, p) agrees with the rule point by point."""
+    t = len(exps)
+    d = _progression_steps(DegreeVectors((0,), exps, (0,), exps, modulus=modulus))[0]
+    roots = modulus is None or all(pow(x, modulus, p) == 1 for x in rho)
+    decidable = d is not None and roots and all(x % p for x in rho)
+    got = d is not None and _progression_side(rho, d, modulus, p, _ratio(rho, p))
+    ok = all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p).ok
+    assert not got or (decidable and ok)
+    if decidable and 2 <= t <= len(rho):
+        assert got == ok
+    if d is not None:
+        assert got == _progression_side(rho, d, modulus, p, None)
+
+
 class TestProgressionSide:
     @settings(max_examples=500, deadline=None)
     @given(mask_sides())
@@ -1282,18 +1485,18 @@ class TestProgressionSide:
     # is not x^9: rows 13 and 16 are dependent, though the nodes x^1 differ.
     @example(((13, 12, 16, 1), (8, 0), 9, 17))
     def test_matches_exhaustive_elimination(self, side):
-        # A proof is sound for every T, and for 2 <= T <= N exact: a side it
-        # does not prove there has a singular T x T submatrix.
+        assert_matches_elimination(*side)
+
+    @settings(max_examples=400, deadline=None)
+    @given(power_sides())
+    # 4 has order 5 mod 11, so its nodes 4^(2w) repeat from w = 5 on.
+    @example(((1, 4, 5, 9, 3, 1, 4), (1, 3), None, 11))
+    # 3 has order 5 mod 11, so 3^4 != 1: the cyclic side mod 4 is not proven.
+    @example(((1, 3 + 11, 9, 5 + 33, 4), (0, 1, 2), 4, 11))
+    def test_consecutive_powers_match_exhaustive_elimination(self, side):
         rho, exps, modulus, p = side
-        t = len(exps)
-        d = _progression_steps(DegreeVectors((0,), exps, (0,), exps, modulus=modulus))[0]
-        roots = modulus is None or all(pow(x, modulus, p) == 1 for x in rho)
-        decidable = d is not None and roots and 0 not in rho
-        got = d is not None and _progression_side(rho, d, modulus, p)
-        ok = all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p).ok
-        assert not got or (decidable and ok)
-        if decidable and 2 <= t <= len(rho):
-            assert got == ok
+        assert _ratio(rho, p) == rho[1] % p
+        assert_matches_elimination(rho, exps, modulus, p)
 
 
 @st.composite
@@ -1330,9 +1533,9 @@ class TestMaskCheck:
         with mock.patch.object(scheme_module, "_WALK_CAP", cap):
             if walked > cap:
                 with pytest.raises(BudgetExceededError):
-                    scheme_module._mask_check(rho, exps, t, p)
+                    scheme_module._mask_check(rho, exps, t, p, _ratio(rho, p))
                 return
-            got = scheme_module._mask_check(rho, exps, t, p)
+            got = scheme_module._mask_check(rho, exps, t, p, _ratio(rho, p))
         assert got == all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p)
 
 
@@ -1348,7 +1551,7 @@ class TestMaskCheck:
         pairs = data.draw(st.lists(st.tuples(primes, st.integers(1, 100)), min_size=1, max_size=6))
         omegas, moduli = [r % p or 1 for p, r in pairs], [p for p, _ in pairs]
         want = [
-            scheme_module._mask_check(tuple(pow(w, i, p) for i in range(n)), exps, t, p)
+            scheme_module._mask_check(tuple(pow(w, i, p) for i in range(n)), exps, t, p, w)
             for w, p in zip(omegas, moduli)
         ]
         assert scheme_module._mask_checks(omegas, moduli, exps, n, t) == want
