@@ -190,9 +190,8 @@ class PdmmScheme:
         a few products along the KL x N table of the powers z_j^k, which
         _powers builds by doubling: int64 array operations, in which every
         product of two residues stays below 2^63 for p <= _MAX_P, and so
-        does every sum of N residues. On the points omega^0 .. omega^(N-1)
-        in order (see _ratio) sigma_i = i; other orders are looked up among
-        omega's powers.
+        does every sum of N residues. sigma_i is looked up among omega's
+        powers.
 
         Raises SchemeError, on first decode, when gamma is not the table's
         distinct sums, omega is None, a point is not among
@@ -200,28 +199,24 @@ class PdmmScheme:
         p above _MAX_P.
         """
         p, n, omega = self.field.p, self.n_workers, self.omega
-        table = addition_table(self.dv)
-        if tuple(self.gamma) != tuple(sorted(set(table.ravel().tolist()))):
+        if tuple(self.gamma) != quadrants(self.dv).gamma:
             raise SchemeError("gamma is not the degree table's distinct sums, ascending")
         if omega is None:
             raise SchemeError("decoding needs omega: the points must be its powers")
         if p > _MAX_P:
             raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
         omega %= p
-        if _ratio(self.rho, p) == omega:
-            sigma = np.arange(n)
-        else:
-            index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
-            sigma = [index.get(x % p) for x in self.rho]
-            if None in sigma:
-                stray = self.rho[sigma.index(None)]
-                raise SchemeError(f"point {stray} is not among omega^0 .. omega^{n - 1}")
-            sigma = np.array(sigma)
+        index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
+        sigma = [index.get(x % p) for x in self.rho]
+        if None in sigma:
+            stray = self.rho[sigma.index(None)]
+            raise SchemeError(f"point {stray} is not among omega^0 .. omega^{n - 1}")
+        sigma = np.array(sigma)
         nodes = [pow(omega, g, p) for g in self.gamma]
         if len(set(nodes)) < n:
             raise SchemeError(f"nodes omega^gamma collide mod {p}: the decode matrix is singular")
         master = _master(nodes, p)
-        data = table[: self.dv.k, : self.dv.l].ravel().tolist()
+        data = addition_table(self.dv)[: self.dv.k, : self.dv.l].ravel().tolist()
         powers = np.ascontiguousarray(_powers((omega,), (p,), data, n).T)  # z_j^k
         u = np.cumsum(master[:n] * powers[:, ::-1] % p, axis=1) % p
         scale = u.sum(axis=1) % p * powers[:, -1] % p
@@ -251,7 +246,8 @@ class Randomness:
 
 
 # Below this many nodes _master's O(N^2) Python loop costs less than its N
-# numpy steps.
+# numpy steps. The measured crossover falls as p grows: about 24 nodes at
+# p ~ 3e9, 42 at p ~ 1e9 and 70 at p = 109 (one call, 2 vCPUs).
 _LIST_NODES = 32
 
 
@@ -286,8 +282,7 @@ def _ratio(rho, p: int) -> int | None:
     """The residue r when rho = 1, r, r^2, .., r^(N-1) mod p, N >= 2, and None
     otherwise. On such points every table of powers is a geometric
     recurrence: _mask_check walks d, _progression_side decides a side from
-    r, the encoders are built by _powers' doubling, and the decoder reads
-    sigma_i = i when r = omega."""
+    r, and the encoders are built by _powers' doubling."""
     if len(rho) < 2:
         return None
     r, x = rho[1] % p, 1
