@@ -36,7 +36,7 @@ def _integer(value, name: str) -> int:
             return operator.index(value)
     except TypeError:
         pass
-    raise ParameterError(f"{name} must hold integers, got {value!r}")
+    raise ParameterError(f"{name} takes only integers, got {value!r}")
 
 
 @dataclass(frozen=True)

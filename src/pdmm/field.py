@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .degrees import _integer
+
 
 class FieldError(Exception):
     """Invalid field construction, or no field as requested."""
@@ -84,10 +86,12 @@ def _primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p; p must be prime."""
+    """The field F_p; p must be prime. p is taken as an int by
+    degrees._integer's rule, which refuses floats and bools."""
 
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         if not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")

@@ -17,6 +17,7 @@ import numpy as np
 from .degrees import (
     DegreeVectors,
     ParameterError,
+    _integer,
     _progression_order,
     _progression_steps,
     addition_table,
@@ -123,9 +124,10 @@ class PdmmScheme:
     """A fully instantiated scheme: degree vectors, field, evaluation points.
 
     gamma is the strictly ascending tuple of distinct degree-table entries,
-    one per point of rho, as quadrants(dv).gamma gives it; the decoder
-    finds the data sums in it by binary search. Decoding needs omega, with
-    the points among omega^0 .. omega^(N-1); the privacy checks do not.
+    one per point of rho, as quadrants(dv).gamma gives it. Encoding and
+    decoding need omega, with the points among omega^0 .. omega^(N-1); the
+    privacy checks do not. rho, gamma and omega are ints by degrees._integer's
+    rule.
     """
 
     dv: DegreeVectors
@@ -137,6 +139,10 @@ class PdmmScheme:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("rho", "gamma"):
+            object.__setattr__(self, name, tuple(_integer(x, name) for x in getattr(self, name)))
+        if self.omega is not None:
+            object.__setattr__(self, "omega", _integer(self.omega, "omega"))
         p = self.field.p
         residues = {x % p for x in self.rho}
         if len(residues) != len(self.rho) or 0 in residues:
@@ -154,26 +160,38 @@ class PdmmScheme:
     def t_privacy(self) -> int:
         return self.dv.t
 
-    # The two linear maps of the pipeline, built on first use. cached_property
-    # stores them in the instance's __dict__, which a frozen dataclass allows.
+    # The two linear maps of the pipeline and the sigma both read, built on first
+    # use. cached_property stores them in __dict__, which a frozen dataclass allows.
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        """The exponents sigma_i of the points rho_i = omega^sigma_i, looked up
+        among omega^0 .. omega^(N-1): the rows of omega's power tables that
+        both maps read. Raises SchemeError, on first encode or decode, when
+        omega is None or a point is not among them, and ValueError for p
+        above _MAX_P."""
+        p, n, omega = self.field.p, self.n_workers, self.omega
+        if omega is None:
+            raise SchemeError("encoding and decoding need omega: the points must be its powers")
+        if p > _MAX_P:
+            raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
+        index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
+        sigma = [index.get(x % p) for x in self.rho]
+        if None in sigma:
+            stray = self.rho[sigma.index(None)]
+            raise SchemeError(f"point {stray} is not among omega^0 .. omega^{n - 1}")
+        return np.array(sigma)
 
     @cached_property
     def _encoders(self) -> tuple[np.ndarray, np.ndarray]:
         """E_A (N x (K+T)) and E_B (N x (L+T)): the share polynomials'
-        generalized Vandermonde matrices at rho, data exponents first.
-
-        On the points 1, r, r^2, .. (see _ratio), for p <= _MAX_P, both are
-        built by _powers' doubling, side by side, from one pow per
-        exponent; other points take linalg.vandermonde's pow per entry,
-        which refuses p above _MAX_P. The two give the same bytes."""
-        dv, p, n = self.dv, self.field.p, self.n_workers
-        exps_a, exps_b = dv.alpha_p + dv.alpha_s, dv.beta_p + dv.beta_s
-        r = _ratio(self.rho, p) if p <= _MAX_P else None
-        if r is None:
-            return vandermonde(self.rho, exps_a, p), vandermonde(self.rho, exps_b, p)
-        m = _powers((r,), (p,), exps_a + exps_b, n)
-        split = len(exps_a)
-        return np.ascontiguousarray(m[:, :split]), np.ascontiguousarray(m[:, split:])
+        generalized Vandermonde matrices at rho, data exponents first, as
+        rows sigma of one table of omega's powers, which _powers builds by
+        doubling from one pow per exponent. Refuses what _sigma refuses."""
+        sigma, dv = self._sigma, self.dv
+        exps_a = dv.alpha_p + dv.alpha_s
+        m = _powers((self.omega,), (self.field.p,), exps_a + dv.beta_p + dv.beta_s, self.n_workers)
+        return m[sigma, : len(exps_a)], m[sigma, len(exps_a) :]
 
     @cached_property
     def _decoder(self) -> np.ndarray:
@@ -190,28 +208,14 @@ class PdmmScheme:
         a few products along the KL x N table of the powers z_j^k, which
         _powers builds by doubling: int64 array operations, in which every
         product of two residues stays below 2^63 for p <= _MAX_P, and so
-        does every sum of N residues. sigma_i is looked up among omega's
-        powers.
+        does every sum of N residues.
 
         Raises SchemeError, on first decode, when gamma is not the table's
-        distinct sums, omega is None, a point is not among
-        omega^0 .. omega^(N-1) or two nodes coincide, and ValueError for
-        p above _MAX_P.
+        distinct sums or two nodes coincide, and what _sigma raises.
         """
-        p, n, omega = self.field.p, self.n_workers, self.omega
         if tuple(self.gamma) != quadrants(self.dv).gamma:
             raise SchemeError("gamma is not the degree table's distinct sums, ascending")
-        if omega is None:
-            raise SchemeError("decoding needs omega: the points must be its powers")
-        if p > _MAX_P:
-            raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
-        omega %= p
-        index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
-        sigma = [index.get(x % p) for x in self.rho]
-        if None in sigma:
-            stray = self.rho[sigma.index(None)]
-            raise SchemeError(f"point {stray} is not among omega^0 .. omega^{n - 1}")
-        sigma = np.array(sigma)
+        sigma, p, n, omega = self._sigma, self.field.p, self.n_workers, self.omega
         nodes = [pow(omega, g, p) for g in self.gamma]
         if len(set(nodes)) < n:
             raise SchemeError(f"nodes omega^gamma collide mod {p}: the decode matrix is singular")
@@ -281,8 +285,8 @@ def _geometric(r: int, n: int, p: int) -> list[int]:
 def _ratio(rho, p: int) -> int | None:
     """The residue r when rho = 1, r, r^2, .., r^(N-1) mod p, N >= 2, and None
     otherwise. On such points every table of powers is a geometric
-    recurrence: _mask_check walks d, _progression_side decides a side from
-    r, and the encoders are built by _powers' doubling."""
+    recurrence: _mask_check walks d, and _progression_side decides a side
+    from r."""
     if len(rho) < 2:
         return None
     r, x = rho[1] % p, 1
@@ -840,12 +844,7 @@ def _enumerate_side(
 ) -> tuple[bool, int, tuple | None]:
     n = len(rho)
     big_k, t = len(prefix_exps), len(suffix_exps)
-    pow_pref = np.array(
-        [[pow(pt, e, p) for e in prefix_exps] for pt in rho], dtype=np.int64
-    )
-    pow_suf = np.array(
-        [[pow(pt, e, p) for e in suffix_exps] for pt in rho], dtype=np.int64
-    )
+    pow_pref, pow_suf = vandermonde(rho, prefix_exps, p), vandermonde(rho, suffix_exps, p)
     data_vals = np.array(list(itertools.product(range(p), repeat=big_k)), dtype=np.int64)
     mask_vals = np.array(list(itertools.product(range(p), repeat=t)), dtype=np.int64)
     codebase = p ** np.arange(t - 1, -1, -1, dtype=np.int64)

@@ -188,15 +188,6 @@ def _gasp(big_k: int, big_l: int, big_t: int) -> tuple[SchemeChoice, SchemeChoic
     return gr, grs
 
 
-def best_gasp_r(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    """GASP_r, read off the GASP_rs scan at s = T (`_gasp`)."""
-    return _gasp(big_k, big_l, big_t)[0]
-
-
-def best_gasp_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    return _gasp(big_k, big_l, big_t)[1]
-
-
 def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
     return _scan("DOG_RS", big_l, big_t, _dog_rs_chains(big_k, big_l, big_t))[0]

@@ -33,8 +33,7 @@ from pdmm.scheme import (
 )
 from pdmm.search import (
     best_dog_rs,
-    best_gasp_r,
-    best_gasp_rs,
+    best_scheme,
     catx_choice,
 )
 from pdmm.degrees import construct_dog_rs, construct_gasp_rs
@@ -63,7 +62,7 @@ def scheme_grid():
                     schemes.append(
                         (fam, instantiate_degree_table(dv, "roots_of_unity", family=fam))
                     )
-                c = best_gasp_rs(*klt)
+                c = best_scheme(*klt).gasp_rs
                 dv = construct_gasp_rs(*klt, c.r, c.s)
                 schemes.append(
                     ("gasp-rs", instantiate_degree_table(dv, "random_search", seed=0))
@@ -80,15 +79,15 @@ def test_criterion_1_worker_count_fixtures():
     start = time.time()
     fixtures = [
         (catx_choice(2, 2, 2).n_workers, 10),
-        (best_gasp_r(2, 2, 2).n_workers, 11),
+        (best_scheme(2, 2, 2).gasp_r.n_workers, 11),
         (catx_choice(4, 4, 4).n_workers, 34),
-        (best_gasp_r(4, 4, 4).n_workers, 36),
+        (best_scheme(4, 4, 4).gasp_r.n_workers, 36),
         (best_dog_rs(7, 7, 6).n_workers, 88),
-        (best_gasp_rs(7, 7, 6).n_workers, 89),
+        (best_scheme(7, 7, 6).gasp_rs.n_workers, 89),
         (catx_choice(7, 7, 6).n_workers, 89),
-        (best_gasp_r(7, 7, 6).n_workers, 91),
+        (best_scheme(7, 7, 6).gasp_r.n_workers, 91),
         (best_dog_rs(3, 3, 3).n_workers, 23),
-        (best_gasp_r(3, 3, 3).n_workers, 22),
+        (best_scheme(3, 3, 3).gasp_r.n_workers, 22),
     ]
     elapsed = time.time() - start
     ok = all(got == want for got, want in fixtures) and elapsed < 1.0
@@ -221,8 +220,8 @@ def test_criterion_8_relative_savings_trend():
     ok = True
     savings = []
     for n in range(30, 101, 10):
-        gasp = best_gasp_r(n, n, n).n_workers
-        dog = best_dog_rs(n, n, n).n_workers
+        rec = best_scheme(n, n, n)
+        gasp, dog = rec.gasp_r.n_workers, rec.dog_rs.n_workers
         saving = (gasp - dog) / gasp
         savings.append(round(saving, 4))
         if not 0.03 <= saving <= 0.07:

@@ -991,6 +991,21 @@ def reversed_points(scheme):
     return PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma, omega=scheme.omega)
 
 
+ORDERS = ["scan", "reversed", "shuffled"]
+
+
+def points_in(scheme, order):
+    """The scheme on its scan's points 1, omega, omega^2, .., in reverse, or
+    in a fixed shuffle of them; the last two are no powers 1, r, r^2, .."""
+    if order == "scan":
+        return scheme
+    if order == "reversed":
+        return reversed_points(scheme)
+    rho = tuple(np.random.default_rng(5).permutation(scheme.rho).tolist())
+    assert _ratio(rho, scheme.field.p) is None
+    return PdmmScheme(scheme.dv, scheme.field, rho, scheme.gamma, omega=scheme.omega)
+
+
 def oracle_encoders(scheme):
     """E_A and E_B by a pow per entry, on Python ints."""
     dv, p = scheme.dv, scheme.field.p
@@ -1033,17 +1048,17 @@ ORACLE_SPECS = [(spec, 0) for spec in DECODER_SPECS] + [
 class TestMapsAgainstPythonInts:
     """The two linear maps, built from power tables by recurrence, against
     the pow per entry and the synthetic division on Python ints, byte for
-    byte, on the scan's points (1, omega, omega^2, ..) and in reverse."""
+    byte, on the scan's points (1, omega, omega^2, ..), in reverse and in a
+    fixed shuffle."""
 
     @pytest.mark.parametrize(
         "spec,min_p", ORACLE_SPECS, ids=[f"{spec_id(s)}-p{m}" for s, m in ORACLE_SPECS]
     )
-    @pytest.mark.parametrize("reverse", [False, True], ids=["scan", "reversed"])
-    def test_bytes_equal_the_oracle(self, spec, min_p, reverse):
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDERS)
+    def test_bytes_equal_the_oracle(self, spec, min_p, order):
         scheme = decoder_scheme(spec, min_p)
         assert scheme.field.p >= min_p
-        if reverse:
-            scheme = reversed_points(scheme)
+        scheme = points_in(scheme, order)
         maps = scheme._encoders + (scheme._decoder,)
         for got, want in zip(maps, oracle_encoders(scheme) + (oracle_decoder(scheme),)):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -1089,23 +1104,58 @@ class TestDecoder:
         expected = (a.astype(object) @ b.astype(object)) % p
         assert multiply_via_scheme(scheme, a, b, seed=1).tolist() == expected.tolist()
 
-    def test_refuses_a_scheme_without_omega(self):
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDERS)
+    def test_pipeline_builds_no_vandermonde_matrix(self, order, monkeypatch):
+        # Both maps read rows sigma of one power table on any order of the
+        # points; neither the pow per entry nor the test for 1, r, r^2, ..
+        # is on the encode or decode path.
+        def no_call(*args):
+            raise AssertionError("the pipeline left the power table")
+
+        scheme = points_in(decoder_scheme(DECODER_SPECS[1]), order)
+        monkeypatch.setattr("pdmm.scheme.vandermonde", no_call)
+        monkeypatch.setattr("pdmm.scheme._ratio", no_call)
+        p = scheme.field.p
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, p, (2 * scheme.dv.k, 4))
+        b = rng.integers(0, p, (4, scheme.dv.l))
+        expected = (a.astype(object) @ b.astype(object)) % p
+        assert multiply_via_scheme(scheme, a, b, seed=2).tolist() == expected.tolist()
+
+    @staticmethod
+    def assert_refused(scheme, error, match, monkeypatch):
+        """encode and decode both raise error, encode before any share is
+        computed."""
+        with pytest.raises(error, match=match):
+            scheme._decoder
+        a_parts = partition_a(np.eye(3, dtype=int), scheme.dv.k)
+        b_parts = partition_b(np.eye(3, dtype=int), scheme.dv.l)
+        shapes = a_parts.blocks[0].shape, b_parts.blocks[0].shape
+        rnd = draw_randomness(scheme, *shapes, seed=0)
+
+        def no_shares(*args):
+            raise AssertionError("encode computed shares")
+
+        monkeypatch.setattr("pdmm.scheme._matmul_parts", no_shares)
+        with pytest.raises(error, match=match):
+            encode(scheme, a_parts, b_parts, rnd)
+
+    def test_refuses_a_scheme_without_omega(self, monkeypatch):
         s = decoder_scheme(DECODER_SPECS[4])
         bare = PdmmScheme(s.dv, s.field, s.rho, s.gamma)
         assert verify_privacy_rank(bare).ok  # the checks still read it
         with pytest.raises(SchemeError, match="omega"):
             multiply_via_scheme(bare, np.eye(3, dtype=int), np.eye(3, dtype=int))
+        self.assert_refused(bare, SchemeError, "need omega", monkeypatch)
 
-    def test_refuses_a_field_above_the_int64_bound(self):
+    def test_refuses_a_field_above_the_int64_bound(self, monkeypatch):
         # 3,037,000,507, the first prime past _MAX_P: the maps' int64
         # products of two residues would wrap there, so both refuse it.
         s = decoder_scheme(DECODER_SPECS[5])
         big = PdmmScheme(s.dv, PrimeField(3_037_000_507), s.rho, s.gamma, omega=s.omega)
-        for name in ("_encoders", "_decoder"):
-            with pytest.raises(ValueError, match="exceeds"):
-                getattr(big, name)
+        self.assert_refused(big, ValueError, "exceeds", monkeypatch)
 
-    def test_refuses_a_point_that_is_no_power_of_omega(self):
+    def test_refuses_a_point_that_is_no_power_of_omega(self, monkeypatch):
         s = decoder_scheme(DECODER_SPECS[4])
         p, n = s.field.p, s.n_workers
         powers = {pow(s.omega, k, p) for k in range(n)}
@@ -1113,6 +1163,7 @@ class TestDecoder:
         off = PdmmScheme(s.dv, s.field, s.rho[:-1] + (stray,), s.gamma, omega=s.omega)
         with pytest.raises(SchemeError, match=f"point {stray} is not among"):
             multiply_via_scheme(off, np.eye(3, dtype=int), np.eye(3, dtype=int))
+        self.assert_refused(off, SchemeError, f"point {stray} is not among", monkeypatch)
 
     def test_refuses_an_omega_under_which_two_nodes_collide(self):
         # An omega of order q' >= N gives N distinct points, yet if two gamma
@@ -1733,9 +1784,62 @@ class TestSchemeInvariants:
         assert multiply_via_scheme(s, a, b).tolist() == [[3, 4], [11, 16]]
 
     def test_rejects_unordered_gamma(self, cat222):
-        # The decoder looks the data sums up in gamma by binary search.
+        # gamma is the table's distinct sums in ascending order, as
+        # quadrants(dv).gamma gives them and the decoder compares them.
         with pytest.raises(SchemeError, match="ascending"):
             PdmmScheme(cat222.dv, cat222.field, cat222.rho, cat222.gamma[::-1])
+
+
+class TestIntegerInputs:
+    """A scheme's field, points, gamma and omega are Python ints by
+    degrees._integer's rule: numpy integers are taken as their values, and
+    floats and bools are refused."""
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_integers_give_what_ints_give(self, kind):
+        s = decoder_scheme(DECODER_SPECS[4])
+        numpy = PdmmScheme(
+            s.dv,
+            PrimeField(kind(s.field.p)),
+            tuple(kind(x) for x in s.rho),
+            tuple(kind(g) for g in s.gamma),
+            omega=kind(s.omega),
+            family=s.family,
+            params=s.params,
+        )
+        assert numpy == s
+        values = (numpy.field.p, numpy.omega) + numpy.rho + numpy.gamma
+        assert all(type(v) is int for v in values)
+        for got, want in zip(numpy._encoders + (numpy._decoder,), s._encoders + (s._decoder,)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert verify_privacy_rank(numpy) == verify_privacy_rank(s)
+        a, b = np.arange(12).reshape(6, 2), np.arange(8).reshape(2, 4)
+        got = multiply_via_scheme(numpy, a, b, seed=4)
+        assert got.tobytes() == multiply_via_scheme(s, a, b, seed=4).tobytes()
+
+    @pytest.mark.parametrize(
+        "p", [23.0, np.float64(23), True, "23"], ids=["float", "numpy-float", "bool", "str"]
+    )
+    def test_field_refuses_non_integers(self, p):
+        with pytest.raises(ParameterError, match="^p takes only integers"):
+            PrimeField(p)
+
+    @pytest.mark.parametrize("name", ["rho", "gamma", "omega"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.0, np.float64(2), True, np.bool_(True)],
+        ids=["float", "numpy-float", "bool", "numpy-bool"],
+    )
+    def test_scheme_refuses_non_integer_points_and_omega(self, cat222, name, value):
+        rho, gamma, omega = cat222.rho, cat222.gamma, cat222.omega
+        if name == "omega":
+            omega = value
+        elif name == "rho":
+            rho = rho[:-1] + (value,)
+        else:
+            gamma = gamma[:-1] + (value,)
+        with pytest.raises(ParameterError, match=f"^{name} takes only integers"):
+            PdmmScheme(cat222.dv, cat222.field, rho, gamma, omega=omega)
 
 
 @st.composite

@@ -17,8 +17,6 @@ from pdmm.degrees import (
 from pdmm.search import (
     SchemeChoice,
     best_dog_rs,
-    best_gasp_r,
-    best_gasp_rs,
     best_scheme,
     catx_choice,
     sweep,
@@ -31,11 +29,11 @@ class TestBestGaspR:
         [((4, 4, 4), 2, 36), ((7, 7, 6), 3, 91), ((3, 3, 3), 2, 22), ((2, 2, 2), 1, 11)],
     )
     def test_fixtures(self, klt, r, n):
-        choice = best_gasp_r(*klt)
+        choice = best_scheme(*klt).gasp_r
         assert (choice.r, choice.n_workers) == (r, n)
 
     def test_transposes_when_l_exceeds_k(self):
-        assert best_gasp_r(3, 5, 2).n_workers == best_gasp_r(5, 3, 2).n_workers
+        assert best_scheme(3, 5, 2).gasp_r.n_workers == best_scheme(5, 3, 2).gasp_r.n_workers
 
 
 class TestBestGaspRsAndDog:
@@ -44,7 +42,7 @@ class TestBestGaspRsAndDog:
         assert (choice.r, choice.s, choice.n_workers) == (1, 3, 88)
 
     def test_gasp_rs_7_7_6(self):
-        choice = best_gasp_rs(7, 7, 6)
+        choice = best_scheme(7, 7, 6).gasp_rs
         assert (choice.r, choice.s, choice.n_workers) == (2, 3, 89)
 
     def test_dog_3_3_3(self):
@@ -54,18 +52,16 @@ class TestBestGaspRsAndDog:
         for big_k in range(2, 7):
             for big_l in range(2, big_k + 1):
                 for big_t in range(2, 7):
-                    assert (
-                        best_gasp_rs(big_k, big_l, big_t).n_workers
-                        <= best_gasp_r(big_k, big_l, big_t).n_workers
-                    )
+                    rec = best_scheme(big_k, big_l, big_t)
+                    assert rec.gasp_rs.n_workers <= rec.gasp_r.n_workers
 
     def test_reported_n_matches_reconstruction(self):
         for klt in ((3, 3, 3), (5, 4, 3), (7, 7, 6), (6, 5, 5)):
-            c = best_gasp_rs(*klt)
+            c = best_scheme(*klt).gasp_rs
             assert count_unique(construct_gasp_rs(*klt, c.r, c.s)) == c.n_workers
             c = best_dog_rs(*klt)
             assert count_unique(construct_dog_rs(*klt, c.r, c.s)) == c.n_workers
-            c = best_gasp_r(*klt)
+            c = best_scheme(*klt).gasp_r
             assert count_unique(construct_gasp_r(*klt, c.r)) == c.n_workers
 
 
@@ -112,10 +108,9 @@ class TestAgainstBruteForce:
     def test_choices_equal_exhaustive_first_minimum(self, big_k, big_l, big_t):
         expected = _reference_choices(big_k, big_l, big_t)
         for klt in ((big_k, big_l, big_t), (big_l, big_k, big_t)):
-            got = (best_gasp_r(*klt), best_gasp_rs(*klt), best_dog_rs(*klt))
-            assert got == expected
             rec = best_scheme(*klt)
-            assert (rec.gasp_r, rec.gasp_rs, rec.dog_rs) == got
+            assert (rec.gasp_r, rec.gasp_rs, rec.dog_rs) == expected
+            assert best_dog_rs(*klt) == rec.dog_rs
 
 
 def _counted(chains, big_l, big_t):
