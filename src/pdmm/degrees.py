@@ -290,7 +290,9 @@ def _repeated(values) -> list[int]:
     return sorted(repeats)
 
 
-def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
+def validate_degree_table(
+    dv: DegreeVectors, qs: QuadrantSets | None = None
+) -> ValidationReport:
     """Check the private-and-decodable conditions of an integer or cyclic
     degree table.
 
@@ -298,9 +300,11 @@ def validate_degree_table(dv: DegreeVectors) -> ValidationReport:
     and BR (IIIc) miss the data sums. IV, for an integer table: no exponent
     repeats in alpha or in beta; for a cyclic table, the sufficient
     condition that both mask sides are progressions that _progression_order
-    proves on consecutive powers of a q-th root of unity.
+    proves on consecutive powers of a q-th root of unity. qs, when given,
+    must be quadrants(dv), which is otherwise computed here.
     """
-    qs = quadrants(dv)
+    if qs is None:
+        qs = quadrants(dv)
     dups = _repeated(addition_table(dv)[: dv.k, : dv.l].ravel().tolist())
     flags = {"I": True, "II": not dups}
     witnesses = [("TL", v) for v in dups]

@@ -150,11 +150,11 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     the output once, so no temporary the size of the output exists.
 
     Each tile is reduced by _reduce, the one reduction, which the T x T
-    walks share. An int64 tile is reduced by np.remainder. A float y, a tile
-    here or an elimination step's difference of two products of residues
-    there, is reduced as r = y - p * floor(y / p). That is exact for every
-    integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for float64, the
-    significand's precision: a tile lies in [0, 2^m), and a step's
+    walks share. An int64 tile is reduced as y - (y // p) * p. A float y,
+    a tile here or an elimination step's difference of two products of
+    residues there, is reduced as r = y - p * floor(y / p). That is exact
+    for every integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for
+    float64, the significand's precision: a tile lies in [0, 2^m), and a step's
     difference in [-(p-1)^2, (p-1)^2], with (p-1)^2 + p < 2^m by the
     elimination's _exact_type(p, 1). The cofactor walk's tiles, sums of at
     most step products of a residue and a residue or its negation added to
@@ -228,11 +228,21 @@ def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
 
     y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
     a float y (see matmul_mod's proof), and p is a scalar, or an array that
-    broadcasts against y, of the same type. An int64 y is reduced by
-    np.remainder, a float y as y - p * floor(y / p).
+    broadcasts against y, of the same type. out is y, or shares no memory
+    with it, and holds p - 1. An int64 y is reduced by np.remainder for an
+    array p, and for a scalar p as y - (y // p) * p, whose floor division
+    by one int64 numpy makes by multiplication. The quotient and its
+    product by p are made in out, or in a new int64 array when out is y.
+    Either may wrap, modulo 2^w for w bits, but y - (y // p) * p, the
+    residue r, is then still right modulo 2^w, and an out that holds p - 1
+    holds r. A float y is reduced as y - p * floor(y / p).
     """
     if y.dtype.kind != "f":
-        return np.remainder(y, p, out=out, casting="unsafe")
+        if isinstance(p, np.ndarray):
+            return np.remainder(y, p, out=out, casting="unsafe")
+        q = y // p if out is y else np.floor_divide(y, p, out=out, casting="unsafe")
+        q *= p
+        return np.subtract(y, q, out=out, casting="unsafe")
     q = y / p
     np.floor(q, out=q)
     q *= p

@@ -488,12 +488,12 @@ def instantiate_degree_table(
     strategy (two names for the scan) and seed are read by nothing but the
     check of the strategy name; the benchmark's callers still pass both.
     """
-    report = validate_degree_table(dv)
+    qs = quadrants(dv)
+    report = validate_degree_table(dv, qs)
     if not report.valid:
         raise SchemeError(f"degree table fails validation: {report.flags}")
     if strategy not in ("roots_of_unity", "random_search"):
         raise SchemeError(f"unknown instantiation strategy: {strategy}")
-    qs = quadrants(dv)
     n, t = qs.n_unique, dv.t
     sides = (dv.alpha_s, dv.beta_s)
     vectors = (qs.gamma,) + sides

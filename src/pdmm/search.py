@@ -1,29 +1,36 @@
 """Parameter optimization and grid sweeps over the scheme families.
 
-For each (K, L, T) the admissible chain parameters (r, s) of GASP_rs and
-DOG_rs are scanned in order by one routine, `_scan`; GASP_r, which is
-GASP_rs at s = T with r <= min(K, T), is read off the same GASP_rs scan.
-The four families are compared by worker count.  Sets of exponents are
-Python-int bitsets (bit i set iff i is in the set), so a sumset X + Y is an
-OR of shifted copies of X and its size is `int.bit_count` (Python >= 3.10).
-Every vector is a union of width-w runs one stride d apart (d = K for
-GASP_r and GASP_rs, K + r for DOG_rs, and β_p = d·[0, L)), so
-X + gap(T, d, w) is the run X + [0, w) copied over d·[0, T // w) by
-doubling, in O(log T) shift-ORs, plus one shorter run.  Per chain length r
-the set (α_p ∪ α_s) + β_p, which does not depend on s, is built once
-together with the runs of α_p ∪ α_s; each s then costs one such copy, one
-OR and one bit count.  Every gap vector starts at 0, so every β_s holds its
-first entry b0, and N(r, s) is at least the floor |(α_p ∪ α_s) + (β_p ∪
-{b0})| for every s: a family skips an r whose floor already reaches its best
-N so far, without changing its result.  `sweep` computes each grid point and
-its transpose (L, K, T), the same problem, once per call.
+The four families are compared by worker count.  GASP_rs and DOG_rs are
+scanned over their admissible chain parameters (r, s) in order; GASP_r,
+which is GASP_rs at s = T with r <= min(K, T), is read off the same GASP_rs
+scan.  Sets of exponents are Python-int bitsets (bit i set iff i is in the
+set), so a sumset X + Y is an OR of shifted copies of X and its size is
+`int.bit_count` (Python >= 3.10).  Every vector is a union of width-w runs
+one stride d apart (d = K for GASP_r and GASP_rs, K + r for DOG_rs, and
+β_p = d·[0, L)), so X + gap(T, d, w) is the run X + [0, w) copied over
+d·[0, T // w) by doubling, in O(log T) shift-ORs, plus one shorter run.
+
+One scan per (K, T) serves every L at once (`_scan`).  Each count is the
+size of a union left ∪ low ∪ (X ≪ shift) plus a constant: left =
+seed + d·[0, L) is built once per (r, L), while X = seed + gap(T, d, s) and
+low do not depend on L, are built once per (r, s), counted against every L
+that still needs that (r, s), and dropped.  For GASP_rs the seed is
+g_r = gap(T, K, r), X = g_r + g_s is as wide as T·K, not KL, and KL enters
+only as the one shift of X and the constant; for DOG_rs the seed is
+α_p ∪ α_s.  Every gap vector starts at 0, so every N(r, s) is at least the
+floor, the count with gap(T, d, s) cut to {0}: for each L, a family skips
+an r whose floor already reaches its best N so far, without changing its
+result.  `sweep` computes each grid point and its transpose (L, K, T), the
+same problem, once per call, in (K, T, L) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from math import inf
+from operator import itemgetter
 
 from .degrees import n_catx_formula
 
@@ -105,92 +112,139 @@ def _gap(runs: list[int], stride: int, length: int, w: int) -> int:
     """X + gap(length, stride, w), where runs[v] = X + [0, v): full chains
     of width w, one stride apart, then one chain of width length % w."""
     full, rest = divmod(length, w)
-    return _spread(runs[w], stride, full) | runs[rest] << full * stride
+    out = runs[w] if full == 1 else _spread(runs[w], stride, full)
+    return out | runs[rest] << full * stride if rest else out
 
 
-def _counts(big_l: int, big_t: int, alphas: int, stride: int, b0: int, ss, bound=inf, t_bound=0):
-    """Yield (s, N) for each chain width s in ss, in order.
+def _gasp_chains(big_k: int, big_t: int, ls):
+    """GASP_rs at (K, L, T) for every L in ls, on stride K.
 
-    alphas is the bitset of α_p ∪ α_s (bit i set iff exponent i is in the
-    set), β_p = stride·[0, L) and β_s = b0 + gap(T, stride, s).  N is the
-    size of left ∪ (b0 + alphas + gap(T, stride, s)), with left =
-    alphas + β_p.  Every gap vector holds 0, so every N is at least the
-    floor |left ∪ (b0 + alphas)|.  Nothing is yielded when the floor
-    reaches `bound`, except (T, N) alone while the floor stays under
-    `t_bound`: alphas + [0, T), built by doubling without the runs.
+    With g_w = gap(T, K, w), N(r, s) = KL + |(g_r + K·[0, L)) ∪ ([0, K) +
+    g_s) ∪ ((g_r + g_s) ≪ KL)|: the data sums fill [0, KL), and the other
+    three quadrants, less KL, are these sets.  The low set [0, K) + g_s is
+    one interval, since its runs of width s + K - 1 lie one stride K apart;
+    lows[0] = [0, K) is the floor's, at g_s cut to {0}.
     """
-    left = _spread(alphas, stride, big_l)
-    floor = (left | alphas << b0).bit_count()
-    if floor < bound:
-        runs = _runs(alphas, max(ss))
-        for s in ss:
-            yield s, (left | _gap(runs, stride, big_t, s) << b0).bit_count()
-    elif floor < t_bound:
-        yield big_t, (left | _spread(alphas, 1, big_t) << b0).bit_count()
-
-
-def _scan(family: str, big_l: int, big_t: int, chains, t_family=None, t_rs=0):
-    """First (r, s) of least worker count, in the order `chains` yields them,
-    for `family`; and for `t_family`, the first r <= t_rs of least N(r, T).
-
-    `chains` yields (r, alphas, stride, b0, ss), the arguments of `_counts`
-    for chain length r; one pass serves both families (GASP_rs and GASP_r).
-    Each keeps its own best, replaced only by a strictly smaller N, and its
-    own skip bound: no N(r, s) is below the floor of `_counts`, so an r whose
-    floor reaches a family's best N cannot change that family's result,
-    tie-break included.  An r that only `t_family` still needs costs one
-    count, at s = T.  Returns (best, t_best); t_best is None without
-    `t_family`.
-    """
-    best = t_best = None
-    bound = t_bound = inf
-    for r, *chain in chains:
-        t_wanted = t_bound if r <= t_rs else 0
-        for s, n in _counts(big_l, big_t, *chain, bound, t_wanted):
-            if n < bound:
-                best, bound = SchemeChoice(family, n, r=r, s=s), n
-            if s == big_t and n < t_wanted:
-                t_best, t_bound = SchemeChoice(t_family, n, r=r), n
-    return best, t_best
-
-
-def _gasp_rs_chains(big_k: int, big_l: int, big_t: int, rs, ss):
-    """GASP_rs on stride K: α_s = KL + gap(T, K, r), β_s = KL + gap(T, K, s)."""
-    kl = big_k * big_l
+    # Admissible chain lengths: those whose gap vector has T distinct entries.
+    # gap(T, K, r) repeats exactly when K < r < T: entries i = K and i = r are K.
+    rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
+    lows = [(1 << big_k) - 1]
+    for s in range(1, big_t + 1):
+        full, rest = divmod(big_t, s)
+        # Full runs end at full·K + s - 1, the last short one at full·K + rest + K - 1.
+        lows.append((1 << full * big_k + (max(s, rest + big_k) if rest else s) - 1) - 1)
+    places = [(big_l, big_k * big_l, big_k * big_l) for big_l in ls]
     ones = _runs(1, big_t)
     for r in rs:
-        yield r, (1 << big_k) - 1 | _gap(ones, big_k, big_t, r) << kl, big_k, kl, ss
+        yield r, big_k, _gap(ones, big_k, big_t, r), lows, rs, places
 
 
-def _dog_rs_chains(big_k: int, big_l: int, big_t: int):
-    """DOG_rs on stride K + r; s <= stride keeps every gap vector injective."""
+def _dog_chains(big_k: int, big_t: int, ls):
+    """DOG_rs at (K, L, T) for every L in ls, on stride K + r.
+
+    With α = [0, K) ∪ (K + gap(T, K + r, r)), N(r, s) = |(α + (K + r)·[0, L))
+    ∪ ((α + gap(T, K + r, s)) ≪ b0)|, b0 = (K + r)(L - 1) + K the first entry
+    of β_s: all of the s part is shifted, so every low set is empty.
+    s <= K + r keeps every gap vector injective.
+    """
     ones = _runs(1, big_t)
+    lows = [0] * (big_t + 1)
     for r in range(1, big_t + 1):
         stride = big_k + r
         yield (
             r,
-            (1 << big_k) - 1 | _gap(ones, stride, big_t, r) << big_k,
             stride,
-            stride * (big_l - 1) + big_k,
+            (1 << big_k) - 1 | _gap(ones, stride, big_t, r) << big_k,
+            lows,
             range(1, min(big_t, stride) + 1),
+            [(big_l, stride * (big_l - 1) + big_k, 0) for big_l in ls],
         )
 
 
-def _gasp(big_k: int, big_l: int, big_t: int) -> tuple[SchemeChoice, SchemeChoice]:
-    """(GASP_r, GASP_rs) from one scan of the GASP_rs chains: GASP_r is
+def _counts(big_t: int, chain, bounds, t_bounds):
+    """Yield (i, s, N) for chain length r against the i-th L of its group.
+
+    chain is (r, stride, seed, lows, ss, places), places[i] = (L, shift,
+    base) with L ascending, and N(r, s) = base + |left ∪ lows[s] ∪ ((seed +
+    gap(T, stride, s)) ≪ shift)| with left = seed + stride·[0, L).  Neither
+    seed + gap(T, stride, s) nor lows[s] depends on L, so each is built once
+    per s and counted against every L that still wants it.  Every gap
+    vector holds 0, so N(r, s) is at least the floor: the count with seed
+    for the sumset and lows[0] for lows[s].  The i-th L gets every s in ss
+    while its floor stays under bounds[i], and only (T, N) while it stays
+    under t_bounds[i]: seed + [0, T), built by doubling without the runs.
+    Both lists are read before the first yield.
+    """
+    r, stride, seed, lows, ss, places = chain
+    full, t_only = [], []
+    left = done = 0
+    for i, (big_l, shift, base) in enumerate(places):
+        left |= _spread(seed, stride, big_l - done) << done * stride
+        done = big_l
+        floor = (left | seed << shift | lows[0]).bit_count() + base
+        if floor < bounds[i]:
+            full.append((i, left, shift, base))
+        elif floor < t_bounds[i]:
+            t_only.append((i, left, shift, base))
+    if full:
+        runs, last = _runs(seed, ss[-1]), full + t_only
+        for s in ss:
+            hi, lo = _gap(runs, stride, big_t, s), lows[s]
+            for i, left, shift, base in last if s == big_t else full:
+                yield i, s, (left | hi << shift | lo).bit_count() + base
+    elif t_only:
+        hi, lo = _spread(seed, 1, big_t), lows[big_t]
+        for i, left, shift, base in t_only:
+            yield i, big_t, (left | hi << shift | lo).bit_count() + base
+
+
+def _scan(big_t: int, chains, n_ls: int, t_rs: int = 0):
+    """Per L of the group: the first (r, s) of least N, in the order
+    `chains` yields them; and the first r <= t_rs of least N(r, T).
+
+    Returns (bound, best, t_bound, t_best): per L, the least N and its (r,
+    s), and the least N(r, T) and its r (None where t_rs is 0).  Each L
+    keeps its own bests, replaced only by a strictly smaller N, and its own
+    skip bounds: no N(r, s) is below the floor of `_counts`, so an r whose
+    floor reaches an L's best N cannot change that L's result, tie-break
+    included.  One pass over the GASP_rs chains so also serves GASP_r.
+    """
+    bound, best = [inf] * n_ls, [None] * n_ls
+    t_bound, t_best = [inf] * n_ls, [None] * n_ls
+    unwanted = [0] * n_ls
+    for chain in chains:
+        r = chain[0]
+        t_wanted = t_bound if r <= t_rs else unwanted
+        for i, s, n in _counts(big_t, chain, bound, t_wanted):
+            if n < bound[i]:
+                bound[i], best[i] = n, (r, s)
+            if s == big_t and n < t_wanted[i]:
+                t_bound[i], t_best[i] = n, r
+    return bound, best, t_bound, t_best
+
+
+def _choices(big_k: int, big_t: int, ls) -> list[tuple[SchemeChoice, ...]]:
+    """(GASP_R, GASP_RS, DOG_RS) at (K, L, T) for every L in ls, ascending
+    and at most K: one scan per family over the whole group.  GASP_r is
     GASP_rs with s = T (β_s = KL + [0, T)), r <= min(K, T)."""
-    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
-    # Admissible chain lengths: those whose gap vector has T distinct entries.
-    # gap(T, K, r) repeats exactly when K < r < T: entries i = K and i = r are K.
-    rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
-    chains = _gasp_rs_chains(big_k, big_l, big_t, rs, rs)
-    grs, gr = _scan("GASP_RS", big_l, big_t, chains, "GASP_R", min(big_k, big_t))
-    return gr, grs
+    n_rs, rs, n_r, r_r = _scan(
+        big_t, _gasp_chains(big_k, big_t, ls), len(ls), min(big_k, big_t)
+    )
+    n_dog, dog, _, _ = _scan(big_t, _dog_chains(big_k, big_t, ls), len(ls))
+    return [
+        (
+            SchemeChoice("GASP_R", n_r[i], r=r_r[i]),
+            SchemeChoice("GASP_RS", n_rs[i], *rs[i]),
+            SchemeChoice("DOG_RS", n_dog[i], *dog[i]),
+        )
+        for i in range(len(ls))
+    ]
 
 
 def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
     big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
-    return _scan("DOG_RS", big_l, big_t, _dog_rs_chains(big_k, big_l, big_t))[0]
+    (n,), (best,), _, _ = _scan(big_t, _dog_chains(big_k, big_t, [big_l]), 1)
+    return SchemeChoice("DOG_RS", n, *best)
 
 
 def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:
@@ -202,20 +256,23 @@ def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:
     return SchemeChoice("CATX", n_catx_formula(big_k, big_l, big_t), x=1)
 
 
-def best_scheme(big_k: int, big_l: int, big_t: int) -> SweepRecord:
-    if min(big_k, big_l, big_t) < 2:
-        raise ValueError("need K, L, T >= 2")
+def _record(big_k, big_l, big_t, gr, grs, dg) -> SweepRecord:
+    """The point's record: the four families ranked by worker count."""
     cx = catx_choice(big_k, big_l, big_t)
-    gr, grs = _gasp(big_k, big_l, big_t)
-    dg = best_dog_rs(big_k, big_l, big_t)
-    entries = {"CATX": cx, "DOG_RS": dg, "GASP_RS": grs, "GASP_R": gr}
     ranked = sorted(
-        (c for c in entries.values() if c is not None),
+        (c for c in (cx, dg, grs, gr) if c is not None),
         key=lambda c: (c.n_workers, FAMILY_ORDER.index(c.family)),
     )
     winner = ranked[0].family
     margin = ranked[1].n_workers - ranked[0].n_workers if len(ranked) > 1 else 0
     return SweepRecord(big_k, big_l, big_t, cx, gr, grs, dg, winner, margin)
+
+
+def best_scheme(big_k: int, big_l: int, big_t: int) -> SweepRecord:
+    if min(big_k, big_l, big_t) < 2:
+        raise ValueError("need K, L, T >= 2")
+    k, l, t = _oriented(big_k, big_l, big_t)
+    return _record(big_k, big_l, big_t, *_choices(k, t, [l])[0])
 
 
 def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
@@ -224,7 +281,9 @@ def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
     l_range None ties L to K: the points (K, K, T). Otherwise the grid is
     the product of all three ranges.  A point and its transpose (L, K, T)
     are one problem (`_oriented`), so each is computed once per call and
-    the other's record is the same with K and L as given.
+    the other's record is the same with K and L as given.  The distinct
+    oriented points are computed in (K, T, L) order, one `_choices` scan
+    per (K, T) for all of its L.
     """
     ks, ts = sorted(set(k_range)), sorted(set(t_range))
     if l_range is None:
@@ -233,13 +292,16 @@ def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
         points = [(k, l, t) for k in ks for l in sorted(set(l_range)) for t in ts]
     if not points:
         raise ValueError("empty sweep grid")
-    # Grid points are independent; evaluate in deterministic order.
+    if min(map(min, points)) < 2:
+        raise ValueError("need K, L, T >= 2")
     computed: dict[tuple[int, int, int], SweepRecord] = {}
+    keys = sorted({_oriented(*point) for point in points}, key=itemgetter(0, 2, 1))
+    for (big_k, big_t), group in groupby(keys, key=itemgetter(0, 2)):
+        group = list(group)
+        for key, choices in zip(group, _choices(big_k, big_t, [l for _, l, _ in group])):
+            computed[key] = _record(*key, *choices)
     records = []
     for k, l, t in points:
-        key = _oriented(k, l, t)
-        rec = computed.get(key)
-        if rec is None:
-            rec = computed[key] = best_scheme(k, l, t)
+        rec = computed[_oriented(k, l, t)]
         records.append(rec if (rec.k, rec.l) == (k, l) else replace(rec, k=k, l=l))
     return records

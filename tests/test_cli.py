@@ -411,6 +411,40 @@ class TestSweepAndSearch:
         assert doc["catx"]["N"] == 10
         assert doc["polegap"] == "n/a"
 
+    def test_search_agrees_with_sweep_and_validate_off_the_golden_grid(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # At (150, 150, 150) the KL-wide shifts dominate the count. search's
+        # CSV data row equals that of a one-point KequalsL sweep, and the N
+        # searched for each integer family equals the N that validate counts
+        # on the constructed table. GASP_R has no s: its table is GASP_RS at
+        # s = T.
+        monkeypatch.delenv("PDMM_FORMAT", raising=False)
+        klt = ("-K", "150", "-L", "150", "-T", "150")
+        code, search_csv, _ = run(capsys, "search", *klt, "--format", "csv")
+        assert code == 0
+        code, sweep_csv, _ = run(
+            capsys, "sweep", "--K-range", "150", "--T-range", "150", "--mode", "KequalsL"
+        )
+        assert code == 0
+        search_rows = search_csv.strip().splitlines()[1:]
+        assert search_rows and search_rows == sweep_csv.strip().splitlines()[1:]
+        code, out, _ = run(capsys, "search", *klt, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        table = tmp_path / "t.json"
+        for family in ("gasp_r", "gasp_rs", "dog_rs"):
+            choice = doc[family]
+            params = ("-r", str(choice["r"])) + (("-s", str(choice["s"])) if "s" in choice else ())
+            code, _, _ = run(
+                capsys, "construct", "--family", family.replace("_", "-"), *klt, *params,
+                "--format", "json", "-o", str(table),
+            )
+            assert code == 0
+            code, out, _ = run(capsys, "validate", "--table", str(table))
+            assert code == 0
+            assert f"N = {choice['N']}" in out.splitlines(), family
+
 
 TABLES = {
     "catx-2-2-2": ("--family", "catx", "-K", "2", "-L", "2", "-T", "2"),

@@ -401,6 +401,28 @@ class TestReduction:
         assert _reduce(y, kind(p), out).tolist() == [v % p for v in ys]
         assert _reduce(y.copy(), kind(p), y).astype(object).tolist() == [v % p for v in ys]
 
+    @pytest.mark.parametrize(
+        "p", [2, 3, 7, 65_537, 94_906_297, 1_000_000_007, 2_147_483_659, 3_037_000_499]
+    )
+    def test_int64_reduction_equals_remainder(self, p):
+        # y - (y // p) * p wraps past int64 for y near INT64_MIN, and still
+        # lands on the residue.
+        info = np.iinfo(np.int64)
+        edges = [info.min, info.min + 1, -p, -1, 0, 1, p, info.max - 1, info.max]
+        drawn = np.random.default_rng(p).integers(info.min, info.max, 199_998, endpoint=True)
+        y = np.concatenate([np.array(edges, dtype=np.int64), drawn])
+        assert y.size == 200_007
+        expected = np.remainder(y, np.int64(p))
+        assert expected[: len(edges)].tolist() == [v % p for v in edges]
+        # Into an out of y's type, into a narrower one that holds p - 1
+        # (encode's shares), and in place.
+        outs = [np.empty_like(y)] + ([np.empty(y.shape, np.int32)] if p <= 2**31 else [])
+        for out in outs:
+            assert _reduce(y, np.int64(p), out) is out
+            assert np.array_equal(out, expected)
+        assert _reduce(y, np.int64(p), y) is y
+        assert np.array_equal(y, expected)
+
 
 # The narrowest signed dtype that holds p - 1 at each width.
 NARROW_PRIMES = [(23, np.int8), (1091, np.int16), (1_000_000_021, np.int32)]

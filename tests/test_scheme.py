@@ -29,6 +29,7 @@ from pdmm.degrees import (
 )
 from pdmm.field import FieldError, PrimeField, _primitive_root
 from pdmm.linalg import _TILE, SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
+import pdmm.degrees as degrees_module
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
@@ -252,6 +253,20 @@ class TestInstantiateDegreeTable:
         p = scheme.field.p
         v = vandermonde(scheme.rho, scheme.gamma, p)
         assert all_txt_submatrices_invertible(v, len(v), p).ok
+
+    def test_quadrants_computed_once(self, monkeypatch):
+        # The validation and the scan share one quadrants(dv).
+        calls = []
+
+        def counted(dv):
+            calls.append(dv)
+            return quadrants(dv)
+
+        monkeypatch.setattr(degrees_module, "quadrants", counted)
+        monkeypatch.setattr(scheme_module, "quadrants", counted)
+        dv = construct_gasp_r(3, 3, 3, 3)
+        instantiate_degree_table(dv)
+        assert calls == [dv]
 
     def test_random_search_small_gasp(self):
         scheme = instantiate_degree_table(

@@ -1,6 +1,8 @@
 """Per-family parameter optimization and grid sweeps."""
 
+import tracemalloc
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,13 +115,20 @@ class TestAgainstBruteForce:
             assert best_dog_rs(*klt) == rec.dog_rs
 
 
-def _counted(chains, big_l, big_t):
-    """{(r, s): N} from the bitset counter, with no skip bound."""
+def _counted(chains, big_t, n_ls=1):
+    """{(r, i, s): N} for the i-th L of the group, from the bitset counter
+    with no skip bound."""
     return {
-        (r, s): n
-        for r, *chain in chains
-        for s, n in search._counts(big_l, big_t, *chain)
+        (chain[0], i, s): n
+        for chain in chains
+        for i, s, n in search._counts(big_t, chain, [inf] * n_ls, [0] * n_ls)
     }
+
+
+def _floor(dv):
+    """|(α_p ∪ α_s) + (β_p ∪ {b0})|: the table with β_s cut to its first entry."""
+    alphas = dv.alpha_p + dv.alpha_s
+    return len({a + b for a in alphas for b in dv.beta_p + dv.beta_s[:1]})
 
 
 class TestCounter:
@@ -140,10 +149,10 @@ class TestCounter:
 
         # Admissible: the gap vector of width r has T distinct entries.
         rs = [r for r in range(1, big_t + 1) if len(set(build(r, r).alpha_s)) == big_t]
-        got = _counted(search._gasp_rs_chains(big_k, big_l, big_t, rs, rs), big_l, big_t)
-        assert got == {(r, s): count_unique(build(r, s)) for r in rs for s in rs}
+        got = _counted(search._gasp_chains(big_k, big_t, [big_l]), big_t)
+        assert got == {(r, 0, s): count_unique(build(r, s)) for r in rs for s in rs}
         if big_t > big_k:
-            assert (big_t, big_t) in got
+            assert (big_t, 0, big_t) in got
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -154,31 +163,52 @@ class TestCounter:
     @example(big_k=2, big_l=3, big_t=6)  # s = K + r < T
     @example(big_k=12, big_l=2, big_t=12)  # s = T < K + r
     def test_dog_rs_counts_equal_count_unique(self, big_k, big_l, big_t):
-        got = _counted(search._dog_rs_chains(big_k, big_l, big_t), big_l, big_t)
+        got = _counted(search._dog_chains(big_k, big_t, [big_l]), big_t)
         assert got == {
-            (r, s): count_unique(construct_dog_rs(big_k, big_l, big_t, r, s))
+            (r, 0, s): count_unique(construct_dog_rs(big_k, big_l, big_t, r, s))
             for r in range(1, big_t + 1)
             for s in range(1, min(big_t, big_k + r) + 1)
+        }
+
+    def test_one_group_counts_every_l(self):
+        # One scan of (K, T) = (7, 6) counts all its L at once.
+        ls = range(2, 8)
+        got = _counted(search._gasp_chains(7, 6, ls), 6, len(ls))
+        assert got == {
+            (r, i, s): count_unique(construct_gasp_rs(7, big_l, 6, r, s))
+            for r in range(1, 7)
+            for i, big_l in enumerate(ls)
+            for s in range(1, 7)
+        }
+        got = _counted(search._dog_chains(7, 6, ls), 6, len(ls))
+        assert got == {
+            (r, i, s): count_unique(construct_dog_rs(7, big_l, 6, r, s))
+            for r in range(1, 7)
+            for i, big_l in enumerate(ls)
+            for s in range(1, 7)
         }
 
     def test_bound_skips_a_chain_whose_left_set_is_large_enough(self):
         # The skip floor is |(α_p ∪ α_s) + (β_p ∪ {b0})|: left plus the first
         # entry b0 of β_s, which every chain width s keeps.
-        _, *chain = next(search._dog_rs_chains(7, 7, 6))
-        dv = construct_dog_rs(7, 7, 6, 1, 1)
-        floor = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p + dv.beta_s[:1]})
-        assert list(search._counts(7, 6, *chain, bound=floor)) == []
-        assert [s for s, _ in search._counts(7, 6, *chain, bound=floor + 1)] == [1, 2, 3, 4, 5, 6]
+        chain = next(search._dog_chains(7, 6, [7]))
+        floor = _floor(construct_dog_rs(7, 7, 6, 1, 1))
+        assert list(search._counts(6, chain, [floor], [0])) == []
+        assert [s for _, s, _ in search._counts(6, chain, [floor + 1], [0])] == [1, 2, 3, 4, 5, 6]
 
     def test_t_bound_counts_s_equal_t_alone(self):
         # Past `bound`, a floor under `t_bound` still yields (T, N(r, T)).
-        _, *chain = next(search._gasp_rs_chains(7, 7, 6, [1], [1, 2, 6]))
+        chain = next(search._gasp_chains(7, 6, [7]))
         dv = construct_gasp_rs(7, 7, 6, 1, 6)
-        floor = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p + dv.beta_s[:1]})
-        assert list(search._counts(7, 6, *chain, bound=floor, t_bound=floor)) == []
-        assert list(search._counts(7, 6, *chain, bound=floor, t_bound=floor + 1)) == [
-            (6, count_unique(dv))
-        ]
+        floor = _floor(dv)
+        assert list(search._counts(6, chain, [floor], [floor])) == []
+        assert list(search._counts(6, chain, [floor], [floor + 1])) == [(0, 6, count_unique(dv))]
+        # In a group, an L that only GASP_r still needs gets (T, N) alone,
+        # beside an L that gets every s.
+        chain = next(search._gasp_chains(7, 6, [5, 7]))
+        got = list(search._counts(6, chain, [inf, floor], [0, floor + 1]))
+        assert [(i, s) for i, s, _ in got] == [(0, s) for s in range(1, 7)] + [(1, 6)]
+        assert got[-1] == (1, 6, count_unique(dv))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -191,26 +221,24 @@ class TestCounter:
         """|left| <= floor <= N(r, s) for every admissible s, so skipping an
         r whose floor reaches the best N never skips a better (r, s)."""
         if kind == "gasp_rs":
-            rs = [r for r in range(1, big_t + 1) if r <= big_k or r == big_t]
-            chains = search._gasp_rs_chains(big_k, big_l, big_t, rs, rs)
+            chains = search._gasp_chains(big_k, big_t, [big_l])
 
             def build(r, s):
                 return construct_gasp_rs(big_k, big_l, big_t, r, s)
         else:
-            chains = search._dog_rs_chains(big_k, big_l, big_t)
+            chains = search._dog_chains(big_k, big_t, [big_l])
 
             def build(r, s):
                 return construct_dog_rs(big_k, big_l, big_t, r, s)
-        for r, *chain in chains:
-            ss = chain[-1]
+        for chain in chains:
+            r, ss = chain[0], chain[4]
             dv = build(r, ss[0])
-            alphas = dv.alpha_p + dv.alpha_s
-            left = len({a + b for a in alphas for b in dv.beta_p})
-            floor = len({a + b for a in alphas for b in dv.beta_p + dv.beta_s[:1]})
+            left = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p})
+            floor = _floor(dv)
             assert left <= floor <= min(count_unique(build(r, s)) for s in ss)
             # The counter skips at exactly this floor.
-            assert list(search._counts(big_l, big_t, *chain, bound=floor)) == []
-            assert len(list(search._counts(big_l, big_t, *chain, bound=floor + 1))) == len(ss)
+            assert list(search._counts(big_t, chain, [floor], [0])) == []
+            assert len(list(search._counts(big_t, chain, [floor + 1], [0]))) == len(ss)
 
 
 class TestCatxChoice:
@@ -271,6 +299,17 @@ class TestBestScheme:
         with pytest.raises(ValueError):
             best_scheme(1, 2, 2)
 
+    def test_memory_stays_per_chain(self):
+        # The sumsets of one (r, s) at a time: a scan that kept every r's
+        # runs and sumsets for the point peaked near 2.2 MiB here.
+        tracemalloc.start()
+        try:
+            best_scheme(100, 100, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+
 
 class TestSweep:
     def test_single_point_equals_best_scheme(self):
@@ -308,22 +347,30 @@ class TestSweep:
         assert recs == [best_scheme(*pt) for pt in points]
 
     def test_each_oriented_point_computed_once_per_call(self, monkeypatch):
-        calls = []
+        calls, groups = [], []
+        choices = search._choices
 
-        def counted(*klt):
-            calls.append(klt)
-            return best_scheme(*klt)
+        def counted(big_k, big_t, ls):
+            groups.append((big_k, big_t))
+            calls.extend((big_k, big_l, big_t) for big_l in ls)
+            return choices(big_k, big_t, ls)
 
-        monkeypatch.setattr(search, "best_scheme", counted)
+        monkeypatch.setattr(search, "_choices", counted)
         ks, ls, ts = range(2, 6), range(2, 7), range(2, 4)
         oriented = {(max(k, l), min(k, l), t) for k in ks for l in ls for t in ts}
         recs = sweep(ks, ls, ts)
         assert len(recs) == len(ks) * len(ls) * len(ts)
         assert len(calls) == len(oriented) < len(recs)
-        assert {search._oriented(*klt) for klt in calls} == oriented
+        assert set(calls) == oriented
+        # One scan per (K, T), for all of its L.
+        assert sorted(groups) == sorted({(big_k, big_t) for big_k, _, big_t in oriented})
         sweep(ks, ls, ts)
         assert len(calls) == 2 * len(oriented)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([], [], [2])
+
+    def test_degenerate_point_rejected(self):
+        with pytest.raises(ValueError):
+            sweep([1, 2], None, [2])
