@@ -531,6 +531,54 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == CSV_HEADER
 
+    def test_construct_and_validate_round_trip(self, tmp_path):
+        # validate exits 0 for a valid table and 1 for a failing one; the
+        # q = 10 table fails IIIb, IIIc and IV.  The cyclic table (0), (2, 4),
+        # (0), (2, 4) mod 10 has N = 5 and mask sides of step 2, whose nodes
+        # omega^2 have order 5 = N: the progression rule passes IV.  q alone
+        # makes a document cyclic: the q = 10 table without its family must
+        # count N = 10 and fail as the catx file does.  A document without
+        # beta_s is no table: exit 2 with an error line.
+        env = dict(os.environ, PYTHONPATH=str(Path(pdmm.__file__).parents[1]))
+        env.pop("PDMM_FORMAT", None)
+
+        def pdmm_cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "pdmm", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        table = str(tmp_path / "t.json")
+        for family_args in (("catx", "-x", "8"), ("dog-rs", "-r", "1", "-s", "3")):
+            family, *params = family_args
+            proc = pdmm_cli(
+                "construct", "--family", family, "-K", "7", "-L", "7", "-T", "6", *params,
+                "--format", "json", "-o", table,
+            )
+            assert proc.returncode == 0, proc.stderr
+            proc = pdmm_cli("validate", "--table", table)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+        step2 = tmp_path / "step2.json"
+        step2.write_text(json.dumps({
+            "family": "catx", "q": 10,
+            "alpha_p": [0], "alpha_s": [2, 4], "beta_p": [0], "beta_s": [2, 4],
+        }))
+        proc = pdmm_cli("validate", "--table", str(step2))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert pdmm_cli("validate", "--table", str(DATA / "table_cyclic_q10.json")).returncode == 1
+        doc = json.loads((DATA / "table_cyclic_q10.json").read_text())
+        del doc["family"]
+        nofamily = tmp_path / "q10.json"
+        nofamily.write_text(json.dumps(doc))
+        proc = pdmm_cli("validate", "--table", str(nofamily))
+        assert proc.returncode == 1
+        assert "N = 10" in proc.stdout.splitlines()
+        nobeta = tmp_path / "nobeta.json"
+        nobeta.write_text('{"alpha_p": [0, 1], "alpha_s": [1, 6], "beta_p": [0, 2]}\n')
+        proc = pdmm_cli("validate", "--table", str(nobeta))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
 
 class TestOutputFile:
     def test_writes_to_path(self, capsys, tmp_path):

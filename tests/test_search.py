@@ -4,17 +4,20 @@ import tracemalloc
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmm import search
 from pdmm.degrees import (
+    ParameterError,
     construct_cat_x,
     construct_dog_rs,
     construct_gasp_r,
     construct_gasp_rs,
     count_unique,
+    gap,
 )
 from pdmm.search import (
     SchemeChoice,
@@ -115,13 +118,24 @@ class TestAgainstBruteForce:
             assert best_dog_rs(*klt) == rec.dog_rs
 
 
-def _counted(chains, big_t, n_ls=1):
-    """{(r, i, s): N} for the i-th L of the group, from the bitset counter
+def _gasp_counted(big_k, big_t, ls):
+    """{(r, i, s): N} for the i-th L of the group, from the GASP_rs counter
     with no skip bound."""
     return {
-        (chain[0], i, s): n
-        for chain in chains
-        for i, s, n in search._counts(big_t, chain, [inf] * n_ls, [0] * n_ls)
+        (r, i, s): n
+        for r in search._admissible(big_k, big_t)
+        for i, s, n in search._gasp_counts(big_k, big_t, ls, r, [inf] * len(ls), [0] * len(ls))
+    }
+
+
+def _dog_counted(big_k, big_t, ls):
+    """{(r, i, s): N} for the i-th L of the group, N = LK + (L - 1)·r + M
+    with M = |α_r + g_s| from the DOG_rs counter with no skip bound."""
+    return {
+        (r, i, s): big_l * big_k + (big_l - 1) * r + m
+        for r in range(1, big_t + 1)
+        for s, m in search._dog_counts(big_k, big_t, ls, r, [inf] * len(ls))
+        for i, big_l in enumerate(ls)
     }
 
 
@@ -129,6 +143,36 @@ def _floor(dv):
     """|(α_p ∪ α_s) + (β_p ∪ {b0})|: the table with β_s cut to its first entry."""
     alphas = dv.alpha_p + dv.alpha_s
     return len({a + b for a in alphas for b in dv.beta_p + dv.beta_s[:1]})
+
+
+def _sumset(xs, ys):
+    return {x + y for x in xs for y in ys}
+
+
+def _gasp_identity(big_k, big_l, big_t, r, s):
+    """KL + u_L(min(b_s, KL)) + |(g_r + g_s) ∪ [0, b_s - KL)|, on sets."""
+    g_r, g_s = set(gap(big_t, big_k, r)), set(gap(big_t, big_k, s))
+    w, kl = min(r, big_k), big_k * big_l
+    b_s = len(_sumset(range(big_k), g_s))
+    u = big_l * w + search._outside(big_k, w, min(b_s, kl))
+    return kl + u + len(_sumset(g_r, g_s) | set(range(b_s - kl)))
+
+
+def _dog_union(big_k, big_t, r, s):
+    """|α_r + g_s| on stride K + r, on sets, which hold g_r."""
+    g_r, g_s = set(gap(big_t, big_k + r, r)), set(gap(big_t, big_k + r, s))
+    sums = _sumset(set(range(big_k)) | {big_k + g for g in g_r}, g_s)
+    assert g_r <= sums
+    return len(sums)
+
+
+def _gasp_pairs(big_k, big_t):
+    rs = search._admissible(big_k, big_t)
+    return [(r, s) for r in rs for s in rs]
+
+
+def _dog_pairs(big_k, big_t):
+    return [(r, s) for r in range(1, big_t + 1) for s in range(1, min(big_t, big_k + r) + 1)]
 
 
 class TestCounter:
@@ -142,6 +186,7 @@ class TestCounter:
         big_t=st.integers(2, 12),
     )
     @example(big_k=2, big_l=3, big_t=5)  # r = T > K: one chain wider than the stride
+    @example(big_k=3, big_l=2, big_t=5)  # b_s > KL
     @example(big_k=12, big_l=2, big_t=12)  # every r admissible
     def test_gasp_rs_counts_equal_count_unique(self, big_k, big_l, big_t):
         def build(r, s):
@@ -149,7 +194,7 @@ class TestCounter:
 
         # Admissible: the gap vector of width r has T distinct entries.
         rs = [r for r in range(1, big_t + 1) if len(set(build(r, r).alpha_s)) == big_t]
-        got = _counted(search._gasp_chains(big_k, big_t, [big_l]), big_t)
+        got = _gasp_counted(big_k, big_t, [big_l])
         assert got == {(r, 0, s): count_unique(build(r, s)) for r in rs for s in rs}
         if big_t > big_k:
             assert (big_t, 0, big_t) in got
@@ -163,7 +208,7 @@ class TestCounter:
     @example(big_k=2, big_l=3, big_t=6)  # s = K + r < T
     @example(big_k=12, big_l=2, big_t=12)  # s = T < K + r
     def test_dog_rs_counts_equal_count_unique(self, big_k, big_l, big_t):
-        got = _counted(search._dog_chains(big_k, big_t, [big_l]), big_t)
+        got = _dog_counted(big_k, big_t, [big_l])
         assert got == {
             (r, 0, s): count_unique(construct_dog_rs(big_k, big_l, big_t, r, s))
             for r in range(1, big_t + 1)
@@ -173,14 +218,14 @@ class TestCounter:
     def test_one_group_counts_every_l(self):
         # One scan of (K, T) = (7, 6) counts all its L at once.
         ls = range(2, 8)
-        got = _counted(search._gasp_chains(7, 6, ls), 6, len(ls))
+        got = _gasp_counted(7, 6, ls)
         assert got == {
             (r, i, s): count_unique(construct_gasp_rs(7, big_l, 6, r, s))
             for r in range(1, 7)
             for i, big_l in enumerate(ls)
             for s in range(1, 7)
         }
-        got = _counted(search._dog_chains(7, 6, ls), 6, len(ls))
+        got = _dog_counted(7, 6, ls)
         assert got == {
             (r, i, s): count_unique(construct_dog_rs(7, big_l, 6, r, s))
             for r in range(1, 7)
@@ -188,25 +233,44 @@ class TestCounter:
             for s in range(1, 7)
         }
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big_k=st.integers(2, 12),
+        big_l=st.integers(2, 12),
+        big_t=st.integers(2, 12),
+    )
+    @example(big_k=2, big_l=3, big_t=5)  # r = T > K: g_r + K·[0, L) holds [0, KL)
+    @example(big_k=3, big_l=2, big_t=5)  # b_s > KL: [0, K) + g_s reaches past KL
+    @example(big_k=2, big_l=3, big_t=6)  # s = K + r < T
+    def test_identities_equal_count_unique(self, big_k, big_l, big_t):
+        for r, s in _gasp_pairs(big_k, big_t):
+            n = count_unique(construct_gasp_rs(big_k, big_l, big_t, r, s))
+            assert _gasp_identity(big_k, big_l, big_t, r, s) == n, (r, s)
+        for r, s in _dog_pairs(big_k, big_t):
+            n = count_unique(construct_dog_rs(big_k, big_l, big_t, r, s))
+            m = _dog_union(big_k, big_t, r, s)
+            assert big_l * big_k + (big_l - 1) * r + m == n, (r, s)
+            assert (s, m) in search._dog_counts(big_k, big_t, [big_l], r, [inf])
+
     def test_bound_skips_a_chain_whose_left_set_is_large_enough(self):
-        # The skip floor is |(α_p ∪ α_s) + (β_p ∪ {b0})|: left plus the first
-        # entry b0 of β_s, which every chain width s keeps.
-        chain = next(search._dog_chains(7, 6, [7]))
-        floor = _floor(construct_dog_rs(7, 7, 6, 1, 1))
-        assert list(search._counts(6, chain, [floor], [0])) == []
-        assert [s for _, s, _ in search._counts(6, chain, [floor + 1], [0])] == [1, 2, 3, 4, 5, 6]
+        # The floor LK + (L - 1)·r + K + 2T - 1 is at least |(α_p ∪ α_s) +
+        # (β_p ∪ {b0})|, the table with β_s cut to its first entry b0, and
+        # the counter skips at it.
+        floor = search._dog_floor(7, 7, 6, 1)
+        assert floor >= _floor(construct_dog_rs(7, 7, 6, 1, 1))
+        assert search._dog_counts(7, 6, [7], 1, [floor]) is None
+        assert [s for s, _ in search._dog_counts(7, 6, [7], 1, [floor + 1])] == [1, 2, 3, 4, 5, 6]
 
     def test_t_bound_counts_s_equal_t_alone(self):
         # Past `bound`, a floor under `t_bound` still yields (T, N(r, T)).
-        chain = next(search._gasp_chains(7, 6, [7]))
         dv = construct_gasp_rs(7, 7, 6, 1, 6)
-        floor = _floor(dv)
-        assert list(search._counts(6, chain, [floor], [floor])) == []
-        assert list(search._counts(6, chain, [floor], [floor + 1])) == [(0, 6, count_unique(dv))]
+        floor = search._gasp_floor(7, 7, 6, 1)
+        assert search._gasp_counts(7, 6, [7], 1, [floor], [floor]) is None
+        got = search._gasp_counts(7, 6, [7], 1, [floor], [floor + 1])
+        assert got == [(0, 6, count_unique(dv))]
         # In a group, an L that only GASP_r still needs gets (T, N) alone,
         # beside an L that gets every s.
-        chain = next(search._gasp_chains(7, 6, [5, 7]))
-        got = list(search._counts(6, chain, [inf, floor], [0, floor + 1]))
+        got = search._gasp_counts(7, 6, [5, 7], 1, [inf, floor], [0, floor + 1])
         assert [(i, s) for i, s, _ in got] == [(0, s) for s in range(1, 7)] + [(1, 6)]
         assert got[-1] == (1, 6, count_unique(dv))
 
@@ -217,28 +281,60 @@ class TestCounter:
         big_l=st.integers(2, 12),
         big_t=st.integers(2, 12),
     )
+    @example(kind="gasp_rs", big_k=2, big_l=3, big_t=5)
+    @example(kind="gasp_rs", big_k=3, big_l=2, big_t=5)
+    @example(kind="dog_rs", big_k=2, big_l=3, big_t=6)
     def test_floor_lies_between_left_and_every_count(self, kind, big_k, big_l, big_t):
-        """|left| <= floor <= N(r, s) for every admissible s, so skipping an
-        r whose floor reaches the best N never skips a better (r, s)."""
+        """|left| <= `_floor` <= floor <= N(r, s) for every admissible s, so
+        skipping an r whose floor reaches the best N never skips a better
+        (r, s); and the floor rises with r, so the scan may stop there."""
         if kind == "gasp_rs":
-            chains = search._gasp_chains(big_k, big_t, [big_l])
+            rs, floor_of = search._admissible(big_k, big_t), search._gasp_floor
+            pairs = _gasp_pairs(big_k, big_t)
 
             def build(r, s):
                 return construct_gasp_rs(big_k, big_l, big_t, r, s)
+
+            def counts(r, bound):
+                return search._gasp_counts(big_k, big_t, [big_l], r, [bound], [0])
         else:
-            chains = search._dog_chains(big_k, big_t, [big_l])
+            rs, floor_of = range(1, big_t + 1), search._dog_floor
+            pairs = _dog_pairs(big_k, big_t)
 
             def build(r, s):
                 return construct_dog_rs(big_k, big_l, big_t, r, s)
-        for chain in chains:
-            r, ss = chain[0], chain[4]
+
+            def counts(r, bound):
+                return search._dog_counts(big_k, big_t, [big_l], r, [bound])
+        floors = []
+        for r in rs:
+            ss = [s for r_, s in pairs if r_ == r]
             dv = build(r, ss[0])
             left = len({a + b for a in dv.alpha_p + dv.alpha_s for b in dv.beta_p})
-            floor = _floor(dv)
-            assert left <= floor <= min(count_unique(build(r, s)) for s in ss)
+            floor = floor_of(big_k, big_l, big_t, r)
+            assert left <= _floor(dv) <= floor <= min(count_unique(build(r, s)) for s in ss)
             # The counter skips at exactly this floor.
-            assert list(search._counts(big_t, chain, [floor], [0])) == []
-            assert len(list(search._counts(big_t, chain, [floor + 1], [0]))) == len(ss)
+            assert counts(r, floor) is None
+            assert len(counts(r, floor + 1)) == len(ss)
+            floors.append(floor)
+        assert floors == sorted(floors)
+
+    def test_scan_stops_at_the_first_r_no_l_needs(self, monkeypatch):
+        # The floors rise with r, so after the first r that every L skips,
+        # no later r is counted: each scan asks for one skipped r at most.
+        asked = []
+        for name in ("_gasp_counts", "_dog_counts"):
+            def counted(*args, _counts=getattr(search, name), _name=name):
+                got = _counts(*args)
+                asked.append((_name, got is None))
+                return got
+
+            monkeypatch.setattr(search, name, counted)
+        best_scheme(40, 40, 30)
+        for name in ("_gasp_counts", "_dog_counts"):
+            skipped = [none for n, none in asked if n == name]
+            assert skipped[-1] and skipped.count(True) == 1, name
+            assert len(skipped) < 30
 
 
 class TestCatxChoice:
@@ -298,6 +394,38 @@ class TestBestScheme:
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             best_scheme(1, 2, 2)
+
+    @pytest.mark.parametrize("klt", [(1, 2, 2), (2, 2, 1), (2, 2, 0), (0, 0, 2)])
+    def test_best_dog_rs_rejects_what_best_scheme_rejects(self, klt):
+        for search_at in (best_scheme, best_dog_rs):
+            with pytest.raises(ValueError, match="need K, L, T >= 2"):
+                search_at(*klt)
+
+    def test_numpy_integers_give_the_int_records(self):
+        # Read as given, a numpy K enters the bitsets as 1 << np.int64(K) and
+        # wraps: best_scheme(np.int64(5), 5, 4) would read DOG_RS N = 1.
+        rec = best_scheme(np.int64(5), 5, np.int32(4))
+        assert rec == best_scheme(5, 5, 4)
+        assert (rec.dog_rs.n_workers, rec.winner, rec.margin) == (48, "CATX", 1)
+        assert all(type(v) is int for v in (rec.k, rec.l, rec.t, rec.dog_rs.n_workers))
+        assert best_dog_rs(np.int64(40), 40, 30) == best_dog_rs(40, 40, 30)
+        assert best_dog_rs(40, 40, 30).n_workers == 1963
+        assert catx_choice(np.int64(7), 7, np.int64(6)) == catx_choice(7, 7, 6)
+        recs = sweep(np.arange(10, 13), None, np.arange(8, 10))
+        assert recs == sweep(range(10, 13), None, range(8, 10))
+        assert all(type(r.k) is int and type(r.dog_rs.n_workers) is int for r in recs)
+        assert sweep([np.int64(3)], np.arange(2, 4), [np.int64(2)]) == sweep([3], [2, 3], [2])
+
+    @pytest.mark.parametrize(
+        "name,klt", [("K", (2.0, 2, 2)), ("L", (2, True, 2)), ("T", (2, 2, 2.5))]
+    )
+    def test_floats_and_bools_are_refused_by_name(self, name, klt):
+        for search_at in (best_scheme, best_dog_rs, catx_choice):
+            with pytest.raises(ParameterError, match=f"^{name} takes only integers"):
+                search_at(*klt)
+        k, l, t = ([v] for v in klt)
+        with pytest.raises(ParameterError, match=f"^{name} takes only integers"):
+            sweep(k, l, t)
 
     def test_memory_stays_per_chain(self):
         # The sumsets of one (r, s) at a time: a scan that kept every r's
