@@ -261,7 +261,7 @@ def table_to_dict(family: str | None, dv: DegreeVectors, params: dict) -> dict:
 
 
 def table_from_dict(doc: dict) -> DegreeVectors:
-    """The degree table of a table or scheme document, cyclic mod doc["q"]
+    """The degree table of a table document, cyclic mod doc["q"]
     exactly when it carries q. ParameterError unless doc is a JSON object
     with all four vectors, each a list."""
     if not isinstance(doc, dict):

@@ -22,8 +22,6 @@ from .degrees import (
     _progression_steps,
     addition_table,
     quadrants,
-    table_from_dict,
-    table_to_dict,
     validate_degree_table,
 )
 from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
@@ -61,12 +59,13 @@ _STEPS = np.arange(1, _DRAWS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 class SplitMix64:
-    """Portable seeded generator (splitmix64); used for all scheme randomness."""
+    """Portable seeded generator (splitmix64); used for all scheme randomness.
+    The seed is an int by degrees._integer's rule, taken mod 2^64."""
 
     MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        self.state = seed & self.MASK
+        self.state = _integer(seed, "seed") & self.MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & self.MASK
@@ -487,7 +486,9 @@ def instantiate_degree_table(
 
     strategy (two names for the scan) and seed are read by nothing but the
     check of the strategy name; the benchmark's callers still pass both.
+    min_p is an int by degrees._integer's rule.
     """
+    min_p = _integer(min_p, "min_p")
     qs = quadrants(dv)
     report = validate_degree_table(dv, qs)
     if not report.valid:
@@ -898,39 +899,3 @@ def verify_privacy_exhaustive(scheme: PdmmScheme) -> PrivacyExhaustiveReport:
     if not ok_b:
         return PrivacyExhaustiveReport(False, checked_a + checked_b, ("B",) + wit_b)
     return PrivacyExhaustiveReport(True, checked_a + checked_b, None)
-
-
-# -- serialization ---------------------------------------------------------
-
-# The scheme parameters that a scheme document carries besides q, which marks
-# a cyclic table: an integer table's root order q is carried as order.
-_PARAM_KEYS = ("r", "s", "x")
-
-
-def scheme_to_dict(scheme: PdmmScheme) -> dict:
-    """The table document of the scheme's degree table plus p, omega and rho."""
-    params = {k: v for k, v in scheme.params.items() if k in _PARAM_KEYS}
-    if scheme.dv.modulus is None and "q" in scheme.params:
-        params["order"] = scheme.params["q"]
-    doc = table_to_dict(scheme.family, scheme.dv, params)
-    doc["p"] = scheme.field.p
-    if scheme.omega is not None:
-        doc["omega"] = scheme.omega
-    doc["rho"] = list(scheme.rho)
-    return doc
-
-
-def scheme_from_dict(doc: dict) -> PdmmScheme:
-    dv = table_from_dict(doc)
-    params = {k: doc[k] for k in _PARAM_KEYS + ("q",) if k in doc}
-    if "order" in doc:
-        params["q"] = doc["order"]
-    return PdmmScheme(
-        dv,
-        PrimeField(doc["p"]),
-        tuple(doc["rho"]),
-        quadrants(dv).gamma,
-        omega=doc.get("omega"),
-        family=doc.get("family"),
-        params=params,
-    )

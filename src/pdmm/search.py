@@ -297,12 +297,6 @@ def _point(big_k, big_l, big_t) -> tuple[int, int, int]:
     return point
 
 
-def best_dog_rs(big_k: int, big_l: int, big_t: int) -> SchemeChoice:
-    big_k, big_l, big_t = _oriented(*_point(big_k, big_l, big_t))
-    (n,), (best,) = _dog_scan(big_k, big_t, [big_l])
-    return SchemeChoice("DOG_RS", n, *best)
-
-
 def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:
     """Closed-form worker count at x=1; None where the construction needs
     T <= min(K, L) and that fails."""

@@ -32,7 +32,6 @@ from pdmm.scheme import (
     verify_privacy_rank,
 )
 from pdmm.search import (
-    best_dog_rs,
     best_scheme,
     catx_choice,
 )
@@ -67,7 +66,7 @@ def scheme_grid():
                 schemes.append(
                     ("gasp-rs", instantiate_degree_table(dv, "random_search", seed=0))
                 )
-                c = best_dog_rs(*klt)
+                c = best_scheme(*klt).dog_rs
                 dv = construct_dog_rs(*klt, c.r, c.s)
                 schemes.append(
                     ("dog-rs", instantiate_degree_table(dv, "random_search", seed=0))
@@ -82,11 +81,11 @@ def test_criterion_1_worker_count_fixtures():
         (best_scheme(2, 2, 2).gasp_r.n_workers, 11),
         (catx_choice(4, 4, 4).n_workers, 34),
         (best_scheme(4, 4, 4).gasp_r.n_workers, 36),
-        (best_dog_rs(7, 7, 6).n_workers, 88),
+        (best_scheme(7, 7, 6).dog_rs.n_workers, 88),
         (best_scheme(7, 7, 6).gasp_rs.n_workers, 89),
         (catx_choice(7, 7, 6).n_workers, 89),
         (best_scheme(7, 7, 6).gasp_r.n_workers, 91),
-        (best_dog_rs(3, 3, 3).n_workers, 23),
+        (best_scheme(3, 3, 3).dog_rs.n_workers, 23),
         (best_scheme(3, 3, 3).gasp_r.n_workers, 22),
     ]
     elapsed = time.time() - start

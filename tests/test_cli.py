@@ -309,17 +309,36 @@ class TestSimulate:
         assert "p = 11" in out
 
     @pytest.mark.parametrize(
-        "family, level",
-        [("catx", "structural"), ("gasp-small", "structural"), ("gasp-rs", "exhaustive")],
+        "argv, level, fields",
+        [
+            (("--family", family, "-K", "3", "-L", "3", "-T", "3", "--dims", "6x6x6",
+              "-r", "2", "-s", "3"), level, ())
+            for family, level in
+            [("catx", "structural"), ("gasp-small", "structural"), ("gasp-rs", "exhaustive")]
+        ]
+        + [
+            # Both mask sides are progressions, so the structure proves all
+            # C(N, T) mask subsets of each, C(92, 4) for catx (8,8,4),
+            # without eliminating one. Each
+            # field is the smallest prime p >= max(N + 1, min_p) with
+            # q | p - 1; an inner dimension of 1 keeps the p ~ 1e9 workers'
+            # int64 product from wrapping.
+            (("--family", "catx", "-K", "8", "-L", "8", "-T", "4", "--dims", "64x64x64"),
+             "structural", ("p = 1091", "q = 109")),
+            (("--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--min-p", "1000000000",
+              "--dims", "2x1x2"), "structural", ("p = 1000000021", "q = 10")),
+        ],
+        ids=[
+            "catx-structural", "gasp-small-structural", "gasp-rs-exhaustive",
+            "catx-8-8-4-structural", "catx-2-2-2-p1e9-structural",
+        ],
     )
-    def test_certificate_line_follows_privacy_rank(self, capsys, family, level):
-        code, out, _ = run(
-            capsys, "simulate", "--family", family, "-K", "3", "-L", "3", "-T", "3",
-            "--dims", "6x6x6", "-r", "2", "-s", "3",
-        )
+    def test_certificate_line_follows_privacy_rank(self, capsys, argv, level, fields):
+        code, out, _ = run(capsys, "simulate", *argv)
         assert code == 0
         lines = out.splitlines()
         assert lines[-2:] == ["privacy rank: pass", f"privacy certificate: {level}"]
+        assert set(fields) <= set(lines)
 
     def test_gasp_small_exact_match(self, capsys):
         code, out, _ = run(
@@ -345,6 +364,71 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:") and "3037000499" in err
+
+    def test_walk_above_the_cap_is_usage_error(self, capsys):
+        # gasp-rs (6,6,6) r=2 s=3: beta_s is no progression, and a whole walk
+        # of it would eliminate C(71, 5) = 13,019,909 subsets, above the cap
+        # of 2^22 = 4,194,304: simulate refuses at once and names both.
+        code, out, err = run(
+            capsys, "simulate", "--family", "gasp-rs", "-K", "6", "-L", "6", "-T", "6",
+            "-r", "2", "-s", "3", "--dims", "6x6x6",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "13019909" in err and "4194304" in err
+
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            # Fields just past 3e9, below isqrt(2^63 - 1): matmul_mod's and
+            # the T x T checks' products of two residues come close to int64.
+            # An inner dimension of 1 keeps the simulated workers' int64
+            # product from wrapping.
+            (("--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--dims", "2x1x2",
+              "--min-p", "3000000000"), 3000000151),
+            (("--family", "catx", "-K", "4", "-L", "4", "-T", "4", "--dims", "4x1x4",
+              "--min-p", "3000000000"), 3000000371),
+            (("--family", "dog-rs", "-K", "2", "-L", "2", "-T", "3", "-r", "2", "-s", "2",
+              "--dims", "2x1x2", "--min-p", "3000000000"), 3000000019),
+            (("--family", "gasp-small", "-K", "3", "-L", "3", "-T", "3", "--dims", "3x1x3",
+              "--min-p", "3000000000"), 3000000019),
+            # From p = 94,906,297 on, one product of two residues no longer
+            # fits a float64 chunk, so the kernel multiplies in int64 chunks.
+            # At inner dimension 32, (p-1)^2 * 32 < 2^63, so the workers run
+            # on the kernel.
+            (("--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--dims", "64x32x64",
+              "--min-p", "100000000"), 100000081),
+        ]
+        # matmul_mod multiplies in float32 while (p-1)^2 * inner + p < 2^24,
+        # in float64 chunks while (p-1)^2 + p < 2^53, else in int64 chunks,
+        # and encode writes shares in the narrowest dtype that holds p - 1.
+        # Encode's inner dimension is K + T = 12, the workers' 96 and
+        # decode's N = 92. min_p 0 gives the default field, on which encode
+        # runs on float32; each other min_p lies just past a switch: 1187
+        # (encode leaves float32), 4099 (no product on float32), 32771
+        # (int32 shares), 10^7 (the workers' float64 product needs chunks
+        # from p ~ 9.7e6 on) and 94,906,297 (int64 chunks). The scan then
+        # takes the next prime p = 1 (mod 218).
+        + [
+            (("--family", "catx", "-K", "8", "-L", "8", "-T", "4", "--dims", "96x96x96",
+              "--min-p", str(min_p)), p)
+            for min_p, p in [
+                (0, 1091), (1187, 2399), (4099, 5233), (32771, 33791),
+                (10**7, 10002059), (94906297, 94906519),
+            ]
+        ],
+        ids=[
+            "catx-2-2-2-p3e9", "catx-4-4-4-p3e9", "dog-rs-2-2-3-p3e9", "gasp-small-3-3-3-p3e9",
+            "catx-2-2-2-p1e8-int64-chunks",
+            "catx-8-8-4-p0", "catx-8-8-4-p1187", "catx-8-8-4-p4099", "catx-8-8-4-p32771",
+            "catx-8-8-4-p1e7", "catx-8-8-4-p94906297",
+        ],
+    )
+    def test_exact_on_each_kernel_path(self, capsys, argv, p):
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert "decode: exact match" in lines
+        assert f"p = {p}" in lines
 
     def test_exact_reference_does_not_wrap_past_2_31(self):
         p = 3_000_000_019

@@ -28,6 +28,7 @@ submatrices of both sides are tested.
 """
 
 import itertools
+import time
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
@@ -44,7 +45,12 @@ from pdmm.degrees import (
     validate_degree_table,
 )
 from pdmm.field import FieldError
-from pdmm.scheme import instantiate_cat, instantiate_degree_table, verify_privacy_rank
+from pdmm.scheme import (
+    instantiate_cat,
+    instantiate_degree_table,
+    multiply_via_scheme,
+    verify_privacy_rank,
+)
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +243,15 @@ def test_reference_on_every_subset_agrees(k, l):
             assert scan(dv) == ref_scan(dv, every_subset=True), label
 
 
+def assert_exact_product(scheme):
+    """A 6x6 by 6x6 product through the scheme equals the one on Python ints."""
+    p = scheme.field.p
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (6, 6)), rng.integers(0, p, (6, 6))
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert multiply_via_scheme(scheme, a, b).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize(
     "dv, p, q, certificate",
     [
@@ -260,6 +275,7 @@ def test_pinned_scans(dv, p, q, certificate):
     got = scan(dv)
     assert (got[0], got[1], got[4]) == (p, q, certificate)
     assert got == ref_scan(dv)
+    assert_exact_product(instantiate_degree_table(dv))
 
 
 @pytest.mark.parametrize(
@@ -267,16 +283,31 @@ def test_pinned_scans(dv, p, q, certificate):
     [
         (construct_gasp_rs(5, 5, 5, 2, 3), 225289, 252),
         (construct_dog_rs(5, 5, 5, 1, 3), 112663, 3414),
+        (construct_gasp_rs(6, 6, 5, 1, 3), 286721, 5120),
+        (construct_dog_rs(6, 6, 5, 1, 3), 282671, 1229),
+        (construct_dog_rs(8, 8, 5, 1, 3), 1687571, 185),
     ],
-    ids=["gasp-rs-5-5-5-2-3", "dog-rs-5-5-5-1-3"],
+    ids=[
+        "gasp-rs-5-5-5-2-3", "dog-rs-5-5-5-1-3", "gasp-rs-6-6-5-1-3", "dog-rs-6-6-5-1-3",
+        "dog-rs-8-8-5-1-3",
+    ],
 )
 def test_pinned_scans_past_the_reference(dv, p, q):
-    # At these p the reference's Leibniz sums overflow int64. Each walk
-    # eliminates C(53, 4) = 292,825 subsets, all of them where a side passes;
-    # the rank check walks the same subsets and reports the same level.
+    # At these p the reference's Leibniz sums overflow int64. A side that is
+    # no progression is walked whole, over the C(N-1, T-1) subsets that hold
+    # row 0: 292,825 for (5,5,5), 814,385 and 766,480 for gasp-rs and dog-rs
+    # (6,6,5), and 4,082,925 for dog-rs (8,8,5), the widest walk within the
+    # cap of 2^22. The rank check walks the same subsets and reports the same
+    # level. A band spends at most 32 candidates before p doubles: without
+    # that bound dog-rs (5,5,5) stays among small primes for more than 40 s,
+    # and each scan, its rank check and a product take well under 30 s.
+    start = time.perf_counter()
     scheme = instantiate_degree_table(dv)
     assert (scheme.field.p, scheme.params) == (p, {"q": q, "certificate": "exhaustive"})
-    assert verify_privacy_rank(scheme).level == "exhaustive"
+    report = verify_privacy_rank(scheme)
+    assert report.ok and report.level == "exhaustive"
+    assert_exact_product(scheme)
+    assert time.perf_counter() - start < 30
 
 
 def ref_cat_prime(dv, min_p):

@@ -1,6 +1,7 @@
 """Scheme instantiation, the encode/decode pipeline, and privacy checks."""
 
 import functools
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -52,8 +53,6 @@ from pdmm.scheme import (
     multiply_via_scheme,
     partition_a,
     partition_b,
-    scheme_from_dict,
-    scheme_to_dict,
     verify_privacy_exhaustive,
     verify_privacy_rank,
     worker_multiply,
@@ -608,6 +607,51 @@ class TestPipeline:
         exact_product = (exact(a) @ exact(b) % p).tolist()
         assert (whole.tolist() == exact_product) == (spec != "p1e9")
 
+    @pytest.mark.parametrize(
+        "make, p, pinned",
+        [
+            (lambda: instantiate_cat(construct_cat_x(8, 8, 4, 1)), 1091,
+             ("d2f7587f5d9b5d24", "966e445d5c6bd3f7", "2a9c30b8e84979a7")),
+            (lambda: instantiate_degree_table(construct_gasp_r(2, 2, 2, 1)), 23,
+             ("f47f847267ace56e", "c59aa0eae354f6a1", "a8afd5783a7ba17a")),
+            (lambda: instantiate_degree_table(construct_dog_rs(3, 3, 3, 1, 2), family="dog-rs"),
+             109, ("b41dbcf9bb25af41", "51d1ea5e48151af8", "24bed6004ef9dd47")),
+        ],
+        ids=["catx-8-8-4", "gasp-small-2-2-2", "dog-rs-3-3-3"],
+    )
+    def test_seeded_pipeline_is_pinned(self, make, p, pinned):
+        # At 96x96x96 with seed 0 (dog-rs: int8 shares, float32 workers), the
+        # first 16 hex digits of the sha256 of the masks of draw_randomness,
+        # of the encode shares (values, dtypes and shapes) and of
+        # multiply_via_scheme's product equal those taken at commit bc3743a,
+        # before encode and decode copied their parts straight into the
+        # kernel's type and masks were drawn in chunks (dog-rs: at commit
+        # eaa3d45, before the masks were one draw).
+        def digest(arrays):
+            h = hashlib.sha256()
+            for x in arrays:
+                h.update(x.dtype.str.encode() + str(x.shape).encode())
+                h.update(np.ascontiguousarray(x).tobytes())
+            return h.hexdigest()[:16]
+
+        scheme = make()
+        assert scheme.field.p == p
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, p, (96, 96)), rng.integers(0, p, (96, 96))
+        a_parts, b_parts = partition_a(a, scheme.dv.k), partition_b(b, scheme.dv.l)
+        rnd = draw_randomness(scheme, a_parts.blocks[0].shape, b_parts.blocks[0].shape, 0)
+        tasks = encode(scheme, a_parts, b_parts, rnd)
+        got = (
+            digest(rnd.r_mats + rnd.s_mats),
+            digest([x for t in tasks for x in (t.a_share, t.b_share)]),
+            digest([multiply_via_scheme(scheme, a, b, seed=0)]),
+        )
+        assert got == pinned
+        # The stage functions, with worker_multiply per task, give the same
+        # product as multiply_via_scheme's stacked workers.
+        responses = [worker_multiply(scheme.field, task) for task in tasks]
+        assert digest([assemble(decode(scheme, responses), a_parts, b_parts)]) == got[2]
+
     @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((1, 1), (1, 1)), ((2, 3), (2, 2))])
     @pytest.mark.parametrize("seed", [0, 9])
     def test_randomness_is_2t_consecutive_matrices(self, shapes, seed):
@@ -1052,10 +1096,12 @@ def oracle_decoder(scheme):
     return np.array(rows, dtype=np.int64)
 
 
-# DECODER_SPECS, catx (16,16,8) with N = 338, and catx (4,4,4) with N = 34
-# at p = 3,000,000,371, where products of two residues come close to 2^63.
+# DECODER_SPECS, catx (16,16,8) with N = 338, dog-rs (3,3,5) r=2 s=3 with
+# N = 30, and catx (4,4,4) with N = 34 at p = 3,000,000,371, where products
+# of two residues come close to 2^63.
 ORACLE_SPECS = [(spec, 0) for spec in DECODER_SPECS] + [
     (("catx", 16, 16, 8), 0),
+    (("dog-rs", 3, 3, 5, 2, 3), 0),
     (("catx", 4, 4, 4), 3 * 10**9),
 ]
 
@@ -1704,63 +1750,17 @@ def per_value_enumerate_side(rho, prefix_exps, suffix_exps, p, subsets):
 
 
 class TestSerialization:
-    def test_cat_round_trip(self, cat222):
-        doc = scheme_to_dict(cat222)
-        assert doc["family"] == "catx"
-        assert (doc["K"], doc["L"], doc["T"]) == (2, 2, 2)
-        assert doc["q"] == 10
-        assert doc["p"] == 11
-        assert doc["omega"] == 2
-        assert doc["N"] == 10
-        back = scheme_from_dict(doc)
-        assert back.dv == cat222.dv
-        assert back.rho == cat222.rho
-        assert back.field.p == cat222.field.p
-
-    def test_integer_table_round_trip(self):
-        scheme = instantiate_degree_table(
-            construct_gasp_r(2, 2, 2, 1), "random_search", seed=0, family="gasp-r"
-        )
-        doc = scheme_to_dict(scheme)
-        back = scheme_from_dict(doc)
-        assert back.dv == scheme.dv
-        assert back.rho == scheme.rho
-        a = np.arange(8).reshape(4, 2) % back.field.p
-        b = np.arange(8).reshape(2, 4) % back.field.p
-        assert np.array_equal(multiply_via_scheme(back, a, b), a @ b % back.field.p)
-
-    @pytest.mark.parametrize("family", ["dog-rs", None])
-    def test_integer_table_scheme_reads_back_integer(self, family):
-        # The document records the root order q, as order, and omega, yet
-        # the table of the scheme is integer: only q makes a document cyclic.
-        scheme = instantiate_degree_table(construct_dog_rs(2, 2, 3, 2, 2), family=family)
-        doc = scheme_to_dict(scheme)
-        assert "q" not in doc and (doc["order"], doc["omega"]) == (33, scheme.omega)
-        dv = table_from_dict(doc)
-        assert dv.modulus is None
-        assert dv == scheme.dv
-        assert validate_degree_table(dv).valid
-        back = scheme_from_dict(doc)
-        assert (back.dv, back.rho, back.omega) == (scheme.dv, scheme.rho, scheme.omega)
-        assert back.params["q"] == 33
-
-
-    def test_cyclic_scheme_without_family_round_trips(self):
-        # family None is written as null; q alone makes the document cyclic.
-        scheme = instantiate_degree_table(construct_cat_x(3, 3, 2))
-        doc = scheme_to_dict(scheme)
-        assert doc["family"] is None and doc["q"] == scheme.dv.modulus and "order" not in doc
-        back = scheme_from_dict(doc)
-        assert (back.dv, back.rho, back.omega) == (scheme.dv, scheme.rho, scheme.omega)
-        assert back.params["q"] == scheme.dv.modulus
-
     def test_table_without_family_is_cyclic_when_it_carries_q(self):
+        # Only q makes a document cyclic: the q = 10 table counts N = 10 mod
+        # q without its family, and without q it is an integer table, with
+        # its family catx or without it.
         doc = json.loads((Path(__file__).parent / "data" / "table_cyclic_q10.json").read_text())
-        del doc["family"]
+        family = doc.pop("family")
         dv = table_from_dict(doc)
         assert dv.modulus == 10 and quadrants(dv).n_unique == 10
         del doc["q"]
         assert table_from_dict(doc).modulus is None
+        assert table_from_dict(dict(doc, family=family)).modulus is None
 
     @pytest.mark.parametrize("doc", [[], {"alpha_p": [0], "alpha_s": [1], "beta_p": [0]}])
     def test_malformed_documents_raise_parameter_error(self, doc):
@@ -1806,9 +1806,9 @@ class TestSchemeInvariants:
 
 
 class TestIntegerInputs:
-    """A scheme's field, points, gamma and omega are Python ints by
-    degrees._integer's rule: numpy integers are taken as their values, and
-    floats and bools are refused."""
+    """A scheme's field, points, gamma and omega, a seed and min_p are Python
+    ints by degrees._integer's rule: numpy integers are taken as their
+    values, and floats and bools are refused."""
 
     @pytest.mark.parametrize("kind", [np.int64, np.int32])
     def test_numpy_integers_give_what_ints_give(self, kind):
@@ -1831,6 +1831,31 @@ class TestIntegerInputs:
         a, b = np.arange(12).reshape(6, 2), np.arange(8).reshape(2, 4)
         got = multiply_via_scheme(numpy, a, b, seed=4)
         assert got.tobytes() == multiply_via_scheme(s, a, b, seed=4).tobytes()
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_numpy_seed_and_min_p_give_what_ints_give(self, kind):
+        s = decoder_scheme(DECODER_SPECS[4])
+        got, want = (draw_randomness(s, (3, 2), (2, 4), seed) for seed in (kind(3), 3))
+        masks = zip(got.r_mats + got.s_mats, want.r_mats + want.s_mats, strict=True)
+        assert all(x.tobytes() == y.tobytes() for x, y in masks)
+        a, b = np.arange(12).reshape(6, 2), np.arange(8).reshape(2, 4)
+        got = multiply_via_scheme(s, a, b, seed=kind(3))
+        assert got.tobytes() == multiply_via_scheme(s, a, b, seed=3).tobytes()
+        moved = instantiate_degree_table(s.dv, min_p=kind(200))
+        assert moved == instantiate_degree_table(s.dv, min_p=200)
+        assert type(moved.field.p) is int and moved.field.p > 200
+
+    @pytest.mark.parametrize(
+        "value",
+        [3.0, np.float64(3), True, np.bool_(True)],
+        ids=["float", "numpy-float", "bool", "numpy-bool"],
+    )
+    def test_seed_and_min_p_refuse_non_integers(self, cat222, value):
+        a = np.eye(2, dtype=int)
+        with pytest.raises(ParameterError, match="^seed takes only integers"):
+            multiply_via_scheme(cat222, a, a, seed=value)
+        with pytest.raises(ParameterError, match="^min_p takes only integers"):
+            instantiate_degree_table(cat222.dv, min_p=value)
 
     @pytest.mark.parametrize(
         "p", [23.0, np.float64(23), True, "23"], ids=["float", "numpy-float", "bool", "str"]

@@ -21,7 +21,6 @@ from pdmm.degrees import (
 )
 from pdmm.search import (
     SchemeChoice,
-    best_dog_rs,
     best_scheme,
     catx_choice,
     sweep,
@@ -43,7 +42,7 @@ class TestBestGaspR:
 
 class TestBestGaspRsAndDog:
     def test_dog_7_7_6(self):
-        choice = best_dog_rs(7, 7, 6)
+        choice = best_scheme(7, 7, 6).dog_rs
         assert (choice.r, choice.s, choice.n_workers) == (1, 3, 88)
 
     def test_gasp_rs_7_7_6(self):
@@ -51,7 +50,7 @@ class TestBestGaspRsAndDog:
         assert (choice.r, choice.s, choice.n_workers) == (2, 3, 89)
 
     def test_dog_3_3_3(self):
-        assert best_dog_rs(3, 3, 3).n_workers == 23
+        assert best_scheme(3, 3, 3).dog_rs.n_workers == 23
 
     def test_gasp_rs_never_worse_than_gasp_r(self):
         for big_k in range(2, 7):
@@ -62,11 +61,12 @@ class TestBestGaspRsAndDog:
 
     def test_reported_n_matches_reconstruction(self):
         for klt in ((3, 3, 3), (5, 4, 3), (7, 7, 6), (6, 5, 5)):
-            c = best_scheme(*klt).gasp_rs
+            rec = best_scheme(*klt)
+            c = rec.gasp_rs
             assert count_unique(construct_gasp_rs(*klt, c.r, c.s)) == c.n_workers
-            c = best_dog_rs(*klt)
+            c = rec.dog_rs
             assert count_unique(construct_dog_rs(*klt, c.r, c.s)) == c.n_workers
-            c = best_scheme(*klt).gasp_r
+            c = rec.gasp_r
             assert count_unique(construct_gasp_r(*klt, c.r)) == c.n_workers
 
 
@@ -115,7 +115,6 @@ class TestAgainstBruteForce:
         for klt in ((big_k, big_l, big_t), (big_l, big_k, big_t)):
             rec = best_scheme(*klt)
             assert (rec.gasp_r, rec.gasp_rs, rec.dog_rs) == expected
-            assert best_dog_rs(*klt) == rec.dog_rs
 
 
 def _gasp_counted(big_k, big_t, ls):
@@ -392,14 +391,9 @@ class TestBestScheme:
         assert rec.gasp_rs_saving == Fraction(2, 91)
 
     def test_rejects_degenerate_parameters(self):
-        with pytest.raises(ValueError):
-            best_scheme(1, 2, 2)
-
-    @pytest.mark.parametrize("klt", [(1, 2, 2), (2, 2, 1), (2, 2, 0), (0, 0, 2)])
-    def test_best_dog_rs_rejects_what_best_scheme_rejects(self, klt):
-        for search_at in (best_scheme, best_dog_rs):
+        for klt in [(1, 2, 2), (2, 2, 1), (2, 2, 0), (0, 0, 2)]:
             with pytest.raises(ValueError, match="need K, L, T >= 2"):
-                search_at(*klt)
+                best_scheme(*klt)
 
     def test_numpy_integers_give_the_int_records(self):
         # Read as given, a numpy K enters the bitsets as 1 << np.int64(K) and
@@ -408,8 +402,9 @@ class TestBestScheme:
         assert rec == best_scheme(5, 5, 4)
         assert (rec.dog_rs.n_workers, rec.winner, rec.margin) == (48, "CATX", 1)
         assert all(type(v) is int for v in (rec.k, rec.l, rec.t, rec.dog_rs.n_workers))
-        assert best_dog_rs(np.int64(40), 40, 30) == best_dog_rs(40, 40, 30)
-        assert best_dog_rs(40, 40, 30).n_workers == 1963
+        rec = best_scheme(np.int64(40), 40, 30)
+        assert rec == best_scheme(40, 40, 30)
+        assert rec.dog_rs.n_workers == 1963
         assert catx_choice(np.int64(7), 7, np.int64(6)) == catx_choice(7, 7, 6)
         recs = sweep(np.arange(10, 13), None, np.arange(8, 10))
         assert recs == sweep(range(10, 13), None, range(8, 10))
@@ -420,7 +415,7 @@ class TestBestScheme:
         "name,klt", [("K", (2.0, 2, 2)), ("L", (2, True, 2)), ("T", (2, 2, 2.5))]
     )
     def test_floats_and_bools_are_refused_by_name(self, name, klt):
-        for search_at in (best_scheme, best_dog_rs, catx_choice):
+        for search_at in (best_scheme, catx_choice):
             with pytest.raises(ParameterError, match=f"^{name} takes only integers"):
                 search_at(*klt)
         k, l, t = ([v] for v in klt)
