@@ -384,13 +384,12 @@ def _prefix_tree(n: int, t: int):
     Level k holds, in lexicographic order, the k-row prefixes that a t-row
     subset can start with: those whose last row is at most n - 1 - (t - k).
     Level 0 is the empty prefix, whose last row is -1. Returns (parents,
-    rows, ends, later): for each level k = 1 .. t-1, parents[k - 1] and
+    rows, ends): for each level k = 1 .. t-1, parents[k - 1] and
     rows[k - 1] give each prefix's (k-1)-row prefix (its index one level
     down) and its last row, so rows[-1], or [-1] for t = 1, holds the last
     row c of each (t-1)-row prefix P, whose n - 1 - c extensions P + {i},
     i > c, come in lexicographic order. ends[j] is the number of t-row
-    subsets that start with a (t-1)-row prefix up to j, and later[c, i]
-    says whether i > c.
+    subsets that start with a (t-1)-row prefix up to j.
     """
     parents, rows = [], []
     last = np.array([-1], dtype=np.intp)
@@ -401,8 +400,7 @@ def _prefix_tree(n: int, t: int):
         last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
         parents.append(parent)
         rows.append(last)
-    later = np.arange(n) > np.arange(n)[:, None]
-    return parents, rows, np.cumsum(n - 1 - last), later
+    return parents, rows, np.cumsum(n - 1 - last)
 
 
 @lru_cache(maxsize=32)
@@ -485,7 +483,7 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     the stack at its first singular subset.
     """
     g, _, n = cols.shape
-    parents, rows, ends, later = _prefix_tree(n, t)
+    parents, rows, ends = _prefix_tree(n, t)
     last = rows[-1] if rows else np.array([-1], dtype=np.intp)
     # The last level's right operand: at column set s the prefixes' minors
     # lack column j = t-1-s, whose Laplace sign is (-1)^(t-1+j) = (-1)^s.
@@ -501,14 +499,10 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
             stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
         minors = _chunk_minors(cols, p, step, parents, rows, start, stop)
         top = last[start:stop]
-        col = int(top[0] if t <= 2 else top.min()) + 1
+        col = int(top.min()) + 1
         dets = np.empty((len(live), stop - start, n - col), dtype=cols.dtype)
         _mulmod(minors.transpose(0, 2, 1), right[:, :, col:], p, step, dets)
-        zero = dets == 0
-        if t == 2:  # the prefixes are the rows start .. stop - 1
-            zero &= later[start:stop, col:]
-        elif t > 2:
-            zero &= np.take(later[:, col:], top, axis=0)
+        zero = (dets == 0) & (np.arange(col, n) > top[:, None])  # i > max(P)
         zero = zero.reshape(len(live), -1)
         if zero.any():
             hit = zero.any(axis=1)
@@ -549,10 +543,11 @@ def _combination_indices(n: int, t: int) -> np.ndarray:
     return idx
 
 
-def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
-    """The walk of widths above _MINORS_UP_TO, by _singular: the position
-    in subsets of each matrix's first singular row subset, or len(subsets)
-    when it has none. Singularity is transpose-invariant, so cols is a
+def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[tuple | None]:
+    """The walk of widths above _MINORS_UP_TO, by _singular: each matrix's
+    first singular row subset among subsets, as (witness, checked), checked
+    its 1-based position, or None when it has none, as _cofactor_walk
+    returns it. Singularity is transpose-invariant, so cols is a
     (t, n, G) stack of G matrices of residues, each n x t, transposed: entry
     [k, r, m] is row r, column k of matrix m. p is one modulus or an array
     of G, in cols' type (see _singular).
@@ -562,7 +557,7 @@ def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
     subset.
     """
     t, _, g = cols.shape
-    first = [len(subsets)] * g
+    found: list[tuple | None] = [None] * g
     live = list(range(g))  # the input position of each matrix left in cols
     start, size = 0, _FIRST_CHUNK
     while start < len(subsets) and live:
@@ -578,19 +573,13 @@ def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[int]:
             bad = bad.reshape(c, len(live))
             hit = bad.any(axis=0)
             for j, k in zip(np.flatnonzero(hit).tolist(), bad[:, hit].argmax(axis=0).tolist()):
-                first[live[j]] = start + k
+                found[live[j]] = (tuple(subsets[start + k].tolist()), start + k + 1)
             live = [m for m, h in zip(live, hit.tolist()) if not h]
             cols = cols[:, :, ~hit]
             if isinstance(p, np.ndarray):
                 p = p[~hit]
         start, size = start + c, _CHUNK if size == _FIRST_CHUNK else min(2 * size, _LAST_CHUNK)
-    return first
-
-
-def _check(position: int, subsets: np.ndarray) -> SubmatrixCheck:
-    if position == len(subsets):
-        return SubmatrixCheck(None, position, "exhaustive")
-    return SubmatrixCheck(tuple(subsets[position].tolist()), position + 1, "exhaustive")
+    return found
 
 
 def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
@@ -624,13 +613,13 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
         p = kind(p) if isinstance(p, int) else p.astype(kind)[:, None, None]
         cols = np.ascontiguousarray(mats.transpose(0, 2, 1), dtype=kind)
         found = _cofactor_walk(cols, p, t, step) if n >= t else [None] * g
-        passed = SubmatrixCheck(None, comb(n, t), "exhaustive")
-        return [passed if f is None else SubmatrixCheck(*f, "exhaustive") for f in found]
-    kind = _exact_type(top, 1)[0]
-    p = kind(p) if isinstance(p, int) else p.astype(kind)
-    subsets = _combination_indices(n, t)
-    cols = mats.transpose(2, 1, 0).astype(kind)
-    return [_check(i, subsets) for i in _elimination_walk(cols, p, subsets)]
+    else:
+        kind = _exact_type(top, 1)[0]
+        p = kind(p) if isinstance(p, int) else p.astype(kind)
+        cols = mats.transpose(2, 1, 0).astype(kind)
+        found = _elimination_walk(cols, p, _combination_indices(n, t))
+    passed = SubmatrixCheck(None, comb(n, t), "exhaustive")
+    return [passed if f is None else SubmatrixCheck(*f, "exhaustive") for f in found]
 
 
 def all_txt_submatrices_invertible(m, t: int, p: int) -> SubmatrixCheck:

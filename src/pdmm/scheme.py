@@ -75,7 +75,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling."""
+        """Uniform integer in [0, n) via rejection sampling; n is an int by
+        degrees._integer's rule."""
+        n = _integer(n, "n")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
@@ -85,7 +87,8 @@ class SplitMix64:
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
         """rows x cols draws of below(p), row by row, as int64, for
         1 <= p <= 2^63; any other p raises ValueError, since its draws would
-        not fit int64 or there are none.
+        not fit int64 or there are none. rows, cols and p are ints by
+        degrees._integer's rule.
 
         The next rows * cols states are state + i * _GAMMA, so the stream is
         mixed in numpy uint64, _DRAWS draws at a time, and each chunk is
@@ -96,6 +99,7 @@ class SplitMix64:
         drawn again by the scalar loop from the state it started at, which
         keeps the stream exact; the state advances only at the end.
         """
+        rows, cols, p = _integer(rows, "rows"), _integer(cols, "cols"), _integer(p, "p")
         if not 1 <= p <= 1 << 63:
             raise ValueError(f"p = {p} lies outside [1, 2^63]")
         count = rows * cols
@@ -165,16 +169,16 @@ class PdmmScheme:
     @cached_property
     def _sigma(self) -> np.ndarray:
         """The exponents sigma_i of the points rho_i = omega^sigma_i, looked up
-        among omega^0 .. omega^(N-1): the rows of omega's power tables that
-        both maps read. Raises SchemeError, on first encode or decode, when
-        omega is None or a point is not among them, and ValueError for p
-        above _MAX_P."""
+        among omega^0 .. omega^(N-1), column 0 of _powers' table of the
+        exponent 1: the rows of omega's power tables that both maps read.
+        Raises SchemeError, on first encode or decode, when omega is None or
+        a point is not among them, and ValueError for p above _MAX_P."""
         p, n, omega = self.field.p, self.n_workers, self.omega
         if omega is None:
             raise SchemeError("encoding and decoding need omega: the points must be its powers")
         if p > _MAX_P:
             raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
-        index = {x: k for k, x in enumerate(_geometric(omega, n, p))}
+        index = {x: k for k, x in enumerate(_powers((omega,), (p,), (1,), n)[:, 0].tolist())}
         sigma = [index.get(x % p) for x in self.rho]
         if None in sigma:
             stray = self.rho[sigma.index(None)]
@@ -248,37 +252,16 @@ class Randomness:
     s_mats: tuple[np.ndarray, ...]
 
 
-# Below this many nodes _master's O(N^2) Python loop costs less than its N
-# numpy steps. The measured crossover falls as p grows: about 24 nodes at
-# p ~ 3e9, 42 at p ~ 1e9 and 70 at p = 109 (one call, 2 vCPUs).
-_LIST_NODES = 32
-
-
 def _master(nodes, p: int) -> np.ndarray:
     """The N + 1 coefficients of prod(x - z) over the N nodes mod p, highest
-    first, in int64: by Python ints below _LIST_NODES nodes, else one int64
-    step per node, for p <= _MAX_P."""
-    n = len(nodes)
-    if n < _LIST_NODES:
-        m = [1] + [0] * n
-        for k, z in enumerate(nodes, 1):  # times x - z
-            for i in range(k, 0, -1):
-                m[i] = (m[i] - z * m[i - 1]) % p
-        return np.array(m, dtype=np.int64)
-    m = np.zeros(n + 1, dtype=np.int64)
+    first, in int64: one int64 array step per node, times x - z, in which
+    every product of a residue and a node stays below 2^63 for p <= _MAX_P."""
+    m = np.zeros(len(nodes) + 1, dtype=np.int64)
     m[0] = 1
     for k, z in enumerate(nodes, 1):
         m[1 : k + 1] -= m[:k] * z
         m[1 : k + 1] %= p
     return m
-
-
-def _geometric(r: int, n: int, p: int) -> list[int]:
-    """The n powers 1, r, r^2, .. mod p, by accumulation."""
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * r % p)
-    return powers
 
 
 def _ratio(rho, p: int) -> int | None:
@@ -548,7 +531,7 @@ def instantiate_degree_table(
             if live:
                 c = live[0]
                 p, q, v = group[c]
-                rho = tuple(_geometric(omegas[c], n, p))
+                rho = tuple(_powers((omegas[c],), (p,), (1,), n)[:, 0].tolist())
                 level = "exhaustive" if None in v else "structural"
                 meta = dict(params or {}, q=q, certificate=level)
                 return PdmmScheme(

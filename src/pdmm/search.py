@@ -51,7 +51,7 @@ in (K, T, L) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import inf
@@ -330,11 +330,11 @@ def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
 
     l_range None ties L to K: the points (K, K, T). Otherwise the grid is
     the product of all three ranges.  A point and its transpose (L, K, T)
-    are one problem (`_oriented`), so each is computed once per call and
-    the other's record is the same with K and L as given.  The distinct
-    oriented points are computed in (K, T, L) order, one `_choices` scan
-    per (K, T) for all of its L.  Range elements are read as `_point`
-    reads them.
+    are one problem (`_oriented`), so the choices of each are computed once
+    per call, in (K, T, L) order of the distinct oriented points, one
+    `_choices` scan per (K, T) for all of its L; every point's record is
+    then `_record` on its K and L as given.  Range elements are read as
+    `_point` reads them.
     """
     ks = sorted({_integer(k, "K") for k in k_range})
     ts = sorted({_integer(t, "T") for t in t_range})
@@ -347,14 +347,9 @@ def sweep(k_range, l_range, t_range) -> list[SweepRecord]:
         raise ValueError("empty sweep grid")
     if min(map(min, points)) < 2:
         raise ValueError("need K, L, T >= 2")
-    computed: dict[tuple[int, int, int], SweepRecord] = {}
+    choices = {}
     keys = sorted({_oriented(*point) for point in points}, key=itemgetter(0, 2, 1))
     for (big_k, big_t), group in groupby(keys, key=itemgetter(0, 2)):
         group = list(group)
-        for key, choices in zip(group, _choices(big_k, big_t, [l for _, l, _ in group])):
-            computed[key] = _record(*key, *choices)
-    records = []
-    for k, l, t in points:
-        rec = computed[_oriented(k, l, t)]
-        records.append(rec if (rec.k, rec.l) == (k, l) else replace(rec, k=k, l=l))
-    return records
+        choices.update(zip(group, _choices(big_k, big_t, [l for _, l, _ in group])))
+    return [_record(k, l, t, *choices[_oriented(k, l, t)]) for k, l, t in points]

@@ -11,6 +11,7 @@ import pytest
 
 import pdmm
 from pdmm.cli import CSV_HEADER, _exact_product, main
+from pdmm.linalg import _exact_type
 
 DATA = Path(__file__).parent / "data"
 
@@ -377,26 +378,26 @@ class TestSimulate:
         assert err.startswith("error:") and "13019909" in err and "4194304" in err
 
     @pytest.mark.parametrize(
-        "argv, p",
+        "argv, p, rungs",
         [
             # Fields just past 3e9, below isqrt(2^63 - 1): matmul_mod's and
             # the T x T checks' products of two residues come close to int64.
             # An inner dimension of 1 keeps the simulated workers' int64
             # product from wrapping.
             (("--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--dims", "2x1x2",
-              "--min-p", "3000000000"), 3000000151),
+              "--min-p", "3000000000"), 3000000151, None),
             (("--family", "catx", "-K", "4", "-L", "4", "-T", "4", "--dims", "4x1x4",
-              "--min-p", "3000000000"), 3000000371),
+              "--min-p", "3000000000"), 3000000371, None),
             (("--family", "dog-rs", "-K", "2", "-L", "2", "-T", "3", "-r", "2", "-s", "2",
-              "--dims", "2x1x2", "--min-p", "3000000000"), 3000000019),
+              "--dims", "2x1x2", "--min-p", "3000000000"), 3000000019, None),
             (("--family", "gasp-small", "-K", "3", "-L", "3", "-T", "3", "--dims", "3x1x3",
-              "--min-p", "3000000000"), 3000000019),
+              "--min-p", "3000000000"), 3000000019, None),
             # From p = 94,906,297 on, one product of two residues no longer
             # fits a float64 chunk, so the kernel multiplies in int64 chunks.
             # At inner dimension 32, (p-1)^2 * 32 < 2^63, so the workers run
             # on the kernel.
             (("--family", "catx", "-K", "2", "-L", "2", "-T", "2", "--dims", "64x32x64",
-              "--min-p", "100000000"), 100000081),
+              "--min-p", "100000000"), 100000081, None),
         ]
         # matmul_mod multiplies in float32 while (p-1)^2 * inner + p < 2^24,
         # in float64 chunks while (p-1)^2 + p < 2^53, else in int64 chunks,
@@ -406,14 +407,20 @@ class TestSimulate:
         # runs on float32; each other min_p lies just past a switch: 1187
         # (encode leaves float32), 4099 (no product on float32), 32771
         # (int32 shares), 10^7 (the workers' float64 product needs chunks
-        # from p ~ 9.7e6 on) and 94,906,297 (int64 chunks). The scan then
-        # takes the next prime p = 1 (mod 218).
+        # from p ~ 9.7e6 on) and 94,906,297 (int64, 1,023 terms a chunk).
+        # The scan then takes the next prime p = 1 (mod 218). rungs names the
+        # product type of encode, the workers and decode at p, with " chunks"
+        # where the product takes more than one chunk.
         + [
             (("--family", "catx", "-K", "8", "-L", "8", "-T", "4", "--dims", "96x96x96",
-              "--min-p", str(min_p)), p)
-            for min_p, p in [
-                (0, 1091), (1187, 2399), (4099, 5233), (32771, 33791),
-                (10**7, 10002059), (94906297, 94906519),
+              "--min-p", str(min_p)), p, rungs)
+            for min_p, p, rungs in [
+                (0, 1091, ("float32", "float64", "float64")),
+                (1187, 2399, ("float64", "float64", "float64")),
+                (4099, 5233, ("float64", "float64", "float64")),
+                (32771, 33791, ("float64", "float64", "float64")),
+                (10**7, 10002059, ("float64", "float64 chunks", "float64 chunks")),
+                (94906297, 94906519, ("int64", "int64", "int64")),
             ]
         ],
         ids=[
@@ -423,12 +430,18 @@ class TestSimulate:
             "catx-8-8-4-p1e7", "catx-8-8-4-p94906297",
         ],
     )
-    def test_exact_on_each_kernel_path(self, capsys, argv, p):
+    def test_exact_on_each_kernel_path(self, capsys, argv, p, rungs):
         code, out, _ = run(capsys, "simulate", *argv)
         assert code == 0
         lines = out.splitlines()
         assert "decode: exact match" in lines
         assert f"p = {p}" in lines
+        if rungs is not None:
+            got = []
+            for inner in (12, 96, 92):
+                kind, step = _exact_type(p, inner)
+                got.append(kind.__name__ + (" chunks" if step < inner else ""))
+            assert tuple(got) == rungs
 
     def test_exact_reference_does_not_wrap_past_2_31(self):
         p = 3_000_000_019

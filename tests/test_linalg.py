@@ -1116,12 +1116,11 @@ class TestCofactorWalk:
     def test_prefixes_are_the_lexicographic_runs(self, n, t):
         # Each (t-1)-row prefix, read back through its parents, in order,
         # with the subsets up to it.
-        parents, rows, ends, later = _prefix_tree(n, t)
+        parents, rows, ends = _prefix_tree(n, t)
         prefixes = [_prefix_rows(parents, rows, j) for j in range(len(ends))]
         assert prefixes == list(combinations(range(n - 1), t - 1))
         runs = [n - 1 - (p[-1] if p else -1) for p in prefixes]
         assert ends.tolist() == list(np.cumsum(runs)) and ends[-1] == comb(n, t)
-        assert later.tolist() == [[i > c for i in range(n)] for c in range(n)]
 
     def test_no_subset_array_below_the_cutoff(self):
         # The walk reads its prefixes; the C(n, t) subset array is built

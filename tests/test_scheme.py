@@ -95,6 +95,40 @@ class TestSplitMix64:
         assert fast.state == slow.state
         assert fast.next_u64() == slow.next_u64()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, i: g.matrix(1, 3, i(97)),
+            lambda g, i: g.matrix(i(2), 3, 97),
+            lambda g, i: g.matrix(2, i(3), 97),
+            lambda g, i: g.below(i(97)),
+        ],
+        ids=["p", "rows", "cols", "below"],
+    )
+    def test_numpy_integers_draw_as_ints(self, call):
+        fast, slow = SplitMix64(5), SplitMix64(5)
+        assert np.array_equal(call(fast, np.int64), call(slow, int))
+        assert fast.state == slow.state
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: g.matrix(1, 3, 97.0),
+            lambda g: g.matrix(1, 3, True),
+            lambda g: g.matrix(2.0, 3, 97),
+            lambda g: g.matrix(2, True, 97),
+            lambda g: g.below(97.0),
+            lambda g: g.below(True),
+        ],
+        ids=["p-float", "p-bool", "rows-float", "cols-bool", "below-float", "below-bool"],
+    )
+    def test_floats_and_bools_are_refused(self, call):
+        # int() would truncate a float, and True would draw as p = 1: all zeros.
+        g = SplitMix64(5)
+        with pytest.raises(ParameterError, match="only integers"):
+            call(g)
+        assert g.state == 5
+
     @pytest.mark.parametrize("n", [2**62 + 1, 2**64 // 3 + 1])
     def test_matrix_rejection_runs_the_scalar_loop(self, n):
         # n = 2^62 + 1 rejects about a quarter of the draws and 2^64 / 3 + 1
