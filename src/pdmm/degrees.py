@@ -128,8 +128,9 @@ def gap(length: int, x: int, r: int) -> tuple[int, ...]:
     """Generalized arithmetic progression: r-length chains spaced x apart.
 
     Element i (0-based) is (i // r) * x + (i % r); a final partial chain is
-    truncated.
+    truncated. length, x and r are ints by _integer's rule.
     """
+    length, x, r = _integer(length, "length"), _integer(x, "x"), _integer(r, "r")
     if length < 1 or r < 1:
         raise ParameterError(f"gap requires length >= 1 and r >= 1, got {length}, {r}")
     return tuple((i // r) * x + (i % r) for i in range(length))
@@ -137,6 +138,7 @@ def gap(length: int, x: int, r: int) -> tuple[int, ...]:
 
 def kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
     """Minimal non-negative shifts making K+1+kappa and L+1+lambda coprime to T-1."""
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
     if not big_k >= big_l >= big_t >= 2:
         raise ParameterError(f"need K >= L >= T >= 2, got ({big_k}, {big_l}, {big_t})")
     t_bar = big_t - 1
@@ -153,6 +155,8 @@ def kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
 
 def construct_gasp_r(big_k: int, big_l: int, big_t: int, r: int) -> DegreeVectors:
     """GASP_r is GASP_rs with s = T: gap(T, K, T) is [0, T)."""
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
+    r = _integer(r, "r")
     if not (big_k >= big_l >= 2 and big_t >= 2):
         raise ParameterError(f"need K >= L >= 2 and T >= 2, got ({big_k}, {big_l}, {big_t})")
     if not 1 <= r <= min(big_k, big_t):
@@ -161,6 +165,8 @@ def construct_gasp_r(big_k: int, big_l: int, big_t: int, r: int) -> DegreeVector
 
 
 def construct_gasp_rs(big_k: int, big_l: int, big_t: int, r: int, s: int) -> DegreeVectors:
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
+    r, s = _integer(r, "r"), _integer(s, "s")
     if not (big_k >= 2 and big_l >= 2 and big_t >= 2):
         raise ParameterError(f"need K, L, T >= 2, got ({big_k}, {big_l}, {big_t})")
     if not (1 <= r <= big_t and 1 <= s <= big_t):
@@ -175,6 +181,8 @@ def construct_gasp_rs(big_k: int, big_l: int, big_t: int, r: int, s: int) -> Deg
 
 
 def construct_dog_rs(big_k: int, big_l: int, big_t: int, r: int, s: int) -> DegreeVectors:
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
+    r, s = _integer(r, "r"), _integer(s, "s")
     if not (big_k >= 2 and big_l >= 2 and big_t >= 2):
         raise ParameterError(f"need K, L, T >= 2, got ({big_k}, {big_l}, {big_t})")
     if not 1 <= r <= big_t:
@@ -191,6 +199,8 @@ def construct_dog_rs(big_k: int, big_l: int, big_t: int, r: int, s: int) -> Degr
 
 
 def cat_parameters(big_k: int, big_l: int, big_t: int, x: int = 1) -> CatParameters:
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
+    x = _integer(x, "x")
     kappa, lam = kappa_lambda(big_k, big_l, big_t)
     k_star = big_k + 1 + kappa
     l_star = big_l + 1 + lam
@@ -205,6 +215,8 @@ def cat_parameters(big_k: int, big_l: int, big_t: int, x: int = 1) -> CatParamet
 
 
 def construct_cat_x(big_k: int, big_l: int, big_t: int, x: int = 1) -> DegreeVectors:
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
+    x = _integer(x, "x")
     par = cat_parameters(big_k, big_l, big_t, x)
     q, y = par.q, par.y
     return DegreeVectors(
@@ -277,6 +289,7 @@ def table_from_dict(doc: dict) -> DegreeVectors:
 
 def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:
     """Closed-form worker count (K+1)(L+1) + (T-1)^2 + kappa + lambda."""
+    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
     kappa, lam = kappa_lambda(big_k, big_l, big_t)
     return (big_k + 1) * (big_l + 1) + (big_t - 1) ** 2 + kappa + lam
 

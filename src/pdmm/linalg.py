@@ -29,18 +29,19 @@ form. The T x T submatrix checks are the one other use of the kernel:
 submatrix_checks walks a stack of G n x t matrices, each mod its own p,
 through the row subsets of all of them at once, in lexicographic order,
 and a matrix leaves the stack at its first singular subset;
-all_txt_submatrices_invertible is its one-matrix case. For t up to
-_MINORS_UP_TO the walk, _cofactor_walk, shares minors between subsets: a
-subset P + {i}, i > max(P), is singular exactly when d[i] . c_P = 0
-(mod p), c_P the cofactors of the row prefix P. Each prefix's minors come
-from its parent's by one _mulmod against a matrix of Laplace signs, and
-the last level is one _mulmod of the cofactors against d.T, in the type
-_exact_type(p, t) gives. Wider checks are eliminated by the division-free
-forward pass _singular, over (t, t, M) stacks of subsets, in the type
-_exact_type(p, 1) gives. The kernel's tiles, the walk's levels
-and the elimination's steps share one reduction, _reduce, whose exactness
-matmul_mod proves. No check samples: each walks every subset or stops at
-the first singular one.
+all_txt_submatrices_invertible is its one-matrix case. Both engines read
+that order off one tree of row prefixes, _prefix_tree, chunk by chunk. For
+t up to _MINORS_UP_TO the walk, _cofactor_walk, shares minors between
+subsets: a subset P + {i}, i > max(P), is singular exactly when
+d[i] . c_P = 0 (mod p), c_P the cofactors of the row prefix P. Each
+prefix's minors come from its parent's by one _mulmod against a matrix of
+Laplace signs, and the last level is one _mulmod of the cofactors against
+d.T, in the type _exact_type(p, t) gives. Wider checks are eliminated by the
+division-free forward pass _singular, over (t, t, M) stacks of a chunk's
+subsets, in the type _exact_type(p, 1) gives. The kernel's tiles, the
+walk's levels and the elimination's steps share one reduction, _reduce,
+whose exactness matmul_mod proves. No check samples: each walks every
+subset or stops at the first singular one.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.n
     modulus = p if isinstance(p, np.ndarray) else a.dtype.type(p)
     if out.size <= _TILE and inner <= step:  # one tile of one chunk
         return _reduce(a @ b, modulus, out)
-    tile = _TILE // max(1, prod(out.shape[:-2])) if out.ndim > 2 else _TILE
+    tile = _TILE // max(1, prod(out.shape[:-2]))
     height = max(1, min(rows, tile))
     width = max(1, tile // height)
     for r in range(0, rows, height):
@@ -229,17 +230,15 @@ def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
     a float y (see matmul_mod's proof), and p is a scalar, or an array that
     broadcasts against y, of the same type. out is y, or shares no memory
-    with it, and holds p - 1. An int64 y is reduced by np.remainder for an
-    array p, and for a scalar p as y - (y // p) * p, whose floor division
-    by one int64 numpy makes by multiplication. The quotient and its
-    product by p are made in out, or in a new int64 array when out is y.
+    with it, and holds p - 1. An int64 y is reduced as y - (y // p) * p,
+    for one p or an array of them; numpy divides by one int64 by
+    multiplication. The quotient and its product by p are made in out, or
+    in a new int64 array when out is y.
     Either may wrap, modulo 2^w for w bits, but y - (y // p) * p, the
     residue r, is then still right modulo 2^w, and an out that holds p - 1
     holds r. A float y is reduced as y - p * floor(y / p).
     """
     if y.dtype.kind != "f":
-        if isinstance(p, np.ndarray):
-            return np.remainder(y, p, out=out, casting="unsafe")
         q = y // p if out is y else np.floor_divide(y, p, out=out, casting="unsafe")
         q *= p
         return np.subtract(y, q, out=out, casting="unsafe")
@@ -288,8 +287,8 @@ def vandermonde(points, exponents, p: int) -> np.ndarray:
 
 
 def _singular(a: np.ndarray, p) -> np.ndarray:
-    """Which matrices of a (t, t, M) stack of residues are singular. The
-    stack is in the type _exact_type(p, 1) gives for its largest modulus
+    """Which matrices of a (t, t, M) stack of residues, t >= 1, are singular.
+    The stack is in the type _exact_type(p, 1) gives for its largest modulus
     (float32, float64 or int64), and p is one modulus for the whole stack,
     or an array of M, one per matrix, broadcast along the last axis, in the
     same type. Overwrites the stack.
@@ -303,12 +302,9 @@ def _singular(a: np.ndarray, p) -> np.ndarray:
     A zero pivot is replaced by adding the first row below with a nonzero
     entry in its column, which keeps the determinant. If a column has no
     nonzero entry left, every later row becomes zero; so a matrix is singular
-    exactly when its last diagonal entry ends at zero. A 0 x 0 matrix is
-    regular.
+    exactly when its last diagonal entry ends at zero.
     """
     t = a.shape[0]
-    if t == 0:
-        return np.zeros(a.shape[2], dtype=bool)
     for k in range(t - 1):
         zero = np.flatnonzero(a[k, k] == 0)
         if zero.size:
@@ -379,7 +375,7 @@ _ALTERNATING = np.array([(-1) ** s for s in range(_MINORS_UP_TO)], dtype=np.int8
 
 @lru_cache(maxsize=8)
 def _prefix_tree(n: int, t: int):
-    """The row prefixes of the cofactor walk of the t-row subsets of n rows.
+    """The row prefixes of the t-row subsets of n rows, read by both walks.
 
     Level k holds, in lexicographic order, the k-row prefixes that a t-row
     subset can start with: those whose last row is at most n - 1 - (t - k).
@@ -389,7 +385,7 @@ def _prefix_tree(n: int, t: int):
     down) and its last row, so rows[-1], or [-1] for t = 1, holds the last
     row c of each (t-1)-row prefix P, whose n - 1 - c extensions P + {i},
     i > c, come in lexicographic order. ends[j] is the number of t-row
-    subsets that start with a (t-1)-row prefix up to j.
+    subsets that start with a (t-1)-row prefix up to j, where a chunk ends.
     """
     parents, rows = [], []
     last = np.array([-1], dtype=np.intp)
@@ -419,14 +415,15 @@ def _laplace(t: int, k: int, kind) -> np.ndarray:
     return signs
 
 
-def _prefix_rows(parents: list, rows: list, idx: int) -> tuple[int, ...]:
-    """The rows of (t-1)-row prefix idx of _prefix_tree, read back through
-    its parents."""
-    out = []
-    for parent, row in zip(reversed(parents), reversed(rows)):
-        out.append(int(row[idx]))
-        idx = parent[idx]
-    return tuple(out[::-1])
+def _prefix_rows(parents: list, rows: list, idx) -> np.ndarray:
+    """The rows of the (t-1)-row prefixes idx of _prefix_tree, one index or
+    an array of them, read back through their parents: a (t-1,) + idx.shape
+    array, first row first."""
+    out = np.empty((len(rows),) + np.shape(idx), dtype=np.intp)
+    for k in range(len(rows) - 1, -1, -1):
+        out[k] = rows[k][idx]
+        idx = parents[k][idx]
+    return out
 
 
 def _chunk_minors(cols: np.ndarray, p, step: int, parents: list, rows: list, start: int, stop: int):
@@ -438,8 +435,8 @@ def _chunk_minors(cols: np.ndarray, p, step: int, parents: list, rows: list, sta
     _laplace's signs against the products of each prefix's last row and its
     parent's minors."""
     g, t, _ = cols.shape
-    if t <= 2:  # the empty prefix, or one row each
-        return np.ones((g, 1, 1), dtype=cols.dtype) if t == 1 else cols[:, :, start:stop]
+    if t == 1:  # the empty prefix
+        return np.ones((g, 1, 1), dtype=cols.dtype)
     spans = [(start, stop)]  # the run of prefixes at each level, top down
     for parent in reversed(parents[1:]):
         lo, hi = spans[-1]
@@ -511,7 +508,7 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
                 prefix, i = divmod(at, n - col)
                 idx, i = start + prefix, col + i
                 checked = int(ends[idx]) - (n - 1 - i)
-                found[live[j]] = (_prefix_rows(parents, rows, idx) + (i,), checked)
+                found[live[j]] = ((*_prefix_rows(parents, rows, idx).tolist(), i), checked)
             if stop < len(ends):
                 keep = ~hit
                 live = [m for m, h in zip(live, hit.tolist()) if not h]
@@ -523,62 +520,61 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     return found
 
 
-# Elimination checks row subsets in chunks so that a singular subset ends
-# the check without enumerating or testing the rest. The first chunk is
+# Elimination's budgets of subsets per chunk: a singular subset ends the
+# check without building or testing the rest. The first chunk is
 # smaller, since a matrix with a singular subset most often shows one early;
 # after the second, chunks double up to _LAST_CHUNK, since a matrix still in
 # the walk most often has none.
 _FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
 
 
-@lru_cache(maxsize=8)
-def _combination_indices(n: int, t: int) -> np.ndarray:
-    """All C(n, t) row subsets in lexicographic order (for t = 0 the empty
-    one), shared and read-only, in the smallest integer dtype that holds n:
-    one byte per index for n <= 255."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
-    dtype = np.min_scalar_type(n)
-    idx = np.fromiter(flat, dtype=dtype, count=comb(n, t) * t).reshape(comb(n, t), t)
-    idx.flags.writeable = False
-    return idx
-
-
-def _elimination_walk(cols: np.ndarray, p, subsets: np.ndarray) -> list[tuple | None]:
+def _elimination_walk(cols: np.ndarray, p, t: int) -> list[tuple | None]:
     """The walk of widths above _MINORS_UP_TO, by _singular: each matrix's
-    first singular row subset among subsets, as (witness, checked), checked
-    its 1-based position, or None when it has none, as _cofactor_walk
-    returns it. Singularity is transpose-invariant, so cols is a
-    (t, n, G) stack of G matrices of residues, each n x t, transposed: entry
-    [k, r, m] is row r, column k of matrix m. p is one modulus or an array
-    of G, in cols' type (see _singular).
+    first singular t-row subset, as (witness, checked), checked its 1-based
+    position, or None when it has none, as _cofactor_walk returns it.
+    Singularity is transpose-invariant, so cols is a (t, n, G) stack of G
+    matrices of residues, each n x t, transposed: entry [k, r, m] is row r,
+    column k of matrix m. p is one modulus or an array of G, in cols' type
+    (see _singular).
 
-    Subsets are tested in chunks, every matrix still in the walk at once,
-    and a matrix leaves the walk, and the stack, at its first singular
-    subset.
+    A chunk holds the runs of the prefixes of _prefix_tree that end within
+    its budget of subsets, as a (t, c) array of row indices: each prefix's
+    rows repeated over its run, then the run's last rows. Every matrix left
+    in the walk is eliminated on it at once, and leaves the walk, and the
+    stack, at its first singular subset.
     """
-    t, _, g = cols.shape
+    _, n, g = cols.shape
+    parents, rows, ends = _prefix_tree(n, t)
     found: list[tuple | None] = [None] * g
     live = list(range(g))  # the input position of each matrix left in cols
-    start, size = 0, _FIRST_CHUNK
-    while start < len(subsets) and live:
-        chunk = subsets[start : start + size]
-        c = len(chunk)
+    start, done, budget = 0, 0, _FIRST_CHUNK  # done: the subsets before prefix start
+    while start < len(ends) and live:
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        heads = np.empty((t, stop - start), dtype=np.intp)
+        heads[:-1] = _prefix_rows(parents, rows, np.arange(start, stop))
+        # Subset done + o, in the run that ends at subset ends[j], ends in
+        # row n - ends[j] + done + o.
+        heads[-1] = n + done - ends[start:stop]
+        chunk = np.repeat(heads, n - 1 - rows[-1][start:stop], axis=1)
+        c = chunk.shape[1]
+        chunk[-1] += np.arange(c)
         # np.take lays the submatrices out C-contiguous, [column, row, subset,
         # matrix], where fancy indexing would leave the row operations strided.
         bad = _singular(
-            np.take(cols, chunk.T, axis=1).reshape(t, t, c * len(live)),
+            np.take(cols, chunk, axis=1).reshape(t, t, c * len(live)),
             np.tile(p, c) if isinstance(p, np.ndarray) else p,
         )
         if np.flatnonzero(bad).size:
             bad = bad.reshape(c, len(live))
             hit = bad.any(axis=0)
             for j, k in zip(np.flatnonzero(hit).tolist(), bad[:, hit].argmax(axis=0).tolist()):
-                found[live[j]] = (tuple(subsets[start + k].tolist()), start + k + 1)
+                found[live[j]] = (tuple(chunk[:, k].tolist()), done + k + 1)
             live = [m for m, h in zip(live, hit.tolist()) if not h]
             cols = cols[:, :, ~hit]
             if isinstance(p, np.ndarray):
                 p = p[~hit]
-        start, size = start + c, _CHUNK if size == _FIRST_CHUNK else min(2 * size, _LAST_CHUNK)
+        start, done = stop, done + c
+        budget = _CHUNK if budget == _FIRST_CHUNK else min(2 * budget, _LAST_CHUNK)
     return found
 
 
@@ -608,16 +604,18 @@ def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     # exact; every smaller modulus is exact in it.
     top = p if isinstance(p, int) else int(p.max(initial=0))
     n = mats.shape[1]
-    if 0 < t <= _MINORS_UP_TO:
+    if t == 0 or t > n:  # one empty subset, or none
+        found = [None] * g
+    elif t <= _MINORS_UP_TO:
         kind, step = _exact_type(top, t)
         p = kind(p) if isinstance(p, int) else p.astype(kind)[:, None, None]
         cols = np.ascontiguousarray(mats.transpose(0, 2, 1), dtype=kind)
-        found = _cofactor_walk(cols, p, t, step) if n >= t else [None] * g
+        found = _cofactor_walk(cols, p, t, step)
     else:
         kind = _exact_type(top, 1)[0]
         p = kind(p) if isinstance(p, int) else p.astype(kind)
         cols = mats.transpose(2, 1, 0).astype(kind)
-        found = _elimination_walk(cols, p, _combination_indices(n, t))
+        found = _elimination_walk(cols, p, t)
     passed = SubmatrixCheck(None, comb(n, t), "exhaustive")
     return [passed if f is None else SubmatrixCheck(*f, "exhaustive") for f in found]
 

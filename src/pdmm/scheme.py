@@ -75,9 +75,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling; n is an int by
-        degrees._integer's rule."""
+        """Uniform integer in [0, n) via rejection sampling, for
+        1 <= n <= 2^64; any other n raises ValueError, since there are no
+        draws below it or a 64-bit draw cannot reach them all. n is an int
+        by degrees._integer's rule."""
         n = _integer(n, "n")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"n = {n} lies outside [1, 2^64]")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
@@ -169,8 +173,9 @@ class PdmmScheme:
     @cached_property
     def _sigma(self) -> np.ndarray:
         """The exponents sigma_i of the points rho_i = omega^sigma_i, looked up
-        among omega^0 .. omega^(N-1), column 0 of _powers' table of the
-        exponent 1: the rows of omega's power tables that both maps read.
+        among omega^0 .. omega^(N-1), walked one multiplication at a time as
+        _ratio walks them: the rows of omega's power tables that both maps
+        read.
         Raises SchemeError, on first encode or decode, when omega is None or
         a point is not among them, and ValueError for p above _MAX_P."""
         p, n, omega = self.field.p, self.n_workers, self.omega
@@ -178,7 +183,9 @@ class PdmmScheme:
             raise SchemeError("encoding and decoding need omega: the points must be its powers")
         if p > _MAX_P:
             raise ValueError(f"p = {p} exceeds {_MAX_P}: products of two residues overflow int64")
-        index = {x: k for k, x in enumerate(_powers((omega,), (p,), (1,), n)[:, 0].tolist())}
+        steps = itertools.repeat(omega, n - 1)
+        points = itertools.accumulate(steps, lambda x, w: x * w % p, initial=1)
+        index = {x: k for k, x in enumerate(points)}
         sigma = [index.get(x % p) for x in self.rho]
         if None in sigma:
             stray = self.rho[sigma.index(None)]
@@ -531,7 +538,8 @@ def instantiate_degree_table(
             if live:
                 c = live[0]
                 p, q, v = group[c]
-                rho = tuple(_powers((omegas[c],), (p,), (1,), n)[:, 0].tolist())
+                steps = itertools.repeat(omegas[c], n - 1)
+                rho = tuple(itertools.accumulate(steps, lambda x, w: x * w % p, initial=1))
                 level = "exhaustive" if None in v else "structural"
                 meta = dict(params or {}, q=q, certificate=level)
                 return PdmmScheme(

@@ -143,7 +143,7 @@ def _gap(runs: list[int], stride: int, length: int, w: int) -> int:
     """X + gap(length, stride, w), where runs[v] = X + [0, v): full chains
     of width w, one stride apart, then one chain of width length % w."""
     full, rest = divmod(length, w)
-    out = runs[w] if full == 1 else _spread(runs[w], stride, full)
+    out = _spread(runs[w], stride, full)
     return out | runs[rest] << full * stride if rest else out
 
 

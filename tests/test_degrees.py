@@ -29,6 +29,34 @@ from pdmm.degrees import (
 from pdmm.scheme import instantiate_cat
 
 
+# Each table constructor on integer parameters, as call(*args), with args.
+CONSTRUCTORS = {
+    "gap": (gap, (5, 10, 3)),
+    "kappa_lambda": (kappa_lambda, (5, 4, 4)),
+    "cat_parameters": (cat_parameters, (4, 4, 3, 2)),
+    "construct_cat_x": (construct_cat_x, (4, 4, 3, 2)),
+    "construct_gasp_r": (construct_gasp_r, (3, 2, 3, 2)),
+    "construct_gasp_rs": (construct_gasp_rs, (3, 2, 3, 2, 1)),
+    "construct_dog_rs": (construct_dog_rs, (3, 2, 3, 2, 1)),
+    "n_catx_formula": (n_catx_formula, (4, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_constructors_read_integers_by_one_rule(name):
+    # Each parameter as a numpy integer gives what the int gives; as a float,
+    # which once returned 17.0 or raised a bare TypeError, or as a bool, it
+    # is refused.
+    call, args = CONSTRUCTORS[name]
+    want = call(*args)
+    for i, v in enumerate(args):
+        for kind in (np.int64, np.uint8):
+            assert call(*args[:i], kind(v), *args[i + 1 :]) == want
+        for bad in (float(v), v + 0.5, bool(v)):
+            with pytest.raises(ParameterError, match="only integers"):
+                call(*args[:i], bad, *args[i + 1 :])
+
+
 class TestGap:
     def test_single_chains(self):
         assert gap(4, 7, 1) == (0, 7, 14, 21)

@@ -21,7 +21,6 @@ from pdmm.linalg import (
     _TILE,
     _WALK_CHUNK,
     SubmatrixCheck,
-    _combination_indices,
     _exact_type,
     _matmul_parts,
     _reduce,
@@ -98,12 +97,13 @@ def singular_positions(m, subsets, p):
     return [i + 1 for i, rows in enumerate(subsets) if det_mod(m[list(rows)], p) == 0]
 
 
-def first_chunk_end(n, t):
-    """The last subset of the first chunk of one matrix's cofactor walk of
-    the t-row subsets of n rows: the end of the last row prefix whose
-    subsets all lie within the first _FIRST_WALK."""
+def first_chunk_end(n, t, budget=_FIRST_WALK, done=0):
+    """The last subset of the first chunk past subset done of one matrix's
+    walk of the t-row subsets of n rows, with a budget of subsets (the
+    cofactor walk's first by default): the end of the last row prefix whose
+    subsets all lie within done + budget."""
     ends = _prefix_tree(n, t)[2]
-    return int(ends[np.searchsorted(ends, _FIRST_WALK, side="right") - 1])
+    return int(ends[np.searchsorted(ends, done + budget, side="right") - 1])
 
 
 # Each public function on a matrix over F_p, as call(input, p), with an input
@@ -834,20 +834,40 @@ class TestSubmatrixCheck:
         assert check.witness == subsets[position - 1]
         assert check.checked == position
 
-    @pytest.mark.parametrize(
-        "position", [e + d for e in (_FIRST_CHUNK, _FIRST_CHUNK + _CHUNK) for d in (0, 1)]
-    )
-    def test_elimination_witness_at_chunk_edges(self, position):
-        # Widths above _MINORS_UP_TO are eliminated in chunks of 256, 1,024,
-        # .. subsets: a planted subset on either side of the edges at 256 and
-        # 1,280 of the C(13, 6) = 1,716.
-        n, t = 13, 6
+    @pytest.mark.parametrize("moduli", [(1_000_003,), (1_000_003, P_NEAR_LIMIT, 33_554_393)])
+    @pytest.mark.parametrize("n, t", [(15, 6), (16, 8)])
+    def test_elimination_witness_at_chunk_edges(self, n, t, moduli, monkeypatch):
+        # Widths above _MINORS_UP_TO are eliminated in chunks that end where
+        # a row prefix's run of subsets does: the last within _FIRST_CHUNK
+        # subsets, then within _CHUNK more, at 255 and 1,274 of C(15, 6) and
+        # 255 and 1,279 of C(16, 8). One matrix per planted subset, the
+        # first or last of the run on either side of each of the first two
+        # chunk edges, each mod its own modulus, leaves the stacked walk at
+        # its own chunk; checked is its 1-based position.
         assert t > _MINORS_UP_TO
         subsets = list(combinations(range(n), t))
-        m = planted_dependencies(n, t, 1_000_003, [subsets[position - 1]], seed=8)
-        assert singular_positions(m, subsets, 1_000_003) == [position]
-        check = all_txt_submatrices_invertible(m, t, 1_000_003)
-        assert (check.witness, check.checked) == (subsets[position - 1], position)
+        ends = [0] + _prefix_tree(n, t)[2].tolist()
+        first = first_chunk_end(n, t, _FIRST_CHUNK)
+        edges = (first, first_chunk_end(n, t, _CHUNK, done=first))
+        positions = []
+        for edge in edges:
+            at = ends.index(edge)
+            positions += [ends[at - 1] + 1, edge, edge + 1, ends[at + 1]]
+        mats, ps = [], [moduli[i % len(moduli)] for i in range(len(positions))]
+        for i, (pos, p) in enumerate(zip(positions, ps)):
+            m = planted_dependencies(n, t, p, [subsets[pos - 1]], seed=40 + i)
+            assert first_singular_reference(m, t, p) == (subsets[pos - 1], pos)
+            mats.append(m)
+        want = [SubmatrixCheck(subsets[pos - 1], pos, "exhaustive") for pos in positions]
+        assert submatrix_checks(np.stack(mats), t, ps) == want
+        sizes = []
+        singular = pdmm_linalg._singular
+        monkeypatch.setattr(
+            "pdmm.linalg._singular", lambda a, p: sizes.append(a.shape[2]) or singular(a, p)
+        )
+        assert [all_txt_submatrices_invertible(m, t, p) for m, p in zip(mats, ps)] == want
+        # The last matrix, planted past the second edge, walks three chunks.
+        assert sizes[-3:-1] == [edges[0], edges[1] - edges[0]]
 
     def test_planted_dependency_near_the_int64_edge(self):
         # Summed in int64 the planted row wrapped, and none of the 126 4-row
@@ -922,17 +942,6 @@ class TestSubmatrixCheck:
         checks = submatrix_checks(np.stack(mats), 3, 1_000_003)
         assert [c.checked for c in checks] == [1, 540]
         assert checks == [all_txt_submatrices_invertible(m, 3, 1_000_003) for m in mats]
-
-    @pytest.mark.parametrize("n, t", [(5, 0), (8, 3), (41, 4), (255, 2), (256, 2), (300, 1)])
-    def test_combination_indices_are_the_combinations(self, n, t):
-        # One byte per index while n fits uint8, the next dtype past it.
-        got = _combination_indices(n, t)
-        assert got.tolist() == [list(c) for c in combinations(range(n), t)]
-        assert got.shape == (comb(n, t), t)
-        assert got.dtype == (np.uint8 if n <= 255 else np.uint16)
-        assert not got.flags.writeable
-        assert _combination_indices(n, t) is got
-
 
 # The elimination's type, for widths above _MINORS_UP_TO, at either side of
 # each switch of _exact_type(p, 1): the largest prime on float32, the smallest
@@ -1117,18 +1126,13 @@ class TestCofactorWalk:
         # Each (t-1)-row prefix, read back through its parents, in order,
         # with the subsets up to it.
         parents, rows, ends = _prefix_tree(n, t)
-        prefixes = [_prefix_rows(parents, rows, j) for j in range(len(ends))]
+        prefixes = [tuple(_prefix_rows(parents, rows, j).tolist()) for j in range(len(ends))]
         assert prefixes == list(combinations(range(n - 1), t - 1))
+        # An index array reads every prefix at once, one column each.
+        every = _prefix_rows(parents, rows, np.arange(len(ends)))
+        assert every.shape == (t - 1, len(ends)) and every.T.tolist() == [list(q) for q in prefixes]
         runs = [n - 1 - (p[-1] if p else -1) for p in prefixes]
         assert ends.tolist() == list(np.cumsum(runs)) and ends[-1] == comb(n, t)
-
-    def test_no_subset_array_below_the_cutoff(self):
-        # The walk reads its prefixes; the C(n, t) subset array is built
-        # only for elimination.
-        m = planted_dependencies(40, 4, 1_000_003, [], seed=5)
-        _combination_indices.cache_clear()
-        assert all_txt_submatrices_invertible(m, 4, 1_000_003).checked == comb(40, 4)
-        assert _combination_indices.cache_info().currsize == 0
 
     def test_temporaries_stay_chunk_sized(self):
         # A one-matrix walk of the C(60, 4) = 487,635 subsets holds one

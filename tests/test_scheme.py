@@ -145,6 +145,21 @@ class TestSplitMix64:
             g.matrix(2, 2, n)
         assert g.state == 3
 
+    @pytest.mark.parametrize("n", [-5, -1, 0, 2**64 + 1, 2**65])
+    def test_below_refuses_n_outside_its_range(self, n):
+        # Below 1 there is no draw (n = 0 divided by zero, a negative n drew
+        # negatives); above 2^64 a 64-bit draw never reaches the limit.
+        g = SplitMix64(3)
+        with pytest.raises(ValueError, match="outside"):
+            g.below(n)
+        assert g.state == 3
+
+    @pytest.mark.parametrize("n", [1, 2**64])
+    def test_below_takes_either_end_of_its_range(self, n):
+        g, stream = SplitMix64(9), SplitMix64(9)
+        draws = [g.below(n) for _ in range(5)]
+        assert draws == [stream.next_u64() % n for _ in range(5)]
+
     @pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
     @pytest.mark.parametrize("n", [1091, 2**63])
     def test_matrix_is_the_scalar_stream_across_chunks(self, count, n):
