@@ -168,7 +168,9 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     lies at least 1/p from both k and k + 1, so k < fl(y/p) < k + 1. Either
     way its floor is k. Then 0 <= k*p <= y < 2^m for y >= 0, and |k*p| =
     |y| + c < |y| + p <= 2^m for y < 0, so k*p is a float product without
-    rounding, and y - k*p = c a float difference without rounding.
+    rounding, and y - k*p = c a float difference without rounding. c is
+    an integer-valued float in [0, p), so one cast writes it exactly into
+    any integer dtype that holds p - 1.
 
     Raises ValueError for p < 2 or p > _MAX_P, like every function here.
     """
@@ -202,8 +204,9 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.n
     arrays of at most _TILE entries, which numpy allocates where they are
     made. An output of at most _TILE entries over at most step inner terms
     is the loop's one pass, made without its slicing: one product, reduced
-    into out. A 12 x 96 by 96 x 12 float32 product so took 5.5 us, of
-    which the product took 1.6 us and _reduce 2.9 us (2 vCPUs, numpy 2.4.6).
+    into out. A 12 x 96 by 96 x 12 float32 product so took 3.9-4.5 us, of
+    which the product took 1.2-1.4 us and _reduce 2.1-2.4 us (timeit, best
+    of 5, 2 vCPUs, numpy 2.4.6).
     """
     (rows, inner), cols = a.shape[-2:], b.shape[-1]
     modulus = p if isinstance(p, np.ndarray) else a.dtype.type(p)
@@ -227,25 +230,30 @@ def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     of _mulmod's tiles, the cofactor walk's among them, and _singular's
     steps.
 
-    y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m for
-    a float y (see matmul_mod's proof), and p is a scalar, or an array that
+    y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m
+    (see matmul_mod's proof), and p is a scalar, or an array that
     broadcasts against y, of the same type. out is y, or shares no memory
-    with it, and holds p - 1. An int64 y is reduced as y - (y // p) * p,
-    for one p or an array of them; numpy divides by one int64 by
-    multiplication. The quotient and its product by p are made in out, or
-    in a new int64 array when out is y.
-    Either may wrap, modulo 2^w for w bits, but y - (y // p) * p, the
-    residue r, is then still right modulo 2^w, and an out that holds p - 1
-    holds r. A float y is reduced as y - p * floor(y / p).
+    with it, and holds p - 1; y is written only when out is y.
+
+    One rule serves every type. The quotient is made in a new array of y's
+    type, floor(y / p) for a float y and y // p for an int64 one (numpy
+    divides by one int64 by multiplication), and is then multiplied by p in
+    place. When out has y's type the difference y - q is written straight
+    into out. Otherwise it is written into q, whose entries are then exact
+    residues in [0, p), and one np.copyto casts q into out, in place of a
+    mixed-type subtract, which numpy runs through its buffered cast loop.
     """
-    if y.dtype.kind != "f":
-        q = y // p if out is y else np.floor_divide(y, p, out=out, casting="unsafe")
-        q *= p
-        return np.subtract(y, q, out=out, casting="unsafe")
-    q = y / p
-    np.floor(q, out=q)
+    if y.dtype.kind == "f":
+        q = y / p
+        np.floor(q, out=q)
+    else:
+        q = y // p
     q *= p
-    return np.subtract(y, q, out=out, casting="unsafe")
+    if out.dtype == y.dtype:
+        return np.subtract(y, q, out=out)
+    np.subtract(y, q, out=q)
+    np.copyto(out, q, casting="unsafe")
+    return out
 
 
 def _matmul_parts(left, parts, p: int, dtype) -> np.ndarray:
@@ -485,6 +493,7 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     # The last level's right operand: at column set s the prefixes' minors
     # lack column j = t-1-s, whose Laplace sign is (-1)^(t-1+j) = (-1)^s.
     right = cols[:, ::-1] * _ALTERNATING[:t, None]
+    positions = np.arange(n)
     found: list[tuple | None] = [None] * g
     live = list(range(g))  # the input position of each matrix left in the stack
     total = int(ends[-1])
@@ -499,7 +508,7 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
         col = int(top.min()) + 1
         dets = np.empty((len(live), stop - start, n - col), dtype=cols.dtype)
         _mulmod(minors.transpose(0, 2, 1), right[:, :, col:], p, step, dets)
-        zero = (dets == 0) & (np.arange(col, n) > top[:, None])  # i > max(P)
+        zero = (dets == 0) & (positions[col:] > top[:, None])  # i > max(P)
         zero = zero.reshape(len(live), -1)
         if zero.any():
             hit = zero.any(axis=1)

@@ -95,10 +95,12 @@ class SplitMix64:
         degrees._integer's rule.
 
         The next rows * cols states are state + i * _GAMMA, so the stream is
-        mixed in numpy uint64, _DRAWS draws at a time, and each chunk is
-        reduced straight into the int64 result as z - (z // p) * p, whose
-        division by one uint64 numpy makes by multiplication (libdivide),
-        several times faster than z % p.
+        mixed in numpy uint64, _DRAWS draws at a time. Two uint64 arrays of
+        at most _DRAWS entries, made once per call, hold every temporary:
+        a chunk is mixed in place in one, the other takes each shift and
+        then the quotient, and the chunk is reduced straight into the int64
+        result as z - (z // p) * p, whose division by one uint64 numpy makes
+        by multiplication (libdivide), several times faster than z % p.
         When a draw of any chunk would be rejected, the whole matrix is
         drawn again by the scalar loop from the state it started at, which
         keeps the stream exact; the state advances only at the end.
@@ -110,18 +112,24 @@ class SplitMix64:
         u64 = np.uint64
         modulus, limit = u64(p), (1 << 64) - (1 << 64) % p  # draws >= limit are rejected
         out = np.empty(count, dtype=np.int64)
+        chunk, scratch = (np.empty(min(count, _DRAWS), dtype=u64) for _ in range(2))
         for start in range(0, count, _DRAWS):
             n = min(_DRAWS, count - start)
-            z = _STEPS[:n] + u64((self.state + start * _GAMMA) & self.MASK)
+            z, tmp = chunk[:n], scratch[:n]
+            np.add(_STEPS[:n], u64((self.state + start * _GAMMA) & self.MASK), out=z)
             for shift, mix in ((30, _MIX1), (27, _MIX2)):
-                z ^= z >> u64(shift)
+                np.right_shift(z, u64(shift), out=tmp)
+                z ^= tmp
                 z *= u64(mix)
-            z ^= z >> u64(31)
+            np.right_shift(z, u64(31), out=tmp)
+            z ^= tmp
             if limit < 1 << 64 and z.max() >= limit:
                 return np.array(
                     [[self.below(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
                 )
-            np.subtract(z, z // modulus * modulus, out=out[start : start + n].view(u64))
+            np.floor_divide(z, modulus, out=tmp)
+            tmp *= modulus
+            np.subtract(z, tmp, out=out[start : start + n].view(u64))
         self.state = (self.state + count * _GAMMA) & self.MASK
         return out.reshape(rows, cols)
 
@@ -664,11 +672,11 @@ def _respond(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     While (p-1)^2 * m < 2^63 the workers run on linalg's kernel _mulmod: a
     stack max(1, _TILE // (h*w)) workers per call, so that a call's output
     is about one tile, and one worker's matrices in a 2-D call, since a
-    stack of one slices more per call (worker_multiply on a 12 x 96 by
-    96 x 12 task took 17.1 us so, against 15.6 us in 2-D, where _mulmod
-    makes it one product and one reduction). There the responses equal a
-    plain int64 product. Past that bound (p ~ 10^9 at m = 10) the int64
-    product is kept, in the same groups, and wraps silently, so the
+    stack of one slices more per call (on a 12 x 96 by 96 x 12 task it
+    took 7.9-8.3 us so, against 6.7-7.1 us in 2-D, where _mulmod makes it
+    one product and one reduction; timeit, best of 5). There the responses
+    equal a plain int64 product. Past that bound (p ~ 10^9 at m = 10) the
+    int64 product is kept, in the same groups, and wraps silently, so the
     responses, and the decoded product, are wrong there.
     """
     (rows, inner), cols = a.shape[-2:], b.shape[-1]

@@ -402,6 +402,38 @@ class TestReduction:
         assert _reduce(y.copy(), kind(p), y).astype(object).tolist() == [v % p for v in ys]
 
     @pytest.mark.parametrize(
+        "p,inner,outs",
+        [
+            (23, 24, (np.int8, np.int16, np.int32, np.int64)),
+            (2_897, 2, (np.int16, np.int32, np.int64)),  # the float32 edge
+            (33_554_393, 8, (np.int32, np.int64)),  # the float64 edge
+        ],
+    )
+    def test_float_tiles_into_every_integer_type(self, p, inner, outs):
+        # A float tile is reduced in its own type and cast once into any
+        # integer out that holds p - 1, at and next to multiples of p up to
+        # the largest partial sum, a reduced sum plus a whole chunk.
+        kind, step = _exact_type(p, inner)
+        assert step >= inner and kind == (np.float32 if p < 2**12 else np.float64)
+        top = (p - 1) ** 2 * inner + p - 1
+        last = top // p
+        ys = [0, 1, p - 1, top - 1, top] + [
+            k * p + d for k in (*range(1, 100), *range(last - 99, last + 1)) for d in (-1, 0, 1)
+            if k * p + d <= top
+        ]
+        y = np.array(ys, dtype=kind)
+        assert y.astype(object).tolist() == ys  # every y is exact in the type
+        expected = [v % p for v in ys]
+        for dtype in (*outs, kind):
+            out = np.empty(y.shape, dtype=dtype)
+            before = y.copy()
+            assert _reduce(y, kind(p), out) is out
+            assert out.astype(object).tolist() == expected
+            assert np.array_equal(y, before)  # y is read, never written
+        assert _reduce(y, kind(p), y) is y
+        assert y.astype(object).tolist() == expected
+
+    @pytest.mark.parametrize(
         "p", [2, 3, 7, 65_537, 94_906_297, 1_000_000_007, 2_147_483_659, 3_037_000_499]
     )
     def test_int64_reduction_equals_remainder(self, p):

@@ -191,6 +191,22 @@ class TestSplitMix64:
         assert out.tolist() == [[slow.below(n) for _ in range(count)]]
         assert fast.state == slow.state != (seed + count * _GAMMA) & SplitMix64.MASK
 
+    def test_matrix_temporaries_stay_chunk_sized(self):
+        # Each chunk is mixed and reduced in two scratch arrays of _DRAWS
+        # uint64 (128 KiB each), made once per call: past the output, the
+        # peak is two chunks however many chunks are drawn.
+        chunk = scheme_module._DRAWS * 8
+        count = 4 * scheme_module._DRAWS + 3
+        g = SplitMix64(1)
+        tracemalloc.start()
+        try:
+            out = g.matrix(1, count, 1091)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 8 * count
+        assert peak < out.nbytes + 2.5 * chunk
+
     # p = 3 * 2^61 rejects a quarter of the draws, those at or above 3 * 2^62.
     # From seed 0 the first draw is rejected; from seed 3 the eighth, so of
     # 5 + 8 draws the first five take the numpy path and the rest the scalar
