@@ -29,17 +29,19 @@ form. The T x T submatrix checks are the one other use of the kernel:
 submatrix_checks walks a stack of G n x t matrices, each mod its own p,
 through the row subsets of all of them at once, in lexicographic order,
 and a matrix leaves the stack at its first singular subset;
-all_txt_submatrices_invertible is its one-matrix case. Both engines read
-that order off one tree of row prefixes, _prefix_tree, chunk by chunk. For
-t up to _MINORS_UP_TO the walk, _cofactor_walk, shares minors between
-subsets: a subset P + {i}, i > max(P), is singular exactly when
-d[i] . c_P = 0 (mod p), c_P the cofactors of the row prefix P. Each
-prefix's minors come from its parent's by one _mulmod against a matrix of
-Laplace signs, and the last level is one _mulmod of the cofactors against
-d.T, in the type _exact_type(p, t) gives. Wider checks are eliminated by the
-division-free forward pass _singular, over (t, t, M) stacks of a chunk's
-subsets, in the type _exact_type(p, 1) gives. The kernel's tiles, the
-walk's levels and the elimination's steps share one reduction, _reduce,
+all_txt_submatrices_invertible is its one-matrix case. A walk of more than
+_WALK_CAP subsets is refused with BudgetExceededError before anything is
+built. One walk, _cofactor_walk, serves every width. It reads that order
+off one tree of row prefixes, _prefix_tree, chunk by chunk: a subset
+P + {i}, i > max(P), is singular exactly when d[i] . v_P = 0 (mod p), v_P
+a vector that spans the null space of the row prefix P, or 0 when P's rows
+are dependent. Width decides only how a chunk builds its v_P, level by
+level from the parents': up to _MINORS_UP_TO as the cofactors of P, each
+level one _mulmod of Laplace signs against products of minors
+(_chunk_minors), and above it as a null-space basis carried per prefix
+and shrunk by one column per row (_chunk_nulls). The last level is one
+_mulmod of the vectors against d.T, in the type _exact_type(p, t) gives.
+The kernel's tiles and the builders' levels share one reduction, _reduce,
 whose exactness matmul_mod proves. No check samples: each walks every
 subset or stops at the first singular one.
 """
@@ -151,16 +153,19 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     the output once, so no temporary the size of the output exists.
 
     Each tile is reduced by _reduce, the one reduction, which the T x T
-    walks share. An int64 tile is reduced as y - (y // p) * p. A float y,
-    a tile here or an elimination step's difference of two products of
-    residues there, is reduced as r = y - p * floor(y / p). That is exact
-    for every integer p - 2^m <= y < 2^m, m = 24 for float32 and 53 for
-    float64, the significand's precision: a tile lies in [0, 2^m), and a step's
-    difference in [-(p-1)^2, (p-1)^2], with (p-1)^2 + p < 2^m by the
-    elimination's _exact_type(p, 1). The cofactor walk's tiles, sums of at
-    most step products of a residue and a residue or its negation added to
-    a reduced sum, lie in (-(p-1)^2 * step, (p-1)^2 * step + p), with
-    (p-1)^2 * step + p < 2^m by its _exact_type(p, t). Write y = k*p + c
+    walk shares. An int64 tile is reduced as y - (y // p) * p. A float y,
+    a tile here or a null-space update there, is reduced as
+    r = y - p * floor(y / p). That is exact for every integer
+    p - 2^m <= y < 2^m, m = 24 for float32 and 53 for float64, the
+    significand's precision: a tile lies in [0, 2^m). The walk's tiles,
+    sums of at most step products of a residue and a residue or its
+    negation added to a reduced sum, lie in (-(p-1)^2 * step,
+    (p-1)^2 * step + p), with (p-1)^2 * step + p < 2^m by its
+    _exact_type(p, t). A null-space update y_j * N_i - y_i * N_j, a
+    difference of two products of residues, lies in [-(p-1)^2, (p-1)^2],
+    and (p-1)^2 + p < 2^m on every rung of _exact_type(p, t): float32 holds
+    t * (p-1)^2 + p < 2^24, float64 (p-1)^2 + p < 2^53, and on int64
+    (p-1)^2 + p <= p^2 < 2^63, since p <= _MAX_P. Write y = k*p + c
     with k = floor(y/p) and 0 <= c < p. Rounding to nearest is symmetric,
     fl(-x) = -fl(x), so the quotient y/p is rounded, whatever its sign, to
     a float off by at most 2^-m * |y|/p < 1/p. When c = 0, y/p = k is a
@@ -184,13 +189,13 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.ndarray:
     """Write (a @ b) mod p into out and return it: the kernel behind
-    matmul_mod, _matmul_parts, the simulated workers of pdmm.scheme and
-    the levels of the cofactor walk, which check its operands or build
-    them as residues.
+    matmul_mod, _matmul_parts, the simulated workers of pdmm.scheme, the
+    levels of _chunk_minors and _chunk_nulls and the last level of
+    _cofactor_walk, which check its operands or build them as residues.
 
     a and b hold residues mod p in the type that _exact_type(p, inner)
     gives, and step is the chunk of inner terms that it gives; nothing here
-    checks them. The cofactor walk passes two other kinds of operands:
+    checks them. The walk by minors passes two other kinds of operands:
     residues against negated residues, -(p-1) .. 0, and Laplace signs, -1,
     0 and 1, against products of two residues, in chunks with no more
     nonzero signs in a row than _exact_type's step. Either way a chunk's
@@ -227,8 +232,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p, step: int, out: np.ndarray) -> np.n
 
 def _reduce(y: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     """Write y mod p into out, in [0, p), and return it: the one reduction
-    of _mulmod's tiles, the cofactor walk's among them, and _singular's
-    steps.
+    of _mulmod's tiles, the walk's among them, and _chunk_nulls' updates.
 
     y holds integers in the type _exact_type gives, p - 2^m <= y < 2^m
     (see matmul_mod's proof), and p is a scalar, or an array that
@@ -294,42 +298,6 @@ def vandermonde(points, exponents, p: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(exponents))
 
 
-def _singular(a: np.ndarray, p) -> np.ndarray:
-    """Which matrices of a (t, t, M) stack of residues, t >= 1, are singular.
-    The stack is in the type _exact_type(p, 1) gives for its largest modulus
-    (float32, float64 or int64), and p is one modulus for the whole stack,
-    or an array of M, one per matrix, broadcast along the last axis, in the
-    same type. Overwrites the stack.
-
-    Division-free elimination, as in Bareiss' fraction-free method but without
-    its exact division, which mod p is not needed: each step multiplies the
-    rows below the pivot by the pivot and subtracts a multiple of the pivot
-    row, so no inverses are needed. Every product, at most (p-1)^2, and
-    every difference, in [-(p-1)^2, (p-1)^2], is then an integer that the
-    stack's type holds exactly, and _reduce is exact on it (see matmul_mod).
-    A zero pivot is replaced by adding the first row below with a nonzero
-    entry in its column, which keeps the determinant. If a column has no
-    nonzero entry left, every later row becomes zero; so a matrix is singular
-    exactly when its last diagonal entry ends at zero.
-    """
-    t = a.shape[0]
-    for k in range(t - 1):
-        zero = np.flatnonzero(a[k, k] == 0)
-        if zero.size:
-            below = a[k + 1 :, k, zero] != 0
-            has = below.any(axis=0)
-            cols, rows = zero[has], k + 1 + below.argmax(axis=0)[has]
-            # a[k, :, cols] is (len(cols), t): one modulus per row of it.
-            pc = p[cols, None] if isinstance(p, np.ndarray) else p
-            added = a[k, :, cols] + a[rows, :, cols]
-            a[k, :, cols] = _reduce(added, pc, added)
-        rest = a[k + 1 :, k + 1 :]
-        rest *= a[k, k]
-        rest -= a[k + 1 :, k, None] * a[k, k + 1 :]
-        _reduce(rest, p, rest)
-    return a[t - 1, t - 1] == 0
-
-
 # Certification levels of a T x T check, strongest first: decided from the
 # points by structure, or every subset eliminated.
 LEVELS = ("structural", "exhaustive")
@@ -359,12 +327,26 @@ class SubmatrixCheck:
         return self.witness is None
 
 
-# Widths up to _MINORS_UP_TO are walked by shared minors (_cofactor_walk),
-# wider ones by elimination. Over whole one-matrix walks on 2 vCPUs, minors
-# took 0.26-0.31 of elimination's time at widths 4 and 5 (C(53, 4) and
-# C(40, 5) subsets), 0.52 at width 6 (C(25, 6)) and 0.68 at width 7
-# (C(20, 7)), but 1.8 and 2.3 times it on C(14, 7) and C(16, 8): there the
-# C(t, k) minors per prefix at each level outgrow the subsets they serve.
+# The most subsets that one T x T walk tests, C(n, t); a larger walk is
+# refused before its prefixes are built.
+_WALK_CAP = 2**22
+
+
+class BudgetExceededError(ValueError):
+    """A check would test more subsets or values than its cap allows:
+    a T x T walk above _WALK_CAP, or pdmm.scheme's enumeration above its
+    own cap. Raised before anything is checked, naming the count and the
+    cap."""
+
+
+# The walk builds each prefix's vector by minors up to _MINORS_UP_TO
+# (_chunk_minors) and by null-space bases above it (_chunk_nulls). On whole
+# one-matrix walks mod 1,000,003 (best of 5, three runs, 2 vCPUs), null
+# vectors took 1.4-1.6 times the minors' time at width 4 (C(53, 4)), 1.6-1.8
+# at width 5 (C(40, 5)), 0.9-1.3 at width 6 (C(25, 6), C(30, 6)), 0.5-1.0 at
+# width 7 (C(20, 7), C(26, 7)) and 0.2-0.5 at width 8 (C(16, 8), C(28, 8)):
+# a prefix's C(t, k) minors outgrow its basis of t (t - k) entries. These
+# are timings outside the benchmark, whose workloads walk no width above 5.
 _MINORS_UP_TO = 5
 
 # The cofactor walk's chunks: the first holds the prefixes of the first
@@ -376,14 +358,14 @@ _MINORS_UP_TO = 5
 # at 2^16 determinants, 0.97-1.40 s at 2^15, and no less at 2^17.
 _FIRST_WALK, _WALK_CHUNK = 512, 1 << 16
 
-# The signs 1, -1, 1, .. of the walk's widths: a product with float32,
+# The signs 1, -1, 1, .. of the minors' widths: a product with float32,
 # float64 or int64 residues keeps their type.
 _ALTERNATING = np.array([(-1) ** s for s in range(_MINORS_UP_TO)], dtype=np.int8)
 
 
 @lru_cache(maxsize=8)
 def _prefix_tree(n: int, t: int):
-    """The row prefixes of the t-row subsets of n rows, read by both walks.
+    """The row prefixes of the t-row subsets of n rows, read by the walk.
 
     Level k holds, in lexicographic order, the k-row prefixes that a t-row
     subset can start with: those whose last row is at most n - 1 - (t - k).
@@ -434,22 +416,28 @@ def _prefix_rows(parents: list, rows: list, idx) -> np.ndarray:
     return out
 
 
+def _spans(parents: list, start: int, stop: int) -> list[tuple[int, int]]:
+    """The run of prefixes at each level k = 1 .. t-1 of _prefix_tree that
+    the (t-1)-row prefixes start .. stop - 1 extend, bottom up: a contiguous
+    run at every level."""
+    spans = [(start, stop)]
+    for parent in reversed(parents[1:]):
+        lo, hi = spans[-1]
+        spans.append((int(parent[lo]), int(parent[hi - 1]) + 1))
+    return spans[::-1]
+
+
 def _chunk_minors(cols: np.ndarray, p, step: int, parents: list, rows: list, start: int, stop: int):
     """The minors of the (t-1)-row prefixes start .. stop - 1 of _prefix_tree
     on every (t-1)-column set, laid out [matrix, column set, prefix], for
     _cofactor_walk's (G, t, n) cols. They are built level by level from the
-    run of shorter prefixes they extend, a contiguous run at every level:
-    level 1 is cols, and each level k comes from level k-1 by one _mulmod of
-    _laplace's signs against the products of each prefix's last row and its
-    parent's minors."""
+    run of shorter prefixes they extend (_spans): level 1 is cols, and each
+    level k comes from level k-1 by one _mulmod of _laplace's signs against
+    the products of each prefix's last row and its parent's minors."""
     g, t, _ = cols.shape
     if t == 1:  # the empty prefix
         return np.ones((g, 1, 1), dtype=cols.dtype)
-    spans = [(start, stop)]  # the run of prefixes at each level, top down
-    for parent in reversed(parents[1:]):
-        lo, hi = spans[-1]
-        spans.append((int(parent[lo]), int(parent[hi - 1]) + 1))
-    spans.reverse()
+    spans = _spans(parents, start, stop)
     minors = cols[:, :, spans[0][0] : spans[0][1]]
     for k in range(2, t):
         (lo, hi), below = spans[k - 1], spans[k - 2][0]
@@ -463,6 +451,45 @@ def _chunk_minors(cols: np.ndarray, p, step: int, parents: list, rows: list, sta
     return minors
 
 
+def _chunk_nulls(cols: np.ndarray, p, step: int, parents: list, rows: list, start: int, stop: int):
+    """For each (t-1)-row prefix P, start .. stop - 1, of _prefix_tree, a
+    vector that spans the null space {v : P v = 0 (mod p)} of its rows, or
+    0 when they are dependent, laid out [matrix, entry, prefix], for
+    _cofactor_walk's (G, t, n) cols; t >= 2.
+
+    Each k-row prefix carries a basis N of t - k columns of that null space,
+    laid out [matrix, column, entry, prefix], from N = I for the empty
+    prefix, level by level over the runs of _spans. To extend a prefix by
+    row x, y = x . N is one _mulmod of t terms; with j the first nonzero of
+    y, the columns y_j N_i - y_i N_j, i != j in order, are orthogonal to x,
+    and independent, since each holds its own N_i times y_j. Division-free,
+    as in Bareiss' method: each is a difference of two products of
+    residues, which _reduce takes exactly (see matmul_mod). When x depends
+    on the prefix's rows, y = 0, so j = 0 and every column is 0, and stays
+    0 on every extension: all of them read singular, as they are.
+    """
+    g, t, _ = cols.shape
+    q = p[..., None] if isinstance(p, np.ndarray) else p  # one modulus per matrix
+    basis = np.broadcast_to(np.eye(t, dtype=cols.dtype)[:, :, None], (g, t, t, 1))
+    below = 0  # the index of the run's first parent
+    for k, (lo, hi) in enumerate(_spans(parents, start, stop), 1):
+        basis = np.take(basis, parents[k - 1][lo:hi] - below, axis=3)
+        x = np.take(cols, rows[k - 1][lo:hi], axis=2)
+        width = t - k + 1  # the columns of each parent's basis
+        y = np.empty((g, hi - lo, width, 1), dtype=cols.dtype)
+        _mulmod(basis.transpose(0, 3, 1, 2), x.transpose(0, 2, 1)[..., None], q, step, y)
+        y = y[..., 0].transpose(0, 2, 1)  # [matrix, column, prefix]
+        j = (y != 0).argmax(axis=1)[:, None]
+        before = np.arange(width - 1)[:, None] < j  # column i < j keeps its place
+        yi = np.where(before, y[:, :-1], y[:, 1:])[:, :, None]
+        ni = np.where(before[:, :, None], basis[:, :-1], basis[:, 1:])
+        ni *= np.take_along_axis(y, j, axis=1)[:, :, None]
+        ni -= yi * np.take_along_axis(basis, j[:, :, None], axis=1)
+        basis = _reduce(ni, q, ni)
+        below = lo
+    return basis[:, 0]
+
+
 def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]:
     """The first singular t-row subset of each matrix of a (G, t, n) stack
     of G matrices of residues, each n x t, transposed, as (witness,
@@ -471,12 +498,14 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     terms is step, and p is a scalar of that type or a (G, 1, 1) array of
     one modulus per matrix.
 
-    A subset P + {i} with i > max(P) is singular exactly when d[i] . c_P = 0
-    (mod p), where c_P is the vector of cofactors of the (t-1)-row prefix P:
-    its signed (t-1) x (t-1) minors, which _chunk_minors builds level by
-    level by expansion along each prefix's last row. The last level is one
-    _mulmod of the prefixes' minors against d.T, signed, so the first zero
-    in row-major order with i > max(P) is the first singular subset in
+    A subset P + {i} with i > max(P) is singular exactly when d[i] . v_P = 0
+    (mod p), where v_P spans the null space of the (t-1)-row prefix P, or
+    is 0 when P's rows are dependent: up to _MINORS_UP_TO its cofactors, its
+    signed (t-1) x (t-1) minors, which _chunk_minors builds level by level
+    by expansion along each prefix's last row, and above it the one column
+    of _chunk_nulls' basis. The last level is one _mulmod of the prefixes'
+    vectors against d.T, signed for cofactors, so the first zero in
+    row-major order with i > max(P) is the first singular subset in
     lexicographic order; checked counts the subsets up to P, less those
     after i. Every sum of step signed products of two residues lies in
     [-(p-1)^2 * step, (p-1)^2 * step], and _reduce is exact on it, plus a
@@ -490,9 +519,12 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     g, _, n = cols.shape
     parents, rows, ends = _prefix_tree(n, t)
     last = rows[-1] if rows else np.array([-1], dtype=np.intp)
-    # The last level's right operand: at column set s the prefixes' minors
-    # lack column j = t-1-s, whose Laplace sign is (-1)^(t-1+j) = (-1)^s.
-    right = cols[:, ::-1] * _ALTERNATING[:t, None]
+    if t <= _MINORS_UP_TO:
+        # The last level's right operand: at column set s the prefixes' minors
+        # lack column j = t-1-s, whose Laplace sign is (-1)^(t-1+j) = (-1)^s.
+        build, right = _chunk_minors, cols[:, ::-1] * _ALTERNATING[:t, None]
+    else:
+        build, right = _chunk_nulls, cols
     positions = np.arange(n)
     found: list[tuple | None] = [None] * g
     live = list(range(g))  # the input position of each matrix left in the stack
@@ -503,11 +535,11 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
             stop = len(ends)
         else:
             stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        minors = _chunk_minors(cols, p, step, parents, rows, start, stop)
+        vectors = build(cols, p, step, parents, rows, start, stop)
         top = last[start:stop]
         col = int(top.min()) + 1
         dets = np.empty((len(live), stop - start, n - col), dtype=cols.dtype)
-        _mulmod(minors.transpose(0, 2, 1), right[:, :, col:], p, step, dets)
+        _mulmod(vectors.transpose(0, 2, 1), right[:, :, col:], p, step, dets)
         zero = (dets == 0) & (positions[col:] > top[:, None])  # i > max(P)
         zero = zero.reshape(len(live), -1)
         if zero.any():
@@ -529,103 +561,43 @@ def _cofactor_walk(cols: np.ndarray, p, t: int, step: int) -> list[tuple | None]
     return found
 
 
-# Elimination's budgets of subsets per chunk: a singular subset ends the
-# check without building or testing the rest. The first chunk is
-# smaller, since a matrix with a singular subset most often shows one early;
-# after the second, chunks double up to _LAST_CHUNK, since a matrix still in
-# the walk most often has none.
-_FIRST_CHUNK, _CHUNK, _LAST_CHUNK = 256, 1024, 4096
-
-
-def _elimination_walk(cols: np.ndarray, p, t: int) -> list[tuple | None]:
-    """The walk of widths above _MINORS_UP_TO, by _singular: each matrix's
-    first singular t-row subset, as (witness, checked), checked its 1-based
-    position, or None when it has none, as _cofactor_walk returns it.
-    Singularity is transpose-invariant, so cols is a (t, n, G) stack of G
-    matrices of residues, each n x t, transposed: entry [k, r, m] is row r,
-    column k of matrix m. p is one modulus or an array of G, in cols' type
-    (see _singular).
-
-    A chunk holds the runs of the prefixes of _prefix_tree that end within
-    its budget of subsets, as a (t, c) array of row indices: each prefix's
-    rows repeated over its run, then the run's last rows. Every matrix left
-    in the walk is eliminated on it at once, and leaves the walk, and the
-    stack, at its first singular subset.
-    """
-    _, n, g = cols.shape
-    parents, rows, ends = _prefix_tree(n, t)
-    found: list[tuple | None] = [None] * g
-    live = list(range(g))  # the input position of each matrix left in cols
-    start, done, budget = 0, 0, _FIRST_CHUNK  # done: the subsets before prefix start
-    while start < len(ends) and live:
-        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        heads = np.empty((t, stop - start), dtype=np.intp)
-        heads[:-1] = _prefix_rows(parents, rows, np.arange(start, stop))
-        # Subset done + o, in the run that ends at subset ends[j], ends in
-        # row n - ends[j] + done + o.
-        heads[-1] = n + done - ends[start:stop]
-        chunk = np.repeat(heads, n - 1 - rows[-1][start:stop], axis=1)
-        c = chunk.shape[1]
-        chunk[-1] += np.arange(c)
-        # np.take lays the submatrices out C-contiguous, [column, row, subset,
-        # matrix], where fancy indexing would leave the row operations strided.
-        bad = _singular(
-            np.take(cols, chunk, axis=1).reshape(t, t, c * len(live)),
-            np.tile(p, c) if isinstance(p, np.ndarray) else p,
-        )
-        if np.flatnonzero(bad).size:
-            bad = bad.reshape(c, len(live))
-            hit = bad.any(axis=0)
-            for j, k in zip(np.flatnonzero(hit).tolist(), bad[:, hit].argmax(axis=0).tolist()):
-                found[live[j]] = (tuple(chunk[:, k].tolist()), done + k + 1)
-            live = [m for m, h in zip(live, hit.tolist()) if not h]
-            cols = cols[:, :, ~hit]
-            if isinstance(p, np.ndarray):
-                p = p[~hit]
-        start, done = stop, done + c
-        budget = _CHUNK if budget == _FIRST_CHUNK else min(2 * budget, _LAST_CHUNK)
-    return found
-
-
 def submatrix_checks(mats, t: int, p) -> list[SubmatrixCheck]:
     """all_txt_submatrices_invertible on each n x t matrix of a (G, n, t)
     stack, matrix g mod p[g] (or all mod one int p), in one walk: the G
     matrices walk the same subsets, and check g is the one the one-matrix
     check returns on matrix g alone. Entries outside [0, p) are reduced by
-    their own matrix's modulus.
+    their own matrix's modulus. A walk of more than _WALK_CAP subsets,
+    C(n, t), raises BudgetExceededError before anything is built.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[2] != t:
         raise ValueError(f"expected a stack of n x {t} matrices, got shape {mats.shape}")
-    g = mats.shape[0]
+    g, n = mats.shape[:2]
+    subsets = comb(n, t)
+    if subsets > _WALK_CAP:
+        raise BudgetExceededError(
+            f"walking C({n}, {t}) = {subsets} subsets is above the cap of {_WALK_CAP}"
+        )
     if not isinstance(p, int):
         p = np.asarray(p, dtype=np.int64).ravel()
-        # One modulus as an int: elimination then tiles no moduli per chunk.
-        # Its walk of dog-rs (5,5,5) r=1 s=3's beta_s (292,825 subsets) in
-        # the scan took 0.031-0.032 s so, 0.034-0.035 s as an array (2 vCPUs).
+        # One modulus as an int: the walk then reduces by a scalar. Moduli
+        # always as arrays made the certify loop 8-10 % slower (18-38 us per
+        # small one-matrix walk, 2 vCPUs).
         if p.size and (p == p[0]).all():
             p = int(p[0])
         elif p.size != g:
             raise ValueError(f"expected one modulus or {g}, got {p.size}")
     mats = _residues(mats, p if isinstance(p, int) else p[:, None, None])
-    # The walk runs in the smallest type in which a sum of t products of two
-    # residues (one product for elimination) mod the largest modulus is
-    # exact; every smaller modulus is exact in it.
-    top = p if isinstance(p, int) else int(p.max(initial=0))
-    n = mats.shape[1]
     if t == 0 or t > n:  # one empty subset, or none
         found = [None] * g
-    elif t <= _MINORS_UP_TO:
-        kind, step = _exact_type(top, t)
+    else:
+        # The smallest type in which a sum of t products of two residues mod
+        # the largest modulus is exact; every smaller modulus is exact in it.
+        kind, step = _exact_type(p if isinstance(p, int) else int(p.max(initial=0)), t)
         p = kind(p) if isinstance(p, int) else p.astype(kind)[:, None, None]
         cols = np.ascontiguousarray(mats.transpose(0, 2, 1), dtype=kind)
         found = _cofactor_walk(cols, p, t, step)
-    else:
-        kind = _exact_type(top, 1)[0]
-        p = kind(p) if isinstance(p, int) else p.astype(kind)
-        cols = mats.transpose(2, 1, 0).astype(kind)
-        found = _elimination_walk(cols, p, t)
-    passed = SubmatrixCheck(None, comb(n, t), "exhaustive")
+    passed = SubmatrixCheck(None, subsets, "exhaustive")
     return [passed if f is None else SubmatrixCheck(*f, "exhaustive") for f in found]
 
 

@@ -28,6 +28,7 @@ from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
 from .linalg import (
     _TILE,
     LEVELS,
+    BudgetExceededError,
     SubmatrixCheck,
     _exact_type,
     _integers,
@@ -42,11 +43,6 @@ from .linalg import (
 
 class SchemeError(Exception):
     """Scheme instantiation or simulation failure."""
-
-
-class BudgetExceededError(SchemeError):
-    """An exhaustive verification would exceed its enumeration budget or
-    walk cap; raised before anything is checked."""
 
 
 # splitmix64's state increment and its two mixing multipliers.
@@ -373,24 +369,9 @@ def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
     return m
 
 
-# The most subsets that a T x T walk of a mask side eliminates: C(N-1, T-1)
-# for a walk of d (see _lift), C(N, T) for a whole mask matrix. A side that
-# must be walked above it is refused before anything is walked.
-_WALK_CAP = 2**22
-
 # The most values, p^(K+T) or p^(L+T), that verify_privacy_exhaustive
 # enumerates on a side; a larger side is refused before it starts.
 _ENUMERATION_CAP = 20_000_000
-
-
-def _refuse_above_cap(n: int, t: int) -> None:
-    """Raise BudgetExceededError, naming the count and the cap, when a walk
-    of the t-row subsets of n rows would eliminate more than _WALK_CAP."""
-    if comb(n, t) > _WALK_CAP:
-        raise BudgetExceededError(
-            f"walking a mask side takes C({n}, {t}) = {comb(n, t)} subsets, "
-            f"above the cap of {_WALK_CAP}"
-        )
 
 
 def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
@@ -411,7 +392,8 @@ def _lift(check: SubmatrixCheck, n: int, t: int) -> SubmatrixCheck:
 def _mask_checks(omegas, moduli, exps, n: int, t: int) -> list[SubmatrixCheck]:
     """_mask_check on the points omega^0 .. omega^(n-1) of each omega in omegas,
     mod its own modulus, in one walk of d by submatrix_checks, for
-    1 <= T <= N; the caller refuses a walk above _WALK_CAP."""
+    1 <= T <= N. A walk above linalg's _WALK_CAP raises BudgetExceededError
+    before anything is walked."""
     m = _powers(omegas, moduli, exps, n).reshape(n, len(omegas), len(exps)).transpose(1, 0, 2)
     d = m[:, 1:, 1:] - m[:, 1:, :1]  # submatrix_checks reduces each mod its own p
     return [_lift(check, n, t) for check in submatrix_checks(d, t - 1, moduli)]
@@ -421,15 +403,13 @@ def _mask_check(rho, exps, t: int, p: int, r: int | None) -> SubmatrixCheck:
     """all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p): a
     whole walk of the C(N, T) subsets, or, when r = _ratio(rho, p) is not
     None and 1 <= T <= N, of only the C(N-1, T-1) subsets of d (see _lift),
-    with the same witness and count. Either walk above _WALK_CAP raises
-    BudgetExceededError before anything is walked. It is _mask_checks for
-    one point set, through the one-matrix check, whose calls
-    bench/tracing.py counts."""
+    with the same witness and count. Either walk above linalg's _WALK_CAP
+    raises BudgetExceededError before anything is walked. It is
+    _mask_checks for one point set, through the one-matrix check, whose
+    calls bench/tracing.py counts."""
     n = len(rho)
     if r is None or not 1 <= t <= n:
-        _refuse_above_cap(n, t)
         return all_txt_submatrices_invertible(vandermonde(rho, exps, p), t, p)
-    _refuse_above_cap(n - 1, t - 1)
     m = _powers((r,), (p,), exps, n)
     return _lift(all_txt_submatrices_invertible(m[1:, 1:] - m[1:, :1], t - 1, p), n, t)
 
@@ -472,10 +452,11 @@ def instantiate_degree_table(
     _progression_order, as condition IV is, with no points built, once the
     candidate is counted against the band's 32: 'structural'. Any other
     side is walked whole, over the C(N-1, T-1) subsets of d (see _lift):
-    'exhaustive'. BudgetExceededError is raised before any walk when that
-    count exceeds _WALK_CAP = 2^22. The walked sides of the band's remaining
-    candidates are eliminated in groups of 1, 2, 4, .. candidates, so that
-    a table accepted at its first candidate costs one check: the generator
+    'exhaustive'. BudgetExceededError is raised by the first walk, before
+    any subset is walked, when that count exceeds linalg's _WALK_CAP = 2^22.
+    The walked sides of the band's remaining candidates are eliminated in
+    groups of 1, 2, 4, .. candidates, so that a table accepted at its
+    first candidate costs one check: the generator
     of F_p and omega are computed for the candidates of a group, and one
     walk of submatrix_checks per side checks them all, alpha_s first and
     beta_s only for the candidates whose alpha_s passed. params records q
@@ -497,8 +478,6 @@ def instantiate_degree_table(
     sides = (dv.alpha_s, dv.beta_s)
     vectors = (qs.gamma,) + sides
     steps = _progression_steps(dv)
-    if None in steps:
-        _refuse_above_cap(n - 1, t - 1)
     # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
     stride = 2 if dv.modulus is None else lcm(2, dv.modulus)
     distinct = {}  # q -> whether every vector keeps distinct residues mod q
@@ -814,8 +793,8 @@ def verify_privacy_rank(scheme: PdmmScheme) -> PrivacyRankReport:
     _mask_check's exhaustive report, so a failing side keeps its witness: on
     the points 1, r, r^2, .. of a scanned scheme, the walk of d the scan
     made; on other points a walk of every T-row subset. A walk above
-    _WALK_CAP raises BudgetExceededError before anything is walked. Both
-    sides share one _ratio of the points.
+    linalg's _WALK_CAP raises BudgetExceededError before anything is
+    walked. Both sides share one _ratio of the points.
     """
     dv, n, t, p = scheme.dv, scheme.n_workers, scheme.t_privacy, scheme.field.p
     r = _ratio(scheme.rho, p)

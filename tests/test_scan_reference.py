@@ -288,10 +288,11 @@ def test_pinned_scans(dv, p, q, certificate):
         (construct_dog_rs(8, 8, 5, 1, 3), 1687571, 185),
         (construct_dog_rs(2, 2, 6, 1, 2), 13313, 416),
         (construct_dog_rs(2, 2, 7, 5, 7), 13859, 26),
+        (construct_dog_rs(2, 2, 7, 1, 2), 122921, 3512),
     ],
     ids=[
         "gasp-rs-5-5-5-2-3", "dog-rs-5-5-5-1-3", "gasp-rs-6-6-5-1-3", "dog-rs-6-6-5-1-3",
-        "dog-rs-8-8-5-1-3", "dog-rs-2-2-6-1-2", "dog-rs-2-2-7-5-7",
+        "dog-rs-8-8-5-1-3", "dog-rs-2-2-6-1-2", "dog-rs-2-2-7-5-7", "dog-rs-2-2-7-1-2",
     ],
 )
 def test_pinned_scans_past_the_reference(dv, p, q):
@@ -299,9 +300,10 @@ def test_pinned_scans_past_the_reference(dv, p, q):
     # no progression is walked whole, over the C(N-1, T-1) subsets that hold
     # row 0: 292,825 for (5,5,5), 814,385 and 766,480 for gasp-rs and dog-rs
     # (6,6,5), and 4,082,925 for dog-rs (8,8,5), the widest walk within the
-    # cap of 2^22. dog-rs (2,2,6) walks width 5, the widest the cofactor walk
-    # serves, over 42,504 subsets, and (2,2,7) width 6, by elimination, over
-    # 177,100 (C(N, T) = 177,100 and 657,800 per side). The rank check walks
+    # cap of 2^22. dog-rs (2,2,6) walks width 5, the widest that minors
+    # serve, over 42,504 subsets, and (2,2,7) width 6, by null vectors, over
+    # 177,100 (C(N, T) = 177,100 and 657,800 per side), r=1 s=2's scan up
+    # to p = 122,921. The rank check walks
     # the same subsets and reports the same level. A band spends at most 32
     # candidates before p doubles: without that bound dog-rs (5,5,5) stays
     # among small primes for more than 40 s, and each scan, its rank check

@@ -31,6 +31,7 @@ from pdmm.degrees import (
 from pdmm.field import FieldError, PrimeField, _primitive_root
 from pdmm.linalg import _TILE, SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
 import pdmm.degrees as degrees_module
+import pdmm.linalg as linalg_module
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
     _GAMMA,
@@ -461,11 +462,12 @@ class TestInstantiateDegreeTable:
 
     def test_refuses_a_walk_above_the_cap(self, monkeypatch):
         # gasp-rs (6,6,6) r=2 s=3: N = 72, and beta_s is no progression, so
-        # a whole walk would eliminate C(71, 5) = 13,019,909 > 2^22 subsets.
+        # a whole walk would test C(71, 5) = 13,019,909 > 2^22 subsets. The
+        # scan's first walk refuses before any prefix is built.
         def no_walk(*args):
             raise AssertionError("the scan walked a side it refuses")
 
-        monkeypatch.setattr("pdmm.scheme._mask_checks", no_walk)
+        monkeypatch.setattr("pdmm.linalg._prefix_tree", no_walk)
         with pytest.raises(BudgetExceededError, match="13019909") as refused:
             instantiate_degree_table(construct_gasp_rs(6, 6, 6, 2, 3))
         assert "4194304" in str(refused.value)
@@ -479,16 +481,15 @@ class TestInstantiateDegreeTable:
         scheme = instantiate_degree_table(construct_gasp_rs(3, 3, 3, 2, 3))
         if reverse:
             scheme = PdmmScheme(scheme.dv, scheme.field, scheme.rho[::-1], scheme.gamma)
-        monkeypatch.setattr("pdmm.scheme._WALK_CAP", walked)
+        monkeypatch.setattr("pdmm.linalg._WALK_CAP", walked)
         report = verify_privacy_rank(scheme)
         assert report.ok and report.a_check.level == "exhaustive"
 
         def no_walk(*args):
             raise AssertionError("the rank check walked a side it refuses")
 
-        for name in ("all_txt_submatrices_invertible", "submatrix_checks", "_mask_checks"):
-            monkeypatch.setattr(f"pdmm.scheme.{name}", no_walk)
-        monkeypatch.setattr("pdmm.scheme._WALK_CAP", walked - 1)
+        monkeypatch.setattr("pdmm.linalg._prefix_tree", no_walk)
+        monkeypatch.setattr("pdmm.linalg._WALK_CAP", walked - 1)
         with pytest.raises(BudgetExceededError, match=f" = {walked} subsets") as refused:
             verify_privacy_rank(scheme)
         assert f"cap of {walked - 1}" in str(refused.value)
@@ -1221,7 +1222,6 @@ class TestDecoder:
             raise AssertionError("decoding eliminated a matrix")
 
         scheme = reversed_points(decoder_scheme(spec))
-        monkeypatch.setattr("pdmm.linalg._singular", no_elimination)
         monkeypatch.setattr("pdmm.linalg._cofactor_walk", no_elimination)
         p = scheme.field.p
         rng = np.random.default_rng(8)
@@ -1707,7 +1707,7 @@ class TestMaskCheck:
         n = len(rho)
         powers = all(x == pow(rho[min(1, n - 1)], w, p) for w, x in enumerate(rho))
         walked = comb(n - 1, t - 1) if powers else comb(n, t)
-        with mock.patch.object(scheme_module, "_WALK_CAP", cap):
+        with mock.patch.object(linalg_module, "_WALK_CAP", cap):
             if walked > cap:
                 with pytest.raises(BudgetExceededError):
                     scheme_module._mask_check(rho, exps, t, p, _ratio(rho, p))
