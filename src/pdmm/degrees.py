@@ -136,11 +136,21 @@ def gap(length: int, x: int, r: int) -> tuple[int, ...]:
     return tuple((i // r) * x + (i % r) for i in range(length))
 
 
-def kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
-    """Minimal non-negative shifts making K+1+kappa and L+1+lambda coprime to T-1."""
+def _ordered(big_k, big_l, big_t) -> tuple[int, int, int]:
+    """(K, L, T) as ints by _integer's rule, refused unless K >= L >= T >= 2."""
     big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
     if not big_k >= big_l >= big_t >= 2:
         raise ParameterError(f"need K >= L >= T >= 2, got ({big_k}, {big_l}, {big_t})")
+    return big_k, big_l, big_t
+
+
+def kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
+    """Minimal non-negative shifts making K+1+kappa and L+1+lambda coprime to T-1."""
+    return _kappa_lambda(*_ordered(big_k, big_l, big_t))
+
+
+def _kappa_lambda(big_k: int, big_l: int, big_t: int) -> tuple[int, int]:
+    """kappa_lambda on ints with K >= L >= T >= 2."""
     t_bar = big_t - 1
     if t_bar == 1:
         return (0, 0)
@@ -289,8 +299,12 @@ def table_from_dict(doc: dict) -> DegreeVectors:
 
 def n_catx_formula(big_k: int, big_l: int, big_t: int) -> int:
     """Closed-form worker count (K+1)(L+1) + (T-1)^2 + kappa + lambda."""
-    big_k, big_l, big_t = _integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T")
-    kappa, lam = kappa_lambda(big_k, big_l, big_t)
+    return _n_catx(*_ordered(big_k, big_l, big_t))
+
+
+def _n_catx(big_k: int, big_l: int, big_t: int) -> int:
+    """n_catx_formula on ints with K >= L >= T >= 2."""
+    kappa, lam = _kappa_lambda(big_k, big_l, big_t)
     return (big_k + 1) * (big_l + 1) + (big_t - 1) ** 2 + kappa + lam
 
 

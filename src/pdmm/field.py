@@ -2,13 +2,23 @@
 
 A :class:`PrimeField` names a prime p. Elements are plain Python ints or
 int64 arrays in [0, p); the code that uses them reduces mod p itself.
-_primitive_root gives the smallest primitive element of F_p, from which
-the field scan of scheme.instantiate_degree_table takes its roots of unity.
+
+The field scan of scheme.instantiate_degree_table reads each prime's
+number theory from _factored(p), a cache that lasts for the process and
+holds at most _FACTORED_PRIMES = 1,024 primes, the least recently used
+evicted first. An entry factors p - 1 once, by one trial division, and
+derives from that factorization both the divisors of p - 1, the orders q
+the scan may take, and, on first use, the smallest generator of F_p^*,
+from which the scan takes its roots of unity (_primitive_root). is_prime
+stays uncached, so every call runs the test: the check that the four small
+Miller-Rabin bases agree with all twelve calls it twice per number, under
+two bounds, and a cache would answer the second call from the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .degrees import _integer
@@ -58,30 +68,63 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division (n fits the search bound)."""
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (prime, exponent) pairs,
+    ascending, by trial division by 2 and the odd numbers (n fits the
+    search bound)."""
     factors = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            factors.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
-        d += 1
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
     if n > 1:
-        factors.append(n)
+        factors.append((n, 1))
     return factors
+
+
+class _Factored:
+    """A prime p with p - 1 factored: its distinct prime factors, its
+    divisors ascending, and the smallest generator of F_p^*, found from
+    the factors on first use."""
+
+    def __init__(self, p: int):
+        powers = _prime_factors(p - 1)
+        divisors = [1]
+        for f, e in powers:
+            divisors = [d * f**i for d in divisors for i in range(e + 1)]
+        self.p = p
+        self.factors = tuple(f for f, _ in powers)
+        self.divisors = tuple(sorted(divisors))
+
+    @cached_property
+    def root(self) -> int:
+        p = self.p
+        if p == 2:
+            return 1
+        factors = self.factors
+        return next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+
+
+# The most primes _factored keeps. An entry holds the divisors of p - 1, a
+# few dozen for most p, so a full cache stays within a few MiB.
+_FACTORED_PRIMES = 1024
+
+
+@lru_cache(maxsize=_FACTORED_PRIMES)
+def _factored(p: int) -> _Factored:
+    """p - 1 factored once per process for a prime p (see the module
+    docstring); callers test p with is_prime first."""
+    return _Factored(p)
 
 
 def _primitive_root(p: int) -> int:
     """Smallest primitive element of F_p (order exactly p-1)."""
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise FieldError(f"no primitive root found for p={p}")  # unreachable for prime p
+    return _factored(p).root
 
 
 @dataclass(frozen=True)

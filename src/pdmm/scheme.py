@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import comb, isqrt, lcm
+from math import comb, inf, lcm
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .degrees import (
     quadrants,
     validate_degree_table,
 )
-from .field import _MAX_P, FieldError, PrimeField, _primitive_root, is_prime
+from .field import _MAX_P, FieldError, PrimeField, _factored, _primitive_root, is_prime
 from .linalg import (
     _TILE,
     LEVELS,
@@ -340,11 +340,6 @@ def instantiate_cat(dv: DegreeVectors, min_p: int = 0, params: dict | None = Non
 _BAND_CANDIDATES = 32
 
 
-def _divisors(k: int) -> list[int]:
-    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    return sorted(set(small + [k // d for d in small]))
-
-
 def _powers(omegas, moduli, exps, n: int) -> np.ndarray:
     """The G mask Vandermonde matrices on the points omega^0 .. omega^(n-1),
     side by side in an n x G*len(exps) array: entry [w, g*len(exps) + j] is
@@ -441,11 +436,17 @@ def instantiate_degree_table(
     of p - 1; q may be composite, and below the largest table entry. A
     cyclic table admits only its modulus q, so only primes p = 1 (mod
     lcm(2, q)) are scanned. A q is skipped unless gamma, alpha_s and beta_s
-    each keep distinct residues mod q, a test made once per q. The decode
+    each keep distinct residues mod q. Distinct integers less than q apart
+    cannot share a residue, so a q above the span (max - min) of each of
+    the three vectors, when each has pairwise-distinct entries, passes at
+    once; below it the residues are compared, once per q. The decode
     matrix is then a Vandermonde matrix in the distinct nodes omega^gamma
-    and needs no elimination. A band spends at most 32 candidates (p, q);
-    past 3,037,000,499 (_MAX_P) FieldError is raised. The first candidate
-    in this order whose two mask sides pass is accepted.
+    and needs no elimination. The divisors of p - 1 and g come from
+    field._factored, a cache of at most 1,024 primes that lasts for the
+    process: p - 1 is factored again only once p has been evicted. A band
+    spends at most 32 candidates (p, q); past 3,037,000,499 (_MAX_P)
+    FieldError is raised. The first candidate in this order whose two mask
+    sides pass is accepted.
 
     A mask side whose degrees form an arithmetic progression, with the step
     that degrees._progression_steps gives, is decided from q alone by
@@ -480,9 +481,16 @@ def instantiate_degree_table(
     steps = _progression_steps(dv)
     # Only p = 1 (mod stride) can be prime, above N >= 2, and have q | p - 1.
     stride = 2 if dv.modulus is None else lcm(2, dv.modulus)
+    # Distinct integers less than q apart keep distinct residues mod q, so
+    # every q above span passes the residue test without it.
+    span = inf
+    if all(len(set(vec)) == len(vec) for vec in vectors):
+        span = max(max(vec) - min(vec) for vec in vectors)
     distinct = {}  # q -> whether every vector keeps distinct residues mod q
 
     def counted(q: int) -> bool:
+        if q > span:
+            return True
         if q not in distinct:
             distinct[q] = all(len({v % q for v in vec}) == len(vec) for vec in vectors)
         return distinct[q]
@@ -491,7 +499,6 @@ def instantiate_degree_table(
         """Each side's verdict from q: True proven, False rejected, None open."""
         return tuple(None if d is None else _progression_order(d, n, q) for d in steps)
 
-    generators = {}  # p -> the smallest generator of F_p^*
     band = max(n + 1, min_p)
     while band <= _MAX_P:
         candidates = itertools.islice(
@@ -501,17 +508,14 @@ def instantiate_degree_table(
                     is_prime,
                     range(band + (1 - band) % stride, min(2 * band, _MAX_P + 1), stride),
                 )
-                for q in (_divisors(p - 1) if dv.modulus is None else (dv.modulus,))
+                for q in (_factored(p).divisors if dv.modulus is None else (dv.modulus,))
                 if q >= n and counted(q)
             ),
             _BAND_CANDIDATES,
         )
         open_candidates = ((p, q, v) for p, q in candidates if False not in (v := verdicts(q)))
         for group in _doubling(open_candidates):
-            for p, _, _ in group:
-                if p not in generators:
-                    generators[p] = _primitive_root(p)
-            omegas = [pow(generators[p], (p - 1) // q, p) for p, q, _ in group]
+            omegas = [pow(_primitive_root(p), (p - 1) // q, p) for p, q, _ in group]
             live = range(len(group))
             for i, exps in enumerate(sides):
                 walk = [c for c in live if group[c][2][i] is None]

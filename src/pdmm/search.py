@@ -57,7 +57,7 @@ from itertools import groupby
 from math import inf
 from operator import itemgetter
 
-from .degrees import _integer, n_catx_formula
+from .degrees import ParameterError, _integer, _n_catx
 
 # Fixed tie-break order when families report equal worker counts.
 FAMILY_ORDER = ("CATX", "DOG_RS", "GASP_RS", "GASP_R")
@@ -300,16 +300,22 @@ def _point(big_k, big_l, big_t) -> tuple[int, int, int]:
 def catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:
     """Closed-form worker count at x=1; None where the construction needs
     T <= min(K, L) and that fails."""
-    big_k, big_l = _integer(big_k, "K"), _integer(big_l, "L")
-    big_k, big_l, big_t = _oriented(big_k, big_l, _integer(big_t, "T"))
+    return _catx_choice(_integer(big_k, "K"), _integer(big_l, "L"), _integer(big_t, "T"))
+
+
+def _catx_choice(big_k: int, big_l: int, big_t: int) -> SchemeChoice | None:
+    """catx_choice on ints; n_catx_formula's refusal of T < 2 is kept."""
+    big_k, big_l, big_t = _oriented(big_k, big_l, big_t)
     if big_t > big_l:
         return None
-    return SchemeChoice("CATX", n_catx_formula(big_k, big_l, big_t), x=1)
+    if big_t < 2:
+        raise ParameterError(f"need K >= L >= T >= 2, got ({big_k}, {big_l}, {big_t})")
+    return SchemeChoice("CATX", _n_catx(big_k, big_l, big_t), x=1)
 
 
 def _record(big_k, big_l, big_t, gr, grs, dg) -> SweepRecord:
     """The point's record: the four families ranked by worker count."""
-    cx = catx_choice(big_k, big_l, big_t)
+    cx = _catx_choice(big_k, big_l, big_t)
     ranked = sorted(
         (c for c in (cx, dg, grs, gr) if c is not None),
         key=lambda c: (c.n_workers, FAMILY_ORDER.index(c.family)),

@@ -5,7 +5,15 @@ from unittest import mock
 import pytest
 
 import pdmm.field as field_module
-from pdmm.field import _MAX_P, _MR_SMALL_BOUND, FieldError, PrimeField, _primitive_root, is_prime
+from pdmm.field import (
+    _MAX_P,
+    _MR_SMALL_BOUND,
+    FieldError,
+    PrimeField,
+    _factored,
+    _primitive_root,
+    is_prime,
+)
 
 
 class TestIsPrime:
@@ -38,6 +46,8 @@ class TestIsPrime:
         ids=["small", "1e9", "max-p"],
     )
     def test_four_bases_agree_with_twelve(self, window):
+        # A cached is_prime would answer the patched pass from the first one.
+        assert not hasattr(is_prime, "cache_info")
         four = [is_prime(n) for n in window]
         with mock.patch.object(field_module, "_MR_SMALL_BOUND", 0):
             twelve = [is_prime(n) for n in window]
@@ -57,6 +67,14 @@ class TestPrimitiveRoot:
         assert {pow(g, e, p) for e in range(p - 1)} == set(range(1, p))
         for smaller in range(2, g):
             assert len({pow(smaller, e, p) for e in range(p - 1)}) < p - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 97, 7_681, 65_537, 1_000_000_007])
+def test_factored_divisors(p):
+    entry = _factored(p)
+    small = [d for d in range(1, int((p - 1) ** 0.5) + 1) if (p - 1) % d == 0]
+    assert entry.divisors == tuple(sorted(set(small + [(p - 1) // d for d in small])))
+    assert entry.factors == tuple(d for d in entry.divisors if d > 1 and is_prime(d))
 
 
 def test_prime_field_rejects_composite():

@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from pdmm.degrees import (
+    DegreeVectors,
     ParameterError,
     construct_cat_x,
     construct_dog_rs,
@@ -265,10 +266,12 @@ def assert_exact_product(scheme):
         (construct_dog_rs(3, 3, 5, 2, 3), 15877, 108, "exhaustive"),
         # C(N-1, T-1) = C(91, 3) = 138,415 subsets per walk of beta_s.
         (construct_gasp_rs(8, 8, 4, 1, 2), 12433, 444, "exhaustive"),
+        # gamma spans 3,004, so only its residues admit q = 28.
+        (DegreeVectors((0, 1), (1000, 1001), (0, 2), (2000, 2003)), 29, 28, "structural"),
     ],
     ids=[
         "gasp-small-2-2-2", "dog-rs-3-3-3", "gasp-rs-4-4-4", "dog-rs-4-4-4", "dog-rs-2-2-3-2-2",
-        "dog-rs-3-3-5-2-3", "gasp-rs-8-8-4-1-2",
+        "dog-rs-3-3-5-2-3", "gasp-rs-8-8-4-1-2", "q-below-the-span",
     ],
 )
 def test_pinned_scans(dv, p, q, certificate):

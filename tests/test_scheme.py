@@ -31,6 +31,7 @@ from pdmm.degrees import (
 from pdmm.field import FieldError, PrimeField, _primitive_root
 from pdmm.linalg import _TILE, SubmatrixCheck, all_txt_submatrices_invertible, vandermonde
 import pdmm.degrees as degrees_module
+import pdmm.field as field_module
 import pdmm.linalg as linalg_module
 import pdmm.scheme as scheme_module
 from pdmm.scheme import (
@@ -308,6 +309,28 @@ class TestInstantiateDegreeTable:
         default = result(instantiate_degree_table(dv))
         assert result(instantiate_degree_table(dv, "roots_of_unity")) == default
         assert result(instantiate_degree_table(dv, "random_search", seed=5)) == default
+
+    def test_factored_primes_cache_changes_no_result(self):
+        # The scan reads each prime's divisors and generator from a bounded
+        # cache that lasts for the process; a filled one gives the same scans.
+        tables = [
+            (construct_gasp_r(4, 4, 4, 2), 0),
+            (construct_cat_x(3, 3, 2, 1), 0),
+            (construct_gasp_r(2, 2, 2, 1), 10**9),
+        ]
+
+        def result(dv, min_p):
+            scheme = instantiate_degree_table(dv, min_p=min_p)
+            return scheme.field.p, scheme.params["q"], scheme.omega, scheme.rho, scheme.params
+
+        cache = field_module._factored
+        cache.cache_clear()
+        cold = [result(*table) for table in tables]
+        filled = cache.cache_info()
+        assert [result(*table) for table in tables] == cold
+        assert cache.cache_info().hits > filled.hits
+        assert cold[2][0] > 10**9
+        assert filled.maxsize is not None and filled.maxsize == field_module._FACTORED_PRIMES
 
     @pytest.mark.parametrize("dv", progression_tables())
     def test_roots_of_unity_certifies_progression_tables(self, dv):
